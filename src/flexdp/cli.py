@@ -21,8 +21,6 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from .errors import (
     BudgetExhausted,
@@ -46,7 +44,6 @@ from .mechanism import (
     make_params,
     release_count,
     release_histogram,
-    scan_limit,
     smooth_bound,
 )
 from .metrics import (
@@ -59,6 +56,7 @@ from .metrics import (
 )
 from .oracle import (
     MicroDatabase,
+    coerce_value,
     column_max_frequency,
     eval_query,
     eval_rows,
@@ -68,24 +66,6 @@ from .oracle import (
 from .parser import parse_query
 from .relalg import BaseColumn, CountGrouped, attribute_index, resolve_attribute, root_count
 from .sensitivity import elastic_sensitivity, join_count, mf_at_distance
-
-
-@dataclass
-class RunConfig:
-    """Everything one analyze/release invocation needs, parsed from flags."""
-
-    query_path: str
-    metrics_path: str
-    epsilon: float
-    delta: Optional[float] = None
-    seed: Optional[int] = None
-    data_dir: Optional[str] = None
-    execute: bool = False
-    true_result: Optional[str] = None
-    bins: Optional[str] = None
-    budget_epsilon: Optional[float] = None
-    budget_delta: Optional[float] = None
-    as_json: bool = False
 
 
 def _diag(message: str):
@@ -99,17 +79,17 @@ def _read_query(path: str) -> str:
         return handle.read()
 
 
-def _load_inputs(config: RunConfig):
-    store = load_metrics(config.metrics_path)
+def _load_inputs(args):
+    store = load_metrics(args.metrics)
     catalog = catalog_from_metrics(store)
-    query = parse_query(_read_query(config.query_path), catalog)
+    query = parse_query(_read_query(args.query), catalog)
     n = store.total_rows()
-    params = make_params(config.epsilon, config.delta, n=n if n > 0 else None)
+    params = make_params(args.epsilon, args.delta, n=n if n > 0 else None)
     return store, query, params
 
 
-def cmd_analyze(config: RunConfig) -> int:
-    store, query, params = _load_inputs(config)
+def cmd_analyze(args) -> int:
+    store, query, params = _load_inputs(args)
     bound = smooth_bound(query, store, params)
     report = {
         "joins": join_count(query),
@@ -122,7 +102,7 @@ def cmd_analyze(config: RunConfig) -> int:
         "S": bound.S,
         "noise_scale": 2.0 * bound.S / params.epsilon,
     }
-    if config.as_json:
+    if args.as_json:
         print(json.dumps(report))
     else:
         for key, value in report.items():
@@ -130,24 +110,19 @@ def cmd_analyze(config: RunConfig) -> int:
     return 0
 
 
-def _coerce_label(text: str):
-    body = text[1:] if text.startswith("-") else text
-    return int(text) if body.isdigit() else text
-
-
 def _parse_bins(raw: str, arity: int):
     labels = []
     for part in raw.split(","):
         part = part.strip()
         if arity == 1:
-            labels.append(_coerce_label(part))
+            labels.append(coerce_value(part))
         else:
             pieces = part.split("|")
             if len(pieces) != arity:
                 raise InvalidParams(
                     "bin label %r does not have %d '|'-separated parts" % (part, arity)
                 )
-            labels.append(tuple(_coerce_label(p) for p in pieces))
+            labels.append(tuple(coerce_value(p) for p in pieces))
     return labels
 
 
@@ -175,9 +150,9 @@ def _parse_true_result(text: str, grouped: bool):
             raise FormatError("true-result line %r is not 'label,count'" % line)
         *label_parts, count = parts
         label = (
-            _coerce_label(label_parts[0])
+            coerce_value(label_parts[0])
             if len(label_parts) == 1
-            else tuple(_coerce_label(p) for p in label_parts)
+            else tuple(coerce_value(p) for p in label_parts)
         )
         bins[label] = float(count)
     return bins
@@ -199,14 +174,14 @@ def _derived_bin_domain(query, store: MetricsStore, db: MicroDatabase):
     return [tuple(combo) for combo in itertools.product(*per_column)]
 
 
-def _charge_budget(config: RunConfig, params: PrivacyParams):
-    if config.budget_epsilon is None and config.budget_delta is None:
+def _charge_budget(args, params: PrivacyParams):
+    if args.budget_epsilon is None and args.budget_delta is None:
         return None
-    if config.budget_epsilon is None or config.budget_delta is None:
+    if args.budget_epsilon is None or args.budget_delta is None:
         raise InvalidParams(
             "--budget-epsilon and --budget-delta must be supplied together"
         )
-    path = config.metrics_path + ".budget.json"
+    path = args.metrics + ".budget.json"
     lock_path = path + ".lock"
     with open(lock_path, "w") as lock_handle:
         fcntl.flock(lock_handle, fcntl.LOCK_EX)
@@ -217,8 +192,8 @@ def _charge_budget(config: RunConfig, params: PrivacyParams):
             spent_epsilon = float(data["spent_epsilon"])
             spent_delta = float(data["spent_delta"])
         ledger = BudgetLedger(
-            max_epsilon=config.budget_epsilon,
-            max_delta=config.budget_delta,
+            max_epsilon=args.budget_epsilon,
+            max_delta=args.budget_delta,
             spent_epsilon=spent_epsilon,
             spent_delta=spent_delta,
         )
@@ -236,41 +211,41 @@ def _charge_budget(config: RunConfig, params: PrivacyParams):
         return ledger
 
 
-def cmd_release(config: RunConfig) -> int:
-    store, query, params = _load_inputs(config)
+def cmd_release(args) -> int:
+    store, query, params = _load_inputs(args)
     grouped = isinstance(root_count(query), CountGrouped)
 
     db = None
-    if config.execute:
-        if not config.data_dir:
+    if args.execute:
+        if not args.data:
             raise InvalidParams("--execute requires --data")
-        db = MicroDatabase.from_csv_dir(config.data_dir)
+        db = MicroDatabase.from_csv_dir(args.data)
         true_result = eval_query(query, db)
-    elif config.true_result is not None:
-        true_result = _parse_true_result(config.true_result, grouped)
+    elif args.true_result is not None:
+        true_result = _parse_true_result(args.true_result, grouped)
     else:
         raise InvalidParams("supply the true result (--true-result) or --execute")
 
     bin_domain = None
     if grouped:
         arity = len(root_count(query).group_attrs)
-        if config.bins:
-            bin_domain = _parse_bins(config.bins, arity)
+        if args.bins:
+            bin_domain = _parse_bins(args.bins, arity)
         elif db is not None:
             bin_domain = _derived_bin_domain(query, store, db)
         if not isinstance(true_result, dict):
             raise InvalidParams("grouped query needs a per-label true result")
 
-    ledger = _charge_budget(config, params)
+    ledger = _charge_budget(args, params)
 
     if grouped:
         result = release_histogram(
-            true_result, bin_domain, query, store, params, seed=config.seed
+            true_result, bin_domain, query, store, params, seed=args.seed
         )
     else:
         if isinstance(true_result, dict):
             raise InvalidParams("plain count needs a scalar true result")
-        result = release_count(true_result, query, store, params, seed=config.seed)
+        result = release_count(true_result, query, store, params, seed=args.seed)
 
     metadata = {
         "S": result.S,
@@ -284,7 +259,7 @@ def cmd_release(config: RunConfig) -> int:
         metadata["spent_epsilon"] = ledger.spent_epsilon
         metadata["spent_delta"] = ledger.spent_delta
 
-    if config.as_json:
+    if args.as_json:
         if grouped:
             payload = {"bins": [[_label_text(l), v] for l, v in result.bins]}
         else:
@@ -314,11 +289,7 @@ def cmd_collect_metrics(args) -> int:
             db = MicroDatabase.from_csv_dir(args.data)
             schema = {name: db.columns[name] for name in sorted(db.columns)}
         elif args.metrics and os.path.exists(args.metrics):
-            store = load_metrics(args.metrics)
-            schema = {}
-            for table, column in sorted(store.mf):
-                schema.setdefault(table, ())
-                schema[table] = schema[table] + (column,)
+            schema = catalog_from_metrics(load_metrics(args.metrics)).columns
         else:
             raise InvalidParams("--emit-sql needs --data or an existing --metrics file")
         for table in sorted(schema):
@@ -479,30 +450,9 @@ def main(argv=None) -> int:
     args = _build_arg_parser().parse_args(argv)
     try:
         if args.handler == "analyze":
-            config = RunConfig(
-                query_path=args.query,
-                metrics_path=args.metrics,
-                epsilon=args.epsilon,
-                delta=args.delta,
-                as_json=args.as_json,
-            )
-            return cmd_analyze(config)
+            return cmd_analyze(args)
         if args.handler == "release":
-            config = RunConfig(
-                query_path=args.query,
-                metrics_path=args.metrics,
-                epsilon=args.epsilon,
-                delta=args.delta,
-                seed=args.seed,
-                data_dir=args.data,
-                execute=args.execute,
-                true_result=args.true_result,
-                bins=args.bins,
-                budget_epsilon=args.budget_epsilon,
-                budget_delta=args.budget_delta,
-                as_json=args.as_json,
-            )
-            return cmd_release(config)
+            return cmd_release(args)
         if args.handler == "collect":
             return cmd_collect_metrics(args)
         return cmd_check(args)

@@ -322,8 +322,3 @@ class BudgetLedger:
         self.spent_epsilon = new_epsilon
         self.spent_delta = new_delta
         return self
-
-
-def budget_charge(ledger: BudgetLedger, p: PrivacyParams) -> BudgetLedger:
-    """Charge one release against ``ledger``; see BudgetLedger.charge."""
-    return ledger.charge(p)

@@ -131,8 +131,8 @@ def metrics_collection_sql(table: str, column: str, catalog: Optional[Catalog] =
         if column not in catalog.columns[table]:
             raise FormatError("unknown column %r in table %r" % (column, table))
     return (
-        "SELECT COUNT(%(col)s) FROM %(table)s GROUP BY %(col)s "
-        "ORDER BY count DESC LIMIT 1;" % {"col": column, "table": table}
+        "SELECT COUNT(%(col)s) AS mf FROM %(table)s GROUP BY %(col)s "
+        "ORDER BY mf DESC LIMIT 1;" % {"col": column, "table": table}
     )
 
 

@@ -52,7 +52,8 @@ _OPS = {
 Value = Union[int, str]
 
 
-def _coerce(text: str) -> Value:
+def coerce_value(text: str) -> Value:
+    """Read a CSV cell or a bin label: an optionally signed integer, else the text."""
     body = text[1:] if text.startswith("-") else text
     if body.isdigit():
         return int(text)
@@ -106,7 +107,7 @@ class MicroDatabase:
                     raise EvaluationError("%s is empty (no header row)" % filename) from None
                 columns[name] = tuple(h.strip() for h in header)
                 tables[name] = [
-                    tuple(_coerce(cell.strip()) for cell in row)
+                    tuple(coerce_value(cell.strip()) for cell in row)
                     for row in reader
                     if row
                 ]

@@ -98,8 +98,30 @@ class Comparison:
 Predicate = tuple
 
 
+class _Node:
+    """Common base of the relational node classes.
+
+    A node's scope and ancestor set are each computed at most once and kept
+    on the node, so they are freed with the tree. They are not dataclass
+    fields: node equality and hashing ignore them.
+    """
+
+    @functools.cached_property
+    def _scope(self) -> tuple:
+        return _compute_scope(self)
+
+    @functools.cached_property
+    def _ancestors(self) -> frozenset:
+        return _compute_ancestors(self)
+
+
+def _check_node(r):
+    if not isinstance(r, _Node):
+        raise TypeError("not a relational expression: %r" % (r,))
+
+
 @dataclass(frozen=True)
-class Table:
+class Table(_Node):
     """A base-table reference.
 
     ``name`` is the stored table (used for self-join detection); ``alias`` is
@@ -118,7 +140,7 @@ class Table:
 
 
 @dataclass(frozen=True)
-class Join:
+class Join(_Node):
     """An equijoin on ``key_left = key_right`` with an optional residual filter.
 
     The residual holds every conjunct of the original join condition other
@@ -134,7 +156,7 @@ class Join:
 
 
 @dataclass(frozen=True)
-class Project:
+class Project(_Node):
     """Projection onto a subset of the input's attributes (no renaming)."""
 
     attrs: tuple
@@ -142,7 +164,7 @@ class Project:
 
 
 @dataclass(frozen=True)
-class Select:
+class Select(_Node):
     """Selection by a conjunction of comparisons."""
 
     predicate: tuple
@@ -150,7 +172,7 @@ class Select:
 
 
 @dataclass(frozen=True)
-class Aliased:
+class Aliased(_Node):
     """A named subquery reference: the input's attributes requalified under one alias.
 
     Structurally this is a projection that renames qualifiers, so every
@@ -162,7 +184,7 @@ class Aliased:
 
 
 @dataclass(frozen=True)
-class Count:
+class Count(_Node):
     """A plain count of the input's rows. Output is one attribute, ``label``."""
 
     input: "RelExpr"
@@ -170,7 +192,7 @@ class Count:
 
 
 @dataclass(frozen=True)
-class CountGrouped:
+class CountGrouped(_Node):
     """A grouped count: one output row per distinct grouping-key value."""
 
     group_attrs: tuple
@@ -213,7 +235,6 @@ class ScopeEntry(NamedTuple):
     provenance: Provenance
 
 
-@functools.lru_cache(maxsize=None)
 def scope_of(r: RelExpr) -> tuple:
     """Return the attributes visible at ``r`` in evaluation (column) order.
 
@@ -222,6 +243,11 @@ def scope_of(r: RelExpr) -> tuple:
     projection the selected subset, and so on. Aggregations expose their
     grouping keys (re-marked as derived) and the count attribute.
     """
+    _check_node(r)
+    return r._scope
+
+
+def _compute_scope(r: RelExpr) -> tuple:
     if isinstance(r, Table):
         return tuple(
             ScopeEntry(r.alias, col, BaseColumn(r.name, col)) for col in r.columns
@@ -247,7 +273,6 @@ def scope_of(r: RelExpr) -> tuple:
             for e in (_lookup(attr, inner) for attr in r.group_attrs)
         )
         return keys + (ScopeEntry(None, r.label, DERIVED),)
-    raise TypeError("not a relational expression: %r" % (r,))
 
 
 def _lookup(attr: AttrRef, scope: tuple) -> ScopeEntry:
@@ -310,7 +335,6 @@ def in_scope(attr: AttrRef, r: RelExpr) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=None)
 def ancestors(r: RelExpr) -> frozenset:
     """The set of base tables ``r`` reads from.
 
@@ -318,15 +342,16 @@ def ancestors(r: RelExpr) -> frozenset:
     the stability analysis must treat more conservatively than a join of
     unrelated relations.
     """
+    _check_node(r)
+    return r._ancestors
+
+
+def _compute_ancestors(r: RelExpr) -> frozenset:
     if isinstance(r, Table):
         return frozenset((r.name,))
     if isinstance(r, Join):
         return ancestors(r.left) | ancestors(r.right)
-    if isinstance(r, (Project, Select, Aliased)):
-        return ancestors(r.input)
-    if isinstance(r, (Count, CountGrouped)):
-        return ancestors(r.input)
-    raise TypeError("not a relational expression: %r" % (r,))
+    return ancestors(r.input)
 
 
 def is_self_join(j: Join) -> bool:

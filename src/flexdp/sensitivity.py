@@ -20,16 +20,24 @@ propagate through joins:
 Max frequency at distance k inflates each private table's recorded max
 frequency by k, since k replacements can pile k more copies onto the most
 common value. Public tables are exempt: their contents are fixed, so their
-stability is 0 and their max frequencies do not grow with k.
+stability is 0 and their max frequencies do not grow with k. Each join a
+column passes multiplies its max frequency by the other side's key's.
 
-All stability arithmetic is exact (arbitrary-precision integers). A
-vectorized natural-log variant is provided for the smoothing scan, which
-needs the whole profile k = 0..k_max at once.
+Each call compiles the query once into a flat post-order plan: a step per
+base table, join and count. A join step holds its self-join flag and, per
+key, the base column's mf and public flag and the inner joins whose key mf
+multiplies it; a key that passes through an aggregation is rejected while
+compiling. One loop, ``_evaluate``, applies the rules to the plan in one of
+two number systems: exact integers at a single k, or float64 natural logs
+over an array of k for the smoothing scan, which needs the whole profile
+and whose values can exceed double range. In logs products become sums,
+sums become ``logaddexp`` and max stays max, a few ulps of error per step.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Union
+import operator
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -38,20 +46,17 @@ from .metrics import MetricsStore
 from .relalg import (
     Aliased,
     AttrRef,
-    BaseColumn,
     Count,
     CountGrouped,
     Join,
     Project,
     RelExpr,
-    ScopeEntry,
     Select,
     Table,
+    attribute_index,
     is_self_join,
     join_nodes,
-    resolve_entry,
     root_count,
-    scope_of,
 )
 
 
@@ -59,8 +64,7 @@ class _BottomType:
     """Result marker for max frequencies the metrics cannot bound.
 
     Any attribute that passes through an aggregation has no usable max
-    frequency; arithmetic with BOTTOM yields BOTTOM, and a join that needs
-    such a frequency is rejected.
+    frequency; a join that needs such a frequency is rejected.
     """
 
     _instance = None
@@ -84,43 +88,166 @@ def _check_distance(k):
         raise ValueError("distance k must be a non-negative integer, got %r" % (k,))
 
 
-def _mf(entry: ScopeEntry, r: RelExpr, k: int, m: MetricsStore, memo: Dict) -> MfValue:
-    key = (id(r), entry)
-    if key in memo:
-        return memo[key]
-    value = _mf_uncached(entry, r, k, m, memo)
-    memo[key] = value
+class _Step(NamedTuple):
+    """One plan step; ``inputs`` are indices of earlier steps.
+
+    ``op`` is "const" (a base table's or a plain count's ``stability``),
+    "grouped" or "join". A join has ``self_join`` and left and right
+    ``keys``, each (mf, public, factors): the base column's metric, then
+    (join step, side) pairs, innermost first, whose key mf multiplies it;
+    a column multiplies by the key of the side (0 left, 1 right) it is not on.
+    """
+
+    op: str
+    inputs: tuple = ()
+    stability: int = 0
+    self_join: bool = False
+    keys: tuple = ()
+
+
+def _through(columns: list, factor: tuple) -> list:
+    return [None if c is None else c + (factor,) for c in columns]
+
+
+def _key(attr: AttrRef, r: RelExpr, columns: list, m: MetricsStore):
+    """The key ``attr`` in ``r``, or None if it passes through an aggregation."""
+    column = columns[attribute_index(attr, r)]
+    if column is None:
+        return None
+    table, name, *factors = column
+    return m.mf_of(table, name), m.is_public(table), factors
+
+
+def _compile(r: RelExpr, m: MetricsStore):
+    """Walk ``r`` once and return its post-order plan and output columns.
+
+    The columns hold, per scope position of ``r``, (table, column, factors...)
+    for a position that traces to a base-table column, and None for one that
+    passes through an aggregation. The last step of the plan is ``r``'s.
+
+    Raises:
+        UnsupportedQuery: a join key has no max-frequency bound.
+    """
+    plan = []
+
+    def walk(r):
+        if isinstance(r, Table):
+            plan.append(_Step("const", stability=0 if m.is_public(r.name) else 1))
+            return [(r.name, column) for column in r.columns]
+        if isinstance(r, Join):
+            left_columns = walk(r.left)
+            left = len(plan) - 1
+            right_columns = walk(r.right)
+            keys = (
+                _key(r.key_left, r.left, left_columns, m),
+                _key(r.key_right, r.right, right_columns, m),
+            )
+            for attr, key in zip((r.key_left, r.key_right), keys):
+                if key is None:
+                    raise UnsupportedQuery(
+                        "join key %s has no max-frequency bound (aggregation input)"
+                        % attr
+                    )
+            step = len(plan)
+            plan.append(_Step("join", (left, step - 1), self_join=is_self_join(r), keys=keys))
+            return _through(left_columns, (step, 1)) + _through(right_columns, (step, 0))
+        if isinstance(r, Project):
+            columns = walk(r.input)
+            return [columns[attribute_index(a, r.input)] for a in r.attrs]
+        if isinstance(r, (Select, Aliased)):
+            return walk(r.input)
+        if isinstance(r, Count):
+            plan.append(_Step("const", stability=1))
+            return [None]
+        if isinstance(r, CountGrouped):
+            walk(r.input)
+            plan.append(_Step("grouped", (len(plan) - 1,)))
+            return [None] * (len(r.group_attrs) + 1)
+        raise TypeError("not a relational expression: %r" % (r,))
+
+    columns = walk(r)
+    return plan, columns
+
+
+# The two number systems. ``const(n)`` is n at every distance and
+# ``grow(n)`` is n + k, the max frequency of a private column.
+
+
+class _Exact:
+    """Exact integers at one distance k."""
+
+    mul, add, max = operator.mul, operator.add, max
+
+    def __init__(self, k: int):
+        self.k = k
+
+    def const(self, n):
+        return n
+
+    def grow(self, n):
+        return n + self.k
+
+
+class _Log:
+    """Natural logs at every distance of a float array; ln 0 is -inf."""
+
+    mul, add, max = np.add, np.logaddexp, np.maximum
+
+    def __init__(self, ks: np.ndarray):
+        self.ks = ks
+
+    def const(self, n):
+        return np.full_like(self.ks, np.log(float(n)) if n > 0 else -np.inf)
+
+    def grow(self, n):
+        with np.errstate(divide="ignore"):
+            return np.log(float(n) + self.ks)
+
+
+def _key_mf(key: tuple, key_mfs: list, numbers):
+    mf, public, factors = key
+    value = numbers.const(mf) if public else numbers.grow(mf)
+    for step, side in factors:
+        value = numbers.mul(value, key_mfs[step][side])
     return value
 
 
-def _mf_uncached(entry, r, k, m, memo):
-    if isinstance(r, Table):
-        prov = entry.provenance
-        assert isinstance(prov, BaseColumn)
-        base = m.mf_of(prov.table, prov.column)
-        if m.is_public(prov.table):
-            return base
-        return base + k
-    if isinstance(r, Join):
-        # the frequency of a value in the joined relation is its frequency on
-        # its own side times the matches the other side's key can supply
-        if entry in scope_of(r.left):
-            own = _mf(entry, r.left, k, m, memo)
-            other = _mf(resolve_entry(r.key_right, r.right), r.right, k, m, memo)
-        else:
-            own = _mf(entry, r.right, k, m, memo)
-            other = _mf(resolve_entry(r.key_left, r.left), r.left, k, m, memo)
-        if own is BOTTOM or other is BOTTOM:
-            return BOTTOM
-        return own * other
-    if isinstance(r, (Project, Select)):
-        return _mf(entry, r.input, k, m, memo)
-    if isinstance(r, Aliased):
-        idx = scope_of(r).index(entry)
-        return _mf(scope_of(r.input)[idx], r.input, k, m, memo)
-    if isinstance(r, (Count, CountGrouped)):
-        return BOTTOM
-    raise TypeError("not a relational expression: %r" % (r,))
+def _evaluate(plan: list, numbers):
+    """Apply the stability rules to every step of ``plan`` in order.
+
+    Returns the per-step stabilities and, for join steps, the (left, right)
+    key max frequencies.
+    """
+    stability, key_mfs = [], []
+    for step in plan:
+        mfs = ()
+        if step.op == "const":
+            s = numbers.const(step.stability)
+        elif step.op == "join":
+            s_left, s_right = stability[step.inputs[0]], stability[step.inputs[1]]
+            mfs = [_key_mf(key, key_mfs, numbers) for key in step.keys]
+            via_right = numbers.mul(mfs[0], s_right)
+            via_left = numbers.mul(mfs[1], s_left)
+            if step.self_join:
+                s = numbers.add(
+                    numbers.add(via_right, via_left), numbers.mul(s_left, s_right)
+                )
+            else:
+                s = numbers.max(via_right, via_left)
+        else:  # a grouped count: a changed row can leave a group and enter one
+            s = numbers.mul(numbers.const(2), stability[step.inputs[0]])
+        stability.append(s)
+        key_mfs.append(mfs)
+    return stability, key_mfs
+
+
+def _sensitivity(q: RelExpr, m: MetricsStore, numbers):
+    # a plain count moves by the counted relation's stability; a grouped
+    # count's is its own (the input's, doubled)
+    root = root_count(q)
+    relation = root if isinstance(root, CountGrouped) else root.input
+    plan, _ = _compile(relation, m)
+    return _evaluate(plan, numbers)[0][-1]
 
 
 def mf_at_distance(attr: AttrRef, r: RelExpr, k: int, m: MetricsStore) -> MfValue:
@@ -137,47 +264,12 @@ def mf_at_distance(attr: AttrRef, r: RelExpr, k: int, m: MetricsStore) -> MfValu
         aggregation and therefore has no metric-derived bound.
     """
     _check_distance(k)
-    return _mf(resolve_entry(attr, r), r, k, m, {})
-
-
-def _stability(r: RelExpr, k: int, m: MetricsStore, memo: Dict) -> int:
-    cached = memo.get(id(r))
-    if cached is not None:
-        return cached
-    value = _stability_uncached(r, k, m, memo)
-    memo[id(r)] = value
-    return value
-
-
-def _stability_uncached(r, k, m, memo):
-    if isinstance(r, Table):
-        return 0 if m.is_public(r.name) else 1
-    if isinstance(r, Join):
-        s_left = _stability(r.left, k, m, memo)
-        s_right = _stability(r.right, k, m, memo)
-        mf_memo = {}
-        mf_left = _mf(resolve_entry(r.key_left, r.left), r.left, k, m, mf_memo)
-        mf_right = _mf(resolve_entry(r.key_right, r.right), r.right, k, m, mf_memo)
-        if mf_left is BOTTOM:
-            raise UnsupportedQuery(
-                "join key %s has no max-frequency bound (aggregation input)"
-                % r.key_left
-            )
-        if mf_right is BOTTOM:
-            raise UnsupportedQuery(
-                "join key %s has no max-frequency bound (aggregation input)"
-                % r.key_right
-            )
-        if is_self_join(r):
-            return mf_left * s_right + mf_right * s_left + s_left * s_right
-        return max(mf_left * s_right, mf_right * s_left)
-    if isinstance(r, (Project, Select, Aliased)):
-        return _stability(r.input, k, m, memo)
-    if isinstance(r, Count):
-        return 1
-    if isinstance(r, CountGrouped):
-        return 2 * _stability(r.input, k, m, memo)
-    raise TypeError("not a relational expression: %r" % (r,))
+    plan, columns = _compile(r, m)
+    key = _key(attr, r, columns, m)
+    if key is None:
+        return BOTTOM
+    numbers = _Exact(k)
+    return _key_mf(key, _evaluate(plan, numbers)[1], numbers)
 
 
 def elastic_stability(r: RelExpr, k: int, m: MetricsStore) -> int:
@@ -188,7 +280,8 @@ def elastic_stability(r: RelExpr, k: int, m: MetricsStore) -> int:
     up to k from the actual one.
     """
     _check_distance(k)
-    return _stability(r, k, m, {})
+    plan, _ = _compile(r, m)
+    return _evaluate(plan, _Exact(k))[0][-1]
 
 
 def elastic_sensitivity(q: RelExpr, k: int, m: MetricsStore) -> int:
@@ -204,102 +297,7 @@ def elastic_sensitivity(q: RelExpr, k: int, m: MetricsStore) -> int:
             max-frequency bound.
     """
     _check_distance(k)
-    root = root_count(q)
-    inner = elastic_stability(root.input, k, m)
-    if isinstance(root, CountGrouped):
-        return 2 * inner
-    return inner
-
-
-def join_count(q: RelExpr) -> int:
-    """Number of join nodes anywhere in the query."""
-    return sum(1 for _ in join_nodes(q))
-
-
-# ---------------------------------------------------------------------------
-# Vectorized natural-log profile, used by the smoothing scan. The smoothing
-# step needs the stability at every distance 0..k_max; recomputing the exact
-# recursion once per k is wasteful and the values can exceed double range,
-# so this variant evaluates ln of the same recursion for all k at once.
-# Sums become logaddexp, products become sums, max stays max. Relative error
-# is a few ulps per node, far inside the tolerance the scan needs.
-# ---------------------------------------------------------------------------
-
-
-def _log_mf(entry, r, ks, m, memo):
-    key = (id(r), entry)
-    if key in memo:
-        return memo[key]
-    if isinstance(r, Table):
-        prov = entry.provenance
-        base = float(m.mf_of(prov.table, prov.column))
-        with np.errstate(divide="ignore"):
-            if m.is_public(prov.table):
-                value = np.full_like(ks, np.log(base) if base > 0 else -np.inf)
-            else:
-                value = np.log(base + ks)
-    elif isinstance(r, Join):
-        if entry in scope_of(r.left):
-            own = _log_mf(entry, r.left, ks, m, memo)
-            other = _log_mf(resolve_entry(r.key_right, r.right), r.right, ks, m, memo)
-        else:
-            own = _log_mf(entry, r.right, ks, m, memo)
-            other = _log_mf(resolve_entry(r.key_left, r.left), r.left, ks, m, memo)
-        if own is BOTTOM or other is BOTTOM:
-            value = BOTTOM
-        else:
-            value = own + other
-    elif isinstance(r, (Project, Select)):
-        value = _log_mf(entry, r.input, ks, m, memo)
-    elif isinstance(r, Aliased):
-        idx = scope_of(r).index(entry)
-        value = _log_mf(scope_of(r.input)[idx], r.input, ks, m, memo)
-    elif isinstance(r, (Count, CountGrouped)):
-        value = BOTTOM
-    else:
-        raise TypeError("not a relational expression: %r" % (r,))
-    memo[key] = value
-    return value
-
-
-def _log_stability(r, ks, m, memo, mf_memo):
-    cached = memo.get(id(r))
-    if cached is not None:
-        return cached
-    if isinstance(r, Table):
-        value = np.full_like(ks, 0.0 if not m.is_public(r.name) else -np.inf)
-    elif isinstance(r, Join):
-        s_left = _log_stability(r.left, ks, m, memo, mf_memo)
-        s_right = _log_stability(r.right, ks, m, memo, mf_memo)
-        mf_left = _log_mf(resolve_entry(r.key_left, r.left), r.left, ks, m, mf_memo)
-        mf_right = _log_mf(resolve_entry(r.key_right, r.right), r.right, ks, m, mf_memo)
-        if mf_left is BOTTOM:
-            raise UnsupportedQuery(
-                "join key %s has no max-frequency bound (aggregation input)"
-                % r.key_left
-            )
-        if mf_right is BOTTOM:
-            raise UnsupportedQuery(
-                "join key %s has no max-frequency bound (aggregation input)"
-                % r.key_right
-            )
-        if is_self_join(r):
-            value = np.logaddexp(
-                np.logaddexp(mf_left + s_right, mf_right + s_left),
-                s_left + s_right,
-            )
-        else:
-            value = np.maximum(mf_left + s_right, mf_right + s_left)
-    elif isinstance(r, (Project, Select, Aliased)):
-        value = _log_stability(r.input, ks, m, memo, mf_memo)
-    elif isinstance(r, Count):
-        value = np.zeros_like(ks)
-    elif isinstance(r, CountGrouped):
-        value = np.log(2.0) + _log_stability(r.input, ks, m, memo, mf_memo)
-    else:
-        raise TypeError("not a relational expression: %r" % (r,))
-    memo[id(r)] = value
-    return value
+    return _sensitivity(q, m, _Exact(k))
 
 
 def sensitivity_log_profile(q: RelExpr, ks: np.ndarray, m: MetricsStore) -> np.ndarray:
@@ -308,9 +306,9 @@ def sensitivity_log_profile(q: RelExpr, ks: np.ndarray, m: MetricsStore) -> np.n
     ``ks`` is a float array of distances. Matches ln(elastic_sensitivity)
     up to float round-off; -inf where the bound is 0 (all-public queries).
     """
-    ks = np.asarray(ks, dtype=float)
-    root = root_count(q)
-    profile = _log_stability(root.input, ks, m, {}, {})
-    if isinstance(root, CountGrouped):
-        return np.log(2.0) + profile
-    return profile
+    return _sensitivity(q, m, _Log(np.asarray(ks, dtype=float)))
+
+
+def join_count(q: RelExpr) -> int:
+    """Number of join nodes anywhere in the query."""
+    return sum(1 for _ in join_nodes(q))

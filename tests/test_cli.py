@@ -333,9 +333,15 @@ def test_collect_metrics_emit_sql(workspace, capsys):
     )
     assert code == 0
     assert (
-        "SELECT COUNT(source) FROM edges GROUP BY source "
-        "ORDER BY count DESC LIMIT 1;" in out
+        "SELECT COUNT(source) AS mf FROM edges GROUP BY source "
+        "ORDER BY mf DESC LIMIT 1;" in out
     )
+    # the same statements from the metrics file's columns (sorted there)
+    code, from_metrics, _ = run(
+        capsys, "collect-metrics", "--metrics", workspace / "metrics.txt", "--emit-sql"
+    )
+    assert code == 0
+    assert sorted(from_metrics.splitlines()) == sorted(out.splitlines())
 
 
 def test_check_passes_on_consistent_corpus(workspace, capsys):

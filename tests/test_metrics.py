@@ -1,10 +1,14 @@
 """Metrics store, file format, and collection helpers."""
 
+import pathlib
+import sqlite3
+
 import pytest
 
 from flexdp import (
     FormatError,
     MetricsStore,
+    MicroDatabase,
     MissingColumn,
     MissingMetric,
     NegativeCount,
@@ -59,9 +63,49 @@ def test_collect_from_rows():
 def test_collection_sql_template():
     sql = metrics_collection_sql("edges", "source")
     assert sql == (
-        "SELECT COUNT(source) FROM edges GROUP BY source "
-        "ORDER BY count DESC LIMIT 1;"
+        "SELECT COUNT(source) AS mf FROM edges GROUP BY source "
+        "ORDER BY mf DESC LIMIT 1;"
     )
+
+
+CORPUS_CASES = sorted(
+    d for d in (pathlib.Path(__file__).parent.parent / "corpus").iterdir() if d.is_dir()
+)
+
+
+def _sqlite_metrics(db: MicroDatabase) -> dict:
+    """Run every emitted collection statement on an in-memory SQLite copy of ``db``."""
+    conn = sqlite3.connect(":memory:")
+    mf = {}
+    for table, cols in db.columns.items():
+        conn.execute("CREATE TABLE %s (%s)" % (table, ", ".join(cols)))
+        conn.executemany(
+            "INSERT INTO %s VALUES (%s)" % (table, ", ".join("?" * len(cols))),
+            db.tables[table],
+        )
+        for col in cols:
+            rows = conn.execute(metrics_collection_sql(table, col)).fetchall()
+            mf[(table, col)] = rows[0][0] if rows else 0  # no row: empty table
+    conn.close()
+    return mf
+
+
+@pytest.mark.parametrize("case", CORPUS_CASES, ids=lambda d: d.name)
+def test_collection_sql_runs_on_sqlite(case):
+    db = MicroDatabase.from_csv_dir(str(case))
+    assert _sqlite_metrics(db) == db.exact_metrics().mf
+
+
+def test_collection_sql_on_sqlite_edge_tables():
+    # an empty table yields no row (mf 0), and a column named like the
+    # count's alias still groups by the column and orders by the count
+    db = MicroDatabase(
+        tables={"empty": [], "t": [(1, 5), (1, 5), (1, 6), (2, 6)]},
+        columns={"empty": ("a",), "t": ("mf", "b")},
+    )
+    assert _sqlite_metrics(db) == db.exact_metrics().mf == {
+        ("empty", "a"): 0, ("t", "mf"): 3, ("t", "b"): 2,
+    }
 
 
 def test_collection_sql_rejects_bad_identifiers():

@@ -1,4 +1,7 @@
-"""Stability and max-frequency recursions, frozen against hand derivations."""
+"""Stability and max-frequency rules, frozen against hand derivations."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from flexdp import (
     Aliased,
     AttrRef,
     BOTTOM,
+    Catalog,
     Count,
     CountGrouped,
     Join,
@@ -18,8 +22,10 @@ from flexdp import (
     elastic_sensitivity,
     elastic_stability,
     join_count,
+    make_params,
     mf_at_distance,
     parse_query,
+    release_count,
     sensitivity_log_profile,
 )
 
@@ -208,14 +214,99 @@ def test_join_count():
     assert join_count(parse_query("SELECT COUNT(*) FROM edges", triangle_catalog())) == 0
 
 
+STAR_CATALOG = Catalog(
+    columns={"fact": ("a", "b"), "d1": ("id", "x"), "d2": ("id", "y"), "edges": ("source", "dest")},
+    public_tables=frozenset({"d2"}),
+)
+STAR_METRICS = MetricsStore(
+    mf={
+        ("fact", "a"): 5,
+        ("fact", "b"): 7,
+        ("d1", "id"): 2,
+        ("d1", "x"): 4,
+        ("d2", "id"): 3,
+        ("d2", "y"): 6,
+        ("edges", "source"): 65,
+        ("edges", "dest"): 65,
+    },
+    public_tables=frozenset({"d2"}),
+    row_counts={"fact": 1000, "d1": 100, "d2": 50, "edges": 1000},
+)
+
+
 def test_log_profile_matches_exact_recursion():
-    q = triangle_query()
+    # every kind of plan step and key path: self joins, a star whose second
+    # key is multiplied through the first join and meets a public dimension,
+    # a CTE reached through Aliased and a reordering Project, a grouped
+    # count, and a self-join path whose keys cross several joins
+    cases = [
+        (triangle_query(), METRICS),
+        (
+            "SELECT COUNT(*) FROM fact f JOIN d1 ON f.a = d1.id "
+            "JOIN d2 ON f.b = d2.id",
+            STAR_METRICS,
+        ),
+        (
+            "WITH s AS (SELECT d1.x, f.b FROM fact f JOIN d1 ON f.a = d1.id) "
+            "SELECT COUNT(*) FROM s JOIN d2 ON s.b = d2.id",
+            STAR_METRICS,
+        ),
+        (
+            "SELECT e1.source, COUNT(*) FROM edges e1 "
+            "JOIN edges e2 ON e1.dest = e2.source GROUP BY e1.source",
+            STAR_METRICS,
+        ),
+        (
+            "SELECT COUNT(*) FROM edges e1 JOIN edges e2 ON e1.dest = e2.source "
+            "JOIN edges e3 ON e2.dest = e3.source JOIN edges e4 ON e3.dest = e4.source",
+            STAR_METRICS,
+        ),
+    ]
     ks = np.arange(0, 300, dtype=float)
-    logs = sensitivity_log_profile(q, ks, METRICS)
-    exact = np.array(
-        [float(elastic_sensitivity(q, int(k), METRICS)) for k in ks]
+    for q, m in cases:
+        if isinstance(q, str):
+            q = parse_query(q, STAR_CATALOG)
+        logs = sensitivity_log_profile(q, ks, m)
+        exact = np.array([float(elastic_sensitivity(q, int(k), m)) for k in ks])
+        np.testing.assert_allclose(np.exp(logs), exact, rtol=1e-12)
+
+
+def test_star_key_multiplied_through_inner_join():
+    # f.b reaches the outer join through fact JOIN d1, where each fact row
+    # matches up to mf_k(d1.id) = 2+k rows: mf_k(f.b) = (7+k)(2+k). The
+    # public d2 has stability 0 and its key mf 3 does not grow with k.
+    q = parse_query(
+        "SELECT COUNT(*) FROM fact f JOIN d1 ON f.a = d1.id JOIN d2 ON f.b = d2.id",
+        STAR_CATALOG,
     )
-    np.testing.assert_allclose(np.exp(logs), exact, rtol=1e-12)
+    join = q.input
+    for k in (0, 1, 7):
+        assert mf_at_distance(AttrRef("f", "b"), join.left, k, STAR_METRICS) == (7 + k) * (2 + k)
+        # S(fact JOIN d1) = max(5+k, 2+k); outer: max(mf(f.b)*0, 3*S(left))
+        assert elastic_sensitivity(q, k, STAR_METRICS) == 3 * (5 + k)
+
+
+def _nodes(r):
+    yield r
+    for child in ("input", "left", "right"):
+        if hasattr(r, child):
+            yield from _nodes(getattr(r, child))
+
+
+def test_analysis_keeps_no_reference_to_the_query():
+    # aliases no other test uses: a cache keyed by equal trees would hold
+    # an earlier test's tree instead of this one
+    sql = TRIANGLE_SQL
+    for old, new in (("e1", "w1"), ("e2", "w2"), ("e3", "w3")):
+        sql = sql.replace(old, new)
+    q = parse_query(sql, triangle_catalog())
+    assert elastic_sensitivity(q, 0, METRICS) == 12871
+    release_count(10, q, METRICS, make_params(1.0, 1e-9), seed=1)
+    refs = [weakref.ref(node) for node in _nodes(q)]
+    assert len(refs) == 6  # count, two joins, three tables
+    del q
+    gc.collect()
+    assert [r for r in refs if r() is not None] == []
 
 
 def test_log_profile_grouped_and_public():
