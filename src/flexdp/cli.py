@@ -19,6 +19,7 @@ import argparse
 import fcntl
 import itertools
 import json
+import math
 import os
 import sys
 
@@ -29,12 +30,10 @@ from .errors import (
     FormatError,
     InvalidParams,
     InvalidScale,
-    MissingColumn,
     MissingMetric,
     ParseError,
     ProtectedBinLabels,
     TooLargeToEnumerate,
-    UnknownBinLabel,
     UnresolvedAttribute,
     UnsupportedQuery,
 )
@@ -187,10 +186,15 @@ def _charge_budget(args, params: PrivacyParams):
         fcntl.flock(lock_handle, fcntl.LOCK_EX)
         spent_epsilon = spent_delta = 0.0
         if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-            spent_epsilon = float(data["spent_epsilon"])
-            spent_delta = float(data["spent_delta"])
+            try:
+                with open(path, "r", encoding="utf-8") as handle:
+                    data = json.load(handle)
+                spent_epsilon = float(data["spent_epsilon"])
+                spent_delta = float(data["spent_delta"])
+            except (ValueError, KeyError, TypeError) as exc:
+                raise FormatError("budget ledger %s is unreadable: %r" % (path, exc)) from None
+            if not all(math.isfinite(v) and v >= 0 for v in (spent_epsilon, spent_delta)):
+                raise FormatError("budget ledger %s holds an invalid total" % path)
         ledger = BudgetLedger(
             max_epsilon=args.budget_epsilon,
             max_delta=args.budget_delta,
@@ -207,6 +211,8 @@ def _charge_budget(args, params: PrivacyParams):
                 },
                 handle,
             )
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp, path)
         return ledger
 
@@ -235,26 +241,21 @@ def cmd_release(args) -> int:
             bin_domain = _derived_bin_domain(query, store, db)
         if not isinstance(true_result, dict):
             raise InvalidParams("grouped query needs a per-label true result")
-
-    ledger = _charge_budget(args, params)
-
-    if grouped:
         result = release_histogram(
             true_result, bin_domain, query, store, params, seed=args.seed
         )
     else:
-        if isinstance(true_result, dict):
-            raise InvalidParams("plain count needs a scalar true result")
         result = release_count(true_result, query, store, params, seed=args.seed)
 
-    metadata = {
-        "S": result.S,
-        "k_star": result.k_star,
-        "noise_scale": result.noise_scale,
-        "seed": result.seed,
-        "epsilon": params.epsilon,
-        "delta": params.delta,
-    }
+    # Charged only once the release exists, so every refusal above is free.
+    ledger = _charge_budget(args, params)
+
+    # A drawn seed recovers the true result from the value, so only a
+    # caller-chosen one is echoed.
+    metadata = {"S": result.S, "k_star": result.k_star, "noise_scale": result.noise_scale}
+    if args.seed is not None:
+        metadata["seed"] = result.seed
+    metadata.update(epsilon=params.epsilon, delta=params.delta)
     if ledger is not None:
         metadata["spent_epsilon"] = ledger.spent_epsilon
         metadata["spent_delta"] = ledger.spent_delta
@@ -434,13 +435,11 @@ _CATEGORIES = (
     (UnsupportedQuery, "unsupported", 1),
     (ProtectedBinLabels, "unsupported", 1),
     (MissingMetric, "missing-metric", 1),
-    (UnknownBinLabel, "invalid-params", 1),
     (InvalidParams, "invalid-params", 1),
     (InvalidScale, "invalid-params", 1),
     (ParseError, "parse", 1),  # covers UnknownTable and UnknownColumn
     (UnresolvedAttribute, "parse", 1),
     (FormatError, "io", 3),
-    (MissingColumn, "io", 3),
     (EvaluationError, "io", 3),
     (TooLargeToEnumerate, "limits", 3),
 )

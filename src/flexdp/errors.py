@@ -52,10 +52,6 @@ class NegativeCount(FormatError):
     """A count that must be non-negative was negative."""
 
 
-class MissingColumn(FlexError):
-    """A row set does not contain the requested column."""
-
-
 class InvalidParams(FlexError):
     """Privacy parameters are out of range."""
 
@@ -66,10 +62,6 @@ class InvalidScale(FlexError):
 
 class ProtectedBinLabels(FlexError):
     """Histogram bin labels cannot be enumerated without leaking protected data."""
-
-
-class UnknownBinLabel(FlexError):
-    """A histogram result contains a label outside the supplied bin domain."""
 
 
 class BudgetExhausted(FlexError):

@@ -29,7 +29,6 @@ from .errors import (
     InvalidParams,
     InvalidScale,
     ProtectedBinLabels,
-    UnknownBinLabel,
     UnsupportedQuery,
 )
 from .metrics import MetricsStore
@@ -170,7 +169,8 @@ class ReleaseResult:
     """A noisy release plus the metadata needed to audit and replay it.
 
     Exactly one of ``value`` (plain count) and ``bins`` (grouped count, one
-    (label, noisy value) pair per domain label in order) is set.
+    (label, noisy value) pair per domain label in order) is set. ``seed``
+    replays the noise and so recovers the true result: never publish it.
     """
 
     value: Optional[float]
@@ -181,10 +181,40 @@ class ReleaseResult:
     seed: int
 
 
-def _resolve_seed(seed: Optional[int]) -> int:
-    if seed is None:
-        return int(np.random.SeedSequence().entropy)
-    return int(seed)
+def _release(
+    true_values: Sequence,
+    labels: Optional[Sequence],
+    q: RelExpr,
+    m: MetricsStore,
+    p: PrivacyParams,
+    seed: Optional[int],
+) -> ReleaseResult:
+    """Add Laplace(2*S/epsilon) noise to each value in order; refuse a non-finite S.
+
+    The noisy values become ``bins`` paired with ``labels``, or ``value``
+    when there are no labels.
+    """
+    bound = smooth_bound(q, m, p)
+    scale = 2.0 * bound.S / p.epsilon
+    if not (math.isfinite(bound.S) and math.isfinite(scale)):
+        raise UnsupportedQuery(
+            "smoothed sensitivity %r gives a non-finite noise scale; refusing "
+            "to release" % (bound.S,)
+        )
+    seed = int(np.random.SeedSequence().entropy if seed is None else seed)
+    rng = np.random.default_rng(seed)
+    noisy = [
+        float(v) + (laplace_sample(scale, rng) if scale > 0 else 0.0)
+        for v in true_values
+    ]
+    return ReleaseResult(
+        value=noisy[0] if labels is None else None,
+        bins=None if labels is None else tuple(zip(labels, noisy)),
+        S=bound.S,
+        k_star=bound.k_star,
+        noise_scale=scale,
+        seed=seed,
+    )
 
 
 def release_count(
@@ -201,29 +231,19 @@ def release_count(
         q: the analyzed query (root must be a plain count).
         m: metrics for the protected database.
         p: privacy parameters.
-        seed: RNG seed; drawn fresh (and recorded) when omitted.
+        seed: RNG seed; drawn fresh when omitted.
 
     Returns:
         ReleaseResult carrying the noisy value; noise has scale 2*S/epsilon.
+
+    Raises:
+        UnsupportedQuery: the root is a grouped count, or S is not finite.
     """
-    root = root_count(q)
-    if not isinstance(root, Count):
+    if not isinstance(root_count(q), Count):
         raise UnsupportedQuery(
             "query is a grouped count; use release_histogram for histograms"
         )
-    bound = smooth_bound(q, m, p)
-    scale = 2.0 * bound.S / p.epsilon
-    seed = _resolve_seed(seed)
-    rng = np.random.default_rng(seed)
-    noise = laplace_sample(scale, rng) if scale > 0 else 0.0
-    return ReleaseResult(
-        value=float(true_count) + noise,
-        bins=None,
-        S=bound.S,
-        k_star=bound.k_star,
-        noise_scale=scale,
-        seed=seed,
-    )
+    return _release([true_count], None, q, m, p, seed)
 
 
 def release_histogram(
@@ -236,15 +256,16 @@ def release_histogram(
 ) -> ReleaseResult:
     """Release a noisy histogram with a fixed, data-independent bin set.
 
-    The output contains exactly one row per label of ``bin_domain``, in
-    order; labels absent from ``true_bins`` are released as noisy zeros.
-    Emitting only the labels present in the data would leak which groups
-    exist, so the domain must come from public knowledge, and a grouped
-    query over protected labels is refused when no domain is supplied.
+    The output has one row per label of ``bin_domain``, in order: absent
+    labels are released as noisy zeros, and labels outside the domain are
+    dropped. Dropping is a selection by a public label set, so 2*S/epsilon
+    still bounds the L1 change. Emitting the observed labels would leak which
+    groups exist, so a missing domain is refused.
 
     Raises:
+        UnsupportedQuery: the root is a plain count, or S is not finite.
         ProtectedBinLabels: no bin domain supplied.
-        UnknownBinLabel: the true result has a label outside the domain.
+        InvalidParams: the domain repeats a label.
     """
     root = root_count(q)
     if not isinstance(root, CountGrouped):
@@ -258,30 +279,9 @@ def release_histogram(
             % ", ".join(str(a) for a in root.group_attrs)
         )
     domain = list(bin_domain)
-    domain_set = set(domain)
-    if len(domain_set) != len(domain):
-        raise ValueError("bin domain contains duplicate labels")
-    for label in true_bins:
-        if label not in domain_set:
-            raise UnknownBinLabel(
-                "result label %r is outside the supplied bin domain" % (label,)
-            )
-    bound = smooth_bound(q, m, p)
-    scale = 2.0 * bound.S / p.epsilon
-    seed = _resolve_seed(seed)
-    rng = np.random.default_rng(seed)
-    rows = []
-    for label in domain:
-        noise = laplace_sample(scale, rng) if scale > 0 else 0.0
-        rows.append((label, float(true_bins.get(label, 0)) + noise))
-    return ReleaseResult(
-        value=None,
-        bins=tuple(rows),
-        S=bound.S,
-        k_star=bound.k_star,
-        noise_scale=scale,
-        seed=seed,
-    )
+    if len(set(domain)) != len(domain):
+        raise InvalidParams("bin domain contains duplicate labels")
+    return _release([true_bins.get(l, 0) for l in domain], domain, q, m, p, seed)
 
 
 @dataclass

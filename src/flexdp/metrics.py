@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import os
 import re
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from .errors import FormatError, MissingColumn, MissingMetric, NegativeCount
+from .errors import FormatError, MissingMetric, NegativeCount
 from .relalg import Catalog
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -64,7 +63,11 @@ class MetricsStore:
         return table in self.public_tables
 
     def total_rows(self) -> int:
-        """Total protected database size across all tables."""
+        """Row count summed over all tables, public ones included.
+
+        Used as n for the delta default; counting public rows too makes n
+        larger and so the default delta smaller, which is conservative.
+        """
         return sum(self.row_counts.values())
 
     def tables(self) -> frozenset:
@@ -90,29 +93,6 @@ def validate_store(store: MetricsStore):
                 raise FormatError(
                     "mf for %s.%s is 0 but the table is non-empty" % (table, column)
                 )
-
-
-def collect_from_rows(rows: Iterable[dict], column: str) -> int:
-    """Compute the max frequency of ``column`` over in-memory rows.
-
-    Args:
-        rows: records as dictionaries.
-        column: the column to profile.
-
-    Returns:
-        The multiplicity of the most frequent value; 0 for no rows.
-
-    Raises:
-        MissingColumn: some row lacks the column.
-    """
-    counts = Counter()
-    for row in rows:
-        if column not in row:
-            raise MissingColumn("row lacks column %r" % column)
-        counts[row[column]] += 1
-    if not counts:
-        return 0
-    return max(counts.values())
 
 
 def metrics_collection_sql(table: str, column: str, catalog: Optional[Catalog] = None) -> str:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from .errors import EvaluationError, TooLargeToEnumerate
-from .metrics import MetricsStore, collect_from_rows
+from .metrics import MetricsStore
 from .relalg import (
     Aliased,
     AttrRef,
@@ -123,9 +123,8 @@ class MicroDatabase:
         """Ground-truth metrics: true max frequency of every column."""
         mf = {}
         for name, cols in self.columns.items():
-            rows = [dict(zip(cols, row)) for row in self.tables[name]]
-            for col in cols:
-                mf[(name, col)] = collect_from_rows(rows, col)
+            for i, col in enumerate(cols):
+                mf[(name, col)] = column_max_frequency(self.tables[name], i)
         return MetricsStore(
             mf=mf,
             public_tables=frozenset(public),

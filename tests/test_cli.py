@@ -3,10 +3,15 @@
 import io
 import json
 import os
+import pathlib
+import re
+import shutil
 
 import pytest
 
-from flexdp import cli, load_metrics
+from flexdp import cli, load_metrics, save_metrics
+
+from _support import chain_metrics, chain_sql
 
 METRICS_TEXT = (
     "[tables]\n"
@@ -284,6 +289,161 @@ def test_budget_refusal_is_exit_2_and_persists(workspace, capsys):
     with open(ledger_path) as handle:
         spent = json.load(handle)
     assert spent["spent_epsilon"] == pytest.approx(0.7)
+
+
+BUDGET = ("--budget-epsilon", "1.0", "--budget-delta", "1e-5")
+
+
+def _ledger(metrics_path) -> str:
+    return str(metrics_path) + ".budget.json"
+
+
+@pytest.fixture
+def trips(tmp_path, capsys):
+    """corpus/grouped (trips by city a, b, c) with exact metrics."""
+    data = tmp_path / "data"
+    shutil.copytree(pathlib.Path(__file__).parent.parent / "corpus" / "grouped", data)
+    metrics = tmp_path / "metrics.txt"
+    assert cli.main(["collect-metrics", "--data", str(data), "--metrics", str(metrics)]) == 0
+    capsys.readouterr()
+    return tmp_path
+
+
+def release_trips(capsys, trips, *extra):
+    return run(
+        capsys,
+        "release",
+        trips / "data" / "q_by_city.sql",
+        "--metrics",
+        trips / "metrics.txt",
+        "--epsilon",
+        "0.5",
+        "--delta",
+        "1e-6",
+        *BUDGET,
+        *extra,
+    )
+
+
+def assert_refused_free(code, out, err, metrics_path):
+    assert code != 0
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error["), err
+    assert out == ""
+    assert not os.path.exists(_ledger(metrics_path))
+
+
+@pytest.mark.parametrize(
+    "extra,category",
+    [
+        (("--execute", "--bins", "a,a"), "invalid-params"),
+        (("--execute",), "unsupported"),
+        (("--true-result", "3"), "invalid-params"),
+    ],
+    ids=["duplicate-bins", "no-bins", "scalar-true-result"],
+)
+def test_refused_grouped_release_charges_nothing(trips, capsys, extra, category):
+    if "--execute" in extra:
+        extra = extra + ("--data", trips / "data")
+    code, out, err = release_trips(capsys, trips, *extra)
+    assert_refused_free(code, out, err, trips / "metrics.txt")
+    assert "error[%s]" % category in err
+
+
+def test_non_finite_bound_is_refused_and_charges_nothing(tmp_path, capsys):
+    save_metrics(chain_metrics(61, mf=10**6, rows=10**7), str(tmp_path / "metrics.txt"))
+    (tmp_path / "chain.sql").write_text(chain_sql(60))
+    code, out, err = run(
+        capsys,
+        "release",
+        tmp_path / "chain.sql",
+        "--metrics",
+        tmp_path / "metrics.txt",
+        "--epsilon",
+        "1.0",
+        "--delta",
+        "1e-9",
+        "--true-result",
+        "5",
+        *BUDGET,
+    )
+    assert_refused_free(code, out, err, tmp_path / "metrics.txt")
+    assert code == 1 and "error[unsupported]" in err
+
+
+def test_labels_outside_bins_are_dropped_without_echo(trips, capsys):
+    code, out, err = release_trips(
+        capsys, trips, "--execute", "--data", trips / "data", "--bins", "nowhere", "--seed", "2"
+    )
+    assert code == 0
+    (line,) = out.strip().splitlines()
+    label, value = line.split("\t")
+    assert label == "nowhere"
+    float(value)
+    # the observed labels a, b, c reach no stream
+    assert not re.search(r"\b[abc]\b", out + err)
+    with open(_ledger(trips / "metrics.txt")) as handle:
+        assert json.load(handle)["spent_epsilon"] == pytest.approx(0.5)
+
+
+def test_drawn_seed_is_not_printed(workspace, capsys):
+    argv = (
+        "release",
+        workspace / "pairs.sql",
+        "--metrics",
+        workspace / "metrics.txt",
+        "--epsilon",
+        "0.7",
+        "--delta",
+        "1e-7",
+        "--true-result",
+        "100",
+    )
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 0
+    assert "seed" not in json.loads(out)
+    assert "seed" not in err
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert "seed" not in out + err
+    assert "noise_scale" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"spent_epsilon": 0.',
+        '{"spent_epsilon": -5, "spent_delta": 0}',
+        '{"spent_epsilon": 0.1}',
+        '{"spent_epsilon": NaN, "spent_delta": 0}',
+        '{"spent_epsilon": 0.1, "spent_delta": Infinity}',
+        "[0.1, 0]",
+    ],
+    ids=["truncated", "negative", "missing-delta", "nan", "infinite", "not-an-object"],
+)
+def test_corrupt_ledger_is_io_error_and_left_alone(workspace, capsys, text):
+    ledger_path = _ledger(workspace / "metrics.txt")
+    with open(ledger_path, "w") as handle:
+        handle.write(text)
+    code, out, err = run(
+        capsys,
+        "release",
+        workspace / "pairs.sql",
+        "--metrics",
+        workspace / "metrics.txt",
+        "--epsilon",
+        "0.7",
+        "--delta",
+        "1e-7",
+        "--true-result",
+        "10",
+        *BUDGET,
+    )
+    assert code == 3
+    assert "error[io]" in err
+    assert out == ""
+    with open(ledger_path) as handle:
+        assert handle.read() == text
 
 
 def test_budget_flags_must_come_together(workspace, capsys):

@@ -12,7 +12,6 @@ from flexdp import (
     InvalidScale,
     MetricsStore,
     ProtectedBinLabels,
-    UnknownBinLabel,
     UnsupportedQuery,
     laplace_inverse_cdf,
     laplace_sample,
@@ -25,7 +24,15 @@ from flexdp import (
     smooth_scan,
 )
 
-from _support import TRIANGLE_SQL, brute_smooth, triangle_catalog, triangle_metrics
+from _support import (
+    TRIANGLE_SQL,
+    brute_smooth,
+    chain_catalog,
+    chain_metrics,
+    chain_sql,
+    triangle_catalog,
+    triangle_metrics,
+)
 
 METRICS = triangle_metrics()
 CATALOG = triangle_catalog()
@@ -233,14 +240,25 @@ def test_release_histogram_requires_domain():
 
 def test_release_histogram_rejects_stray_labels():
     q = parse_query("SELECT source, COUNT(*) FROM edges GROUP BY source", CATALOG)
-    with pytest.raises(UnknownBinLabel, match="zzz"):
-        release_histogram(
-            {"zzz": 1}, ["a", "b"], q, METRICS, make_params(1.0, 1e-6)
-        )
-    with pytest.raises(ValueError, match="duplicate"):
+    p = make_params(1.0, 1e-6)
+    # a label outside the public domain is dropped, not reported
+    r = release_histogram({"zzz": 1}, ["a", "b"], q, METRICS, p, seed=4)
+    assert [label for label, _ in r.bins] == ["a", "b"]
+    assert r.bins == release_histogram({}, ["a", "b"], q, METRICS, p, seed=4).bins
+    with pytest.raises(InvalidParams, match="duplicate"):
         release_histogram(
             {"a": 1}, ["a", "a"], q, METRICS, make_params(1.0, 1e-6)
         )
+
+
+def test_release_refuses_non_finite_bound():
+    # 60 joins at mf = 1e6 overflow S; the release must not emit +-inf
+    m = chain_metrics(61, mf=10**6, rows=10**7)
+    q = parse_query(chain_sql(60), chain_catalog(61))
+    p = make_params(1.0, 1e-9)
+    assert smooth_bound(q, m, p).S == math.inf
+    with pytest.raises(UnsupportedQuery, match="non-finite"):
+        release_count(5.0, q, m, p, seed=1)
 
 
 def test_release_histogram_refuses_plain_count():

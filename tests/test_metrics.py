@@ -9,11 +9,9 @@ from flexdp import (
     FormatError,
     MetricsStore,
     MicroDatabase,
-    MissingColumn,
     MissingMetric,
     NegativeCount,
     catalog_from_metrics,
-    collect_from_rows,
     load_metrics,
     metrics_collection_sql,
     save_metrics,
@@ -50,14 +48,6 @@ def test_validate_rejects_impossible_values():
     # zero frequency with rows present is impossible too
     with pytest.raises(FormatError):
         validate_store(make_store(mf={("edges", "source"): 0}))
-
-
-def test_collect_from_rows():
-    rows = [{"c": 1}, {"c": 2}, {"c": 1}, {"c": 1}]
-    assert collect_from_rows(rows, "c") == 3
-    assert collect_from_rows([], "c") == 0
-    with pytest.raises(MissingColumn):
-        collect_from_rows([{"d": 1}], "c")
 
 
 def test_collection_sql_template():

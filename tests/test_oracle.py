@@ -104,6 +104,12 @@ def test_mixed_type_comparison_is_an_evaluation_error():
         eval_query(query, db)
 
 
+def test_mixed_type_equality_is_plain_false():
+    db = db_from([(1, "x")])
+    assert eval_query(q("SELECT COUNT(*) FROM edges WHERE dest = 5", db), db) == 0
+    assert eval_query(q("SELECT COUNT(*) FROM edges WHERE dest != 5", db), db) == 1
+
+
 def test_exact_metrics():
     db = db_from([(1, 2), (1, 3), (2, 3)])
     m = db.exact_metrics()
