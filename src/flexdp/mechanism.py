@@ -79,13 +79,15 @@ class SmoothBound:
     """Result of the smoothing scan.
 
     S is the smoothed sensitivity, attained at distance k_star; the scan
-    covered k = 0..k_max (values_scanned points).
+    covered k = 0..k_max (values_scanned points). log_S is ln S as the scan
+    computed it: finite where S overflows to inf, and -inf where S is 0.
     """
 
     S: float
     k_star: int
     k_max: int
     values_scanned: int
+    log_S: float
 
 
 def smooth_scan(
@@ -122,7 +124,7 @@ def smooth_scan(
             s = math.exp(best_log)
         except OverflowError:
             s = math.inf
-    return SmoothBound(S=s, k_star=best_k, k_max=k_max, values_scanned=k_max + 1)
+    return SmoothBound(S=s, k_star=best_k, k_max=k_max, values_scanned=k_max + 1, log_S=best_log)
 
 
 def scan_limit(q: RelExpr, p: PrivacyParams) -> int:

@@ -70,9 +70,6 @@ class MetricsStore:
         """
         return sum(self.row_counts.values())
 
-    def tables(self) -> frozenset:
-        return frozenset(self.row_counts) | frozenset(t for t, _ in self.mf)
-
 
 def validate_store(store: MetricsStore):
     """Check cross-field consistency; raises FormatError/NegativeCount."""
@@ -206,4 +203,4 @@ def catalog_from_metrics(store: MetricsStore) -> Catalog:
     for table, column in sorted(store.mf):
         columns.setdefault(table, ())
         columns[table] = columns[table] + (column,)
-    return Catalog(columns=columns, public_tables=store.public_tables)
+    return Catalog(columns=columns)

@@ -113,8 +113,8 @@ class MicroDatabase:
                 ]
         return cls(tables=tables, columns=columns)
 
-    def catalog(self, public: frozenset = frozenset()) -> Catalog:
-        return Catalog(columns=dict(self.columns), public_tables=frozenset(public))
+    def catalog(self) -> Catalog:
+        return Catalog(columns=dict(self.columns))
 
     def table_node(self, name: str, alias: Optional[str] = None) -> Table:
         return Table(name, alias or name, self.columns[name])
@@ -315,6 +315,20 @@ def neighbors_at(
                 pools.append([row for row in domains[name] if row != current])
             for replacement in itertools.product(*pools):
                 yield db.replace(dict(zip(combo, replacement)))
+
+
+def max_frequency_at(attr: AttrRef, r: RelExpr, db: MicroDatabase, k: int) -> int:
+    """Exact max frequency of ``attr`` in ``r`` at distance k, by enumeration.
+
+    Maximizes, over every database within distance k of ``db``, the
+    multiplicity of the most frequent value of ``attr`` in ``r``'s rows: the
+    quantity ``sensitivity.mf_at_distance`` bounds from the metrics alone.
+
+    Raises:
+        TooLargeToEnumerate: the distance-k ball is too large to enumerate.
+    """
+    index = attribute_index(attr, r)
+    return max(column_max_frequency(_eval(r, y), index) for y in neighbors_at(db, k))
 
 
 def _distance(a, b) -> float:

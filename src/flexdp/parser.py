@@ -36,7 +36,6 @@ from .errors import (
 from .relalg import (
     Aliased,
     AttrRef,
-    BaseColumn,
     Catalog,
     Comparison,
     Count,
@@ -352,9 +351,9 @@ class _Parser:
 
     @staticmethod
     def _non_base_key(attr: AttrRef, rel: RelExpr) -> Optional[AttrRef]:
-        if isinstance(resolve_attribute(attr, rel), BaseColumn):
-            return None
-        return attr
+        if resolve_attribute(attr, rel) is None:
+            return attr
+        return None
 
     def _assemble(self, items, rel, group_attrs, top_level: bool) -> RelExpr:
         count_items = [item for item in items if item[0] == "count"]

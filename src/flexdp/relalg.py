@@ -15,8 +15,8 @@ Example::
 Attribute references are kept as written in the query (optional qualifier
 plus column name). ``scope_of`` computes the attributes visible at each node
 together with their provenance, and ``resolve_attribute`` reduces a reference
-to either the base-table column it names or the marker ``DERIVED`` when the
-value passes through an aggregation.
+to either the base-table column it names or ``None`` when the value passes
+through an aggregation.
 """
 
 from __future__ import annotations
@@ -58,24 +58,6 @@ class BaseColumn:
     def __str__(self) -> str:
         return "%s.%s" % (self.table, self.column)
 
-
-class _DerivedType:
-    """Provenance marker for attributes produced by an aggregation."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "DERIVED"
-
-
-DERIVED = _DerivedType()
-
-Provenance = Union[BaseColumn, _DerivedType]
 
 # Literal values allowed in predicates.
 Literal = Union[int, str]
@@ -209,11 +191,9 @@ class Catalog:
 
     Fields:
         columns: mapping from table name to its tuple of column names.
-        public_tables: tables whose contents are not protected.
     """
 
     columns: dict
-    public_tables: frozenset = frozenset()
 
     def __post_init__(self):
         for table, cols in self.columns.items():
@@ -222,17 +202,13 @@ class Catalog:
             if len(set(cols)) != len(cols):
                 raise ValueError("table %r repeats a column name" % table)
 
-    @property
-    def tables(self):
-        return frozenset(self.columns)
-
 
 class ScopeEntry(NamedTuple):
     """One attribute visible at a node: qualifier, name, and provenance."""
 
     qualifier: Optional[str]
     name: str
-    provenance: Provenance
+    provenance: Optional[BaseColumn]
 
 
 def scope_of(r: RelExpr) -> tuple:
@@ -241,7 +217,7 @@ def scope_of(r: RelExpr) -> tuple:
     The order matches the tuple layout the evaluator produces for the node:
     a join exposes its left input's attributes followed by the right's, a
     projection the selected subset, and so on. Aggregations expose their
-    grouping keys (re-marked as derived) and the count attribute.
+    grouping keys (with no provenance) and the count attribute.
     """
     _check_node(r)
     return r._scope
@@ -265,14 +241,14 @@ def _compute_scope(r: RelExpr) -> tuple:
             for entry in scope_of(r.input)
         )
     if isinstance(r, Count):
-        return (ScopeEntry(None, r.label, DERIVED),)
+        return (ScopeEntry(None, r.label, None),)
     if isinstance(r, CountGrouped):
         inner = scope_of(r.input)
         keys = tuple(
-            ScopeEntry(e.qualifier, e.name, DERIVED)
+            ScopeEntry(e.qualifier, e.name, None)
             for e in (_lookup(attr, inner) for attr in r.group_attrs)
         )
-        return keys + (ScopeEntry(None, r.label, DERIVED),)
+        return keys + (ScopeEntry(None, r.label, None),)
 
 
 def _lookup(attr: AttrRef, scope: tuple) -> ScopeEntry:
@@ -307,12 +283,12 @@ def resolve_across(attr: AttrRef, relations) -> ScopeEntry:
     return _lookup(attr, scope)
 
 
-def resolve_attribute(attr: AttrRef, r: RelExpr) -> Provenance:
+def resolve_attribute(attr: AttrRef, r: RelExpr) -> Optional[BaseColumn]:
     """Resolve ``attr`` against ``r`` and return its provenance.
 
     Returns:
-        The BaseColumn the attribute traces to, or DERIVED if its value
-        passes through an aggregation.
+        The BaseColumn the attribute traces to, or None if its value passes
+        through an aggregation.
 
     Raises:
         UnresolvedAttribute: no unique attribute of that name is in scope.

@@ -37,7 +37,7 @@ sums become ``logaddexp`` and max stays max, a few ulps of error per step.
 from __future__ import annotations
 
 import operator
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,29 +58,6 @@ from .relalg import (
     join_nodes,
     root_count,
 )
-
-
-class _BottomType:
-    """Result marker for max frequencies the metrics cannot bound.
-
-    Any attribute that passes through an aggregation has no usable max
-    frequency; a join that needs such a frequency is rejected.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "BOTTOM"
-
-
-BOTTOM = _BottomType()
-
-MfValue = Union[int, _BottomType]
 
 
 def _check_distance(k):
@@ -110,10 +87,12 @@ def _through(columns: list, factor: tuple) -> list:
 
 
 def _key(attr: AttrRef, r: RelExpr, columns: list, m: MetricsStore):
-    """The key ``attr`` in ``r``, or None if it passes through an aggregation."""
+    """The key ``attr`` in ``r`` as (mf, public, factors); refused past an aggregation."""
     column = columns[attribute_index(attr, r)]
     if column is None:
-        return None
+        raise UnsupportedQuery(
+            "join key %s has no max-frequency bound (aggregation input)" % attr
+        )
     table, name, *factors = column
     return m.mf_of(table, name), m.is_public(table), factors
 
@@ -142,12 +121,6 @@ def _compile(r: RelExpr, m: MetricsStore):
                 _key(r.key_left, r.left, left_columns, m),
                 _key(r.key_right, r.right, right_columns, m),
             )
-            for attr, key in zip((r.key_left, r.key_right), keys):
-                if key is None:
-                    raise UnsupportedQuery(
-                        "join key %s has no max-frequency bound (aggregation input)"
-                        % attr
-                    )
             step = len(plan)
             plan.append(_Step("join", (left, step - 1), self_join=is_self_join(r), keys=keys))
             return _through(left_columns, (step, 1)) + _through(right_columns, (step, 0))
@@ -250,7 +223,7 @@ def _sensitivity(q: RelExpr, m: MetricsStore, numbers):
     return _evaluate(plan, numbers)[0][-1]
 
 
-def mf_at_distance(attr: AttrRef, r: RelExpr, k: int, m: MetricsStore) -> MfValue:
+def mf_at_distance(attr: AttrRef, r: RelExpr, k: int, m: MetricsStore) -> int:
     """Upper-bound the max frequency of ``attr`` in ``r`` at distance k.
 
     Args:
@@ -259,15 +232,13 @@ def mf_at_distance(attr: AttrRef, r: RelExpr, k: int, m: MetricsStore) -> MfValu
         k: how many tuple replacements away from the actual database.
         m: recorded metrics.
 
-    Returns:
-        An integer bound, or BOTTOM if the attribute passes through an
-        aggregation and therefore has no metric-derived bound.
+    Raises:
+        UnsupportedQuery: the attribute passes through an aggregation and so
+            has no metric-derived bound, or a join in ``r`` has such a key.
     """
     _check_distance(k)
     plan, columns = _compile(r, m)
     key = _key(attr, r, columns, m)
-    if key is None:
-        return BOTTOM
     numbers = _Exact(k)
     return _key_mf(key, _evaluate(plan, numbers)[1], numbers)
 

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from flexdp import (
-    BOTTOM,
     Catalog,
     MetricsStore,
     attribute_index,
@@ -239,8 +238,6 @@ def _property_trials():
                     (join.key_right, join.right),
                 ):
                     mf_bound = mf_at_distance(key, side, k, metrics)
-                    if mf_bound is BOTTOM:
-                        continue
                     index = attribute_index(key, side)
                     reached = max(
                         (
@@ -344,7 +341,6 @@ def test_criterion_06_histogram_doubles_and_bounds_l1():
 def test_criterion_07_public_table_reduction():
     catalog = Catalog(
         columns={"edges": ("source", "dest"), "zips": ("zip", "city")},
-        public_tables=frozenset({"zips"}),
     )
     metrics = MetricsStore(
         mf={

@@ -9,7 +9,7 @@ import shutil
 
 import pytest
 
-from flexdp import cli, load_metrics, save_metrics
+from flexdp import MetricsStore, cli, load_metrics, save_metrics
 
 from _support import chain_metrics, chain_sql
 
@@ -85,6 +85,53 @@ def test_analyze_json_report(workspace, capsys):
     report = json.loads(out)
     assert report["joins"] == 1
     assert report["k_max"] >= report["k_star"] >= 0
+
+
+def _refuse_constant(name):
+    raise ValueError("not strict JSON: %s" % name)
+
+
+@pytest.mark.parametrize(
+    "store,sql,expected",
+    [
+        # 60 joins at mf 1e6: S overflows a double but ln S does not, and
+        # the log-domain scan peaks at k = 0 (828.93, decreasing after it)
+        (
+            chain_metrics(61, mf=10**6, rows=10**7),
+            chain_sql(60),
+            {"S": None, "noise_scale": None, "log_S": pytest.approx(828.9306, abs=1e-4), "k_star": 0},
+        ),
+        # every table public: S is 0 and ln S is -inf
+        (
+            MetricsStore(
+                mf={("edges", "source"): 2, ("edges", "dest"): 2},
+                public_tables=frozenset({"edges"}),
+                row_counts={"edges": 4},
+            ),
+            PAIRS_SQL,
+            {"S": 0.0, "noise_scale": 0.0, "log_S": None, "k_star": 0},
+        ),
+    ],
+    ids=["overflow", "all-public"],
+)
+def test_analyze_json_writes_non_finite_as_null(tmp_path, capsys, store, sql, expected):
+    save_metrics(store, str(tmp_path / "metrics.txt"))
+    (tmp_path / "q.sql").write_text(sql)
+    code, out, _ = run(
+        capsys,
+        "analyze",
+        tmp_path / "q.sql",
+        "--metrics",
+        tmp_path / "metrics.txt",
+        "--epsilon",
+        "1.0",
+        "--delta",
+        "1e-9",
+        "--json",
+    )
+    assert code == 0
+    report = json.loads(out, parse_constant=_refuse_constant)
+    assert {key: report[key] for key in expected} == expected
 
 
 def test_analyze_defaults_delta_from_row_count(workspace, capsys):
@@ -527,7 +574,10 @@ def test_check_flags_understated_metrics(workspace, capsys):
     )
     code, out, _ = run(capsys, "check", "--corpus", corpus)
     assert code == 1
-    assert "VIOLATION" in out
+    assert any(
+        line.startswith("VIOLATION") and "mf bound for" in line
+        for line in out.splitlines()
+    )
 
 
 REJECTED = [

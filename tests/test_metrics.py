@@ -182,4 +182,3 @@ def test_catalog_from_metrics():
     )
     catalog = catalog_from_metrics(store)
     assert catalog.columns == {"t": ("a", "b"), "u": ("x",)}
-    assert catalog.public_tables == frozenset({"u"})

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from flexdp import (
+    AttrRef,
     EvaluationError,
     MicroDatabase,
     TooLargeToEnumerate,
@@ -23,6 +24,7 @@ from flexdp import (
     neighbors_at,
     parse_query,
 )
+from flexdp.oracle import max_frequency_at
 
 from _support import naive_eval, random_micro_db, random_query_sql
 
@@ -95,6 +97,14 @@ def test_eval_rows_and_max_frequency():
     assert rows == [(1, 2), (2, 3), (3, 1)]
     assert column_max_frequency([(1,), (1,), (2,)], 0) == 2
     assert column_max_frequency([], 0) == 0
+
+
+def test_max_frequency_at_grows_by_one_per_replacement():
+    # CYCLE's dest column holds 2, 3, 1 once each; every replacement can add
+    # one more copy of one value, until all three rows share it
+    edges = CYCLE.table_node("edges")
+    dest = AttrRef(None, "dest")
+    assert [max_frequency_at(dest, edges, CYCLE, k) for k in (0, 1, 2, 3)] == [1, 2, 3, 3]
 
 
 def test_mixed_type_comparison_is_an_evaluation_error():

@@ -9,7 +9,6 @@ from flexdp import (
     Catalog,
     Count,
     CountGrouped,
-    DERIVED,
     Join,
     Project,
     Select,
@@ -87,7 +86,7 @@ def test_count_scope_is_single_derived_column():
     c = Count(USERS, label="n")
     scope = scope_of(c)
     assert [(e.qualifier, e.name) for e in scope] == [(None, "n")]
-    assert scope[0].provenance is DERIVED
+    assert scope[0].provenance is None
 
 
 def test_grouped_scope_keeps_keys_and_derives_count():
@@ -95,9 +94,9 @@ def test_grouped_scope_keeps_keys_and_derives_count():
     scope = scope_of(g)
     assert [(e.qualifier, e.name) for e in scope] == [("u", "dept"), (None, "count")]
     # columns coming out of an aggregation carry no frequency metric, so
-    # even the grouping key is re-marked derived (it cannot be a join key)
-    assert scope[0].provenance is DERIVED
-    assert scope[1].provenance is DERIVED
+    # even the grouping key has no provenance (it cannot be a join key)
+    assert scope[0].provenance is None
+    assert scope[1].provenance is None
 
 
 def test_resolution_qualified_and_bare():

@@ -9,7 +9,6 @@ import pytest
 from flexdp import (
     Aliased,
     AttrRef,
-    BOTTOM,
     Catalog,
     Count,
     CountGrouped,
@@ -86,9 +85,10 @@ def test_mf_through_join_multiplies_by_matching_key():
         assert got == (65 + k) * (65 + k)
 
 
-def test_mf_of_aggregate_output_is_bottom():
+def test_mf_of_aggregate_output_is_refused():
     c = Count(EDGES, label="n")
-    assert mf_at_distance(AttrRef(None, "n"), c, 0, METRICS) is BOTTOM
+    with pytest.raises(UnsupportedQuery, match="max-frequency bound"):
+        mf_at_distance(AttrRef(None, "n"), c, 0, METRICS)
 
 
 def test_self_join_stability_first_triangle_join():
@@ -155,7 +155,6 @@ def test_private_join_public_reduces_to_public_mf():
     )
     catalog = Catalog(
         columns={"edges": ("source", "dest"), "zips": ("zip", "city")},
-        public_tables=frozenset({"zips"}),
     )
     q = parse_query(
         "SELECT COUNT(*) FROM edges e JOIN zips z ON e.dest = z.zip", catalog
@@ -216,7 +215,6 @@ def test_join_count():
 
 STAR_CATALOG = Catalog(
     columns={"fact": ("a", "b"), "d1": ("id", "x"), "d2": ("id", "y"), "edges": ("source", "dest")},
-    public_tables=frozenset({"d2"}),
 )
 STAR_METRICS = MetricsStore(
     mf={
