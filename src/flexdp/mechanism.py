@@ -6,11 +6,22 @@ the elastic sensitivity over distances::
     S = max over k >= 0 of exp(-beta*k) * sensitivity_at(k),
     beta = epsilon / (2 * ln(2/delta))
 
-which yields (epsilon, delta)-differential privacy. Because a query with j
-joins has a sensitivity bound that grows polynomially in k with degree at
-most j*j and non-negative coefficients, the exponential damping wins beyond
-k = j*j/beta, so the scan stops at ``k_max = ceil(j*j/beta)`` (0 for join-free
-queries) without missing the maximum.
+which yields (epsilon, delta)-differential privacy. The scan stops at
+``k_max = ceil(j/beta)`` for a query with j joins (0 for a join-free query)
+without missing the maximum:
+
+* the sensitivity bound is a max of polynomials in k with non-negative
+  coefficients, each of degree at most j. A column's max frequency in a
+  relation with i joins has degree at most i + 1 (a private mf + k has
+  degree 1, a public one 0, and each join it passes multiplies in the other
+  side's key), and the stability of a join of sides with a and b joins,
+  j = a + b + 1 in all, has degree at most (a + 1) + b = j. The self-join
+  sum, the max and the grouped doubling do not raise the degree;
+* for such a polynomial P and k >= 1, P(k+1)/P(k) <= ((k+1)/k)**j
+  <= exp(j/k), and the same ratio bounds their max;
+* so once k >= j/beta, exp(-beta*(k+1)) * sensitivity_at(k+1) is at most
+  exp(-beta*k) * sensitivity_at(k): the damped profile is non-increasing
+  from ceil(j/beta) on, and its first maximum lies in 0..ceil(j/beta).
 
 The scan compares values in the natural-log domain: sensitivities of deeply
 joined queries overflow doubles long before they stop mattering.
@@ -57,11 +68,13 @@ def make_params(
     row count ``n`` must then be supplied and be at least 2.
 
     Raises:
-        InvalidParams: epsilon <= 0, delta outside (0, 1), or n < 2 when
-            delta is defaulted.
+        InvalidParams: epsilon not positive and finite, delta outside (0, 1),
+            or n < 2 when delta is defaulted.
     """
-    if not epsilon > 0:
-        raise InvalidParams("epsilon must be positive, got %r" % (epsilon,))
+    if not (epsilon > 0 and math.isfinite(epsilon)):
+        raise InvalidParams(
+            "epsilon must be positive and finite, got %r" % (epsilon,)
+        )
     if delta is None:
         if n is None:
             raise InvalidParams("delta omitted: database size n is required")
@@ -128,11 +141,16 @@ def smooth_scan(
 
 
 def scan_limit(q: RelExpr, p: PrivacyParams) -> int:
-    """The largest distance the smoothing scan must consider for ``q``."""
+    """The largest distance the smoothing scan must consider for ``q``.
+
+    ceil(j/beta) for j joins, 0 for none: the sensitivity bound has degree
+    at most j in k, so its damped profile cannot rise past j/beta (see the
+    module docstring).
+    """
     joins = join_count(q)
     if joins == 0:
         return 0
-    return int(math.ceil(joins * joins / p.beta))
+    return int(math.ceil(joins / p.beta))
 
 
 def smooth_bound(q: RelExpr, m: MetricsStore, p: PrivacyParams) -> SmoothBound:
@@ -301,8 +319,8 @@ class BudgetLedger:
     spent_delta: float = 0.0
 
     def __post_init__(self):
-        if not self.max_epsilon > 0:
-            raise InvalidParams("max_epsilon must be positive")
+        if not (self.max_epsilon > 0 and math.isfinite(self.max_epsilon)):
+            raise InvalidParams("max_epsilon must be positive and finite")
         if not 0 < self.max_delta < 1:
             raise InvalidParams("max_delta must be in (0, 1)")
 

@@ -59,10 +59,6 @@ class BaseColumn:
         return "%s.%s" % (self.table, self.column)
 
 
-# Literal values allowed in predicates.
-Literal = Union[int, str]
-
-
 @dataclass(frozen=True)
 class Comparison:
     """A single comparison ``left op right``; ``right`` may be a literal."""
@@ -74,10 +70,6 @@ class Comparison:
     def __str__(self) -> str:
         right = self.right if isinstance(self.right, AttrRef) else repr(self.right)
         return "%s %s %s" % (self.left, self.op, right)
-
-
-# A predicate is a conjunction of comparisons.
-Predicate = tuple
 
 
 class _Node:

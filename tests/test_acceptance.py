@@ -27,6 +27,7 @@ from flexdp import (
     elastic_sensitivity,
     elastic_stability,
     eval_rows,
+    join_count,
     join_nodes,
     laplace_sample,
     local_sensitivity_at,
@@ -141,8 +142,11 @@ def test_criterion_02_smoothing_matches_brute_force():
         nonlocal worst_rel, checks
         bound = smooth_bound(q, store, params)
         limit = scan_limit(q, params)
+        j = join_count(q)
         brute_s, brute_k = brute_smooth(
-            lambda k: elastic_sensitivity(q, k, store), params.beta, 50 * limit
+            lambda k: elastic_sensitivity(q, k, store),
+            params.beta,
+            50 * math.ceil(j * j / params.beta),
         )
         rel = abs(bound.S - brute_s) / brute_s
         worst_rel = max(worst_rel, rel)
@@ -168,8 +172,9 @@ def test_criterion_02_smoothing_matches_brute_force():
         2,
         "smoothing-oracle",
         ok,
-        "%d queries, worst rel err %.1e vs 1e-9, argmax always inside "
-        "ceil(j^2/beta); %.1fs" % (checks, worst_rel, elapsed),
+        "%d queries, worst rel err %.1e vs 1e-9, brute force to "
+        "50*ceil(j^2/beta), argmax always inside ceil(j/beta); %.1fs"
+        % (checks, worst_rel, elapsed),
     )
     assert ok
 

@@ -418,6 +418,26 @@ def test_non_finite_bound_is_refused_and_charges_nothing(tmp_path, capsys):
     assert code == 1 and "error[unsupported]" in err
 
 
+def test_infinite_epsilon_release_is_refused_and_charges_nothing(workspace, capsys):
+    # an infinite epsilon would smooth to S = 0 and print the true count
+    code, out, err = run(
+        capsys,
+        "release",
+        workspace / "pairs.sql",
+        "--metrics",
+        workspace / "metrics.txt",
+        "--epsilon",
+        "inf",
+        "--delta",
+        "1e-6",
+        "--true-result",
+        "5",
+        *BUDGET,
+    )
+    assert_refused_free(code, out, err, workspace / "metrics.txt")
+    assert code == 1 and "error[invalid-params]" in err
+
+
 def test_labels_outside_bins_are_dropped_without_echo(trips, capsys):
     code, out, err = release_trips(
         capsys, trips, "--execute", "--data", trips / "data", "--bins", "nowhere", "--seed", "2"

@@ -13,6 +13,7 @@ from flexdp import (
     MetricsStore,
     ProtectedBinLabels,
     UnsupportedQuery,
+    join_count,
     laplace_inverse_cdf,
     laplace_sample,
     make_params,
@@ -20,6 +21,7 @@ from flexdp import (
     release_count,
     release_histogram,
     scan_limit,
+    sensitivity_log_profile,
     smooth_bound,
     smooth_scan,
 )
@@ -126,7 +128,7 @@ def test_scan_limit():
     p = make_params(0.7, 1e-7)
     assert scan_limit(parse_query("SELECT COUNT(*) FROM edges", CATALOG), p) == 0
     q = triangle_query()
-    assert scan_limit(q, p) == math.ceil(4 / p.beta)
+    assert scan_limit(q, p) == math.ceil(2 / p.beta)
 
 
 def test_smooth_bound_matches_naive_maximization():
@@ -135,12 +137,27 @@ def test_smooth_bound_matches_naive_maximization():
     q = triangle_query()
     p = make_params(0.7, 1e-7)
     bound = smooth_bound(q, METRICS, p)
-    upto = 5 * scan_limit(q, p)
+    j = join_count(q)
+    upto = 5 * math.ceil(j * j / p.beta)
     best, best_k = brute_smooth(
         lambda k: elastic_sensitivity(q, k, METRICS), p.beta, upto
     )
     assert bound.k_star == best_k
     assert bound.S == pytest.approx(best, rel=1e-12)
+
+
+def test_deep_chain_scan_matches_the_square_horizon():
+    # 40 joins at epsilon 0.1: the ceil(j/beta) scan returns exactly what a
+    # scan 40 times longer, to ceil(j*j/beta), returns
+    q = parse_query(chain_sql(40), chain_catalog(41))
+    m = chain_metrics(41)
+    p = make_params(0.1, 1e-6)
+    bound = smooth_bound(q, m, p)
+    wide = smooth_scan(
+        lambda ks: sensitivity_log_profile(q, ks, m), p.beta, math.ceil(1600 / p.beta)
+    )
+    assert bound.k_max == scan_limit(q, p) == math.ceil(40 / p.beta)
+    assert (bound.S, bound.k_star, bound.log_S) == (wide.S, wide.k_star, wide.log_S)
 
 
 # ---------------------------------------------------------------------------
@@ -296,3 +313,13 @@ def test_budget_validates_caps():
         BudgetLedger(max_epsilon=0.0, max_delta=1e-5)
     with pytest.raises(InvalidParams):
         BudgetLedger(max_epsilon=1.0, max_delta=0.0)
+
+
+def test_infinite_epsilon_is_refused():
+    # beta would be inf, the scan's inf * 0 at k = 0 NaN, and S 0: no noise
+    with pytest.raises(InvalidParams):
+        make_params(math.inf, 1e-6)
+    with pytest.raises(InvalidParams):
+        make_params(math.inf, n=1000)
+    with pytest.raises(InvalidParams):
+        BudgetLedger(max_epsilon=math.inf, max_delta=1e-5)

@@ -28,7 +28,16 @@ from flexdp import (
     sensitivity_log_profile,
 )
 
-from _support import TRIANGLE_SQL, triangle_catalog, triangle_metrics
+from _support import (
+    TRIANGLE_SQL,
+    chain_catalog,
+    chain_metrics,
+    chain_sql,
+    random_micro_db,
+    random_query_sql,
+    triangle_catalog,
+    triangle_metrics,
+)
 
 EDGES = Table("edges", "edges", ("source", "dest"))
 METRICS = triangle_metrics()  # mf(source) = mf(dest) = 65
@@ -211,6 +220,27 @@ def test_distance_must_be_non_negative_int():
 def test_join_count():
     assert join_count(triangle_query()) == 2
     assert join_count(parse_query("SELECT COUNT(*) FROM edges", triangle_catalog())) == 0
+
+
+def test_sensitivity_grows_at_most_like_k_to_the_joins():
+    # the smoothing horizon ceil(j/beta) rests on this: with j joins the bound
+    # has degree at most j in k, so S(k+1)/S(k) <= ((k+1)/k)**j; checked in
+    # exact integers, with public tables drawn in to lower some degrees
+    rng = np.random.default_rng(20261018)
+    cases = [
+        (triangle_query(), METRICS),
+        (parse_query(chain_sql(6), chain_catalog(7)), chain_metrics(7)),
+    ]
+    while len(cases) < 302:
+        db = random_micro_db(rng, max_tables=3, max_rows=4, max_values=3)
+        public = [name for name in sorted(db.tables) if rng.random() < 0.25]
+        q = parse_query(random_query_sql(rng, db, max_joins=3), db.catalog())
+        cases.append((q, db.exact_metrics(public)))
+    for q, m in cases:
+        j = join_count(q)
+        at = [elastic_sensitivity(q, k, m) for k in range(202)]
+        for k in range(1, 201):
+            assert at[k + 1] * k**j <= at[k] * (k + 1) ** j, (q, k)
 
 
 STAR_CATALOG = Catalog(
