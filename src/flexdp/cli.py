@@ -61,7 +61,7 @@ from .oracle import (
     max_frequency_at,
 )
 from .parser import parse_query
-from .relalg import CountGrouped, join_nodes, resolve_attribute, root_count
+from .relalg import CountGrouped, attribute_index, join_nodes, root_count, scope_of
 from .sensitivity import elastic_sensitivity, join_count, mf_at_distance
 
 
@@ -165,8 +165,9 @@ def _derived_bin_domain(query, store: MetricsStore, db: MicroDatabase):
     """Enumerate the bin domain from the data when every grouping column is public."""
     root = root_count(query)
     per_column = []
+    scope = scope_of(root.input)
     for attr in root.group_attrs:
-        provenance = resolve_attribute(attr, root.input)
+        provenance = scope[attribute_index(attr, root.input)].provenance
         if provenance is None or not store.is_public(provenance.table):
             return None
         index = db.columns[provenance.table].index(provenance.column)

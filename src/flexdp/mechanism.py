@@ -30,6 +30,7 @@ joined queries overflow doubles long before they stop mattering.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence, Tuple
 
@@ -209,11 +210,18 @@ def _release(
     p: PrivacyParams,
     seed: Optional[int],
 ) -> ReleaseResult:
-    """Add Laplace(2*S/epsilon) noise to each value in order; refuse a non-finite S.
+    """Add Laplace(2*S/epsilon) noise to each value in order.
 
     The noisy values become ``bins`` paired with ``labels``, or ``value``
-    when there are no labels.
+    when there are no labels. A non-finite value or a seed that is not a
+    non-negative integer is refused before anything is computed or drawn,
+    and a non-finite S before anything is drawn.
     """
+    values = [float(v) for v in true_values]
+    if not all(math.isfinite(v) for v in values):
+        raise InvalidParams("the true result is not finite; refusing to release")
+    if seed is not None and not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise InvalidParams("seed must be a non-negative integer")
     bound = smooth_bound(q, m, p)
     scale = 2.0 * bound.S / p.epsilon
     if not (math.isfinite(bound.S) and math.isfinite(scale)):
@@ -223,10 +231,7 @@ def _release(
         )
     seed = int(np.random.SeedSequence().entropy if seed is None else seed)
     rng = np.random.default_rng(seed)
-    noisy = [
-        float(v) + (laplace_sample(scale, rng) if scale > 0 else 0.0)
-        for v in true_values
-    ]
+    noisy = [v + (laplace_sample(scale, rng) if scale > 0 else 0.0) for v in values]
     return ReleaseResult(
         value=noisy[0] if labels is None else None,
         bins=None if labels is None else tuple(zip(labels, noisy)),
@@ -258,6 +263,8 @@ def release_count(
 
     Raises:
         UnsupportedQuery: the root is a grouped count, or S is not finite.
+        InvalidParams: the true count is not finite, or the seed is not a
+            non-negative integer.
     """
     if not isinstance(root_count(q), Count):
         raise UnsupportedQuery(
@@ -285,7 +292,8 @@ def release_histogram(
     Raises:
         UnsupportedQuery: the root is a plain count, or S is not finite.
         ProtectedBinLabels: no bin domain supplied.
-        InvalidParams: the domain repeats a label.
+        InvalidParams: the domain repeats a label, a released bin's true
+            count is not finite, or the seed is not a non-negative integer.
     """
     root = root_count(q)
     if not isinstance(root, CountGrouped):

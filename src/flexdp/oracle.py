@@ -37,7 +37,6 @@ from .relalg import (
     Table,
     attribute_index,
     root_count,
-    scope_of,
 )
 
 _OPS = {
@@ -152,7 +151,8 @@ class MicroDatabase:
         ]
 
 
-def _eval(r: RelExpr, db: MicroDatabase) -> List[tuple]:
+def eval_rows(r: RelExpr, db: MicroDatabase) -> List[tuple]:
+    """Evaluate a relational transformation to its concrete rows."""
     if isinstance(r, Table):
         stored = tuple(db.columns.get(r.name, ()))
         if stored == r.columns:
@@ -165,8 +165,8 @@ def _eval(r: RelExpr, db: MicroDatabase) -> List[tuple]:
         order = [stored.index(col) for col in r.columns]
         return [tuple(row[i] for i in order) for row in db.tables[r.name]]
     if isinstance(r, Join):
-        left_rows = _eval(r.left, db)
-        right_rows = _eval(r.right, db)
+        left_rows = eval_rows(r.left, db)
+        right_rows = eval_rows(r.right, db)
         li = attribute_index(r.key_left, r.left)
         ri = attribute_index(r.key_right, r.right)
         buckets: Dict[Value, List[tuple]] = {}
@@ -179,14 +179,14 @@ def _eval(r: RelExpr, db: MicroDatabase) -> List[tuple]:
             joined = _filter(joined, r.residual, r)
         return joined
     if isinstance(r, Select):
-        return _filter(_eval(r.input, db), r.predicate, r)
+        return _filter(eval_rows(r.input, db), r.predicate, r)
     if isinstance(r, Project):
         indices = [attribute_index(attr, r.input) for attr in r.attrs]
-        return [tuple(row[i] for i in indices) for row in _eval(r.input, db)]
+        return [tuple(row[i] for i in indices) for row in eval_rows(r.input, db)]
     if isinstance(r, Aliased):
-        return _eval(r.input, db)
+        return eval_rows(r.input, db)
     if isinstance(r, Count):
-        return [(len(_eval(r.input, db)),)]
+        return [(len(eval_rows(r.input, db)),)]
     if isinstance(r, CountGrouped):
         groups = _group_counts(r, db)
         return [key + (count,) for key, count in sorted(groups.items(), key=repr)]
@@ -221,18 +221,13 @@ def _filter(rows: List[tuple], predicate, node: RelExpr) -> List[tuple]:
 
 
 def _group_counts(r: CountGrouped, db: MicroDatabase) -> Dict[tuple, int]:
-    rows = _eval(r.input, db)
+    rows = eval_rows(r.input, db)
     indices = [attribute_index(attr, r.input) for attr in r.group_attrs]
     counts: Dict[tuple, int] = {}
     for row in rows:
         key = tuple(row[i] for i in indices)
         counts[key] = counts.get(key, 0) + 1
     return counts
-
-
-def eval_rows(r: RelExpr, db: MicroDatabase) -> List[tuple]:
-    """Evaluate a relational transformation to its concrete rows."""
-    return _eval(r, db)
 
 
 def column_max_frequency(rows: List[tuple], index: int) -> int:
@@ -253,7 +248,7 @@ def eval_query(q: RelExpr, db: MicroDatabase):
     """
     root = root_count(q)
     if isinstance(root, Count):
-        return len(_eval(root.input, db))
+        return len(eval_rows(root.input, db))
     counts = _group_counts(root, db)
     if len(root.group_attrs) == 1:
         return {key[0]: count for key, count in counts.items()}
@@ -328,7 +323,7 @@ def max_frequency_at(attr: AttrRef, r: RelExpr, db: MicroDatabase, k: int) -> in
         TooLargeToEnumerate: the distance-k ball is too large to enumerate.
     """
     index = attribute_index(attr, r)
-    return max(column_max_frequency(_eval(r, y), index) for y in neighbors_at(db, k))
+    return max(column_max_frequency(eval_rows(r, y), index) for y in neighbors_at(db, k))
 
 
 def _distance(a, b) -> float:

@@ -24,7 +24,7 @@ the row count can change, which is unaffected by which column is named.
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .errors import (
     ParseError,
@@ -45,10 +45,7 @@ from .relalg import (
     RelExpr,
     Select,
     Table,
-    in_scope,
-    resolve_across,
-    resolve_attribute,
-    resolve_entry,
+    attribute_index,
     root_count,
     scope_of,
 )
@@ -105,11 +102,6 @@ class _Parser:
     def _peek(self) -> Tuple[str, str]:
         return self.tokens[self.pos]
 
-    def _next(self) -> Tuple[str, str]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def _at_keyword(self, word: str) -> bool:
         kind, value = self._peek()
         return kind == "ident" and value.upper() == word
@@ -152,24 +144,24 @@ class _Parser:
                     raise ParseError("duplicate subquery name %r" % name)
                 self._expect_keyword("AS")
                 self._expect_punc("(")
-                self.ctes[name] = self._select_statement(top_level=False)
+                self.ctes[name] = self._select_statement()
                 self._expect_punc(")")
                 if not self._accept_punc(","):
                     break
-        query = self._select_statement(top_level=True)
+        query = self._select_statement()
         self._accept_punc(";")
         if self._peek()[0] != "eof":
             raise ParseError("trailing input after query: %r" % self._peek()[1])
         root_count(query)
         return query
 
-    def _select_statement(self, top_level: bool) -> RelExpr:
+    def _select_statement(self) -> RelExpr:
         self._expect_keyword("SELECT")
         items = self._select_list()
         self._expect_keyword("FROM")
         rel = self._from_clause()
         if self._accept_keyword("WHERE"):
-            predicate = self._conjunction(rel, in_join=False)
+            predicate = self._conjunction(rel)
             rel = Select(tuple(predicate), rel)
         group_attrs = None
         if self._accept_keyword("GROUP"):
@@ -178,8 +170,8 @@ class _Parser:
             while self._accept_punc(","):
                 group_attrs.append(self._attribute())
             for attr in group_attrs:
-                self._check_in_scope(attr, rel)
-        return self._assemble(items, rel, group_attrs, top_level)
+                self._resolve(attr, rel)
+        return self._assemble(items, rel, group_attrs)
 
     def _select_list(self):
         items = [self._select_item()]
@@ -230,7 +222,7 @@ class _Parser:
             right = self._table_ref()
             self._check_distinct_aliases(rel, right)
             self._expect_keyword("ON")
-            condition = self._conjunction((rel, right), in_join=True)
+            condition = self._conjunction(rel, right)
             rel = self._make_join(rel, right, condition)
         return rel
 
@@ -262,13 +254,14 @@ class _Parser:
                 % sorted(q or "" for q in shared)[0]
             )
 
-    def _conjunction(self, scope_rel, in_join: bool):
-        comparisons = [self._comparison(scope_rel, in_join)]
+    def _conjunction(self, *rels: RelExpr):
+        """Parse comparisons joined by AND; two relations make it a join condition."""
+        comparisons = [self._comparison(rels)]
         while True:
             if self._accept_keyword("AND"):
-                comparisons.append(self._comparison(scope_rel, in_join))
+                comparisons.append(self._comparison(rels))
             elif self._at_keyword("OR"):
-                if in_join:
+                if len(rels) == 2:
                     raise UnsupportedQuery(
                         "disjunction (OR) in a join condition is not supported"
                     )
@@ -286,7 +279,7 @@ class _Parser:
             return value[1:-1]
         return self._attribute()
 
-    def _comparison(self, scope_rel, in_join: bool) -> Comparison:
+    def _comparison(self, rels) -> Comparison:
         left = self._operand()
         kind, op = self._peek()
         if kind != "op":
@@ -302,40 +295,40 @@ class _Parser:
         comparison = Comparison(left, op, right)
         # every referenced attribute must resolve uniquely across the whole
         # scope; a bare name visible on both sides of a join is ambiguous
-        rels = scope_rel if isinstance(scope_rel, tuple) else (scope_rel,)
         for attr in (comparison.left, comparison.right):
             if isinstance(attr, AttrRef):
-                try:
-                    resolve_across(attr, rels)
-                except UnresolvedAttribute as exc:
-                    raise UnknownColumn(str(exc)) from None
+                self._resolve(attr, *rels)
         return comparison
 
-    def _check_in_scope(self, attr: AttrRef, rel: RelExpr):
+    @staticmethod
+    def _resolve(attr: AttrRef, *rels: RelExpr) -> int:
+        """``attribute_index``, with an unknown or ambiguous name as UnknownColumn."""
         try:
-            resolve_entry(attr, rel)
+            return attribute_index(attr, *rels)
         except UnresolvedAttribute as exc:
             raise UnknownColumn(str(exc)) from None
 
     def _make_join(self, left: RelExpr, right: RelExpr, condition) -> Join:
+        scope = scope_of(left) + scope_of(right)
+        split = len(scope_of(left))
         key = None
         derived_key = None
         residual = []
         for comparison in condition:
             if key is None and comparison.op == "=" and isinstance(comparison.right, AttrRef):
-                a, b = comparison.left, comparison.right
-                pair = None
-                if in_scope(a, left) and in_scope(b, right):
-                    pair = (a, b)
-                elif in_scope(a, right) and in_scope(b, left):
-                    pair = (b, a)
-                if pair is not None:
-                    kl, kr = pair
-                    bad = self._non_base_key(kl, left) or self._non_base_key(kr, right)
-                    if bad is None:
-                        key = pair
+                # order the two ends by position alone (AttrRef has no ordering,
+                # and a.x = a.x gives equal positions); a key has one end per side
+                pair = (comparison.left, comparison.right)
+                ends = sorted(
+                    ((attribute_index(a, left, right), a) for a in pair), key=lambda e: e[0]
+                )
+                (i, kl), (j, kr) = ends
+                if i < split <= j:
+                    derived = [a for n, a in ends if scope[n].provenance is None]
+                    if not derived:
+                        key = (kl, kr)
                         continue
-                    derived_key = derived_key or bad
+                    derived_key = derived_key or derived[0]
             residual.append(comparison)
         if key is None:
             if derived_key is not None:
@@ -349,13 +342,7 @@ class _Parser:
             )
         return Join(left, right, key[0], key[1], tuple(residual))
 
-    @staticmethod
-    def _non_base_key(attr: AttrRef, rel: RelExpr) -> Optional[AttrRef]:
-        if resolve_attribute(attr, rel) is None:
-            return attr
-        return None
-
-    def _assemble(self, items, rel, group_attrs, top_level: bool) -> RelExpr:
+    def _assemble(self, items, rel, group_attrs) -> RelExpr:
         count_items = [item for item in items if item[0] == "count"]
         plain_attrs = [item[1] for item in items if item[0] == "attr"]
         if len(count_items) > 1:
@@ -363,30 +350,25 @@ class _Parser:
         if count_items:
             _, arg, label = count_items[0]
             if arg is not None:
-                self._check_in_scope(arg, rel)
+                self._resolve(arg, rel)
             if group_attrs is None:
                 if plain_attrs:
                     raise ParseError(
                         "non-aggregated column %s requires GROUP BY" % plain_attrs[0]
                     )
                 return Count(rel, label)
-            groups = tuple(group_attrs)
+            grouped = {self._resolve(g, rel) for g in group_attrs}
             for attr in plain_attrs:
-                if not self._covered_by_group(attr, groups, rel):
+                if self._resolve(attr, rel) not in grouped:
                     raise ParseError(
                         "column %s is not in the GROUP BY list" % attr
                     )
-            return CountGrouped(groups, rel, label)
+            return CountGrouped(tuple(group_attrs), rel, label)
         if group_attrs is not None:
             raise ParseError("GROUP BY without a COUNT expression")
         for attr in plain_attrs:
-            self._check_in_scope(attr, rel)
+            self._resolve(attr, rel)
         return Project(tuple(plain_attrs), rel)
-
-    @staticmethod
-    def _covered_by_group(attr: AttrRef, groups, rel) -> bool:
-        target = resolve_entry(attr, rel)
-        return any(resolve_entry(g, rel) == target for g in groups)
 
 
 def parse_query(text: str, catalog: Catalog) -> RelExpr:

@@ -14,9 +14,10 @@ Example::
 
 Attribute references are kept as written in the query (optional qualifier
 plus column name). ``scope_of`` computes the attributes visible at each node
-together with their provenance, and ``resolve_attribute`` reduces a reference
-to either the base-table column it names or ``None`` when the value passes
-through an aggregation.
+together with their provenance. ``attribute_index`` resolves a reference to
+its position in one scope, or in the concatenated scopes of a join's inputs;
+the entry at that position carries the base-table column the reference
+names, or ``None`` when the value passes through an aggregation.
 """
 
 from __future__ import annotations
@@ -224,7 +225,7 @@ def _compute_scope(r: RelExpr) -> tuple:
         return scope_of(r.left) + scope_of(r.right)
     if isinstance(r, Project):
         inner = scope_of(r.input)
-        return tuple(_lookup(attr, inner) for attr in r.attrs)
+        return tuple(inner[_lookup(attr, inner)] for attr in r.attrs)
     if isinstance(r, Select):
         return scope_of(r.input)
     if isinstance(r, Aliased):
@@ -238,69 +239,40 @@ def _compute_scope(r: RelExpr) -> tuple:
         inner = scope_of(r.input)
         keys = tuple(
             ScopeEntry(e.qualifier, e.name, None)
-            for e in (_lookup(attr, inner) for attr in r.group_attrs)
+            for e in (inner[_lookup(attr, inner)] for attr in r.group_attrs)
         )
         return keys + (ScopeEntry(None, r.label, None),)
 
 
-def _lookup(attr: AttrRef, scope: tuple) -> ScopeEntry:
-    """Find the unique scope entry ``attr`` names, or raise UnresolvedAttribute."""
-    if attr.qualifier is None:
-        matches = [e for e in scope if e.name == attr.name]
-    else:
-        matches = [
-            e for e in scope if e.qualifier == attr.qualifier and e.name == attr.name
-        ]
-    if not matches:
+def _lookup(attr: AttrRef, scope: tuple) -> int:
+    """Position of the unique scope entry ``attr`` names, or raise UnresolvedAttribute."""
+    name, qualifier = attr.name, attr.qualifier
+    found = None
+    for i, entry in enumerate(scope):
+        if entry.name == name and (qualifier is None or entry.qualifier == qualifier):
+            if found is not None:
+                raise UnresolvedAttribute("ambiguous attribute %s" % attr)
+            found = i
+    if found is None:
         raise UnresolvedAttribute("no attribute %s in scope" % attr)
-    if len(matches) > 1:
-        raise UnresolvedAttribute("ambiguous attribute %s" % attr)
-    return matches[0]
+    return found
 
 
-def resolve_entry(attr: AttrRef, r: RelExpr) -> ScopeEntry:
-    """Resolve ``attr`` to the unique scope entry it names within ``r``."""
-    return _lookup(attr, scope_of(r))
+def attribute_index(attr: AttrRef, *relations: RelExpr) -> int:
+    """Return the position of ``attr`` in the concatenated scopes of ``relations``.
 
+    With one relation this is the column ``attr`` names in its output tuples.
+    With a join's two inputs a bare name must be unique across both sides,
+    and a position at or past ``len(scope_of(left))`` is on the right. The
+    entry at that position of the concatenated scope carries the provenance.
 
-def resolve_across(attr: AttrRef, relations) -> ScopeEntry:
-    """Resolve ``attr`` against the concatenated scopes of several relations.
-
-    Used for join conditions, where a bare column name must be unique
-    across both inputs together, not merely within one side.
+    Raises:
+        UnresolvedAttribute: no attribute, or more than one, matches ``attr``.
     """
     scope: tuple = ()
     for r in relations:
-        scope = scope + scope_of(r)
+        scope += scope_of(r)
     return _lookup(attr, scope)
-
-
-def resolve_attribute(attr: AttrRef, r: RelExpr) -> Optional[BaseColumn]:
-    """Resolve ``attr`` against ``r`` and return its provenance.
-
-    Returns:
-        The BaseColumn the attribute traces to, or None if its value passes
-        through an aggregation.
-
-    Raises:
-        UnresolvedAttribute: no unique attribute of that name is in scope.
-    """
-    return _lookup(attr, scope_of(r)).provenance
-
-
-def attribute_index(attr: AttrRef, r: RelExpr) -> int:
-    """Return the position of ``attr`` in ``r``'s output tuples."""
-    scope = scope_of(r)
-    return scope.index(_lookup(attr, scope))
-
-
-def in_scope(attr: AttrRef, r: RelExpr) -> bool:
-    """True when ``attr`` resolves uniquely within ``r``."""
-    try:
-        _lookup(attr, scope_of(r))
-    except UnresolvedAttribute:
-        return False
-    return True
 
 
 def ancestors(r: RelExpr) -> frozenset:

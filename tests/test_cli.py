@@ -438,6 +438,66 @@ def test_infinite_epsilon_release_is_refused_and_charges_nothing(workspace, caps
     assert code == 1 and "error[invalid-params]" in err
 
 
+def _release_pairs(capsys, workspace, *extra):
+    return run(
+        capsys,
+        "release",
+        workspace / "pairs.sql",
+        "--metrics",
+        workspace / "metrics.txt",
+        "--epsilon",
+        "1.0",
+        "--delta",
+        "1e-6",
+        *BUDGET,
+        *extra,
+    )
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [("--true-result", "inf"), ("--true-result", "nan"), ("--seed", "-1", "--true-result", "5")],
+    ids=["inf", "nan", "negative-seed"],
+)
+def test_invalid_release_input_is_refused_and_charges_nothing(workspace, capsys, extra):
+    code, out, err = _release_pairs(capsys, workspace, *extra)
+    assert_refused_free(code, out, err, workspace / "metrics.txt")
+    assert code == 1 and "error[invalid-params]" in err
+    assert "Traceback" not in err
+
+    # with a ledger already there, the refusal leaves it byte-identical
+    assert _release_pairs(capsys, workspace, "--true-result", "5")[0] == 0
+    with open(_ledger(workspace / "metrics.txt"), "rb") as handle:
+        before = handle.read()
+    code, out, err = _release_pairs(capsys, workspace, *extra)
+    assert code == 1 and out == "" and "error[invalid-params]" in err
+    with open(_ledger(workspace / "metrics.txt"), "rb") as handle:
+        assert handle.read() == before
+
+
+def test_non_finite_grouped_true_result_is_refused(workspace, capsys):
+    truth = workspace / "truth.txt"
+    truth.write_text("1,2\n2,inf\n3,1\n")
+    code, out, err = run(
+        capsys,
+        "release",
+        workspace / "grouped.sql",
+        "--metrics",
+        workspace / "metrics.txt",
+        "--epsilon",
+        "1.0",
+        "--delta",
+        "1e-6",
+        "--true-result",
+        truth,
+        "--bins",
+        "1,2,3",
+        *BUDGET,
+    )
+    assert_refused_free(code, out, err, workspace / "metrics.txt")
+    assert code == 1 and "error[invalid-params]" in err and "inf" not in err
+
+
 def test_labels_outside_bins_are_dropped_without_echo(trips, capsys):
     code, out, err = release_trips(
         capsys, trips, "--execute", "--data", trips / "data", "--bins", "nowhere", "--seed", "2"

@@ -278,6 +278,31 @@ def test_release_refuses_non_finite_bound():
         release_count(5.0, q, m, p, seed=1)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_release_refuses_non_finite_true_result(value, monkeypatch):
+    def no_bound(*args):
+        raise AssertionError("the bound was computed for a refused release")
+
+    monkeypatch.setattr("flexdp.mechanism.smooth_bound", no_bound)
+    q = parse_query("SELECT COUNT(*) FROM edges", CATALOG)
+    p = make_params(1.0, 1e-6)
+    with pytest.raises(InvalidParams, match="not finite") as refused:
+        release_count(value, q, METRICS, p, seed=1)
+    assert str(value) not in str(refused.value)
+    grouped = parse_query("SELECT source, COUNT(*) FROM edges GROUP BY source", CATALOG)
+    with pytest.raises(InvalidParams, match="not finite") as refused:
+        release_histogram({"a": 1, "b": value}, ["a", "b"], grouped, METRICS, p, seed=1)
+    assert "'b'" not in str(refused.value) and str(value) not in str(refused.value)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+def test_release_refuses_seed_that_is_not_a_non_negative_int(seed):
+    q = parse_query("SELECT COUNT(*) FROM edges", CATALOG)
+    with pytest.raises(InvalidParams, match="seed"):
+        release_count(5.0, q, METRICS, make_params(1.0, 1e-6), seed=seed)
+    assert release_count(5.0, q, METRICS, make_params(1.0, 1e-6), seed=0).seed == 0
+
+
 def test_release_histogram_refuses_plain_count():
     q = parse_query("SELECT COUNT(*) FROM edges", CATALOG)
     with pytest.raises(UnsupportedQuery, match="release_count"):

@@ -228,6 +228,8 @@ REJECTIONS = [
     ("SELECT COUNT(*) FROM users extra garbage", ParseError, "trailing"),
     ("SELECT COUNT(*), COUNT(*) FROM users", ParseError, "at most one COUNT"),
     ("", ParseError, "empty"),
+    # an unknown select-list column under GROUP BY is an unknown column too
+    ("SELECT nosuch, COUNT(*) FROM users GROUP BY dept", UnknownColumn, "nosuch"),
 ]
 
 

@@ -17,11 +17,8 @@ from flexdp import (
     UnsupportedQuery,
     ancestors,
     attribute_index,
-    in_scope,
     is_self_join,
     join_nodes,
-    resolve_attribute,
-    resolve_entry,
     root_count,
     scope_of,
     unwrap_root,
@@ -104,19 +101,31 @@ def test_resolution_qualified_and_bare():
     assert attribute_index(AttrRef("u", "id"), j) == 2
     # bare name that is unique across the scope resolves
     assert attribute_index(AttrRef(None, "dept"), j) == 3
-    assert resolve_attribute(AttrRef(None, "dept"), j) == BaseColumn("users", "dept")
-    assert in_scope(AttrRef("e1", "source"), j)
-    assert not in_scope(AttrRef("e9", "source"), j)
+    assert scope_of(j)[3].provenance == BaseColumn("users", "dept")
+    assert attribute_index(AttrRef("e1", "source"), j) == 0
+    with pytest.raises(UnresolvedAttribute):
+        attribute_index(AttrRef("e9", "source"), j)
+    # across a join's two inputs, a right-side name sits past the left scope
+    split = len(scope_of(EDGES))
+    assert attribute_index(AttrRef(None, "dept"), EDGES, USERS) == split + 1
+    assert attribute_index(AttrRef("u", "id"), EDGES, USERS) >= split
+    assert attribute_index(AttrRef(None, "dest"), EDGES, USERS) == 1
 
 
 def test_resolution_failures():
     j = _join(EDGES, EDGES2, "e1.dest", "e2.source")
     with pytest.raises(UnresolvedAttribute, match="ambiguous"):
-        resolve_entry(AttrRef(None, "source"), j)
+        attribute_index(AttrRef(None, "source"), j)
     with pytest.raises(UnresolvedAttribute):
-        resolve_entry(AttrRef("e1", "weight"), j)
+        attribute_index(AttrRef("e1", "weight"), j)
     with pytest.raises(UnresolvedAttribute):
-        resolve_entry(AttrRef("zz", "source"), j)
+        attribute_index(AttrRef("zz", "source"), j)
+    # a bare name found on both inputs is ambiguous, though each side has it once
+    assert attribute_index(AttrRef(None, "source"), EDGES) == 0
+    with pytest.raises(UnresolvedAttribute, match="ambiguous"):
+        attribute_index(AttrRef(None, "source"), EDGES, EDGES2)
+    with pytest.raises(UnresolvedAttribute, match="no attribute"):
+        attribute_index(AttrRef("zz", "source"), EDGES, EDGES2)
 
 
 def test_ancestors_and_self_join():
