@@ -61,7 +61,14 @@ from .oracle import (
     max_frequency_at,
 )
 from .parser import parse_query
-from .relalg import CountGrouped, attribute_index, join_nodes, root_count, scope_of
+from .relalg import (
+    CountGrouped,
+    ancestors,
+    attribute_index,
+    join_nodes,
+    root_count,
+    scope_of,
+)
 from .sensitivity import elastic_sensitivity, join_count, mf_at_distance
 
 
@@ -229,7 +236,8 @@ def cmd_release(args) -> int:
     if args.execute:
         if not args.data:
             raise InvalidParams("--execute requires --data")
-        db = MicroDatabase.from_csv_dir(args.data)
+        # only the tables the query reads: a release never parses the others
+        db = MicroDatabase.from_csv_dir(args.data, tables=ancestors(query))
         true_result = eval_query(query, db)
     elif args.true_result is not None:
         true_result = _parse_true_result(args.true_result, grouped)

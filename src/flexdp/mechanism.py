@@ -24,17 +24,29 @@ without missing the maximum:
   from ceil(j/beta) on, and its first maximum lies in 0..ceil(j/beta).
 
 The scan compares values in the natural-log domain: sensitivities of deeply
-joined queries overflow doubles long before they stop mattering.
+joined queries overflow doubles long before they stop mattering. One plan is
+evaluated in one of two log systems (see ``sensitivity``), picked for
+``smooth_bound`` by ``_scan_in_python``: a short scan in a process that has
+not imported numpy runs in pure Python, because numpy's import costs far
+more than the scan, until the process's pure scans add up to about one
+numpy import; every other scan runs in numpy, in chunks. The two profiles
+can differ by one ulp of ln. They gave the same S, k* and log_S on every
+benchmark and test query, but a seeded release replays bit for bit only
+on the same scan path.
+
+The noise comes from ``PCG64``, numpy's ``default_rng(seed)`` (its
+SeedSequence hashing and the PCG64 generator, O'Neill 2014) written in pure
+Python, so that a seeded release draws the same value with or without numpy.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import secrets
+import sys
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     BudgetExhausted,
@@ -47,7 +59,18 @@ from .metrics import MetricsStore
 from .relalg import Count, CountGrouped, RelExpr, root_count
 from .sensitivity import join_count, sensitivity_log_profile
 
+if TYPE_CHECKING:
+    import numpy as np
+
 _SCAN_CHUNK = 1 << 16
+# The largest scan, in distances times (joins + 1), done in pure Python. The
+# pure scan took 0.9-1.4 us per unit on 534 benchmark queries (2-core Xeon),
+# so this caps it near 20-30 ms, against about 160 ms to import numpy.
+_PYTHON_SCAN_WORK = 20_000
+# The pure scans one process may do in all: about one numpy import's worth,
+# after which numpy is imported and every later scan is vectorised.
+_PYTHON_SCAN_TOTAL = 150_000
+_python_scan_done = 0
 
 
 @dataclass(frozen=True)
@@ -104,33 +127,66 @@ class SmoothBound:
     log_S: float
 
 
+def _scan_in_python(work: int) -> bool:
+    """Whether a scan of ``work`` units (distances times profile steps) runs in pure Python.
+
+    Only while this process has not imported numpy: once it has, the
+    vectorised scan is the faster one from about 50 distances up. Within
+    _PYTHON_SCAN_WORK one pure scan costs a small part of numpy's import,
+    and once the process's pure scans reach _PYTHON_SCAN_TOTAL, about one
+    import's worth, the next scan imports numpy and so ends the pure ones.
+    """
+    global _python_scan_done
+    if (
+        "numpy" in sys.modules
+        or work > _PYTHON_SCAN_WORK
+        or _python_scan_done >= _PYTHON_SCAN_TOTAL
+    ):
+        return False
+    _python_scan_done += work
+    return True
+
+
 def smooth_scan(
     log_profile: Callable[[np.ndarray], np.ndarray], beta: float, k_max: int
 ) -> SmoothBound:
     """Maximize exp(-beta*k) * f(k) over integer k in [0, k_max].
 
     Args:
-        log_profile: maps an array of distances k to ln f(k); may return
-            -inf where f is 0.
+        log_profile: maps a numpy array of float distances k to ln f(k);
+            may return -inf where f is 0.
         beta: smoothing rate, positive.
         k_max: last distance to scan; the scan always includes k = 0.
 
     Returns:
         SmoothBound with ties broken toward the smallest k.
     """
+    return _scan(log_profile, beta, k_max, in_python=False)
+
+
+def _scan(log_profile, beta: float, k_max: int, in_python: bool) -> SmoothBound:
+    """``smooth_scan``, giving ``log_profile`` one list of all distances when ``in_python``."""
     if not beta > 0:
         raise InvalidParams("beta must be positive, got %r" % (beta,))
     if k_max < 0:
         raise InvalidParams("k_max must be non-negative, got %r" % (k_max,))
     best_log = -math.inf
     best_k = 0
-    for start in range(0, k_max + 1, _SCAN_CHUNK):
-        ks = np.arange(start, min(start + _SCAN_CHUNK, k_max + 1), dtype=float)
-        values = log_profile(ks) - beta * ks
-        i = int(np.argmax(values))
-        if values[i] > best_log:
-            best_log = float(values[i])
-            best_k = start + i
+    if in_python:
+        ks = [float(k) for k in range(k_max + 1)]
+        values = [v - beta * k for v, k in zip(log_profile(ks), ks)]
+        best_log = max(values)
+        best_k = values.index(best_log)
+    else:
+        import numpy as np
+
+        for start in range(0, k_max + 1, _SCAN_CHUNK):
+            ks = np.arange(start, min(start + _SCAN_CHUNK, k_max + 1), dtype=float)
+            values = log_profile(ks) - beta * ks
+            i = int(np.argmax(values))
+            if values[i] > best_log:
+                best_log = float(values[i])
+                best_k = start + i
     if best_log == -math.inf:
         s = 0.0
     else:
@@ -148,16 +204,23 @@ def scan_limit(q: RelExpr, p: PrivacyParams) -> int:
     at most j in k, so its damped profile cannot rise past j/beta (see the
     module docstring).
     """
-    joins = join_count(q)
-    if joins == 0:
-        return 0
-    return int(math.ceil(joins / p.beta))
+    return _scan_limit(join_count(q), p.beta)
+
+
+def _scan_limit(joins: int, beta: float) -> int:
+    return 0 if joins == 0 else int(math.ceil(joins / beta))
 
 
 def smooth_bound(q: RelExpr, m: MetricsStore, p: PrivacyParams) -> SmoothBound:
     """Smoothed sensitivity of a counting query under metrics ``m``."""
-    return smooth_scan(
-        lambda ks: sensitivity_log_profile(q, ks, m), p.beta, scan_limit(q, p)
+    joins = join_count(q)  # walks the whole tree: counted once
+    k_max = _scan_limit(joins, p.beta)
+    in_python = _scan_in_python((k_max + 1) * (joins + 1))
+    return _scan(
+        lambda ks: sensitivity_log_profile(q, ks, m, in_python=in_python),
+        p.beta,
+        k_max,
+        in_python,
     )
 
 
@@ -175,14 +238,109 @@ def laplace_inverse_cdf(u: float, scale: float) -> float:
     return -scale * sign * math.log1p(-abs(t))
 
 
-def laplace_sample(scale: float, rng: np.random.Generator) -> float:
-    """Draw one Laplace(0, scale) sample from ``rng`` via the inverse CDF."""
+def laplace_sample(scale: float, rng) -> float:
+    """Draw one Laplace(0, scale) sample via the inverse CDF.
+
+    ``rng`` is any object whose ``random()`` returns a uniform float in
+    [0, 1): a ``PCG64`` or a numpy Generator.
+    """
     if not scale > 0:
         raise InvalidScale("scale must be positive, got %r" % (scale,))
     u = rng.random()
     while u == 0.0:  # open interval; the generator can return exactly 0
         u = rng.random()
     return laplace_inverse_cdf(u, scale)
+
+
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+# numpy's SeedSequence hash and mix constants, and the PCG 128-bit multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_POOL = 4  # SeedSequence pool size, in 32-bit words
+
+
+def _hash_constants(init: int, mult: int, n: int) -> list:
+    """init * mult**i mod 2**32 for i = 0..n: the hash constant before each use and after the last."""
+    out = [init]
+    for _ in range(n):
+        out.append(out[-1] * mult & _MASK32)
+    return out
+
+
+# A seed of up to 128 bits takes 16 entropy hashes; PCG64 draws 8 state words.
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL)
+_HASH_B = _hash_constants(_INIT_B, _MULT_B, 8)
+
+
+def _seed_pool(seed: int) -> list:
+    """numpy's ``SeedSequence(seed).pool``: four 32-bit words mixed from the seed's words.
+
+    Each hash xors a value with the next constant of ``hash_a`` and
+    multiplies it by the one after; ``hash_a[i]`` serves hash i. The hashes
+    are inlined: this runs once per release.
+    """
+    words = [seed & _MASK32]  # little-endian 32-bit words; 0 is one word
+    seed >>= 32
+    while seed:
+        words.append(seed & _MASK32)
+        seed >>= 32
+    calls = _POOL * _POOL + _POOL * max(0, len(words) - _POOL)
+    hash_a = _HASH_A if calls < len(_HASH_A) else _hash_constants(_INIT_A, _MULT_A, calls)
+    pool = words[:_POOL] + [0] * (_POOL - len(words))
+    for i in range(_POOL):
+        value = (pool[i] ^ hash_a[i]) * hash_a[i + 1] & _MASK32
+        pool[i] = value ^ value >> 16
+    # mix every pool word into every other, then each further seed word into
+    # every pool word: mix(x, h) = (MIX_L*x - MIX_R*h), xor-shifted
+    sources = [(src, None) for src in range(_POOL)] + [(None, word) for word in words[_POOL:]]
+    i = _POOL
+    for src, word in sources:
+        for dst in range(_POOL):
+            if dst == src:
+                continue
+            h = ((pool[src] if word is None else word) ^ hash_a[i]) * hash_a[i + 1] & _MASK32
+            h ^= h >> 16
+            value = (_MIX_L * pool[dst] - _MIX_R * h) & _MASK32
+            pool[dst] = value ^ value >> 16
+            i += 1
+    return pool
+
+
+class PCG64:
+    """``numpy.random.default_rng(seed)`` in pure Python, draw for draw.
+
+    The seed (any non-negative int) is hashed by numpy's SeedSequence into
+    four 64-bit words: the first two are the 128-bit state seed, the last two
+    the stream. Each draw steps the PCG64 state and outputs XSL-RR 128/64,
+    of which ``random()`` keeps the top 53 bits, as numpy's
+    ``Generator.random()`` does.
+    """
+
+    __slots__ = ("state", "inc")
+
+    def __init__(self, seed: int):
+        pool = _seed_pool(seed)
+        words = []
+        for i in range(8):
+            value = (pool[i % _POOL] ^ _HASH_B[i]) * _HASH_B[i + 1] & _MASK32
+            words.append(value ^ value >> 16)
+        # SeedSequence.generate_state(4, uint64) pairs the words little-endian
+        seeds = [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
+        self.inc = ((seeds[2] << 64 | seeds[3]) << 1 | 1) & _MASK128
+        # pcg_setseq_128_srandom_r: one step from state 0 (which gives inc),
+        # add the state seed, step again
+        self.state = ((self.inc + (seeds[0] << 64 | seeds[1])) * _PCG_MULT + self.inc) & _MASK128
+
+    def random(self) -> float:
+        """A uniform float in [0, 1): the top 53 bits of the next 64-bit output."""
+        self.state = state = (self.state * _PCG_MULT + self.inc) & _MASK128
+        out = (state >> 64 ^ state) & _MASK64
+        rot = state >> 122
+        out = (out >> rot | out << (64 - rot)) & _MASK64
+        return (out >> 11) * (1.0 / 9007199254740992.0)
 
 
 @dataclass(frozen=True)
@@ -229,8 +387,8 @@ def _release(
             "smoothed sensitivity %r gives a non-finite noise scale; refusing "
             "to release" % (bound.S,)
         )
-    seed = int(np.random.SeedSequence().entropy if seed is None else seed)
-    rng = np.random.default_rng(seed)
+    seed = secrets.randbits(128) if seed is None else int(seed)
+    rng = PCG64(seed)
     noisy = [v + (laplace_sample(scale, rng) if scale > 0 else 0.0) for v in values]
     return ReleaseResult(
         value=noisy[0] if labels is None else None,

@@ -20,7 +20,7 @@ import itertools
 import operator
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .errors import EvaluationError, TooLargeToEnumerate
 from .metrics import MetricsStore
@@ -89,15 +89,28 @@ class MicroDatabase:
                 self.domains[name] = observed
 
     @classmethod
-    def from_csv_dir(cls, path: str) -> "MicroDatabase":
-        """Load every ``*.csv`` in a directory; file name becomes table name."""
-        tables: Dict[str, List[tuple]] = {}
+    def from_csv_dir(cls, path: str, tables: Optional[Iterable[str]] = None) -> "MicroDatabase":
+        """Load every ``*.csv`` in a directory, or only those of ``tables``.
+
+        The file name (less ``.csv``) is the table name.
+
+        Raises:
+            EvaluationError: no table to load, a named table has no file, or
+                a file has no header row.
+        """
+        if tables is None:
+            names = sorted(n[: -len(".csv")] for n in os.listdir(path) if n.endswith(".csv"))
+            if not names:
+                raise EvaluationError("no .csv tables found in %r" % path)
+        else:
+            names = sorted(tables)
+            for name in names:
+                if not os.path.isfile(os.path.join(path, name + ".csv")):
+                    raise EvaluationError("no table %r (%s.csv) in %r" % (name, name, path))
+        rows_of: Dict[str, List[tuple]] = {}
         columns: Dict[str, tuple] = {}
-        names = sorted(n for n in os.listdir(path) if n.endswith(".csv"))
-        if not names:
-            raise EvaluationError("no .csv tables found in %r" % path)
-        for filename in names:
-            name = filename[: -len(".csv")]
+        for name in names:
+            filename = name + ".csv"
             with open(os.path.join(path, filename), newline="", encoding="utf-8") as f:
                 reader = csv.reader(f)
                 try:
@@ -105,12 +118,12 @@ class MicroDatabase:
                 except StopIteration:
                     raise EvaluationError("%s is empty (no header row)" % filename) from None
                 columns[name] = tuple(h.strip() for h in header)
-                tables[name] = [
+                rows_of[name] = [
                     tuple(coerce_value(cell.strip()) for cell in row)
                     for row in reader
                     if row
                 ]
-        return cls(tables=tables, columns=columns)
+        return cls(tables=rows_of, columns=columns)
 
     def catalog(self) -> Catalog:
         return Catalog(columns=dict(self.columns))

@@ -206,6 +206,7 @@ class _Parser:
 
     def _from_clause(self) -> RelExpr:
         rel = self._table_ref()
+        qualifiers = self._qualifiers(rel)  # of ``rel``, kept as it grows
         while True:
             if self._accept_keyword("INNER"):
                 self._expect_keyword("JOIN")
@@ -220,7 +221,7 @@ class _Parser:
             else:
                 break
             right = self._table_ref()
-            self._check_distinct_aliases(rel, right)
+            self._add_distinct_aliases(qualifiers, right)
             self._expect_keyword("ON")
             condition = self._conjunction(rel, right)
             rel = self._make_join(rel, right, condition)
@@ -246,13 +247,16 @@ class _Parser:
     def _qualifiers(rel: RelExpr):
         return {entry.qualifier for entry in scope_of(rel)}
 
-    def _check_distinct_aliases(self, left: RelExpr, right: RelExpr):
-        shared = self._qualifiers(left) & self._qualifiers(right)
+    def _add_distinct_aliases(self, qualifiers: set, right: RelExpr):
+        """Add the qualifiers of ``right`` to ``qualifiers``, the left input's; refuse a shared one."""
+        added = self._qualifiers(right)
+        shared = qualifiers & added
         if shared:
             raise ParseError(
                 "duplicate table alias %r; give each join input a distinct alias"
                 % sorted(q or "" for q in shared)[0]
             )
+        qualifiers |= added
 
     def _conjunction(self, *rels: RelExpr):
         """Parse comparisons joined by AND; two relations make it a join condition."""

@@ -27,19 +27,21 @@ Each call compiles the query once into a flat post-order plan: a step per
 base table, join and count. A join step holds its self-join flag and, per
 key, the base column's mf and public flag and the inner joins whose key mf
 multiplies it; a key that passes through an aggregation is rejected while
-compiling. One loop, ``_evaluate``, applies the rules to the plan in one of
-two number systems: exact integers at a single k, or float64 natural logs
-over an array of k for the smoothing scan, which needs the whole profile
-and whose values can exceed double range. In logs products become sums,
-sums become ``logaddexp`` and max stays max, a few ulps of error per step.
+compiling. One loop, ``_evaluate``, applies the rules to the plan in exact
+integers at a single k, or in float64 natural logs over many k for the
+smoothing scan, which needs the whole profile and whose values can exceed
+double range. In logs products become sums, sums become ``logaddexp`` and
+max stays max, a few ulps of error per step. The logs have two systems and
+one plan: ``_Log`` over a numpy array, and ``_PyLog`` over a list in pure
+Python, which repeats numpy's float64 operations one by one so that a short
+scan needs no numpy import. The mechanism picks which.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import UnsupportedQuery
 from .metrics import MetricsStore
@@ -164,17 +166,69 @@ class _Exact:
 class _Log:
     """Natural logs at every distance of a float array; ln 0 is -inf."""
 
-    mul, add, max = np.add, np.logaddexp, np.maximum
+    def __init__(self, ks):
+        import numpy as np
 
-    def __init__(self, ks: np.ndarray):
-        self.ks = ks
+        self.np = np
+        self.ks = np.asarray(ks, dtype=float)
+        self.mul, self.add, self.max = np.add, np.logaddexp, np.maximum
 
     def const(self, n):
+        np = self.np
         return np.full_like(self.ks, np.log(float(n)) if n > 0 else -np.inf)
 
     def grow(self, n):
+        np = self.np
         with np.errstate(divide="ignore"):
             return np.log(float(n) + self.ks)
+
+
+_LN2 = math.log(2.0)
+
+
+def _logaddexp(x: float, y: float) -> float:
+    """ln(e**x + e**y) as numpy's npy_logaddexp computes it, branch for branch."""
+    if x == y:  # also equal infinities
+        return x + _LN2
+    d = x - y
+    if d > 0:
+        return x + math.log1p(math.exp(-d))
+    if d <= 0:
+        return y + math.log1p(math.exp(d))
+    return d  # NaN
+
+
+class _PyLog:
+    """``_Log`` over a list of float distances, in pure Python.
+
+    Each operation is numpy's, element by element: ``mul`` adds as np.add,
+    ``add`` is ``_logaddexp``, ``max`` as np.maximum, ``const`` repeats one
+    value as np.full_like, and ``grow`` is ln(n + k). Only ln differs: it
+    is libm's ``math.log``, which can round one ulp away from numpy's.
+    """
+
+    def __init__(self, ks: list):
+        self.ks = ks
+
+    @staticmethod
+    def mul(a, b):
+        return list(map(operator.add, a, b))
+
+    @staticmethod
+    def add(a, b):
+        return list(map(_logaddexp, a, b))
+
+    @staticmethod
+    def max(a, b):
+        return list(map(max, a, b))
+
+    def const(self, n):
+        return [math.log(float(n)) if n > 0 else -math.inf] * len(self.ks)
+
+    def grow(self, n):
+        n = float(n)
+        log, ninf = math.log, -math.inf
+        return [log(n + k) if n + k > 0 else ninf for k in self.ks]
 
 
 def _key_mf(key: tuple, key_mfs: list, numbers):
@@ -271,13 +325,15 @@ def elastic_sensitivity(q: RelExpr, k: int, m: MetricsStore) -> int:
     return _sensitivity(q, m, _Exact(k))
 
 
-def sensitivity_log_profile(q: RelExpr, ks: np.ndarray, m: MetricsStore) -> np.ndarray:
+def sensitivity_log_profile(q: RelExpr, ks, m: MetricsStore, in_python: bool = False):
     """ln of the query's sensitivity bound, evaluated at every distance in ``ks``.
 
-    ``ks`` is a float array of distances. Matches ln(elastic_sensitivity)
-    up to float round-off; -inf where the bound is 0 (all-public queries).
+    ``ks`` holds float distances. The result is a numpy array, or, with
+    ``in_python``, a list computed in pure Python. Both match ln(elastic_sensitivity) up to float round-off, -inf where
+    the bound is 0 (all-public queries), and each other but for the odd ulp
+    where ``math.log`` and numpy's log round apart.
     """
-    return _sensitivity(q, m, _Log(np.asarray(ks, dtype=float)))
+    return _sensitivity(q, m, _PyLog(ks) if in_python else _Log(ks))
 
 
 def join_count(q: RelExpr) -> int:

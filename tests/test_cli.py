@@ -6,10 +6,13 @@ import os
 import pathlib
 import re
 import shutil
+import subprocess
+import sys
 
 import pytest
 
-from flexdp import MetricsStore, cli, load_metrics, save_metrics
+import flexdp
+from flexdp import MetricsStore, cli, load_metrics, mechanism, save_metrics
 
 from _support import chain_metrics, chain_sql
 
@@ -214,6 +217,22 @@ def test_release_execute_reads_csv(workspace, capsys):
     )
     assert code == 0
     float(out.strip())
+
+
+def test_release_execute_reads_only_the_named_tables(workspace, capsys):
+    argv = ("release", workspace / "pairs.sql", "--metrics", workspace / "metrics.txt",
+            "--epsilon", "0.7", "--delta", "1e-7", "--seed", "1",
+            "--execute", "--data", workspace / "data", "--json")
+    code, before, _ = run(capsys, *argv)
+    assert code == 0
+    # a table the query does not read is not parsed, however malformed
+    (workspace / "data" / "other.csv").write_text("a,b\n1\n")
+    assert run(capsys, *argv)[:2] == (0, before)
+    # a table it reads must be there
+    (workspace / "data" / "edges.csv").unlink()
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert "error[io]" in err and "edges" in err
 
 
 def test_release_requires_some_true_result(workspace, capsys):
@@ -723,3 +742,46 @@ def test_invalid_epsilon_is_invalid_params(workspace, capsys):
     )
     assert code == 1
     assert "error[invalid-params]" in err
+
+
+# The child sets the pure-scan budget, runs one command and reports whether
+# numpy was imported.
+_CHILD = """\
+import sys
+from flexdp import cli, mechanism
+mechanism._PYTHON_SCAN_WORK = int(sys.argv[1])
+code = cli.main(sys.argv[2:])
+print("numpy imported:", "numpy" in sys.modules)
+sys.exit(code)
+"""
+
+
+def _run_child(budget, argv):
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(flexdp.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", _CHILD, str(budget)] + [str(a) for a in argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    *lines, imported = done.stdout.splitlines()
+    return "\n".join(lines), imported
+
+
+def test_small_commands_run_without_numpy(tmp_path, capsys):
+    data = pathlib.Path(__file__).resolve().parent.parent / "corpus" / "two_tables"
+    metrics = tmp_path / "metrics.txt"
+    assert run(capsys, "collect-metrics", "--data", data, "--metrics", metrics)[0] == 0
+    common = ("--metrics", metrics, "--epsilon", "1", "--delta", "1e-9", "--json")
+    query = data / "q_join.sql"
+    for argv in (
+        ("analyze", query) + common,
+        ("release", query) + common + ("--seed", "5", "--execute", "--data", data),
+    ):
+        small, imported = _run_child(mechanism._PYTHON_SCAN_WORK, argv)
+        assert imported == "numpy imported: False"
+        # over the budget the scan imports numpy, and prints the same numbers
+        over, imported = _run_child(0, argv)
+        assert imported == "numpy imported: True"
+        assert over == small
+        # as does this process, which holds numpy already
+        assert run(capsys, *argv)[:2] == (0, small + "\n")

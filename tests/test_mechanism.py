@@ -1,6 +1,9 @@
 """Smoothing, noise, releases, and the privacy budget."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -26,12 +29,16 @@ from flexdp import (
     smooth_scan,
 )
 
+from flexdp.mechanism import PCG64
+
 from _support import (
     TRIANGLE_SQL,
     brute_smooth,
     chain_catalog,
     chain_metrics,
     chain_sql,
+    random_micro_db,
+    random_query_sql,
     triangle_catalog,
     triangle_metrics,
 )
@@ -160,9 +167,95 @@ def test_deep_chain_scan_matches_the_square_horizon():
     assert (bound.S, bound.k_star, bound.log_S) == (wide.S, wide.k_star, wide.log_S)
 
 
+def test_python_and_numpy_scans_agree(monkeypatch):
+    # the pure-Python log system repeats numpy's float64 operations, so both
+    # scans find the same maximum at the same distance
+    rng = np.random.default_rng(20261020)
+    cases = [
+        (triangle_query(), METRICS),
+        (parse_query(chain_sql(6), chain_catalog(7)), chain_metrics(7)),
+    ]
+    while len(cases) < 82:
+        db = random_micro_db(rng, max_tables=3, max_rows=4, max_values=3)
+        public = [name for name in sorted(db.tables) if rng.random() < 0.25]
+        q = parse_query(random_query_sql(rng, db, max_joins=3), db.catalog())
+        cases.append((q, db.exact_metrics(public)))
+    profiles = []  # the kind of distance sequence each scan evaluated
+
+    def recorded(q, ks, m, **options):
+        profiles.append(type(ks))
+        return sensitivity_log_profile(q, ks, m, **options)
+
+    monkeypatch.setattr("flexdp.mechanism.sensitivity_log_profile", recorded)
+    for q, m in cases:
+        for epsilon in (0.1, 0.5, 1.0):
+            p = make_params(epsilon, 1e-6)
+            bounds = []
+            for in_python in (True, False):
+                monkeypatch.setattr("flexdp.mechanism._scan_in_python", lambda work: in_python)
+                bounds.append(smooth_bound(q, m, p))
+            assert bounds[0] == bounds[1], (q, epsilon)
+            assert profiles[-2:] == [list, np.ndarray]
+
+
+def test_public_scan_and_profile_take_arrays(monkeypatch):
+    # only smooth_bound's own profile runs on lists: a caller's array code
+    # keeps working whatever the scan choice
+    monkeypatch.setattr("flexdp.mechanism._scan_in_python", lambda work: True)
+    bound = smooth_scan(lambda ks: -0.5 * ks, beta=0.1, k_max=20)
+    assert (bound.S, bound.k_star, bound.values_scanned) == (1.0, 0, 21)
+    q = triangle_query()
+    assert isinstance(sensitivity_log_profile(q, [0.0, 1.0], METRICS), np.ndarray)
+    pure = sensitivity_log_profile(q, [0.0, 1.0], METRICS, in_python=True)
+    assert isinstance(pure, list) and len(pure) == 2
+
+
+# The child runs the same scan four times in a process without numpy and
+# prints each result and whether numpy was imported by then.
+_SCAN_CHILD = """\
+import sys
+from flexdp import make_params, mechanism, parse_query, smooth_bound
+from _support import TRIANGLE_SQL, triangle_catalog, triangle_metrics
+mechanism._PYTHON_SCAN_TOTAL = int(sys.argv[1])
+q, m = parse_query(TRIANGLE_SQL, triangle_catalog()), triangle_metrics()
+for _ in range(4):
+    b = smooth_bound(q, m, make_params(0.5, 1e-6))
+    print(repr((b.S, b.k_star, b.log_S)), "numpy" in sys.modules)
+"""
+
+
+def test_pure_scans_stop_after_the_process_total():
+    # a triangle scan at epsilon 0.5 is 118 distances of 3 steps: two pure
+    # scans pass a total of 700 units, so the third imports numpy
+    q, p = triangle_query(), make_params(0.5, 1e-6)
+    assert (scan_limit(q, p) + 1) * (join_count(q) + 1) == 354
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
+    done = subprocess.run(
+        [sys.executable, "-c", _SCAN_CHILD, "700"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    b = smooth_bound(q, METRICS, p)
+    expected = repr((b.S, b.k_star, b.log_S))
+    assert done.stdout.splitlines() == [
+        expected + " False", expected + " False", expected + " True", expected + " True"
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Laplace sampling
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "seed", [0, 7, 42, 2**63 + 12345, 2**100 + 3, 2**128 - 1, 2**300 + 5]
+)
+def test_pcg64_matches_numpy_default_rng(seed):
+    reference = np.random.default_rng(seed)
+    clone = PCG64(seed)
+    assert [clone.random() for _ in range(1000)] == [reference.random() for _ in range(1000)]
 
 
 def test_inverse_cdf_landmarks():
@@ -218,7 +311,7 @@ def test_release_count_draws_seed_when_omitted():
     q = parse_query("SELECT COUNT(*) FROM edges", CATALOG)
     p = make_params(1.0, 1e-6)
     r = release_count(5.0, q, METRICS, p)
-    assert isinstance(r.seed, int)
+    assert isinstance(r.seed, int) and 0 <= r.seed < 2**128
     replay = release_count(5.0, q, METRICS, p, seed=r.seed)
     assert replay.value == r.value
 

@@ -219,6 +219,13 @@ REJECTIONS = [
         "duplicate table alias",
     ),
     (
+        # the third input repeats the first's alias across the second join
+        "SELECT COUNT(*) FROM users u JOIN orders o ON u.id = o.uid "
+        "JOIN users u ON o.uid = u.id",
+        ParseError,
+        "duplicate table alias 'u'",
+    ),
+    (
         "WITH a AS (SELECT id FROM users) WITH a AS (SELECT id FROM users) "
         "SELECT COUNT(*) FROM a",
         ParseError,
