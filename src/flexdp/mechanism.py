@@ -23,6 +23,50 @@ without missing the maximum:
   exp(-beta*k) * sensitivity_at(k): the damped profile is non-increasing
   from ceil(j/beta) on, and its first maximum lies in 0..ceil(j/beta).
 
+Within 0..k_max the scan evaluates the profile only where that first
+maximum can still be. The sensitivity bound is non-decreasing in k (it
+combines counts n + k and constants by +, * and max), so with
+L(k) = ln sensitivity_at(k), every distance k of a run a < k < b between
+two evaluated distances has
+
+    L(k) - beta*k <= L(b) - beta*(a+1).
+
+A first round evaluates _SCAN_GRID evenly spaced distances, 0 and k_max
+among them. Each later round drops every run whose bound, plus a round-off
+slack, is at most the best value so far, and spreads about _SCAN_GRID new
+distances over the other runs, at least one in each, until no run is left.
+Every value in a dropped run, as computed, lies strictly below the best,
+so the scan returns the S, k* and log_S that evaluating every distance
+returns, ties to the smallest k included. A scan of at most
+2 * _SCAN_GRID distances is evaluated whole, in one round.
+
+The slack bounds the float error of the computed profile M(k) against
+L(k). With u = 2**-53:
+
+* every finite log in the plan is at least 0 (the counts are integers, at
+  least 1 where not 0), and a value whose error can reach the result is at
+  most L(k): it enters through a sum of such logs, a logaddexp, or a max;
+* each operation that rounds, an addition, ln or logaddexp, errs by at
+  most 8u * max(1, |its value|), four ulps, if ln, exp and log1p are
+  within two ulps (numpy's and libm's ln measured within half an ulp);
+* a sum passes on the sum of its operands' errors, logaddexp and max the
+  larger, and the operands of a sum (a product of counts) come from
+  disjoint parts of the plan, so no error counts twice. There are at most
+  N = j(j + 13)/2 + 2 rounding operations for j joins (seven per join, one
+  more per inner join that a key passes, two for a grouped count), and
+
+      |M(k) - L(k)| <= 8Nu * max(1, L(k)).
+
+With C = max(1, L(b)) >= max(1, L(k)), M(k) <= M(b) + 16NuC. The
+products beta*k, the subtractions and the test's own sum round by less than
+16u * (1 + max(M(b), 0) + beta*b) in all. So when
+
+    M(b) - beta*(a+1) + 16(N+1)u * (1 + max(M(b), 0) + beta*b) <= best,
+
+every computed value of the run lies strictly below the best, and the scan
+drops the run. A run where M(b) is -inf is -inf throughout and cannot
+hold the first maximum either: distance 0 is evaluated first.
+
 The scan compares values in the natural-log domain: sensitivities of deeply
 joined queries overflow doubles long before they stop mattering. One plan is
 evaluated in one of two log systems (see ``sensitivity``), picked for
@@ -63,6 +107,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 _SCAN_CHUNK = 1 << 16
+# The first round of a pruned scan: this many evenly spaced distances.
+_SCAN_GRID = 1024
+# Every integer distance up to here is exact in float64.
+_MAX_DISTANCE = 1 << 53
 # The largest scan, in distances times (joins + 1), done in pure Python. The
 # pure scan took 0.9-1.4 us per unit on 534 benchmark queries (2-core Xeon),
 # so this caps it near 20-30 ms, against about 160 ms to import numpy.
@@ -116,8 +164,9 @@ class SmoothBound:
     """Result of the smoothing scan.
 
     S is the smoothed sensitivity, attained at distance k_star; the scan
-    covered k = 0..k_max (values_scanned points). log_S is ln S as the scan
-    computed it: finite where S overflows to inf, and -inf where S is 0.
+    covered k = 0..k_max and evaluated the profile at values_scanned of
+    those distances (all of them, unless it pruned). log_S is ln S as the
+    scan computed it: finite where S overflows to inf, and -inf where S is 0.
     """
 
     S: float
@@ -152,11 +201,15 @@ def smooth_scan(
 ) -> SmoothBound:
     """Maximize exp(-beta*k) * f(k) over integer k in [0, k_max].
 
+    Every distance is evaluated, whatever the shape of f, so
+    ``values_scanned`` is k_max + 1.
+
     Args:
         log_profile: maps a numpy array of float distances k to ln f(k);
             may return -inf where f is 0.
         beta: smoothing rate, positive.
-        k_max: last distance to scan; the scan always includes k = 0.
+        k_max: last distance to scan, at most 2**53; the scan always
+            includes k = 0.
 
     Returns:
         SmoothBound with ties broken toward the smallest k.
@@ -164,29 +217,43 @@ def smooth_scan(
     return _scan(log_profile, beta, k_max, in_python=False)
 
 
-def _scan(log_profile, beta: float, k_max: int, in_python: bool) -> SmoothBound:
-    """``smooth_scan``, giving ``log_profile`` one list of all distances when ``in_python``."""
+def _scan(log_profile, beta: float, k_max: int, in_python: bool, slack=None) -> SmoothBound:
+    """``smooth_scan`` in either number system, pruned when given a ``slack``.
+
+    ``log_profile`` gets lists of float distances when ``in_python``, numpy
+    arrays otherwise, at most _SCAN_CHUNK at a time. With ``slack`` the
+    caller vouches that f is non-decreasing and that ``slack`` is the
+    round-off allowance of its log profile (module docstring). A scan of at
+    most 2 * _SCAN_GRID distances is still evaluated whole, in one round:
+    the grid would leave at most one distance between neighbours.
+    """
     if not beta > 0:
         raise InvalidParams("beta must be positive, got %r" % (beta,))
     if k_max < 0:
         raise InvalidParams("k_max must be non-negative, got %r" % (k_max,))
-    best_log = -math.inf
-    best_k = 0
-    if in_python:
-        ks = [float(k) for k in range(k_max + 1)]
-        values = [v - beta * k for v, k in zip(log_profile(ks), ks)]
-        best_log = max(values)
-        best_k = values.index(best_log)
+    if k_max > _MAX_DISTANCE:
+        raise InvalidParams(
+            "k_max must be at most 2**53, past which float distances are not "
+            "exact (it grows as epsilon shrinks), got %r" % (k_max,)
+        )
+    runs = _ListRuns() if in_python else _ArrayRuns()
+    if slack is None or k_max < 2 * _SCAN_GRID:
+        ks, slack = range(k_max + 1), None
     else:
-        import numpy as np
-
-        for start in range(0, k_max + 1, _SCAN_CHUNK):
-            ks = np.arange(start, min(start + _SCAN_CHUNK, k_max + 1), dtype=float)
-            values = log_profile(ks) - beta * ks
-            i = int(np.argmax(values))
-            if values[i] > best_log:
-                best_log = float(values[i])
-                best_k = start + i
+        ks = runs.grid(k_max)
+    best_log, best_k, scanned = -math.inf, 0, 0
+    while len(ks):
+        logs = []
+        for chunk in runs.chunks(ks):
+            part = log_profile(chunk)
+            value, i = runs.first_max(part, chunk, beta)
+            # rounds do not run in distance order: an equal value wins only below
+            if value > best_log or value == best_log and chunk[i] < best_k:
+                best_log, best_k = value, int(chunk[i])
+            if slack is not None:
+                logs.append(part)
+        scanned += len(ks)
+        ks = () if slack is None else runs.refine(ks, logs, best_log, beta, slack)
     if best_log == -math.inf:
         s = 0.0
     else:
@@ -194,7 +261,114 @@ def _scan(log_profile, beta: float, k_max: int, in_python: bool) -> SmoothBound:
             s = math.exp(best_log)
         except OverflowError:
             s = math.inf
-    return SmoothBound(S=s, k_star=best_k, k_max=k_max, values_scanned=k_max + 1, log_S=best_log)
+    return SmoothBound(
+        S=s, k_star=best_k, k_max=k_max, values_scanned=scanned, log_S=best_log
+    )
+
+
+class _ArrayRuns:
+    """The pruned scan's distances and runs, in numpy arrays.
+
+    A round's distances are a ``range`` (every distance) or integers. A run
+    is the open interval between two evaluated distances lo < hi, on which
+    a non-decreasing f is at most f(hi). ``refine`` splits the live runs at
+    the round just evaluated, drops those that cannot hold the first
+    maximum, and spreads the next round over the rest: about _SCAN_GRID
+    distances, in proportion to each run's length, at least one per run.
+    """
+
+    def __init__(self):
+        import numpy as np
+
+        self.np = np
+        self.lo = self.hi = self.hi_log = self.counts = None
+
+    def chunks(self, ks):
+        np = self.np
+        for start in range(0, len(ks), _SCAN_CHUNK):
+            chunk = ks[start:start + _SCAN_CHUNK]
+            if isinstance(chunk, range):
+                yield np.arange(chunk.start, chunk.stop, dtype=float)
+            else:
+                yield chunk.astype(float)
+
+    @staticmethod
+    def first_max(logs, ks, beta: float):
+        values = logs - beta * ks
+        i = int(values.argmax())
+        return float(values[i]), i
+
+    def grid(self, k_max: int):
+        np = self.np
+        return np.arange(_SCAN_GRID, dtype=np.int64) * k_max // (_SCAN_GRID - 1)
+
+    def refine(self, ks, logs: list, best: float, beta: float, slack: float):
+        np = self.np
+        logs = np.concatenate(logs)
+        if self.lo is None:  # the grid: a run between each two neighbours
+            lo, hi, hi_log = ks[:-1], ks[1:], logs[1:]
+        else:  # each run splits at the distances it was given
+            ends = np.cumsum(self.counts)
+            lo = np.insert(ks, ends - self.counts, self.lo)
+            hi = np.insert(ks, ends, self.hi)
+            hi_log = np.insert(logs, ends, self.hi_log)
+        bound = hi_log - beta * (lo + 1) + slack * (1 + np.maximum(hi_log, 0) + beta * hi)
+        keep = (hi - lo > 1) & (bound > best)
+        self.lo, self.hi, self.hi_log = lo[keep], hi[keep], hi_log[keep]
+        n = self.hi - self.lo - 1
+        self.counts = counts = np.clip(n * _SCAN_GRID // max(int(n.sum()), 1), 1, n)
+        run = np.repeat(np.arange(len(counts)), counts)
+        i = np.arange(1, len(run) + 1) - np.repeat(np.cumsum(counts) - counts, counts)
+        return self.lo[run] + i * (n[run] + 1) // (counts[run] + 1)
+
+
+class _ListRuns:
+    """``_ArrayRuns`` over lists of (lo, hi, ln f(hi)) runs, in pure Python."""
+
+    def __init__(self):
+        self.runs = self.counts = None
+
+    @staticmethod
+    def chunks(ks):
+        for start in range(0, len(ks), _SCAN_CHUNK):
+            yield [float(k) for k in ks[start:start + _SCAN_CHUNK]]
+
+    @staticmethod
+    def first_max(logs: list, ks: list, beta: float):
+        values = [v - beta * k for v, k in zip(logs, ks)]
+        best = max(values)
+        return best, values.index(best)
+
+    @staticmethod
+    def grid(k_max: int) -> list:
+        return [i * k_max // (_SCAN_GRID - 1) for i in range(_SCAN_GRID)]
+
+    def refine(self, ks: list, logs: list, best: float, beta: float, slack: float) -> list:
+        logs = [v for part in logs for v in part]
+        if self.runs is None:
+            runs = zip(ks, ks[1:], logs[1:])
+        else:
+            runs, start = [], 0
+            for (lo, hi, hi_log), count in zip(self.runs, self.counts):
+                inner, inner_logs = ks[start:start + count], logs[start:start + count]
+                runs += zip([lo] + inner, inner + [hi], inner_logs + [hi_log])
+                start += count
+        self.runs = [
+            (lo, hi, hi_log)
+            for lo, hi, hi_log in runs
+            if hi - lo > 1
+            and hi_log - beta * (lo + 1) + slack * (1 + max(hi_log, 0.0) + beta * hi) > best
+        ]
+        total = max(sum(hi - lo - 1 for lo, hi, _ in self.runs), 1)
+        self.counts = [
+            min(max((hi - lo - 1) * _SCAN_GRID // total, 1), hi - lo - 1)
+            for lo, hi, _ in self.runs
+        ]
+        return [
+            lo + i * (hi - lo) // (count + 1)
+            for (lo, hi, _), count in zip(self.runs, self.counts)
+            for i in range(1, count + 1)
+        ]
 
 
 def scan_limit(q: RelExpr, p: PrivacyParams) -> int:
@@ -211,8 +385,17 @@ def _scan_limit(joins: int, beta: float) -> int:
     return 0 if joins == 0 else int(math.ceil(joins / beta))
 
 
+def _slack(joins: int) -> float:
+    """The pruning slack for a plan of ``joins`` joins: 16 (N + 1) u (module docstring)."""
+    return 16 * (joins * (joins + 13) // 2 + 3) * 2.0**-53
+
+
 def smooth_bound(q: RelExpr, m: MetricsStore, p: PrivacyParams) -> SmoothBound:
-    """Smoothed sensitivity of a counting query under metrics ``m``."""
+    """Smoothed sensitivity of a counting query under metrics ``m``.
+
+    The sensitivity bound is non-decreasing in k, so the scan evaluates it
+    only where the maximum can still be (module docstring).
+    """
     joins = join_count(q)  # walks the whole tree: counted once
     k_max = _scan_limit(joins, p.beta)
     in_python = _scan_in_python((k_max + 1) * (joins + 1))
@@ -221,6 +404,7 @@ def smooth_bound(q: RelExpr, m: MetricsStore, p: PrivacyParams) -> SmoothBound:
         p.beta,
         k_max,
         in_python,
+        slack=_slack(joins),
     )
 
 

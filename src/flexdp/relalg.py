@@ -300,13 +300,22 @@ def is_self_join(j: Join) -> bool:
 
 
 def join_nodes(r: RelExpr):
-    """Yield every Join node in ``r``, depth first."""
-    if isinstance(r, Join):
-        yield from join_nodes(r.left)
-        yield from join_nodes(r.right)
-        yield r
-    elif isinstance(r, (Project, Select, Aliased, Count, CountGrouped)):
-        yield from join_nodes(r.input)
+    """Every Join node in ``r``, as an iterator in post-order.
+
+    A join comes after the joins of its left input, then those of its right
+    input. The walk keeps an explicit stack, so it costs O(nodes) however
+    deep the tree: it collects the joins root, right, left and returns them
+    reversed.
+    """
+    joins, stack = [], [r]
+    while stack:
+        r = stack.pop()
+        if isinstance(r, Join):
+            joins.append(r)
+            stack += (r.left, r.right)
+        elif not isinstance(r, Table):  # every other node has one input
+            stack.append(r.input)
+    return reversed(joins)
 
 
 def unwrap_root(q: RelExpr) -> RelExpr:

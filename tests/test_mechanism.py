@@ -29,7 +29,7 @@ from flexdp import (
     smooth_scan,
 )
 
-from flexdp.mechanism import PCG64
+from flexdp.mechanism import PCG64, _scan, _slack
 
 from _support import (
     TRIANGLE_SQL,
@@ -169,21 +169,24 @@ def test_deep_chain_scan_matches_the_square_horizon():
 
 def test_python_and_numpy_scans_agree(monkeypatch):
     # the pure-Python log system repeats numpy's float64 operations, so both
-    # scans find the same maximum at the same distance
+    # scans find the same maximum at the same distance, after evaluating the
+    # same distances (the 8-join chain at 0.1 is pruned, in several rounds)
     rng = np.random.default_rng(20261020)
     cases = [
         (triangle_query(), METRICS),
         (parse_query(chain_sql(6), chain_catalog(7)), chain_metrics(7)),
+        (parse_query(chain_sql(8), chain_catalog(9)), chain_metrics(9)),
     ]
-    while len(cases) < 82:
+    while len(cases) < 83:
         db = random_micro_db(rng, max_tables=3, max_rows=4, max_values=3)
         public = [name for name in sorted(db.tables) if rng.random() < 0.25]
         q = parse_query(random_query_sql(rng, db, max_joins=3), db.catalog())
         cases.append((q, db.exact_metrics(public)))
-    profiles = []  # the kind of distance sequence each scan evaluated
+    profiles = {True: [], False: []}  # the distance sequences each scan evaluated
+    in_python = None
 
     def recorded(q, ks, m, **options):
-        profiles.append(type(ks))
+        profiles[in_python].append(type(ks))
         return sensitivity_log_profile(q, ks, m, **options)
 
     monkeypatch.setattr("flexdp.mechanism.sensitivity_log_profile", recorded)
@@ -195,7 +198,67 @@ def test_python_and_numpy_scans_agree(monkeypatch):
                 monkeypatch.setattr("flexdp.mechanism._scan_in_python", lambda work: in_python)
                 bounds.append(smooth_bound(q, m, p))
             assert bounds[0] == bounds[1], (q, epsilon)
-            assert profiles[-2:] == [list, np.ndarray]
+    assert set(profiles[True]) == {list} and set(profiles[False]) == {np.ndarray}
+    assert len(profiles[True]) > len(cases) * 3  # some scans took more than one round
+
+
+def test_pruned_scan_matches_the_exhaustive_scan_at_tiny_epsilon():
+    # at epsilon 1e-5 the triangle's horizon is 6.7 M distances; the pruned
+    # scan evaluates under 1 % of them and returns what evaluating all does
+    q, p = triangle_query(), make_params(1e-5, 1e-7)
+    bound = smooth_bound(q, METRICS, p)
+    whole = smooth_scan(lambda ks: sensitivity_log_profile(q, ks, METRICS), p.beta, bound.k_max)
+    assert (bound.S, bound.k_star, bound.log_S) == (whole.S, whole.k_star, whole.log_S)
+    assert whole.values_scanned == bound.k_max + 1 == scan_limit(q, p) + 1
+    assert bound.values_scanned < 0.01 * (bound.k_max + 1)
+
+
+@pytest.mark.parametrize("in_python", [True, False])
+def test_pruned_scan_breaks_a_plateau_tie_toward_the_smaller_k(in_python):
+    # a non-decreasing profile, beta * s on [s, next step): its damped value
+    # is exactly 0 at 50001 and at 70000 and below 0 elsewhere. The first
+    # round's grid is every 100th distance, so it finds the tie at 70000
+    # first; 50001 sits in a run whose right end is on the same plateau, and
+    # only a bound by that end with a slack keeps the run
+    beta, k_max = 1e-4, 102300
+
+    def log_profile(ks):
+        logs = [beta * 70000.0 if k >= 70000 else beta * 50001.0 if k >= 50001 else -1.0
+                for k in ks]
+        return logs if isinstance(ks, list) else np.array(logs)
+
+    bound = _scan(log_profile, beta, k_max, in_python, slack=_slack(2))
+    assert (bound.S, bound.k_star, bound.log_S) == (1.0, 50001, 0.0)
+    assert bound.values_scanned < 2000
+    assert smooth_scan(log_profile, beta, k_max).k_star == 50001
+
+
+def test_pruned_scan_matches_the_exhaustive_scan_on_random_plateaus():
+    rng = np.random.default_rng(20261018)
+    for _ in range(40):
+        beta = float(rng.choice([1e-3, 1e-4]))
+        k_max = int(rng.integers(2048, 40000))
+        steps = sorted(set(int(s) for s in rng.integers(0, k_max + 1, rng.integers(1, 12))))
+        # each step reaches the maximum or falls short of it by a little
+        levels = [beta * s - float(rng.choice([0.0, 0.0, 1e-9, 1e-3])) for s in steps]
+        table = np.full(k_max + 1, -1.0)
+        for s, level in zip(steps, levels):
+            table[s:] = max(level, table[s - 1] if s else -1.0)
+        floats = table.tolist()
+        whole = smooth_scan(lambda ks: table[ks.astype(int)], beta, k_max)
+        for in_python in (True, False):
+            pruned = _scan(
+                (lambda ks: [floats[int(k)] for k in ks]) if in_python
+                else (lambda ks: table[ks.astype(int)]),
+                beta, k_max, in_python, slack=_slack(2),
+            )
+            assert (pruned.S, pruned.k_star, pruned.log_S) == (whole.S, whole.k_star, whole.log_S)
+            assert pruned.values_scanned < whole.values_scanned
+
+
+def test_scan_rejects_distances_past_float_precision():
+    with pytest.raises(InvalidParams):
+        smooth_scan(lambda ks: ks, beta=0.1, k_max=2**53 + 1)
 
 
 def test_public_scan_and_profile_take_arrays(monkeypatch):

@@ -153,6 +153,35 @@ def test_join_nodes_walks_whole_tree():
     assert len(list(join_nodes(q))) == 2
 
 
+def test_join_nodes_order_on_a_bushy_tree():
+    # post-order through every wrapper kind: a join after its left input's
+    # joins, then its right input's
+    def t(alias):
+        return Table("edges", alias, ("source", "dest"))
+
+    j1 = _join(t("a"), t("b"), "a.dest", "b.source")
+    j2 = _join(Select((), j1), t("c"), "b.dest", "c.source")
+    j3 = _join(t("d"), Project((AttrRef("e", "source"),), t("e")), "d.dest", "e.source")
+    grouped = Aliased(CountGrouped((AttrRef("d", "source"),), j3), "g")
+    j4 = _join(j2, grouped, "c.dest", "g.source")
+    j5 = _join(t("f"), t("h"), "f.dest", "h.source")
+    j6 = _join(j5, Aliased(j4, "w"), "h.dest", "w.source")
+    q = Count(Project((AttrRef("f", "source"),), j6))
+    walked = list(join_nodes(q))
+    expected = [j5, j1, j2, j3, j4, j6]
+    assert len(walked) == len(expected)
+    assert all(got is want for got, want in zip(walked, expected))
+    assert list(join_nodes(t("a"))) == []
+
+
+def test_join_nodes_walks_a_chain_deeper_than_the_recursion_limit():
+    chain = t = Table("edges", "e0", ("source", "dest"))
+    for i in range(1, 5001):
+        t = Table("edges", "e%d" % i, ("source", "dest"))
+        chain = _join(chain, t, "e%d.dest" % (i - 1), "e%d.source" % i)
+    assert sum(1 for _ in join_nodes(Count(chain))) == 5000
+
+
 def test_unwrap_and_root_count():
     c = Count(USERS, label="n")
     q = Project((AttrRef(None, "n"),), Aliased(c, "sub"))
