@@ -59,6 +59,28 @@ def coerce_value(text: str) -> Value:
     return text
 
 
+class _ObservedDomains(dict):
+    """Per-table column domains: given ones, else each column's observed values.
+
+    An observed domain is sorted on first read from the rows the database
+    was built with. A neighbour made by ``MicroDatabase.replace`` shares
+    this mapping, so it sees the original rows' domains, never its own.
+    """
+
+    def __init__(self, given: dict, tables: dict, columns: dict):
+        super().__init__(given)
+        self._tables, self._columns = tables, columns
+
+    def __missing__(self, name: str) -> tuple:
+        rows = self._tables.get(name, [])
+        observed = tuple(
+            tuple(sorted({row[i] for row in rows}, key=repr))
+            for i in range(len(self._columns[name]))
+        )
+        self[name] = observed
+        return observed
+
+
 @dataclass
 class MicroDatabase:
     """A tiny multi-table database with explicit per-column value domains.
@@ -80,13 +102,8 @@ class MicroDatabase:
                     raise EvaluationError(
                         "row width %d does not match columns of %r" % (len(row), name)
                     )
-            if name not in self.domains:
-                # default to the values observed in each column
-                observed = tuple(
-                    tuple(sorted({row[i] for row in rows}, key=repr))
-                    for i in range(len(cols))
-                )
-                self.domains[name] = observed
+        if not isinstance(self.domains, _ObservedDomains):
+            self.domains = _ObservedDomains(self.domains, self.tables, self.columns)
 
     @classmethod
     def from_csv_dir(cls, path: str, tables: Optional[Iterable[str]] = None) -> "MicroDatabase":

@@ -76,9 +76,9 @@ class Comparison:
 class _Node:
     """Common base of the relational node classes.
 
-    A node's scope and ancestor set are each computed at most once and kept
-    on the node, so they are freed with the tree. They are not dataclass
-    fields: node equality and hashing ignore them.
+    A node's scope, ancestor set and sensitivity plan are each computed at
+    most once and kept on the node, so they are freed with the tree. They
+    are not dataclass fields: node equality and hashing ignore them.
     """
 
     @functools.cached_property
@@ -88,6 +88,12 @@ class _Node:
     @functools.cached_property
     def _ancestors(self) -> frozenset:
         return _compute_ancestors(self)
+
+    @functools.cached_property
+    def _plan(self) -> tuple:
+        from .sensitivity import _compile  # deferred: sensitivity imports this module
+
+        return _compile(self)
 
 
 def _check_node(r):

@@ -23,18 +23,22 @@ common value. Public tables are exempt: their contents are fixed, so their
 stability is 0 and their max frequencies do not grow with k. Each join a
 column passes multiplies its max frequency by the other side's key's.
 
-Each call compiles the query once into a flat post-order plan: a step per
-base table, join and count. A join step holds its self-join flag and, per
-key, the base column's mf and public flag and the inner joins whose key mf
-multiplies it; a key that passes through an aggregation is rejected while
-compiling. One loop, ``_evaluate``, applies the rules to the plan in exact
-integers at a single k, or in float64 natural logs over many k for the
-smoothing scan, which needs the whole profile and whose values can exceed
-double range. In logs products become sums, sums become ``logaddexp`` and
-max stays max, a few ulps of error per step. The logs have two systems and
-one plan: ``_Log`` over a numpy array, and ``_PyLog`` over a list in pure
-Python, which repeats numpy's float64 operations one by one so that a short
-scan needs no numpy import. The mechanism picks which.
+Each relation is compiled once into a flat post-order plan, kept on its
+node: a step per base table, join and count. The plan holds no metric
+values. A table step names its table, and a join step holds its self-join
+flag and, per key, the base column's (table, column) and the inner joins
+whose key mf multiplies it; a key that passes through an aggregation is
+rejected while compiling. One loop, ``_evaluate``, reads each table's
+public flag and each key's mf from the metrics it is given and applies the
+rules to the plan in exact integers at a single k, or in float64 natural
+logs over many k for the smoothing scan, which needs the whole profile and
+whose values can exceed double range. So exact k=0, every round of the scan
+and ``check``'s loop share one compile, and one tree can be evaluated
+against any metrics. In logs products become sums, sums become
+``logaddexp`` and max stays max, a few ulps of error per step. The logs
+have two systems and one plan: ``_Log`` over a numpy array, and ``_PyLog``
+over a list in pure Python, which repeats numpy's float64 operations one by
+one so that a short scan needs no numpy import. The mechanism picks which.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ from .relalg import (
     RelExpr,
     Select,
     Table,
+    _check_node,
     attribute_index,
     is_self_join,
     join_nodes,
@@ -70,16 +75,17 @@ def _check_distance(k):
 class _Step(NamedTuple):
     """One plan step; ``inputs`` are indices of earlier steps.
 
-    ``op`` is "const" (a base table's or a plain count's ``stability``),
-    "grouped" or "join". A join has ``self_join`` and left and right
-    ``keys``, each (mf, public, factors): the base column's metric, then
-    (join step, side) pairs, innermost first, whose key mf multiplies it;
-    a column multiplies by the key of the side (0 left, 1 right) it is not on.
+    ``op`` is "table" (the base table ``table``), "count" (a plain count,
+    stability 1), "grouped" or "join". A join has ``self_join`` and left
+    and right ``keys``, each (table, column, factors): the base column,
+    then (join step, side) pairs, innermost first, whose key mf multiplies
+    its mf; a column multiplies by the key of the side (0 left, 1 right) it
+    is not on.
     """
 
     op: str
     inputs: tuple = ()
-    stability: int = 0
+    table: str = ""
     self_join: bool = False
     keys: tuple = ()
 
@@ -88,23 +94,23 @@ def _through(columns: list, factor: tuple) -> list:
     return [None if c is None else c + (factor,) for c in columns]
 
 
-def _key(attr: AttrRef, r: RelExpr, columns: list, m: MetricsStore):
-    """The key ``attr`` in ``r`` as (mf, public, factors); refused past an aggregation."""
+def _key(attr: AttrRef, r: RelExpr, columns: list):
+    """The key ``attr`` in ``r`` as (table, column, factors); refused past an aggregation."""
     column = columns[attribute_index(attr, r)]
     if column is None:
         raise UnsupportedQuery(
             "join key %s has no max-frequency bound (aggregation input)" % attr
         )
-    table, name, *factors = column
-    return m.mf_of(table, name), m.is_public(table), factors
+    return column[0], column[1], column[2:]
 
 
-def _compile(r: RelExpr, m: MetricsStore):
+def _compile(r: RelExpr):
     """Walk ``r`` once and return its post-order plan and output columns.
 
     The columns hold, per scope position of ``r``, (table, column, factors...)
     for a position that traces to a base-table column, and None for one that
     passes through an aggregation. The last step of the plan is ``r``'s.
+    It reads no metrics, so the result is kept on ``r`` (``_Node._plan``).
 
     Raises:
         UnsupportedQuery: a join key has no max-frequency bound.
@@ -113,15 +119,15 @@ def _compile(r: RelExpr, m: MetricsStore):
 
     def walk(r):
         if isinstance(r, Table):
-            plan.append(_Step("const", stability=0 if m.is_public(r.name) else 1))
+            plan.append(_Step("table", table=r.name))
             return [(r.name, column) for column in r.columns]
         if isinstance(r, Join):
             left_columns = walk(r.left)
             left = len(plan) - 1
             right_columns = walk(r.right)
             keys = (
-                _key(r.key_left, r.left, left_columns, m),
-                _key(r.key_right, r.right, right_columns, m),
+                _key(r.key_left, r.left, left_columns),
+                _key(r.key_right, r.right, right_columns),
             )
             step = len(plan)
             plan.append(_Step("join", (left, step - 1), self_join=is_self_join(r), keys=keys))
@@ -132,7 +138,7 @@ def _compile(r: RelExpr, m: MetricsStore):
         if isinstance(r, (Select, Aliased)):
             return walk(r.input)
         if isinstance(r, Count):
-            plan.append(_Step("const", stability=1))
+            plan.append(_Step("count"))
             return [None]
         if isinstance(r, CountGrouped):
             walk(r.input)
@@ -142,6 +148,12 @@ def _compile(r: RelExpr, m: MetricsStore):
 
     columns = walk(r)
     return plan, columns
+
+
+def _compiled(r: RelExpr):
+    """``r``'s plan and output columns, compiled on first use and kept on ``r``."""
+    _check_node(r)
+    return r._plan
 
 
 # The two number systems. ``const(n)`` is n at every distance and
@@ -231,28 +243,34 @@ class _PyLog:
         return [log(n + k) if n + k > 0 else ninf for k in self.ks]
 
 
-def _key_mf(key: tuple, key_mfs: list, numbers):
-    mf, public, factors = key
-    value = numbers.const(mf) if public else numbers.grow(mf)
+def _key_mf(key: tuple, key_mfs: list, numbers, m: MetricsStore):
+    table, column, factors = key
+    mf = m.mf_of(table, column)
+    value = numbers.const(mf) if m.is_public(table) else numbers.grow(mf)
     for step, side in factors:
         value = numbers.mul(value, key_mfs[step][side])
     return value
 
 
-def _evaluate(plan: list, numbers):
-    """Apply the stability rules to every step of ``plan`` in order.
+def _evaluate(plan: list, numbers, m: MetricsStore):
+    """Apply the stability rules to every step of ``plan`` in order, under ``m``.
 
     Returns the per-step stabilities and, for join steps, the (left, right)
     key max frequencies.
+
+    Raises:
+        MissingMetric: ``m`` has no mf for a join key.
     """
     stability, key_mfs = [], []
     for step in plan:
         mfs = ()
-        if step.op == "const":
-            s = numbers.const(step.stability)
+        if step.op == "table":
+            s = numbers.const(0 if m.is_public(step.table) else 1)
+        elif step.op == "count":
+            s = numbers.const(1)
         elif step.op == "join":
             s_left, s_right = stability[step.inputs[0]], stability[step.inputs[1]]
-            mfs = [_key_mf(key, key_mfs, numbers) for key in step.keys]
+            mfs = [_key_mf(key, key_mfs, numbers, m) for key in step.keys]
             via_right = numbers.mul(mfs[0], s_right)
             via_left = numbers.mul(mfs[1], s_left)
             if step.self_join:
@@ -273,8 +291,8 @@ def _sensitivity(q: RelExpr, m: MetricsStore, numbers):
     # count's is its own (the input's, doubled)
     root = root_count(q)
     relation = root if isinstance(root, CountGrouped) else root.input
-    plan, _ = _compile(relation, m)
-    return _evaluate(plan, numbers)[0][-1]
+    plan, _ = _compiled(relation)
+    return _evaluate(plan, numbers, m)[0][-1]
 
 
 def mf_at_distance(attr: AttrRef, r: RelExpr, k: int, m: MetricsStore) -> int:
@@ -291,10 +309,10 @@ def mf_at_distance(attr: AttrRef, r: RelExpr, k: int, m: MetricsStore) -> int:
             has no metric-derived bound, or a join in ``r`` has such a key.
     """
     _check_distance(k)
-    plan, columns = _compile(r, m)
-    key = _key(attr, r, columns, m)
+    plan, columns = _compiled(r)
+    key = _key(attr, r, columns)
     numbers = _Exact(k)
-    return _key_mf(key, _evaluate(plan, numbers)[1], numbers)
+    return _key_mf(key, _evaluate(plan, numbers, m)[1], numbers, m)
 
 
 def elastic_stability(r: RelExpr, k: int, m: MetricsStore) -> int:
@@ -305,8 +323,8 @@ def elastic_stability(r: RelExpr, k: int, m: MetricsStore) -> int:
     up to k from the actual one.
     """
     _check_distance(k)
-    plan, _ = _compile(r, m)
-    return _evaluate(plan, _Exact(k))[0][-1]
+    plan, _ = _compiled(r)
+    return _evaluate(plan, _Exact(k), m)[0][-1]
 
 
 def elastic_sensitivity(q: RelExpr, k: int, m: MetricsStore) -> int:
@@ -329,9 +347,10 @@ def sensitivity_log_profile(q: RelExpr, ks, m: MetricsStore, in_python: bool = F
     """ln of the query's sensitivity bound, evaluated at every distance in ``ks``.
 
     ``ks`` holds float distances. The result is a numpy array, or, with
-    ``in_python``, a list computed in pure Python. Both match ln(elastic_sensitivity) up to float round-off, -inf where
-    the bound is 0 (all-public queries), and each other but for the odd ulp
-    where ``math.log`` and numpy's log round apart.
+    ``in_python``, a list computed in pure Python. Both match
+    ln(elastic_sensitivity) up to float round-off, -inf where the bound is
+    0 (all-public queries), and each other but for the odd ulp where
+    ``math.log`` and numpy's log round apart.
     """
     return _sensitivity(q, m, _PyLog(ks) if in_python else _Log(ks))
 

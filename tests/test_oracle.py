@@ -60,6 +60,19 @@ def test_csv_loading(tmp_path):
     assert set(db.domains["edges"][0]) == {1, 2}
 
 
+def test_domains_are_built_on_first_read_from_the_original_rows():
+    db = db_from([(1, 2), (2, 3)], name="edges")
+    assert dict(db.domains) == {}  # nothing sorted at load
+    neighbour = db.replace({("edges", 0): (7, 9)})
+    # the neighbour reads the domains of the rows it was made from
+    assert neighbour.domains["edges"] == ((1, 2), (2, 3))
+    assert db.domains["edges"] is neighbour.domains["edges"]
+    given = db_from([(1, 2)], domains=((0, 1, 2), (2,)))
+    assert given.domains["edges"] == ((0, 1, 2), (2,))
+    with pytest.raises(KeyError):
+        db.domains["nodes"]
+
+
 def test_plain_and_filtered_counts():
     query = q("SELECT COUNT(*) FROM edges", CYCLE)
     assert eval_query(query, CYCLE) == 3

@@ -14,6 +14,7 @@ from flexdp import (
     CountGrouped,
     Join,
     MetricsStore,
+    MissingMetric,
     Project,
     Select,
     Table,
@@ -26,7 +27,9 @@ from flexdp import (
     parse_query,
     release_count,
     sensitivity_log_profile,
+    smooth_bound,
 )
+from flexdp import mechanism, sensitivity
 
 from _support import (
     TRIANGLE_SQL,
@@ -335,6 +338,90 @@ def test_analysis_keeps_no_reference_to_the_query():
     del q
     gc.collect()
     assert [r for r in refs if r() is not None] == []
+
+
+def test_each_tree_is_compiled_once(monkeypatch):
+    # exact k = 0, every round of a pruned scan and a later exact k share
+    # the plan kept on the counted relation
+    q = parse_query(chain_sql(8), chain_catalog(9))
+    m = chain_metrics(9)
+    compiled, rounds = [], []
+    compile_walk, profile = sensitivity._compile, mechanism.sensitivity_log_profile
+
+    def counted_compile(r, *args):
+        compiled.append(r)
+        return compile_walk(r, *args)
+
+    def counted_profile(*args, **options):
+        rounds.append(args[1])
+        return profile(*args, **options)
+
+    monkeypatch.setattr(sensitivity, "_compile", counted_compile)
+    monkeypatch.setattr(mechanism, "sensitivity_log_profile", counted_profile)
+    elastic_sensitivity(q, 0, m)
+    smooth_bound(q, m, make_params(0.1, 1e-6))
+    elastic_sensitivity(q, 5, m)
+    assert len(rounds) > 1  # the scan was pruned, in several rounds
+    assert len(compiled) == 1 and compiled[0] is q.input
+
+
+def test_metrics_are_bound_per_call_not_cached():
+    # one tree under store A, then B, then A again answers as a freshly
+    # parsed tree does under each: the plan kept on it holds no metric
+    sql, catalog = chain_sql(8), chain_catalog(9)
+    a = chain_metrics(9)
+    b = MetricsStore(
+        mf={**a.mf, ("t3", "b"): 40},
+        public_tables=frozenset({"t5"}),
+        row_counts=a.row_counts,
+    )
+    q = parse_query(sql, catalog)
+    p = make_params(0.1, 1e-6)
+    ks = [float(k) for k in range(0, 3000, 7)]
+    exacts = []
+    for m in (a, b, a):
+        fresh = parse_query(sql, catalog)
+        exact = [elastic_sensitivity(q, k, m) for k in range(21)]
+        assert exact == [elastic_sensitivity(fresh, k, m) for k in range(21)]
+        exacts.append(exact)
+        for k in (0, 3, 20):
+            assert mf_at_distance(AttrRef("r3", "b"), q.input.left, k, m) == mf_at_distance(
+                AttrRef("r3", "b"), fresh.input.left, k, m
+            )
+        np.testing.assert_array_equal(
+            sensitivity_log_profile(q, np.array(ks), m),
+            sensitivity_log_profile(fresh, np.array(ks), m),
+        )
+        assert sensitivity_log_profile(q, ks, m, in_python=True) == sensitivity_log_profile(
+            fresh, ks, m, in_python=True
+        )
+        assert smooth_bound(q, m, p) == smooth_bound(fresh, m, p)
+    assert exacts[0] == exacts[2] != exacts[1]
+
+    # errors come from each call, not only the first
+    missing = MetricsStore(
+        mf={key: mf for key, mf in a.mf.items() if key != ("t3", "b")},
+        row_counts=a.row_counts,
+    )
+    for call in (
+        lambda: elastic_sensitivity(q, 0, missing),
+        lambda: elastic_sensitivity(q, 0, missing),
+        lambda: sensitivity_log_profile(q, np.array(ks), missing),
+        lambda: smooth_bound(q, missing, p),
+    ):
+        with pytest.raises(MissingMetric, match="t3.b"):
+            call()
+    assert elastic_sensitivity(q, 0, a) == exacts[0][0]
+    counted = Aliased(Count(EDGES, label="n"), "a")
+    bad = Count(Join(counted, EDGES, AttrRef("a", "n"), AttrRef("edges", "source")))
+    for call in (
+        lambda: elastic_sensitivity(bad, 0, METRICS),
+        lambda: elastic_sensitivity(bad, 0, METRICS),
+        lambda: sensitivity_log_profile(bad, np.array(ks), METRICS),
+        lambda: smooth_bound(bad, METRICS, p),
+    ):
+        with pytest.raises(UnsupportedQuery, match="a.n"):
+            call()
 
 
 def test_log_profile_grouped_and_public():
