@@ -52,7 +52,7 @@ def main():
         params = make_params(0.7, delta)
         bound = smooth_bound(query, metrics, params)
         print(
-            "epsilon=0.7 delta=%g: beta=%.6f, scan 0..%d, max at k*=%d"
+            "epsilon=0.7 delta=%g: beta=%.6f, horizon 0..%d, max at k*=%d"
             % (delta, params.beta, scan_limit(query, params), bound.k_star)
         )
         print(
@@ -62,7 +62,7 @@ def main():
     print()
     print("the smoothed bound pays for distances beyond the observed data:")
     print("  raw sensitivity at k=0 underestimates what a neighbor's")
-    print("  neighbor could look like, so the scan maximizes")
+    print("  neighbor could look like, so smoothing maximizes")
     print("  exp(-beta*k) * S^(k) and the noise uses that envelope.")
 
     n = metrics.total_rows()

@@ -1,7 +1,7 @@
 """Command line interface.
 
 Subcommands:
-    analyze          bound a query's sensitivity and show the smoothing scan
+    analyze          bound a query's sensitivity and show its smoothing
     collect-metrics  build a metrics file from CSV tables, or emit the SQL
                      an operator would run to collect the metrics remotely
     release          run the full private-release pipeline for one query
@@ -16,6 +16,7 @@ The true query result is never printed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import fcntl
 import itertools
 import json
@@ -56,6 +57,7 @@ from .metrics import (
 from .oracle import (
     MicroDatabase,
     coerce_value,
+    column_max_frequency,
     eval_query,
     local_sensitivity_at,
     max_frequency_at,
@@ -184,6 +186,25 @@ def _derived_bin_domain(query, store: MetricsStore, db: MicroDatabase):
     return [tuple(combo) for combo in itertools.product(*per_column)]
 
 
+def _observed_metrics(query, store: MetricsStore, db: MicroDatabase) -> MetricsStore:
+    """``store`` with every join key's mf raised to its max frequency in ``db``, where larger.
+
+    Elastic sensitivity bounds local sensitivity only where each mf is at
+    least the data's. max(recorded, observed) still moves by at most 1
+    between neighbouring databases, the one property of mf that smoothing
+    needs, so a stale file cannot lower the noise of a release from data.
+    """
+    mf = dict(store.mf)
+    for join in join_nodes(query):
+        for key, side in ((join.key_left, join.left), (join.key_right, join.right)):
+            base = scope_of(side)[attribute_index(key, side)].provenance
+            if base is not None and (base.table, base.column) in mf:
+                rows, columns = db.tables[base.table], db.columns[base.table]
+                observed = column_max_frequency(rows, columns.index(base.column))
+                mf[base.table, base.column] = max(mf[base.table, base.column], observed)
+    return dataclasses.replace(store, mf=mf)
+
+
 def _charge_budget(args, params: PrivacyParams):
     if args.budget_epsilon is None and args.budget_delta is None:
         return None
@@ -239,6 +260,7 @@ def cmd_release(args) -> int:
         # only the tables the query reads: a release never parses the others
         db = MicroDatabase.from_csv_dir(args.data, tables=ancestors(query))
         true_result = eval_query(query, db)
+        store = _observed_metrics(query, store, db)
     elif args.true_result is not None:
         true_result = _parse_true_result(args.true_result, grouped)
     else:

@@ -6,77 +6,38 @@ the elastic sensitivity over distances::
     S = max over k >= 0 of exp(-beta*k) * sensitivity_at(k),
     beta = epsilon / (2 * ln(2/delta))
 
-which yields (epsilon, delta)-differential privacy. The scan stops at
-``k_max = ceil(j/beta)`` for a query with j joins (0 for a join-free query)
-without missing the maximum:
+which yields (epsilon, delta)-differential privacy. S is found in closed
+form, without scanning distances:
 
-* the sensitivity bound is a max of polynomials in k with non-negative
-  coefficients, each of degree at most j. A column's max frequency in a
-  relation with i joins has degree at most i + 1 (a private mf + k has
-  degree 1, a public one 0, and each join it passes multiplies in the other
-  side's key), and the stability of a join of sides with a and b joins,
-  j = a + b + 1 in all, has degree at most (a + 1) + b = j. The self-join
-  sum, the max and the grouped doubling do not raise the degree;
-* for such a polynomial P and k >= 1, P(k+1)/P(k) <= ((k+1)/k)**j
-  <= exp(j/k), and the same ratio bounds their max;
-* so once k >= j/beta, exp(-beta*(k+1)) * sensitivity_at(k+1) is at most
-  exp(-beta*k) * sensitivity_at(k): the damped profile is non-increasing
-  from ceil(j/beta) on, and its first maximum lies in 0..ceil(j/beta).
+* the bound is a max of polynomials in k with non-negative integer
+  coefficients (``sensitivity_polynomials``), each of degree at most j for
+  j joins: a column's mf in a relation with i joins has degree at most
+  i + 1 (a private mf + k has degree 1, a public one 0, and each join it
+  passes multiplies in the other side's key), and the stability of a join
+  of sides with a and b joins has degree at most (a + 1) + b = j. Sums,
+  max and the grouped doubling do not raise the degree;
+* the two maxima commute, S = max over P of max over k of
+  exp(-beta*k) * P(k), so each P is maximised alone. As P(k+1)/P(k) <=
+  ((k+1)/k)**j <= exp(j/k), the damped P does not rise from
+  k_max = ceil(j/beta) on (0 without joins);
+* with beta = num/den exactly (``float.as_integer_ratio``), ln P(x) - beta*x
+  rises on the reals where g = den*P' - num*P > 0. g has integer
+  coefficients, so its sign at an integer is exact, and a negative leading
+  one; by Descartes' rule of signs it has at most as many positive roots
+  as sign changes. With at most one, a binary search on the sign of g over
+  0..k_max brackets the top in some [a, a+1] in O(log k_max) evaluations.
+  With more, g is monotone between the roots of g', bracketed first, and a
+  binary search finds its crossing in each run;
+* the integer maximum is 0, or a or a + 1 for a bracket a. Which of the
+  two is decided exactly, P(a+1)/P(a) against Taylor bounds on exp(beta)
+  in integers; they are never equal, as exp(beta) is irrational;
+* the candidates are compared as the brute-force reference compares
+  distances, on math.log(sensitivity_at(k)) - beta*k in floats; a tie goes
+  to the smaller k.
 
-Within 0..k_max the scan evaluates the profile only where that first
-maximum can still be. The sensitivity bound is non-decreasing in k (it
-combines counts n + k and constants by +, * and max), so with
-L(k) = ln sensitivity_at(k), every distance k of a run a < k < b between
-two evaluated distances has
-
-    L(k) - beta*k <= L(b) - beta*(a+1).
-
-A first round evaluates _SCAN_GRID evenly spaced distances, 0 and k_max
-among them. Each later round drops every run whose bound, plus a round-off
-slack, is at most the best value so far, and spreads about _SCAN_GRID new
-distances over the other runs, at least one in each, until no run is left.
-Every value in a dropped run, as computed, lies strictly below the best,
-so the scan returns the S, k* and log_S that evaluating every distance
-returns, ties to the smallest k included. A scan of at most
-2 * _SCAN_GRID distances is evaluated whole, in one round.
-
-The slack bounds the float error of the computed profile M(k) against
-L(k). With u = 2**-53:
-
-* every finite log in the plan is at least 0 (the counts are integers, at
-  least 1 where not 0), and a value whose error can reach the result is at
-  most L(k): it enters through a sum of such logs, a logaddexp, or a max;
-* each operation that rounds, an addition, ln or logaddexp, errs by at
-  most 8u * max(1, |its value|), four ulps, if ln, exp and log1p are
-  within two ulps (numpy's and libm's ln measured within half an ulp);
-* a sum passes on the sum of its operands' errors, logaddexp and max the
-  larger, and the operands of a sum (a product of counts) come from
-  disjoint parts of the plan, so no error counts twice. There are at most
-  N = j(j + 13)/2 + 2 rounding operations for j joins (seven per join, one
-  more per inner join that a key passes, two for a grouped count), and
-
-      |M(k) - L(k)| <= 8Nu * max(1, L(k)).
-
-With C = max(1, L(b)) >= max(1, L(k)), M(k) <= M(b) + 16NuC. The
-products beta*k, the subtractions and the test's own sum round by less than
-16u * (1 + max(M(b), 0) + beta*b) in all. So when
-
-    M(b) - beta*(a+1) + 16(N+1)u * (1 + max(M(b), 0) + beta*b) <= best,
-
-every computed value of the run lies strictly below the best, and the scan
-drops the run. A run where M(b) is -inf is -inf throughout and cannot
-hold the first maximum either: distance 0 is evaluated first.
-
-The scan compares values in the natural-log domain: sensitivities of deeply
-joined queries overflow doubles long before they stop mattering. One plan is
-evaluated in one of two log systems (see ``sensitivity``), picked for
-``smooth_bound`` by ``_scan_in_python``: a short scan in a process that has
-not imported numpy runs in pure Python, because numpy's import costs far
-more than the scan, until the process's pure scans add up to about one
-numpy import; every other scan runs in numpy, in chunks. The two profiles
-can differ by one ulp of ln. They gave the same S, k* and log_S on every
-benchmark and test query, but a seeded release replays bit for bit only
-on the same scan path.
+S and log_S are the log-domain bound at k* alone,
+``sensitivity_log_profile(q, [k*], m)``, damped; log_S stays finite where S
+overflows. One path computes them, so a seeded release replays bit for bit.
 
 The noise comes from ``PCG64``, numpy's ``default_rng(seed)`` (its
 SeedSequence hashing and the PCG64 generator, O'Neill 2014) written in pure
@@ -88,9 +49,8 @@ from __future__ import annotations
 import math
 import numbers
 import secrets
-import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     BudgetExhausted,
@@ -101,24 +61,17 @@ from .errors import (
 )
 from .metrics import MetricsStore
 from .relalg import Count, CountGrouped, RelExpr, root_count
-from .sensitivity import join_count, sensitivity_log_profile
+from .sensitivity import (
+    _brackets,
+    _value,
+    join_count,
+    sensitivity_log_profile,
+    sensitivity_polynomials,
+)
 
-if TYPE_CHECKING:
-    import numpy as np
-
-_SCAN_CHUNK = 1 << 16
-# The first round of a pruned scan: this many evenly spaced distances.
-_SCAN_GRID = 1024
+_SCAN_CHUNK = 1 << 16  # distances per step of smooth_scan
 # Every integer distance up to here is exact in float64.
 _MAX_DISTANCE = 1 << 53
-# The largest scan, in distances times (joins + 1), done in pure Python. The
-# pure scan took 0.9-1.4 us per unit on 534 benchmark queries (2-core Xeon),
-# so this caps it near 20-30 ms, against about 160 ms to import numpy.
-_PYTHON_SCAN_WORK = 20_000
-# The pure scans one process may do in all: about one numpy import's worth,
-# after which numpy is imported and every later scan is vectorised.
-_PYTHON_SCAN_TOTAL = 150_000
-_python_scan_done = 0
 
 
 @dataclass(frozen=True)
@@ -161,12 +114,11 @@ def make_params(
 
 @dataclass(frozen=True)
 class SmoothBound:
-    """Result of the smoothing scan.
+    """Result of smoothing: S, attained at distance k_star in 0..k_max.
 
-    S is the smoothed sensitivity, attained at distance k_star; the scan
-    covered k = 0..k_max and evaluated the profile at values_scanned of
-    those distances (all of them, unless it pruned). log_S is ln S as the
-    scan computed it: finite where S overflows to inf, and -inf where S is 0.
+    values_scanned counts the distances at which a polynomial was evaluated
+    to find it (every distance, for ``smooth_scan``). log_S is ln S as
+    computed: finite where S overflows to inf, and -inf where S is 0.
     """
 
     S: float
@@ -176,57 +128,7 @@ class SmoothBound:
     log_S: float
 
 
-def _scan_in_python(work: int) -> bool:
-    """Whether a scan of ``work`` units (distances times profile steps) runs in pure Python.
-
-    Only while this process has not imported numpy: once it has, the
-    vectorised scan is the faster one from about 50 distances up. Within
-    _PYTHON_SCAN_WORK one pure scan costs a small part of numpy's import,
-    and once the process's pure scans reach _PYTHON_SCAN_TOTAL, about one
-    import's worth, the next scan imports numpy and so ends the pure ones.
-    """
-    global _python_scan_done
-    if (
-        "numpy" in sys.modules
-        or work > _PYTHON_SCAN_WORK
-        or _python_scan_done >= _PYTHON_SCAN_TOTAL
-    ):
-        return False
-    _python_scan_done += work
-    return True
-
-
-def smooth_scan(
-    log_profile: Callable[[np.ndarray], np.ndarray], beta: float, k_max: int
-) -> SmoothBound:
-    """Maximize exp(-beta*k) * f(k) over integer k in [0, k_max].
-
-    Every distance is evaluated, whatever the shape of f, so
-    ``values_scanned`` is k_max + 1.
-
-    Args:
-        log_profile: maps a numpy array of float distances k to ln f(k);
-            may return -inf where f is 0.
-        beta: smoothing rate, positive.
-        k_max: last distance to scan, at most 2**53; the scan always
-            includes k = 0.
-
-    Returns:
-        SmoothBound with ties broken toward the smallest k.
-    """
-    return _scan(log_profile, beta, k_max, in_python=False)
-
-
-def _scan(log_profile, beta: float, k_max: int, in_python: bool, slack=None) -> SmoothBound:
-    """``smooth_scan`` in either number system, pruned when given a ``slack``.
-
-    ``log_profile`` gets lists of float distances when ``in_python``, numpy
-    arrays otherwise, at most _SCAN_CHUNK at a time. With ``slack`` the
-    caller vouches that f is non-decreasing and that ``slack`` is the
-    round-off allowance of its log profile (module docstring). A scan of at
-    most 2 * _SCAN_GRID distances is still evaluated whole, in one round:
-    the grid would leave at most one distance between neighbours.
-    """
+def _check_horizon(beta: float, k_max: int):
     if not beta > 0:
         raise InvalidParams("beta must be positive, got %r" % (beta,))
     if k_max < 0:
@@ -236,176 +138,108 @@ def _scan(log_profile, beta: float, k_max: int, in_python: bool, slack=None) -> 
             "k_max must be at most 2**53, past which float distances are not "
             "exact (it grows as epsilon shrinks), got %r" % (k_max,)
         )
-    runs = _ListRuns() if in_python else _ArrayRuns()
-    if slack is None or k_max < 2 * _SCAN_GRID:
-        ks, slack = range(k_max + 1), None
-    else:
-        ks = runs.grid(k_max)
-    best_log, best_k, scanned = -math.inf, 0, 0
-    while len(ks):
-        logs = []
-        for chunk in runs.chunks(ks):
-            part = log_profile(chunk)
-            value, i = runs.first_max(part, chunk, beta)
-            # rounds do not run in distance order: an equal value wins only below
-            if value > best_log or value == best_log and chunk[i] < best_k:
-                best_log, best_k = value, int(chunk[i])
-            if slack is not None:
-                logs.append(part)
-        scanned += len(ks)
-        ks = () if slack is None else runs.refine(ks, logs, best_log, beta, slack)
-    if best_log == -math.inf:
-        s = 0.0
-    else:
-        try:
-            s = math.exp(best_log)
-        except OverflowError:
-            s = math.inf
-    return SmoothBound(
-        S=s, k_star=best_k, k_max=k_max, values_scanned=scanned, log_S=best_log
-    )
 
 
-class _ArrayRuns:
-    """The pruned scan's distances and runs, in numpy arrays.
+def _bound(log_s: float, k_star: int, k_max: int, scanned: int) -> SmoothBound:
+    try:
+        s = 0.0 if log_s == -math.inf else math.exp(log_s)
+    except OverflowError:
+        s = math.inf
+    return SmoothBound(S=s, k_star=k_star, k_max=k_max, values_scanned=scanned, log_S=log_s)
 
-    A round's distances are a ``range`` (every distance) or integers. A run
-    is the open interval between two evaluated distances lo < hi, on which
-    a non-decreasing f is at most f(hi). ``refine`` splits the live runs at
-    the round just evaluated, drops those that cannot hold the first
-    maximum, and spreads the next round over the rest: about _SCAN_GRID
-    distances, in proportion to each run's length, at least one per run.
+
+def smooth_scan(log_profile: Callable, beta: float, k_max: int) -> SmoothBound:
+    """Maximize exp(-beta*k) * f(k) over every integer k in [0, k_max].
+
+    The dense, exhaustive reference for ``smooth_bound``, for any profile:
+    ``log_profile`` maps a numpy array of float distances to ln f there (an
+    array or a list, -inf where f is 0), and ``values_scanned`` is
+    k_max + 1. Ties go to the smallest k. It imports numpy.
     """
+    import numpy as np
 
-    def __init__(self):
-        import numpy as np
-
-        self.np = np
-        self.lo = self.hi = self.hi_log = self.counts = None
-
-    def chunks(self, ks):
-        np = self.np
-        for start in range(0, len(ks), _SCAN_CHUNK):
-            chunk = ks[start:start + _SCAN_CHUNK]
-            if isinstance(chunk, range):
-                yield np.arange(chunk.start, chunk.stop, dtype=float)
-            else:
-                yield chunk.astype(float)
-
-    @staticmethod
-    def first_max(logs, ks, beta: float):
-        values = logs - beta * ks
+    _check_horizon(beta, k_max)
+    best_log, best_k = -math.inf, 0
+    for start in range(0, k_max + 1, _SCAN_CHUNK):
+        ks = np.arange(start, min(start + _SCAN_CHUNK, k_max + 1), dtype=float)
+        values = np.asarray(log_profile(ks), dtype=float) - beta * ks
         i = int(values.argmax())
-        return float(values[i]), i
-
-    def grid(self, k_max: int):
-        np = self.np
-        return np.arange(_SCAN_GRID, dtype=np.int64) * k_max // (_SCAN_GRID - 1)
-
-    def refine(self, ks, logs: list, best: float, beta: float, slack: float):
-        np = self.np
-        logs = np.concatenate(logs)
-        if self.lo is None:  # the grid: a run between each two neighbours
-            lo, hi, hi_log = ks[:-1], ks[1:], logs[1:]
-        else:  # each run splits at the distances it was given
-            ends = np.cumsum(self.counts)
-            lo = np.insert(ks, ends - self.counts, self.lo)
-            hi = np.insert(ks, ends, self.hi)
-            hi_log = np.insert(logs, ends, self.hi_log)
-        bound = hi_log - beta * (lo + 1) + slack * (1 + np.maximum(hi_log, 0) + beta * hi)
-        keep = (hi - lo > 1) & (bound > best)
-        self.lo, self.hi, self.hi_log = lo[keep], hi[keep], hi_log[keep]
-        n = self.hi - self.lo - 1
-        self.counts = counts = np.clip(n * _SCAN_GRID // max(int(n.sum()), 1), 1, n)
-        run = np.repeat(np.arange(len(counts)), counts)
-        i = np.arange(1, len(run) + 1) - np.repeat(np.cumsum(counts) - counts, counts)
-        return self.lo[run] + i * (n[run] + 1) // (counts[run] + 1)
-
-
-class _ListRuns:
-    """``_ArrayRuns`` over lists of (lo, hi, ln f(hi)) runs, in pure Python."""
-
-    def __init__(self):
-        self.runs = self.counts = None
-
-    @staticmethod
-    def chunks(ks):
-        for start in range(0, len(ks), _SCAN_CHUNK):
-            yield [float(k) for k in ks[start:start + _SCAN_CHUNK]]
-
-    @staticmethod
-    def first_max(logs: list, ks: list, beta: float):
-        values = [v - beta * k for v, k in zip(logs, ks)]
-        best = max(values)
-        return best, values.index(best)
-
-    @staticmethod
-    def grid(k_max: int) -> list:
-        return [i * k_max // (_SCAN_GRID - 1) for i in range(_SCAN_GRID)]
-
-    def refine(self, ks: list, logs: list, best: float, beta: float, slack: float) -> list:
-        logs = [v for part in logs for v in part]
-        if self.runs is None:
-            runs = zip(ks, ks[1:], logs[1:])
-        else:
-            runs, start = [], 0
-            for (lo, hi, hi_log), count in zip(self.runs, self.counts):
-                inner, inner_logs = ks[start:start + count], logs[start:start + count]
-                runs += zip([lo] + inner, inner + [hi], inner_logs + [hi_log])
-                start += count
-        self.runs = [
-            (lo, hi, hi_log)
-            for lo, hi, hi_log in runs
-            if hi - lo > 1
-            and hi_log - beta * (lo + 1) + slack * (1 + max(hi_log, 0.0) + beta * hi) > best
-        ]
-        total = max(sum(hi - lo - 1 for lo, hi, _ in self.runs), 1)
-        self.counts = [
-            min(max((hi - lo - 1) * _SCAN_GRID // total, 1), hi - lo - 1)
-            for lo, hi, _ in self.runs
-        ]
-        return [
-            lo + i * (hi - lo) // (count + 1)
-            for (lo, hi, _), count in zip(self.runs, self.counts)
-            for i in range(1, count + 1)
-        ]
+        if values[i] > best_log:  # a later chunk's equal value does not win
+            best_log, best_k = float(values[i]), start + i
+    return _bound(best_log, best_k, k_max, k_max + 1)
 
 
 def scan_limit(q: RelExpr, p: PrivacyParams) -> int:
-    """The largest distance the smoothing scan must consider for ``q``.
+    """The largest distance smoothing must consider for ``q``: ceil(j/beta) for j joins, 0 for none.
 
-    ceil(j/beta) for j joins, 0 for none: the sensitivity bound has degree
-    at most j in k, so its damped profile cannot rise past j/beta (see the
-    module docstring).
+    The bound has degree at most j in k, so its damped profile cannot rise
+    past j/beta (module docstring).
     """
-    return _scan_limit(join_count(q), p.beta)
+    joins = join_count(q)
+    return 0 if joins == 0 else int(math.ceil(joins / p.beta))
 
 
-def _scan_limit(joins: int, beta: float) -> int:
-    return 0 if joins == 0 else int(math.ceil(joins / beta))
+def _rises(lo: int, hi: int, num: int, den: int) -> bool:
+    """Whether hi * exp(-num/den) > lo, for integers 0 <= lo <= hi, decided exactly.
+
+    With s_n the Taylor sum of exp(b), b = num/den, to its term t_n:
+    s_n < exp(b) < s_n + t_n * b / (n + 1 - b) once n + 1 > b. Both bounds
+    close in on exp(b), which no ratio hi/lo equals, so the loop ends.
+    s_n and t_n are kept as total/scale and term/scale.
+    """
+    total = term = scale = 1
+    n = 0
+    while hi * scale > lo * total:
+        rest = (n + 1) * den - num
+        if rest > 0 and hi * scale * rest >= lo * (total * rest + term * num):
+            return True
+        n += 1
+        scale *= den * n
+        total = total * den * n + term * num
+        term *= num
+    return False
 
 
-def _slack(joins: int) -> float:
-    """The pruning slack for a plan of ``joins`` joins: 16 (N + 1) u (module docstring)."""
-    return 16 * (joins * (joins + 13) // 2 + 3) * 2.0**-53
+def _peak(polys, beta: float, k_max: int) -> Tuple[int, int]:
+    """k* for the max of ``polys`` damped by exp(-beta*k) on 0..k_max (module docstring).
+
+    Returns k* and the number of distances at which a polynomial was
+    evaluated to find it.
+    """
+    num, den = beta.as_integer_ratio()
+    seen = set()
+
+    def at(poly, k):
+        seen.add(k)
+        return _value(poly, k)
+
+    candidates = {0}
+    for poly in filter(None, polys):
+        slope = [den * i * c for i, c in enumerate(poly)][1:] + [0]
+        g = [d - num * c for d, c in zip(slope, poly)]
+        for a in _brackets(g, k_max, at):
+            rises = a < k_max and _rises(at(poly, a), at(poly, a + 1), num, den)
+            candidates.add(a + 1 if rises else a)
+
+    def score(k):
+        top = max(at(poly, k) for poly in polys)
+        return math.log(top) - beta * k if top else -math.inf
+
+    # max keeps the first of equal scores: a tie goes to the smaller k
+    return max(sorted(candidates), key=score), len(seen)
 
 
 def smooth_bound(q: RelExpr, m: MetricsStore, p: PrivacyParams) -> SmoothBound:
-    """Smoothed sensitivity of a counting query under metrics ``m``.
+    """Smoothed sensitivity of a counting query under metrics ``m``, in closed form (module docstring).
 
-    The sensitivity bound is non-decreasing in k, so the scan evaluates it
-    only where the maximum can still be (module docstring).
+    Raises:
+        InvalidParams: k_max passes 2**53 (epsilon is too small).
     """
-    joins = join_count(q)  # walks the whole tree: counted once
-    k_max = _scan_limit(joins, p.beta)
-    in_python = _scan_in_python((k_max + 1) * (joins + 1))
-    return _scan(
-        lambda ks: sensitivity_log_profile(q, ks, m, in_python=in_python),
-        p.beta,
-        k_max,
-        in_python,
-        slack=_slack(joins),
-    )
+    k_max = scan_limit(q, p)
+    _check_horizon(p.beta, k_max)
+    k_star, scanned = _peak(sensitivity_polynomials(q, m), p.beta, k_max)
+    log_s = sensitivity_log_profile(q, [float(k_star)], m)[0] - p.beta * k_star
+    return _bound(log_s, k_star, k_max, scanned)
 
 
 def laplace_inverse_cdf(u: float, scale: float) -> float:

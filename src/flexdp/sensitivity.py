@@ -30,15 +30,18 @@ flag and, per key, the base column's (table, column) and the inner joins
 whose key mf multiplies it; a key that passes through an aggregation is
 rejected while compiling. One loop, ``_evaluate``, reads each table's
 public flag and each key's mf from the metrics it is given and applies the
-rules to the plan in exact integers at a single k, or in float64 natural
-logs over many k for the smoothing scan, which needs the whole profile and
-whose values can exceed double range. So exact k=0, every round of the scan
-and ``check``'s loop share one compile, and one tree can be evaluated
-against any metrics. In logs products become sums, sums become
-``logaddexp`` and max stays max, a few ulps of error per step. The logs
-have two systems and one plan: ``_Log`` over a numpy array, and ``_PyLog``
-over a list in pure Python, which repeats numpy's float64 operations one by
-one so that a short scan needs no numpy import. The mechanism picks which.
+rules to the plan in one of three number systems:
+
+* ``_Exact``: exact integers at a single k;
+* ``_Poly``: exact polynomials in k with non-negative integer coefficients.
+  A value is a set of them whose largest is the bound at every k, so that
+  the mechanism can smooth in closed form;
+* ``_Log``: a float64 natural log at one distance, in pure Python, for
+  values past double range. Products become sums, sums ``logaddexp`` and
+  max stays max, a few ulps of error per step.
+
+So exact k=0, the polynomials, the smoothed value and ``check``'s loop
+share one compile, and one tree can be evaluated against any metrics.
 """
 
 from __future__ import annotations
@@ -156,7 +159,7 @@ def _compiled(r: RelExpr):
     return r._plan
 
 
-# The two number systems. ``const(n)`` is n at every distance and
+# The number systems. ``const(n)`` is n at every distance and
 # ``grow(n)`` is n + k, the max frequency of a private column.
 
 
@@ -175,26 +178,6 @@ class _Exact:
         return n + self.k
 
 
-class _Log:
-    """Natural logs at every distance of a float array; ln 0 is -inf."""
-
-    def __init__(self, ks):
-        import numpy as np
-
-        self.np = np
-        self.ks = np.asarray(ks, dtype=float)
-        self.mul, self.add, self.max = np.add, np.logaddexp, np.maximum
-
-    def const(self, n):
-        np = self.np
-        return np.full_like(self.ks, np.log(float(n)) if n > 0 else -np.inf)
-
-    def grow(self, n):
-        np = self.np
-        with np.errstate(divide="ignore"):
-            return np.log(float(n) + self.ks)
-
-
 _LN2 = math.log(2.0)
 
 
@@ -203,44 +186,137 @@ def _logaddexp(x: float, y: float) -> float:
     if x == y:  # also equal infinities
         return x + _LN2
     d = x - y
-    if d > 0:
-        return x + math.log1p(math.exp(-d))
-    if d <= 0:
-        return y + math.log1p(math.exp(d))
-    return d  # NaN
+    return x + math.log1p(math.exp(-d)) if d > 0 else y + math.log1p(math.exp(d))
 
 
-class _PyLog:
-    """``_Log`` over a list of float distances, in pure Python.
+class _Log:
+    """Float64 natural logs at one float distance k, ln 0 being -inf; sums are numpy's logaddexp."""
 
-    Each operation is numpy's, element by element: ``mul`` adds as np.add,
-    ``add`` is ``_logaddexp``, ``max`` as np.maximum, ``const`` repeats one
-    value as np.full_like, and ``grow`` is ln(n + k). Only ln differs: it
-    is libm's ``math.log``, which can round one ulp away from numpy's.
-    """
+    mul, add, max = operator.add, staticmethod(_logaddexp), max
 
-    def __init__(self, ks: list):
-        self.ks = ks
-
-    @staticmethod
-    def mul(a, b):
-        return list(map(operator.add, a, b))
-
-    @staticmethod
-    def add(a, b):
-        return list(map(_logaddexp, a, b))
-
-    @staticmethod
-    def max(a, b):
-        return list(map(max, a, b))
+    def __init__(self, k: float):
+        self.k = k
 
     def const(self, n):
-        return [math.log(float(n)) if n > 0 else -math.inf] * len(self.ks)
+        return math.log(float(n)) if n > 0 else -math.inf
 
     def grow(self, n):
-        n = float(n)
-        log, ninf = math.log, -math.inf
-        return [log(n + k) if n + k > 0 else ninf for k in self.ks]
+        return math.log(float(n) + self.k) if n + self.k > 0 else -math.inf
+
+
+def _times(p: tuple, q: tuple) -> tuple:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return tuple(out) if p and q else ()
+
+
+def _plus(p: tuple, q: tuple) -> tuple:
+    if len(p) < len(q):
+        p, q = q, p
+    return tuple(map(operator.add, p, q)) + p[len(q):]
+
+
+# A larger set is cut to its upper envelope: exact either way, but cheaper.
+_KEEP_WHOLE = 8
+
+
+def _undominated(polys) -> tuple:
+    """The distinct polynomials of ``polys`` that no other one bounds coefficient by coefficient."""
+    polys = set(polys)
+    if len(polys) == 1:
+        return tuple(polys)
+    kept = tuple(sorted(
+        p for p in polys
+        if not any(q != p and len(q) >= len(p) and all(map(operator.ge, q, p)) for q in polys)
+    ))
+    return kept if len(kept) <= _KEEP_WHOLE else _envelope(kept)
+
+
+def _envelope(polys: tuple) -> tuple:
+    """The polynomials of ``polys`` that are the largest at some integer k >= 0.
+
+    A sweep from k = 0: the largest at k stays so up to the first integer
+    where another passes it, and so on until none does.
+    """
+    kept, k = set(), 0
+    while True:
+        values = [_value(p, k) for p in polys]
+        top = polys[values.index(max(values))]
+        kept.add(top)
+        passes = [m for p in polys if (m := _first_above(_plus(p, tuple(-c for c in top)), k))]
+        if not passes:
+            return tuple(sorted(kept))
+        k = min(passes)
+
+
+def _first_above(d: tuple, k: int):
+    """The smallest integer m > k with d(m) > 0 for integer coefficients ``d``, or None."""
+    nonzero = [c for c in d if c]
+    if not nonzero:
+        return None
+    # past this bound on the roots (Cauchy's), d has its leading coefficient's sign
+    hi = max(k + 1, 2 + max(map(abs, d)) // abs(nonzero[-1]))
+    # d keeps one sign on the integers from k + 1, and from a + 2 after a root
+    # in (a, a+1], up to the next root; at a + 1 it may be 0 or that sign
+    runs = sorted({k + 1} | {m for a in _brackets(d, hi, _value) if a >= k for m in (a + 1, a + 2)})
+    return next((m for m in runs if _value(d, m) > 0), None)
+
+
+def _value(poly, k: int) -> int:
+    value = 0
+    for c in reversed(poly):
+        value = value * k + c
+    return value
+
+
+def _last(holds, lo: int, hi: int) -> int:
+    """The largest k in lo..hi where ``holds``, which holds at lo and then up to some k only."""
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid - 1)
+    return lo
+
+
+def _brackets(h, k_max: int, at) -> set:
+    """Integers a in 0..k_max such that every root of h in (0, k_max] lies in some [a, a+1].
+
+    ``at(h, k)`` evaluates h at k. With at most one sign change in h's
+    coefficients there is at most one positive root, before which h has its
+    lowest non-zero coefficient's sign. Otherwise h is monotone between the
+    roots of h', bracketed first, and crosses 0 at most once in each run.
+    """
+    signs = [c > 0 for c in h if c]
+    changes = sum(a != b for a, b in zip(signs, signs[1:]))
+    if changes == 0:
+        return set()
+    if changes == 1:
+        sign = 1 if signs[0] else -1
+        return {_last(lambda k: k == 0 or at(h, k) * sign > 0, 0, k_max)}
+    turns = _brackets([i * c for i, c in enumerate(h)][1:], k_max, at)
+    cuts = sorted({0, k_max} | {min(a + 1, k_max) for a in turns} | turns)
+    found = set(turns)
+    for u, v in zip(cuts, cuts[1:]):
+        start = at(h, u)
+        if start == 0 or at(h, v) * start <= 0:
+            found.add(_last(lambda k: k == u or at(h, k) * start > 0, u, v - 1))
+    return found
+
+
+class _Poly:
+    """Exact polynomials in k: a value is a tuple of coefficient tuples, lowest degree first.
+
+    Its number at distance k is its largest polynomial there; () is 0. The
+    coefficients are non-negative integers, so max(A)*max(B) and
+    max(A) + max(B) are maxima over the pairs.
+    """
+
+    const = staticmethod(lambda n: ((n,) if n else (),))
+    grow = staticmethod(lambda n: ((n, 1),))
+    mul = staticmethod(lambda a, b: _undominated(_times(p, q) for p in a for q in b))
+    add = staticmethod(lambda a, b: _undominated(_plus(p, q) for p in a for q in b))
+    max = staticmethod(lambda a, b: _undominated(a + b))
 
 
 def _key_mf(key: tuple, key_mfs: list, numbers, m: MetricsStore):
@@ -343,16 +419,25 @@ def elastic_sensitivity(q: RelExpr, k: int, m: MetricsStore) -> int:
     return _sensitivity(q, m, _Exact(k))
 
 
-def sensitivity_log_profile(q: RelExpr, ks, m: MetricsStore, in_python: bool = False):
-    """ln of the query's sensitivity bound, evaluated at every distance in ``ks``.
+def sensitivity_log_profile(q: RelExpr, ks, m: MetricsStore) -> list:
+    """ln of the query's sensitivity bound at every float distance in ``ks``, as a list.
 
-    ``ks`` holds float distances. The result is a numpy array, or, with
-    ``in_python``, a list computed in pure Python. Both match
-    ln(elastic_sensitivity) up to float round-off, -inf where the bound is
-    0 (all-public queries), and each other but for the odd ulp where
-    ``math.log`` and numpy's log round apart.
+    It matches ln(elastic_sensitivity) up to float round-off, and is -inf
+    where the bound is 0 (all-public queries).
     """
-    return _sensitivity(q, m, _PyLog(ks) if in_python else _Log(ks))
+    return [_sensitivity(q, m, _Log(k)) for k in ks]
+
+
+def sensitivity_polynomials(q: RelExpr, m: MetricsStore) -> tuple:
+    """The query's sensitivity bound as exact polynomials in the distance k.
+
+    Returns coefficient tuples, lowest degree first, whose largest value at
+    each integer k >= 0 is elastic_sensitivity(q, k, m); none is bounded by
+    another coefficient by coefficient, and of more than 8 only those
+    largest at some k are kept. Every coefficient is a non-negative integer
+    and, for j joins, every degree is at most j. The zero polynomial is ().
+    """
+    return _sensitivity(q, m, _Poly)
 
 
 def join_count(q: RelExpr) -> int:

@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import flexdp
-from flexdp import MetricsStore, cli, load_metrics, mechanism, save_metrics
+from flexdp import MetricsStore, cli, load_metrics, save_metrics
 
 from _support import chain_metrics, chain_sql
 
@@ -744,22 +744,20 @@ def test_invalid_epsilon_is_invalid_params(workspace, capsys):
     assert "error[invalid-params]" in err
 
 
-# The child sets the pure-scan budget, runs one command and reports whether
-# numpy was imported.
+# The child runs one command and reports whether numpy was imported.
 _CHILD = """\
 import sys
-from flexdp import cli, mechanism
-mechanism._PYTHON_SCAN_WORK = int(sys.argv[1])
-code = cli.main(sys.argv[2:])
+from flexdp import cli
+code = cli.main(sys.argv[1:])
 print("numpy imported:", "numpy" in sys.modules)
 sys.exit(code)
 """
 
 
-def _run_child(budget, argv):
+def _run_child(argv):
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(flexdp.__file__).parent.parent))
     done = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(budget)] + [str(a) for a in argv],
+        [sys.executable, "-c", _CHILD] + [str(a) for a in argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 0, done.stderr
@@ -768,20 +766,70 @@ def _run_child(budget, argv):
 
 
 def test_small_commands_run_without_numpy(tmp_path, capsys):
-    data = pathlib.Path(__file__).resolve().parent.parent / "corpus" / "two_tables"
+    # at any epsilon, down to a horizon of 10**13 distances; this process,
+    # which holds numpy, prints the same numbers
+    corpus = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+    data = corpus / "two_tables"
     metrics = tmp_path / "metrics.txt"
     assert run(capsys, "collect-metrics", "--data", data, "--metrics", metrics)[0] == 0
-    common = ("--metrics", metrics, "--epsilon", "1", "--delta", "1e-9", "--json")
     query = data / "q_join.sql"
-    for argv in (
-        ("analyze", query) + common,
-        ("release", query) + common + ("--seed", "5", "--execute", "--data", data),
-    ):
-        small, imported = _run_child(mechanism._PYTHON_SCAN_WORK, argv)
-        assert imported == "numpy imported: False"
-        # over the budget the scan imports numpy, and prints the same numbers
-        over, imported = _run_child(0, argv)
-        assert imported == "numpy imported: True"
-        assert over == small
-        # as does this process, which holds numpy already
-        assert run(capsys, *argv)[:2] == (0, small + "\n")
+    for epsilon in ("1", "1e-3", "1e-12"):
+        common = ("--metrics", metrics, "--epsilon", epsilon, "--delta", "1e-9", "--json")
+        for argv in (
+            ("analyze", query) + common,
+            ("release", query) + common + ("--seed", "5", "--execute", "--data", data),
+        ):
+            out, imported = _run_child(argv)
+            assert imported == "numpy imported: False"
+            assert run(capsys, *argv)[:2] == (0, out + "\n")
+    out, imported = _run_child(("check", "--corpus", corpus))
+    assert imported == "numpy imported: False"
+    assert out.splitlines()[-2:] == ["comparisons: 51", "violations: 0"]
+
+
+def _two_tables_metrics(tmp_path, capsys, name, **mf):
+    """The exact metrics of corpus/two_tables, with ``mf`` entries (table_column=value) overriding."""
+    data = pathlib.Path(__file__).resolve().parent.parent / "corpus" / "two_tables"
+    path = tmp_path / name
+    assert run(capsys, "collect-metrics", "--data", data, "--metrics", path)[0] == 0
+    store = load_metrics(path)
+    overrides = {tuple(key.split("_")): value for key, value in mf.items()}
+    save_metrics(
+        MetricsStore(
+            mf={**store.mf, **overrides},
+            public_tables=store.public_tables,
+            row_counts={table: 1000 for table in store.row_counts},
+        ),
+        str(path),
+    )
+    return data, path
+
+
+def test_execute_raises_stale_metrics_to_the_data(tmp_path, capsys):
+    # orders.uid is recorded as 1 while the data holds 2: a release from the
+    # data uses 2, so its output is byte for byte that of exact metrics
+    data, exact = _two_tables_metrics(tmp_path, capsys, "exact.txt")
+    _, stale = _two_tables_metrics(tmp_path, capsys, "stale.txt", orders_uid=1)
+    assert load_metrics(exact).mf[("orders", "uid")] == 2
+    query = data / "q_join.sql"
+    common = ("--epsilon", "1", "--delta", "1e-9", "--seed", "5")
+    for extra in ((), ("--json",)):
+        argv = ("release", query) + common + extra + ("--execute", "--data", data, "--metrics")
+        released = run(capsys, *argv, exact)
+        assert released[0] == 0
+        assert run(capsys, *argv, stale) == released
+    # analyze has no data and still trusts the file
+    analyze = ("analyze", query, "--epsilon", "1", "--delta", "1e-9", "--json", "--metrics")
+    exact_s = json.loads(run(capsys, *analyze, exact)[1])["S"]
+    assert json.loads(run(capsys, *analyze, stale)[1])["S"] < exact_s
+
+
+def test_execute_keeps_metrics_above_the_data(tmp_path, capsys):
+    # recorded values above the data stay: the release equals one from the
+    # true result under the same metrics
+    data, high = _two_tables_metrics(tmp_path, capsys, "high.txt", orders_uid=300, users_id=7)
+    common = ("--metrics", high, "--epsilon", "1", "--delta", "1e-9", "--seed", "5")
+    query = data / "q_join.sql"
+    executed = run(capsys, "release", query, *common, "--execute", "--data", data)
+    assert executed[0] == 0
+    assert run(capsys, "release", query, *common, "--true-result", "3") == executed

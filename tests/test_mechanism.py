@@ -1,9 +1,7 @@
 """Smoothing, noise, releases, and the privacy budget."""
 
+import decimal
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -25,11 +23,12 @@ from flexdp import (
     release_histogram,
     scan_limit,
     sensitivity_log_profile,
+    sensitivity_polynomials,
     smooth_bound,
     smooth_scan,
 )
 
-from flexdp.mechanism import PCG64, _scan, _slack
+from flexdp.mechanism import PCG64, _peak
 
 from _support import (
     TRIANGLE_SQL,
@@ -37,8 +36,6 @@ from _support import (
     chain_catalog,
     chain_metrics,
     chain_sql,
-    random_micro_db,
-    random_query_sql,
     triangle_catalog,
     triangle_metrics,
 )
@@ -153,107 +150,110 @@ def test_smooth_bound_matches_naive_maximization():
     assert bound.S == pytest.approx(best, rel=1e-12)
 
 
+def _dense_profile(polys):
+    """ln of the largest of ``polys`` at numpy float distances, for smooth_scan."""
+
+    def log_profile(ks):
+        with np.errstate(divide="ignore"):
+            return np.log(np.max([np.polyval([float(c) for c in p[::-1]], ks) for p in polys], axis=0))
+
+    return log_profile
+
+
 def test_deep_chain_scan_matches_the_square_horizon():
-    # 40 joins at epsilon 0.1: the ceil(j/beta) scan returns exactly what a
-    # scan 40 times longer, to ceil(j*j/beta), returns
+    # 40 joins at epsilon 0.1: the ceil(j/beta) horizon holds the maximum
+    # that a dense scan of the exact polynomials 40 times longer, to
+    # ceil(j*j/beta), finds
     q = parse_query(chain_sql(40), chain_catalog(41))
     m = chain_metrics(41)
     p = make_params(0.1, 1e-6)
     bound = smooth_bound(q, m, p)
-    wide = smooth_scan(
-        lambda ks: sensitivity_log_profile(q, ks, m), p.beta, math.ceil(1600 / p.beta)
-    )
+    wide = smooth_scan(_dense_profile(sensitivity_polynomials(q, m)), p.beta, math.ceil(1600 / p.beta))
     assert bound.k_max == scan_limit(q, p) == math.ceil(40 / p.beta)
-    assert (bound.S, bound.k_star, bound.log_S) == (wide.S, wide.k_star, wide.log_S)
-
-
-def test_python_and_numpy_scans_agree(monkeypatch):
-    # the pure-Python log system repeats numpy's float64 operations, so both
-    # scans find the same maximum at the same distance, after evaluating the
-    # same distances (the 8-join chain at 0.1 is pruned, in several rounds)
-    rng = np.random.default_rng(20261020)
-    cases = [
-        (triangle_query(), METRICS),
-        (parse_query(chain_sql(6), chain_catalog(7)), chain_metrics(7)),
-        (parse_query(chain_sql(8), chain_catalog(9)), chain_metrics(9)),
-    ]
-    while len(cases) < 83:
-        db = random_micro_db(rng, max_tables=3, max_rows=4, max_values=3)
-        public = [name for name in sorted(db.tables) if rng.random() < 0.25]
-        q = parse_query(random_query_sql(rng, db, max_joins=3), db.catalog())
-        cases.append((q, db.exact_metrics(public)))
-    profiles = {True: [], False: []}  # the distance sequences each scan evaluated
-    in_python = None
-
-    def recorded(q, ks, m, **options):
-        profiles[in_python].append(type(ks))
-        return sensitivity_log_profile(q, ks, m, **options)
-
-    monkeypatch.setattr("flexdp.mechanism.sensitivity_log_profile", recorded)
-    for q, m in cases:
-        for epsilon in (0.1, 0.5, 1.0):
-            p = make_params(epsilon, 1e-6)
-            bounds = []
-            for in_python in (True, False):
-                monkeypatch.setattr("flexdp.mechanism._scan_in_python", lambda work: in_python)
-                bounds.append(smooth_bound(q, m, p))
-            assert bounds[0] == bounds[1], (q, epsilon)
-    assert set(profiles[True]) == {list} and set(profiles[False]) == {np.ndarray}
-    assert len(profiles[True]) > len(cases) * 3  # some scans took more than one round
+    assert bound.k_star == wide.k_star
+    assert bound.log_S == pytest.approx(wide.log_S, rel=1e-13)
 
 
 def test_pruned_scan_matches_the_exhaustive_scan_at_tiny_epsilon():
-    # at epsilon 1e-5 the triangle's horizon is 6.7 M distances; the pruned
-    # scan evaluates under 1 % of them and returns what evaluating all does
+    # at epsilon 1e-5 the triangle's horizon is 6.7 M distances; the closed
+    # form evaluates a few dozen of them and returns what a dense scan of
+    # every one returns
     q, p = triangle_query(), make_params(1e-5, 1e-7)
     bound = smooth_bound(q, METRICS, p)
-    whole = smooth_scan(lambda ks: sensitivity_log_profile(q, ks, METRICS), p.beta, bound.k_max)
-    assert (bound.S, bound.k_star, bound.log_S) == (whole.S, whole.k_star, whole.log_S)
+    whole = smooth_scan(_dense_profile(sensitivity_polynomials(q, METRICS)), p.beta, bound.k_max)
+    assert (bound.k_star, bound.log_S) == (whole.k_star, pytest.approx(whole.log_S, rel=1e-15))
     assert whole.values_scanned == bound.k_max + 1 == scan_limit(q, p) + 1
-    assert bound.values_scanned < 0.01 * (bound.k_max + 1)
+    assert bound.values_scanned < 100
 
 
-@pytest.mark.parametrize("in_python", [True, False])
-def test_pruned_scan_breaks_a_plateau_tie_toward_the_smaller_k(in_python):
-    # a non-decreasing profile, beta * s on [s, next step): its damped value
-    # is exactly 0 at 50001 and at 70000 and below 0 elsewhere. The first
-    # round's grid is every 100th distance, so it finds the tie at 70000
-    # first; 50001 sits in a run whose right end is on the same plateau, and
-    # only a bound by that end with a slack keeps the run
-    beta, k_max = 1e-4, 102300
-
-    def log_profile(ks):
-        logs = [beta * 70000.0 if k >= 70000 else beta * 50001.0 if k >= 50001 else -1.0
-                for k in ks]
-        return logs if isinstance(ks, list) else np.array(logs)
-
-    bound = _scan(log_profile, beta, k_max, in_python, slack=_slack(2))
-    assert (bound.S, bound.k_star, bound.log_S) == (1.0, 50001, 0.0)
-    assert bound.values_scanned < 2000
-    assert smooth_scan(log_profile, beta, k_max).k_star == 50001
+def _exhaustive_peak(polys, beta, k_max):
+    """The first k in 0..k_max that maximises math.log(max P(k)) - beta*k, by evaluating every k."""
+    tops = [max(sum(c * k**i for i, c in enumerate(p)) for p in polys) for k in range(k_max + 1)]
+    scores = [math.log(top) - beta * k if top else -math.inf for k, top in enumerate(tops)]
+    return scores.index(max(scores))
 
 
-def test_pruned_scan_matches_the_exhaustive_scan_on_random_plateaus():
-    rng = np.random.default_rng(20261018)
-    for _ in range(40):
-        beta = float(rng.choice([1e-3, 1e-4]))
-        k_max = int(rng.integers(2048, 40000))
-        steps = sorted(set(int(s) for s in rng.integers(0, k_max + 1, rng.integers(1, 12))))
-        # each step reaches the maximum or falls short of it by a little
-        levels = [beta * s - float(rng.choice([0.0, 0.0, 1e-9, 1e-3])) for s in steps]
-        table = np.full(k_max + 1, -1.0)
-        for s, level in zip(steps, levels):
-            table[s:] = max(level, table[s - 1] if s else -1.0)
-        floats = table.tolist()
-        whole = smooth_scan(lambda ks: table[ks.astype(int)], beta, k_max)
-        for in_python in (True, False):
-            pruned = _scan(
-                (lambda ks: [floats[int(k)] for k in ks]) if in_python
-                else (lambda ks: table[ks.astype(int)]),
-                beta, k_max, in_python, slack=_slack(2),
-            )
-            assert (pruned.S, pruned.k_star, pruned.log_S) == (whole.S, whole.k_star, whole.log_S)
-            assert pruned.values_scanned < whole.values_scanned
+def test_two_humped_polynomials_take_the_fallback_and_match_exhaustive_search():
+    # ln(a + c*k**10) - beta*k falls from k = 0, then rises to a second hump
+    # near 10/beta: g = den*P' - num*P has coefficient signs -, +, -, two
+    # changes, so the roots of g are bracketed through its derivatives
+    found = set()
+    for a in (10**6, 10**9, 10**12, 10**15, 10**18):
+        for c in (1, 7, 1000):
+            for beta in (0.1, 0.2, 0.35, 0.5, 0.8):
+                poly = (a,) + (0,) * 9 + (c,)
+                k_max = math.ceil(10 / beta)
+                k_star = _peak((poly,), beta, k_max)[0]
+                assert k_star == _exhaustive_peak((poly,), beta, k_max), (a, c, beta)
+                found.add(k_star == 0)
+    assert found == {True, False}  # both humps win somewhere
+
+
+def test_closed_form_matches_exhaustive_search_on_random_polynomial_sets():
+    rng = np.random.default_rng(20261021)
+    for _ in range(300):
+        polys = tuple(
+            tuple(int(c) for c in rng.integers(0, 50, int(rng.integers(1, 6))))
+            for _ in range(int(rng.integers(1, 4)))
+        )
+        beta = float(rng.choice([0.05, 0.2, 0.7, 2.0]))
+        k_max = math.ceil(5 / beta)
+        assert _peak(polys, beta, k_max)[0] == _exhaustive_peak(polys, beta, k_max), (polys, beta)
+
+
+def test_a_float_tie_goes_to_the_smaller_k():
+    # beta = fl(ln 2): at k = 0, 1 and 2, math.log(max(1, 2k)) - beta*k is
+    # exactly 0.0. Exactly, 2k * exp(-beta*k) is largest at k = 2, as
+    # fl(ln 2) < ln 2; the candidates 0 and 2 tie in floats, and 0 wins
+    beta = math.log(2.0)
+    assert [math.log(max(1, 2 * k)) - beta * k for k in (0, 1, 2)] == [0.0, 0.0, 0.0]
+    assert _peak(((0, 2),), beta, 5)[0] == 2
+    assert _peak(((1,), (0, 2)), beta, 5)[0] == 0
+
+
+@pytest.mark.parametrize("epsilon", [1e-9, 1e-12])
+def test_tiny_epsilon_gives_the_exact_maximiser(epsilon):
+    # the damped profile is flat far below float resolution here; k* must
+    # still beat both integer neighbours, checked in 60-digit decimals
+    q, p = triangle_query(), make_params(epsilon, 1e-7)
+    bound = smooth_bound(q, METRICS, p)
+    (poly,) = sensitivity_polynomials(q, METRICS)
+    assert poly == (12871, 393, 3)
+    ctx = decimal.Context(prec=60)
+    damp = ctx.exp(decimal.Decimal(p.beta))
+
+    def at(k):
+        return decimal.Decimal(sum(c * k**i for i, c in enumerate(poly)))
+
+    k = bound.k_star
+    assert 0 < k < bound.k_max
+    assert ctx.divide(at(k + 1), at(k)) < damp < ctx.divide(at(k), at(k - 1))
+    assert bound.values_scanned < 100
+
+
+def test_smooth_bound_refuses_a_horizon_past_float_precision():
+    with pytest.raises(InvalidParams, match="2\\*\\*53"):
+        smooth_bound(triangle_query(), METRICS, make_params(1e-15, 1e-7))
 
 
 def test_scan_rejects_distances_past_float_precision():
@@ -261,50 +261,15 @@ def test_scan_rejects_distances_past_float_precision():
         smooth_scan(lambda ks: ks, beta=0.1, k_max=2**53 + 1)
 
 
-def test_public_scan_and_profile_take_arrays(monkeypatch):
-    # only smooth_bound's own profile runs on lists: a caller's array code
-    # keeps working whatever the scan choice
-    monkeypatch.setattr("flexdp.mechanism._scan_in_python", lambda work: True)
+def test_public_scan_and_profile_take_arrays():
+    # smooth_scan hands its profile numpy arrays; the log profile takes any
+    # sequence of float distances, an array too, and returns a list
     bound = smooth_scan(lambda ks: -0.5 * ks, beta=0.1, k_max=20)
     assert (bound.S, bound.k_star, bound.values_scanned) == (1.0, 0, 21)
     q = triangle_query()
-    assert isinstance(sensitivity_log_profile(q, [0.0, 1.0], METRICS), np.ndarray)
-    pure = sensitivity_log_profile(q, [0.0, 1.0], METRICS, in_python=True)
-    assert isinstance(pure, list) and len(pure) == 2
-
-
-# The child runs the same scan four times in a process without numpy and
-# prints each result and whether numpy was imported by then.
-_SCAN_CHILD = """\
-import sys
-from flexdp import make_params, mechanism, parse_query, smooth_bound
-from _support import TRIANGLE_SQL, triangle_catalog, triangle_metrics
-mechanism._PYTHON_SCAN_TOTAL = int(sys.argv[1])
-q, m = parse_query(TRIANGLE_SQL, triangle_catalog()), triangle_metrics()
-for _ in range(4):
-    b = smooth_bound(q, m, make_params(0.5, 1e-6))
-    print(repr((b.S, b.k_star, b.log_S)), "numpy" in sys.modules)
-"""
-
-
-def test_pure_scans_stop_after_the_process_total():
-    # a triangle scan at epsilon 0.5 is 118 distances of 3 steps: two pure
-    # scans pass a total of 700 units, so the third imports numpy
-    q, p = triangle_query(), make_params(0.5, 1e-6)
-    assert (scan_limit(q, p) + 1) * (join_count(q) + 1) == 354
-    here = os.path.dirname(os.path.abspath(__file__))
-    src = os.path.join(os.path.dirname(here), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
-    done = subprocess.run(
-        [sys.executable, "-c", _SCAN_CHILD, "700"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    b = smooth_bound(q, METRICS, p)
-    expected = repr((b.S, b.k_star, b.log_S))
-    assert done.stdout.splitlines() == [
-        expected + " False", expected + " False", expected + " True", expected + " True"
-    ]
+    logs = sensitivity_log_profile(q, np.array([0.0, 1.0]), METRICS)
+    assert logs == sensitivity_log_profile(q, [0.0, 1.0], METRICS)
+    assert isinstance(logs, list) and len(logs) == 2
 
 
 # ---------------------------------------------------------------------------

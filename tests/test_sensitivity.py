@@ -27,6 +27,7 @@ from flexdp import (
     parse_query,
     release_count,
     sensitivity_log_profile,
+    sensitivity_polynomials,
     smooth_bound,
 )
 from flexdp import mechanism, sensitivity
@@ -227,8 +228,10 @@ def test_join_count():
 
 def test_sensitivity_grows_at_most_like_k_to_the_joins():
     # the smoothing horizon ceil(j/beta) rests on this: with j joins the bound
-    # has degree at most j in k, so S(k+1)/S(k) <= ((k+1)/k)**j; checked in
-    # exact integers, with public tables drawn in to lower some degrees
+    # is a max of polynomials of degree at most j in k, with non-negative
+    # integer coefficients, so S(k+1)/S(k) <= ((k+1)/k)**j; checked in exact
+    # integers, on the bound and on each polynomial, with public tables drawn
+    # in to lower some degrees
     rng = np.random.default_rng(20261018)
     cases = [
         (triangle_query(), METRICS),
@@ -242,8 +245,39 @@ def test_sensitivity_grows_at_most_like_k_to_the_joins():
     for q, m in cases:
         j = join_count(q)
         at = [elastic_sensitivity(q, k, m) for k in range(202)]
+        polys = sensitivity_polynomials(q, m)
+        values = [[sum(c * k**i for i, c in enumerate(p)) for k in range(202)] for p in polys]
+        assert [max(column) for column in zip(*values)] == at, q
+        for p, value in zip(polys, values):
+            assert len(p) <= j + 1 and all(isinstance(c, int) and c >= 0 for c in p), (q, p)
+            for k in range(1, 201):
+                assert value[k + 1] * k**j <= value[k] * (k + 1) ** j, (q, p, k)
         for k in range(1, 201):
             assert at[k + 1] * k**j <= at[k] * (k + 1) ** j, (q, k)
+
+
+def test_polynomial_sets_stay_small_on_self_joins_with_public_tables():
+    # a self join sums its sides' sets pair by pair, so sets multiply; those
+    # past 8 polynomials are cut to their upper envelope, exactly. The worst
+    # generator shapes, self-join chains of up to 6 joins with public tables
+    # drawn in, stay within 8 and still equal the bound at every k checked
+    rng = np.random.default_rng(3)
+    sizes = []
+    for _ in range(400):
+        db = random_micro_db(rng, max_tables=3, max_rows=6, max_values=5)
+        public = [name for name in sorted(db.tables) if rng.random() < 0.3]
+        q = parse_query(random_query_sql(rng, db, max_joins=6), db.catalog())
+        m = db.exact_metrics(public)
+        try:
+            polys = sensitivity_polynomials(q, m)
+        except UnsupportedQuery:
+            continue
+        sizes.append(len(polys))
+        for k in list(range(40)) + [10**e for e in range(2, 17)]:
+            assert max(sum(c * k**i for i, c in enumerate(p)) for p in polys) == (
+                elastic_sensitivity(q, k, m)
+            ), (q, k)
+    assert max(sizes) <= 8 and max(sizes) > 1
 
 
 STAR_CATALOG = Catalog(
@@ -341,8 +375,8 @@ def test_analysis_keeps_no_reference_to_the_query():
 
 
 def test_each_tree_is_compiled_once(monkeypatch):
-    # exact k = 0, every round of a pruned scan and a later exact k share
-    # the plan kept on the counted relation
+    # exact k = 0, the polynomials and log value of smoothing, and a later
+    # exact k share the plan kept on the counted relation
     q = parse_query(chain_sql(8), chain_catalog(9))
     m = chain_metrics(9)
     compiled, rounds = [], []
@@ -359,9 +393,9 @@ def test_each_tree_is_compiled_once(monkeypatch):
     monkeypatch.setattr(sensitivity, "_compile", counted_compile)
     monkeypatch.setattr(mechanism, "sensitivity_log_profile", counted_profile)
     elastic_sensitivity(q, 0, m)
-    smooth_bound(q, m, make_params(0.1, 1e-6))
+    bound = smooth_bound(q, m, make_params(0.1, 1e-6))
     elastic_sensitivity(q, 5, m)
-    assert len(rounds) > 1  # the scan was pruned, in several rounds
+    assert rounds == [[float(bound.k_star)]]  # the log value is taken at k* alone
     assert len(compiled) == 1 and compiled[0] is q.input
 
 
@@ -392,9 +426,7 @@ def test_metrics_are_bound_per_call_not_cached():
             sensitivity_log_profile(q, np.array(ks), m),
             sensitivity_log_profile(fresh, np.array(ks), m),
         )
-        assert sensitivity_log_profile(q, ks, m, in_python=True) == sensitivity_log_profile(
-            fresh, ks, m, in_python=True
-        )
+        assert sensitivity_polynomials(q, m) == sensitivity_polynomials(fresh, m)
         assert smooth_bound(q, m, p) == smooth_bound(fresh, m, p)
     assert exacts[0] == exacts[2] != exacts[1]
 
