@@ -42,6 +42,8 @@ overflows. One path computes them, so a seeded release replays bit for bit.
 The noise comes from ``PCG64``, numpy's ``default_rng(seed)`` (its
 SeedSequence hashing and the PCG64 generator, O'Neill 2014) written in pure
 Python, so that a seeded release draws the same value with or without numpy.
+The package has no runtime dependency: a dense numpy scan of every distance
+is kept only in the tests, as the reference for the closed form.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ from __future__ import annotations
 import math
 import numbers
 import secrets
-from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     BudgetExhausted,
@@ -69,47 +71,58 @@ from .sensitivity import (
     sensitivity_polynomials,
 )
 
-_SCAN_CHUNK = 1 << 16  # distances per step of smooth_scan
 # Every integer distance up to here is exact in float64.
 _MAX_DISTANCE = 1 << 53
 
 
 @dataclass(frozen=True)
 class PrivacyParams:
-    """Privacy parameters for one release; ``beta`` is derived at construction."""
+    """Privacy parameters for one release, checked at construction; ``beta`` is derived from them.
+
+    Raises:
+        InvalidParams: epsilon not positive and finite, delta outside (0, 1),
+            or epsilon so small that beta underflows to 0.
+    """
 
     epsilon: float
     delta: float
-    beta: float
+    beta: float = field(init=False)
+
+    def __post_init__(self):
+        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
+            raise InvalidParams(
+                "epsilon must be positive and finite, got %r" % (self.epsilon,)
+            )
+        if not 0 < self.delta < 1:
+            raise InvalidParams("delta must be in (0, 1), got %r" % (self.delta,))
+        beta = self.epsilon / (2.0 * math.log(2.0 / self.delta))
+        if not beta > 0:
+            raise InvalidParams("epsilon %r is too small: beta underflows to 0" % (self.epsilon,))
+        object.__setattr__(self, "epsilon", float(self.epsilon))
+        object.__setattr__(self, "delta", float(self.delta))
+        object.__setattr__(self, "beta", beta)
 
 
 def make_params(
     epsilon: float, delta: Optional[float] = None, n: Optional[int] = None
 ) -> PrivacyParams:
-    """Validate parameters and derive the smoothing rate beta.
+    """Privacy parameters, with delta defaulted when omitted.
 
     When ``delta`` is omitted it defaults to ``n ** (-epsilon * ln n)``, a
     common choice that vanishes super-polynomially in the database size; the
     row count ``n`` must then be supplied and be at least 2.
 
     Raises:
-        InvalidParams: epsilon not positive and finite, delta outside (0, 1),
-            or n < 2 when delta is defaulted.
+        InvalidParams: as ``PrivacyParams``, or n missing or below 2 when
+            delta is defaulted.
     """
-    if not (epsilon > 0 and math.isfinite(epsilon)):
-        raise InvalidParams(
-            "epsilon must be positive and finite, got %r" % (epsilon,)
-        )
     if delta is None:
         if n is None:
             raise InvalidParams("delta omitted: database size n is required")
         if n < 2:
             raise InvalidParams("delta default requires n >= 2, got %r" % (n,))
         delta = math.exp(-epsilon * math.log(n) ** 2)
-    if not 0 < delta < 1:
-        raise InvalidParams("delta must be in (0, 1), got %r" % (delta,))
-    beta = epsilon / (2.0 * math.log(2.0 / delta))
-    return PrivacyParams(epsilon=float(epsilon), delta=float(delta), beta=beta)
+    return PrivacyParams(epsilon, delta)
 
 
 @dataclass(frozen=True)
@@ -117,8 +130,8 @@ class SmoothBound:
     """Result of smoothing: S, attained at distance k_star in 0..k_max.
 
     values_scanned counts the distances at which a polynomial was evaluated
-    to find it (every distance, for ``smooth_scan``). log_S is ln S as
-    computed: finite where S overflows to inf, and -inf where S is 0.
+    to find it. log_S is ln S as computed: finite where S overflows to inf,
+    and -inf where S is 0.
     """
 
     S: float
@@ -128,55 +141,23 @@ class SmoothBound:
     log_S: float
 
 
-def _check_horizon(beta: float, k_max: int):
-    if not beta > 0:
-        raise InvalidParams("beta must be positive, got %r" % (beta,))
-    if k_max < 0:
-        raise InvalidParams("k_max must be non-negative, got %r" % (k_max,))
-    if k_max > _MAX_DISTANCE:
-        raise InvalidParams(
-            "k_max must be at most 2**53, past which float distances are not "
-            "exact (it grows as epsilon shrinks), got %r" % (k_max,)
-        )
-
-
-def _bound(log_s: float, k_star: int, k_max: int, scanned: int) -> SmoothBound:
-    try:
-        s = 0.0 if log_s == -math.inf else math.exp(log_s)
-    except OverflowError:
-        s = math.inf
-    return SmoothBound(S=s, k_star=k_star, k_max=k_max, values_scanned=scanned, log_S=log_s)
-
-
-def smooth_scan(log_profile: Callable, beta: float, k_max: int) -> SmoothBound:
-    """Maximize exp(-beta*k) * f(k) over every integer k in [0, k_max].
-
-    The dense, exhaustive reference for ``smooth_bound``, for any profile:
-    ``log_profile`` maps a numpy array of float distances to ln f there (an
-    array or a list, -inf where f is 0), and ``values_scanned`` is
-    k_max + 1. Ties go to the smallest k. It imports numpy.
-    """
-    import numpy as np
-
-    _check_horizon(beta, k_max)
-    best_log, best_k = -math.inf, 0
-    for start in range(0, k_max + 1, _SCAN_CHUNK):
-        ks = np.arange(start, min(start + _SCAN_CHUNK, k_max + 1), dtype=float)
-        values = np.asarray(log_profile(ks), dtype=float) - beta * ks
-        i = int(values.argmax())
-        if values[i] > best_log:  # a later chunk's equal value does not win
-            best_log, best_k = float(values[i]), start + i
-    return _bound(best_log, best_k, k_max, k_max + 1)
-
-
 def scan_limit(q: RelExpr, p: PrivacyParams) -> int:
     """The largest distance smoothing must consider for ``q``: ceil(j/beta) for j joins, 0 for none.
 
     The bound has degree at most j in k, so its damped profile cannot rise
     past j/beta (module docstring).
+
+    Raises:
+        InvalidParams: the distance passes 2**53 (epsilon is too small).
     """
-    joins = join_count(q)
-    return 0 if joins == 0 else int(math.ceil(joins / p.beta))
+    horizon = join_count(q) / p.beta
+    if horizon > _MAX_DISTANCE:
+        raise InvalidParams(
+            "k_max = ceil(j/beta) must be at most 2**53, past which float "
+            "distances are not exact (it grows as epsilon shrinks), got "
+            "j/beta = %r" % (horizon,)
+        )
+    return math.ceil(horizon)
 
 
 def _rises(lo: int, hi: int, num: int, den: int) -> bool:
@@ -236,10 +217,13 @@ def smooth_bound(q: RelExpr, m: MetricsStore, p: PrivacyParams) -> SmoothBound:
         InvalidParams: k_max passes 2**53 (epsilon is too small).
     """
     k_max = scan_limit(q, p)
-    _check_horizon(p.beta, k_max)
     k_star, scanned = _peak(sensitivity_polynomials(q, m), p.beta, k_max)
     log_s = sensitivity_log_profile(q, [float(k_star)], m)[0] - p.beta * k_star
-    return _bound(log_s, k_star, k_max, scanned)
+    try:
+        s = math.exp(log_s)
+    except OverflowError:
+        s = math.inf
+    return SmoothBound(S=s, k_star=k_star, k_max=k_max, values_scanned=scanned, log_S=log_s)
 
 
 def laplace_inverse_cdf(u: float, scale: float) -> float:
@@ -280,51 +264,50 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _POOL = 4  # SeedSequence pool size, in 32-bit words
 
 
-def _hash_constants(init: int, mult: int, n: int) -> list:
-    """init * mult**i mod 2**32 for i = 0..n: the hash constant before each use and after the last."""
-    out = [init]
-    for _ in range(n):
-        out.append(out[-1] * mult & _MASK32)
-    return out
+def _seed_state(seed: int) -> list:
+    """numpy's ``SeedSequence(seed).generate_state(4, uint64)``.
 
-
-# A seed of up to 128 bits takes 16 entropy hashes; PCG64 draws 8 state words.
-_HASH_A = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL)
-_HASH_B = _hash_constants(_INIT_B, _MULT_B, 8)
-
-
-def _seed_pool(seed: int) -> list:
-    """numpy's ``SeedSequence(seed).pool``: four 32-bit words mixed from the seed's words.
-
-    Each hash xors a value with the next constant of ``hash_a`` and
-    multiplies it by the one after; ``hash_a[i]`` serves hash i. The hashes
-    are inlined: this runs once per release.
+    A transcription of its ``mix_entropy`` and ``generate_state``: the
+    seed's little-endian 32-bit words (0 is one word) are hashed into a
+    four-word pool, and the pool is hashed out into eight words, paired
+    little-endian. Each hash xors a value with the running hash constant,
+    steps the constant and multiplies by it.
     """
-    words = [seed & _MASK32]  # little-endian 32-bit words; 0 is one word
+    entropy = [seed & _MASK32]
     seed >>= 32
     while seed:
-        words.append(seed & _MASK32)
+        entropy.append(seed & _MASK32)
         seed >>= 32
-    calls = _POOL * _POOL + _POOL * max(0, len(words) - _POOL)
-    hash_a = _HASH_A if calls < len(_HASH_A) else _hash_constants(_INIT_A, _MULT_A, calls)
-    pool = words[:_POOL] + [0] * (_POOL - len(words))
-    for i in range(_POOL):
-        value = (pool[i] ^ hash_a[i]) * hash_a[i + 1] & _MASK32
-        pool[i] = value ^ value >> 16
-    # mix every pool word into every other, then each further seed word into
-    # every pool word: mix(x, h) = (MIX_L*x - MIX_R*h), xor-shifted
-    sources = [(src, None) for src in range(_POOL)] + [(None, word) for word in words[_POOL:]]
-    i = _POOL
-    for src, word in sources:
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = (_MIX_L * x - _MIX_R * y) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL)]
+    for src in range(_POOL):
         for dst in range(_POOL):
-            if dst == src:
-                continue
-            h = ((pool[src] if word is None else word) ^ hash_a[i]) * hash_a[i + 1] & _MASK32
-            h ^= h >> 16
-            value = (_MIX_L * pool[dst] - _MIX_R * h) & _MASK32
-            pool[dst] = value ^ value >> 16
-            i += 1
-    return pool
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL, len(entropy)):
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+
+    hash_const = _INIT_B
+    state = []
+    for i in range(8):
+        value = pool[i % _POOL] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const & _MASK32
+        state.append(value ^ value >> 16)
+    return [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]
 
 
 class PCG64:
@@ -340,13 +323,7 @@ class PCG64:
     __slots__ = ("state", "inc")
 
     def __init__(self, seed: int):
-        pool = _seed_pool(seed)
-        words = []
-        for i in range(8):
-            value = (pool[i % _POOL] ^ _HASH_B[i]) * _HASH_B[i + 1] & _MASK32
-            words.append(value ^ value >> 16)
-        # SeedSequence.generate_state(4, uint64) pairs the words little-endian
-        seeds = [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
+        seeds = _seed_state(seed)
         self.inc = ((seeds[2] << 64 | seeds[3]) << 1 | 1) & _MASK128
         # pcg_setseq_128_srandom_r: one step from state 0 (which gives inc),
         # add the state seed, step again

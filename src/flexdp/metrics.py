@@ -178,7 +178,7 @@ def load_metrics(path: str) -> MetricsStore:
 
 
 def save_metrics(store: MetricsStore, path: str):
-    """Write ``store`` in the text format ``load_metrics`` reads."""
+    """Write ``store`` in the text format ``load_metrics`` reads; ``path`` may be path-like."""
     lines = ["[tables]"]
     for table in sorted(store.row_counts):
         lines.append("%s = %d" % (table, store.row_counts[table]))
@@ -191,7 +191,7 @@ def save_metrics(store: MetricsStore, path: str):
     for table, column in sorted(store.mf):
         lines.append("%s.%s = %d" % (table, column, store.mf[(table, column)]))
     lines.append("")
-    tmp = path + ".tmp"
+    tmp = os.fspath(path) + ".tmp"
     with open(tmp, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines))
     os.replace(tmp, path)

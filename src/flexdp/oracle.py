@@ -81,6 +81,11 @@ class _ObservedDomains(dict):
         return observed
 
 
+def _check_width(row: tuple, cols: tuple, name: str):
+    if len(row) != len(cols):
+        raise EvaluationError("row width %d does not match columns of %r" % (len(row), name))
+
+
 @dataclass
 class MicroDatabase:
     """A tiny multi-table database with explicit per-column value domains.
@@ -96,12 +101,8 @@ class MicroDatabase:
 
     def __post_init__(self):
         for name, cols in self.columns.items():
-            rows = self.tables.get(name, [])
-            for row in rows:
-                if len(row) != len(cols):
-                    raise EvaluationError(
-                        "row width %d does not match columns of %r" % (len(row), name)
-                    )
+            for row in self.tables.get(name, []):
+                _check_width(row, cols, name)
         if not isinstance(self.domains, _ObservedDomains):
             self.domains = _ObservedDomains(self.domains, self.tables, self.columns)
 
@@ -164,11 +165,24 @@ class MicroDatabase:
         return tuple(sorted((name, tuple(rows)) for name, rows in self.tables.items()))
 
     def replace(self, updates: Dict[Tuple[str, int], tuple]) -> "MicroDatabase":
-        """Copy with the rows at the given (table, index) positions replaced."""
-        tables = {name: list(rows) for name, rows in self.tables.items()}
+        """Copy with the rows at the given (table, index) positions replaced.
+
+        Only the substituted rows are checked, and only their tables copied:
+        the copy shares every other table's rows, its columns and its
+        domains with this database.
+
+        Raises:
+            EvaluationError: a substituted row's width does not match its table.
+        """
+        tables = dict(self.tables)
         for (name, index), row in updates.items():
+            _check_width(row, self.columns[name], name)
+            if tables[name] is self.tables[name]:
+                tables[name] = list(tables[name])
             tables[name][index] = row
-        return MicroDatabase(tables=tables, columns=self.columns, domains=self.domains)
+        neighbour = MicroDatabase.__new__(MicroDatabase)  # skips __post_init__'s full check
+        neighbour.tables, neighbour.columns, neighbour.domains = tables, self.columns, self.domains
+        return neighbour
 
     def row_domain(self, name: str) -> List[tuple]:
         return list(itertools.product(*self.domains[name]))

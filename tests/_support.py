@@ -1,16 +1,19 @@
 """Shared helpers for the test suite.
 
-Two things live here:
+Three things live here:
 
 * a naive relational evaluator (cartesian products and linear scans, no
   hashing) used as an independent second route when cross-checking the
-  package's evaluator, and
+  package's evaluator,
 * seeded random generators for micro-databases and accepted queries, used
-  by the property-style suites.
+  by the property-style suites, and
+* brute-force smoothing references for ``smooth_bound``'s closed form.
 """
 
 import itertools
 import math
+
+import numpy as np
 
 from flexdp import (
     Aliased,
@@ -24,6 +27,7 @@ from flexdp import (
     MicroDatabase,
     Project,
     Select,
+    SmoothBound,
     Table,
     attribute_index,
     root_count,
@@ -223,3 +227,28 @@ def brute_smooth(profile_at, beta: float, upto: int):
         if v > best:
             best, best_k = v, k
     return best, best_k
+
+
+_SCAN_CHUNK = 1 << 16  # distances per step of dense_scan
+
+
+def dense_scan(log_profile, beta: float, k_max: int) -> SmoothBound:
+    """Maximize exp(-beta*k) * f(k) over every integer k in [0, k_max].
+
+    The dense, exhaustive reference for ``smooth_bound``, for any profile:
+    ``log_profile`` maps a numpy array of float distances to ln f there (an
+    array or a list, -inf where f is 0), and ``values_scanned`` is
+    k_max + 1. Ties go to the smallest k, across chunks too.
+    """
+    best_log, best_k = -math.inf, 0
+    for start in range(0, k_max + 1, _SCAN_CHUNK):
+        ks = np.arange(start, min(start + _SCAN_CHUNK, k_max + 1), dtype=float)
+        values = np.asarray(log_profile(ks), dtype=float) - beta * ks
+        i = int(values.argmax())
+        if values[i] > best_log:  # a later chunk's equal value does not win
+            best_log, best_k = float(values[i]), start + i
+    try:
+        s = math.exp(best_log)
+    except OverflowError:
+        s = math.inf
+    return SmoothBound(S=s, k_star=best_k, k_max=k_max, values_scanned=k_max + 1, log_S=best_log)

@@ -39,8 +39,8 @@ from flexdp import (
     root_count,
     scan_limit,
     smooth_bound,
-    smooth_scan,
 )
+from flexdp.mechanism import _peak
 
 from _support import (
     TRIANGLE_SQL,
@@ -48,6 +48,7 @@ from _support import (
     chain_catalog,
     chain_metrics,
     chain_sql,
+    dense_scan,
     random_micro_db,
     random_query_sql,
     triangle_catalog,
@@ -181,32 +182,39 @@ def test_criterion_02_smoothing_matches_brute_force():
 
 def test_criterion_03_smoothing_reference_values():
     # Reference pair for smoothing a fixed test profile, 2k^2+199k+8711,
-    # fed straight to smooth_scan (it is not the stability of any query in
-    # this suite) at epsilon = 0.7: S = 8896.95 attained at k* = 19, noise
-    # scale 2S/0.7.
+    # fed straight to the dense reference scan and to the package's closed
+    # form (it is not the stability of any query in this suite) at
+    # epsilon = 0.7: S = 8896.95 attained at k* = 19, noise scale 2S/0.7.
     # That argmax corresponds to beta derived from delta = 1e-7; with
-    # delta = 1e-8 the same scan gives k* = 38 and a larger S. Both are
-    # computed and printed so the parameter sensitivity stays visible.
+    # delta = 1e-8 the same profile peaks at k* = 38 with a larger S. Both
+    # are computed and printed so the parameter sensitivity stays visible.
     quad = lambda ks: np.log(2.0 * ks * ks + 199.0 * ks + 8711.0)
 
+    def closed_form(p):
+        k = _peak(((8711, 199, 2),), p.beta, math.ceil(4 / p.beta))[0]
+        return math.exp(-p.beta * k) * (8711 + 199 * k + 2 * k * k), k
+
     p7 = make_params(0.7, 1e-7)
-    b7 = smooth_scan(quad, p7.beta, math.ceil(4 / p7.beta))
+    b7 = dense_scan(quad, p7.beta, math.ceil(4 / p7.beta))
     scale7 = 2.0 * b7.S / 0.7
+    s7, k7 = closed_form(p7)
 
     p8 = make_params(0.7, 1e-8)
-    b8 = smooth_scan(quad, p8.beta, math.ceil(4 / p8.beta))
+    b8 = dense_scan(quad, p8.beta, math.ceil(4 / p8.beta))
+    s8, k8 = closed_form(p8)
 
-    s_ok = abs(b7.S - 8896.95) / 8896.95 <= 0.005
+    s_ok = all(abs(s - 8896.95) / 8896.95 <= 0.005 for s in (b7.S, s7))
     scale_ok = abs(scale7 - 17793.9 / 0.7) / (17793.9 / 0.7) <= 0.005
-    k_ok = b7.k_star == 19
+    k_ok = b7.k_star == k7 == 19 and b8.k_star == k8 == 38
     ok = s_ok and scale_ok and k_ok
     report(
         3,
         "smoothing-reference",
         ok,
         "delta=1e-7: S=%.2f k*=%d scale=%.1f (ref 8896.95/19/%.1f, tol 0.5%%); "
-        "delta=1e-8 would give S=%.2f k*=%d"
-        % (b7.S, b7.k_star, scale7, 17793.9 / 0.7, b8.S, b8.k_star),
+        "delta=1e-8 would give S=%.2f k*=%d; closed form S=%.2f k*=%d, "
+        "at delta=1e-8 S=%.2f k*=%d"
+        % (b7.S, b7.k_star, scale7, 17793.9 / 0.7, b8.S, b8.k_star, s7, k7, s8, k8),
     )
     assert ok
 

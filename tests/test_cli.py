@@ -800,7 +800,7 @@ def _two_tables_metrics(tmp_path, capsys, name, **mf):
             public_tables=store.public_tables,
             row_counts={table: 1000 for table in store.row_counts},
         ),
-        str(path),
+        path,
     )
     return data, path
 

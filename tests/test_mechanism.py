@@ -12,6 +12,7 @@ from flexdp import (
     InvalidParams,
     InvalidScale,
     MetricsStore,
+    PrivacyParams,
     ProtectedBinLabels,
     UnsupportedQuery,
     join_count,
@@ -25,7 +26,6 @@ from flexdp import (
     sensitivity_log_profile,
     sensitivity_polynomials,
     smooth_bound,
-    smooth_scan,
 )
 
 from flexdp.mechanism import PCG64, _peak
@@ -36,6 +36,7 @@ from _support import (
     chain_catalog,
     chain_metrics,
     chain_sql,
+    dense_scan,
     triangle_catalog,
     triangle_metrics,
 )
@@ -82,13 +83,39 @@ def test_make_params_rejects(kwargs):
         make_params(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "epsilon, delta",
+    [(math.nan, 1e-6), (-50.0, 1e-6), (math.inf, 1e-6), (1.0, math.nan), (1.0, 1.5), (5e-324, 1e-300)],
+)
+def test_privacy_params_cannot_hold_invalid_parameters(epsilon, delta):
+    # a hand-built PrivacyParams is checked as make_params's is, so a NaN or
+    # negative epsilon never reaches a ledger; the last pair's beta
+    # underflows to 0
+    ledger = BudgetLedger(max_epsilon=1.0, max_delta=1e-5)
+    with pytest.raises(InvalidParams):
+        ledger.charge(PrivacyParams(epsilon, delta))
+    assert ledger.remaining() == (1.0, 1e-5)
+    with pytest.raises(BudgetExhausted):
+        ledger.charge(PrivacyParams(100.0, 1e-6))
+
+
+def test_privacy_params_derive_beta():
+    # beta is derived, never given, so it cannot disagree with epsilon and
+    # delta, and smooth_bound sees only a positive, finite one
+    p = PrivacyParams(0.7, 1e-7)
+    assert p == make_params(0.7, 1e-7)
+    assert p.beta == 0.7 / (2.0 * math.log(2.0 / 1e-7))
+    with pytest.raises(TypeError):
+        PrivacyParams(1.0, 1e-6, 0.0)
+
+
 # ---------------------------------------------------------------------------
-# smoothing scan
+# the dense reference scan
 # ---------------------------------------------------------------------------
 
 
 def test_scan_constant_profile_peaks_at_zero():
-    bound = smooth_scan(lambda ks: np.zeros_like(ks), beta=0.1, k_max=50)
+    bound = dense_scan(lambda ks: np.zeros_like(ks), beta=0.1, k_max=50)
     assert (bound.S, bound.k_star) == (1.0, 0)
     assert bound.values_scanned == 51
 
@@ -100,7 +127,7 @@ def test_scan_ties_break_toward_smaller_k():
         # exactly cancels the decay at k = 2 and k = 5; negligible elsewhere
         return np.where(np.isin(ks, (2.0, 5.0)), beta * ks, -100.0)
 
-    bound = smooth_scan(log_profile, beta=beta, k_max=10)
+    bound = dense_scan(log_profile, beta=beta, k_max=10)
     assert bound.k_star == 2
     assert bound.S == pytest.approx(1.0)
 
@@ -112,20 +139,13 @@ def test_scan_tie_across_chunk_boundary():
     def log_profile(ks):
         return np.where(np.isin(ks, (3.0, 70000.0)), beta * ks, -400.0)
 
-    bound = smooth_scan(log_profile, beta=beta, k_max=80000)
+    bound = dense_scan(log_profile, beta=beta, k_max=80000)
     assert bound.k_star == 3
 
 
 def test_scan_all_zero_profile():
-    bound = smooth_scan(lambda ks: np.full_like(ks, -np.inf), beta=0.5, k_max=9)
+    bound = dense_scan(lambda ks: np.full_like(ks, -np.inf), beta=0.5, k_max=9)
     assert bound.S == 0.0 and bound.k_star == 0
-
-
-def test_scan_rejects_bad_arguments():
-    with pytest.raises(InvalidParams):
-        smooth_scan(lambda ks: ks, beta=0.0, k_max=5)
-    with pytest.raises(InvalidParams):
-        smooth_scan(lambda ks: ks, beta=0.1, k_max=-1)
 
 
 def test_scan_limit():
@@ -151,7 +171,7 @@ def test_smooth_bound_matches_naive_maximization():
 
 
 def _dense_profile(polys):
-    """ln of the largest of ``polys`` at numpy float distances, for smooth_scan."""
+    """ln of the largest of ``polys`` at numpy float distances, for dense_scan."""
 
     def log_profile(ks):
         with np.errstate(divide="ignore"):
@@ -168,7 +188,7 @@ def test_deep_chain_scan_matches_the_square_horizon():
     m = chain_metrics(41)
     p = make_params(0.1, 1e-6)
     bound = smooth_bound(q, m, p)
-    wide = smooth_scan(_dense_profile(sensitivity_polynomials(q, m)), p.beta, math.ceil(1600 / p.beta))
+    wide = dense_scan(_dense_profile(sensitivity_polynomials(q, m)), p.beta, math.ceil(1600 / p.beta))
     assert bound.k_max == scan_limit(q, p) == math.ceil(40 / p.beta)
     assert bound.k_star == wide.k_star
     assert bound.log_S == pytest.approx(wide.log_S, rel=1e-13)
@@ -180,7 +200,7 @@ def test_pruned_scan_matches_the_exhaustive_scan_at_tiny_epsilon():
     # every one returns
     q, p = triangle_query(), make_params(1e-5, 1e-7)
     bound = smooth_bound(q, METRICS, p)
-    whole = smooth_scan(_dense_profile(sensitivity_polynomials(q, METRICS)), p.beta, bound.k_max)
+    whole = dense_scan(_dense_profile(sensitivity_polynomials(q, METRICS)), p.beta, bound.k_max)
     assert (bound.k_star, bound.log_S) == (whole.k_star, pytest.approx(whole.log_S, rel=1e-15))
     assert whole.values_scanned == bound.k_max + 1 == scan_limit(q, p) + 1
     assert bound.values_scanned < 100
@@ -254,18 +274,14 @@ def test_tiny_epsilon_gives_the_exact_maximiser(epsilon):
 def test_smooth_bound_refuses_a_horizon_past_float_precision():
     with pytest.raises(InvalidParams, match="2\\*\\*53"):
         smooth_bound(triangle_query(), METRICS, make_params(1e-15, 1e-7))
+    # at epsilon 1e-320, j/beta overflows to inf: refused all the same
+    with pytest.raises(InvalidParams, match="2\\*\\*53"):
+        smooth_bound(triangle_query(), METRICS, make_params(1e-320, 1e-7))
 
 
-def test_scan_rejects_distances_past_float_precision():
-    with pytest.raises(InvalidParams):
-        smooth_scan(lambda ks: ks, beta=0.1, k_max=2**53 + 1)
-
-
-def test_public_scan_and_profile_take_arrays():
-    # smooth_scan hands its profile numpy arrays; the log profile takes any
-    # sequence of float distances, an array too, and returns a list
-    bound = smooth_scan(lambda ks: -0.5 * ks, beta=0.1, k_max=20)
-    assert (bound.S, bound.k_star, bound.values_scanned) == (1.0, 0, 21)
+def test_log_profile_takes_arrays():
+    # the log profile takes any sequence of float distances, a numpy array
+    # too, and returns a list
     q = triangle_query()
     logs = sensitivity_log_profile(q, np.array([0.0, 1.0]), METRICS)
     assert logs == sensitivity_log_profile(q, [0.0, 1.0], METRICS)
@@ -278,7 +294,8 @@ def test_public_scan_and_profile_take_arrays():
 
 
 @pytest.mark.parametrize(
-    "seed", [0, 7, 42, 2**63 + 12345, 2**100 + 3, 2**128 - 1, 2**300 + 5]
+    "seed",
+    [0, 7, 42, 2**63 + 12345, 2**100 + 3, 2**128 - 1, 2**128, 2**300 + 5, 2**1000 + 17],
 )
 def test_pcg64_matches_numpy_default_rng(seed):
     reference = np.random.default_rng(seed)

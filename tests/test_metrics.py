@@ -122,6 +122,9 @@ def test_round_trip(tmp_path):
     assert loaded.mf == store.mf
     assert loaded.public_tables == store.public_tables
     assert loaded.row_counts == store.row_counts
+    # a pathlib path goes through save and load alike
+    save_metrics(store, tmp_path / "m.txt")
+    assert load_metrics(tmp_path / "m.txt") == loaded
 
 
 def test_load_parses_comments_and_blanks(tmp_path):

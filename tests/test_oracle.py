@@ -73,6 +73,16 @@ def test_domains_are_built_on_first_read_from_the_original_rows():
         db.domains["nodes"]
 
 
+def test_replace_checks_the_substituted_rows():
+    db = db_from([(1, 2), (2, 3)])
+    for row in [(7,), (7, 9, 1)]:
+        with pytest.raises(EvaluationError, match="row width %d" % len(row)):
+            db.replace({("edges", 1): row})
+    neighbour = db.replace({("edges", 1): (7, 9)})
+    assert neighbour.tables == {"edges": [(1, 2), (7, 9)]}
+    assert db.tables == {"edges": [(1, 2), (2, 3)]}  # the original is untouched
+
+
 def test_plain_and_filtered_counts():
     query = q("SELECT COUNT(*) FROM edges", CYCLE)
     assert eval_query(query, CYCLE) == 3
