@@ -71,7 +71,7 @@ from .relalg import (
     root_count,
     scope_of,
 )
-from .sensitivity import elastic_sensitivity, join_count, mf_at_distance
+from .sensitivity import elastic_sensitivity, join_count, key_columns, mf_at_distance
 
 
 def _diag(message: str):
@@ -187,7 +187,7 @@ def _derived_bin_domain(query, store: MetricsStore, db: MicroDatabase):
 
 
 def _observed_metrics(query, store: MetricsStore, db: MicroDatabase) -> MetricsStore:
-    """``store`` with every join key's mf raised to its max frequency in ``db``, where larger.
+    """``store`` with the mf of each join key the bound reads raised to ``db``'s, where larger.
 
     Elastic sensitivity bounds local sensitivity only where each mf is at
     least the data's. max(recorded, observed) still moves by at most 1
@@ -195,13 +195,11 @@ def _observed_metrics(query, store: MetricsStore, db: MicroDatabase) -> MetricsS
     needs, so a stale file cannot lower the noise of a release from data.
     """
     mf = dict(store.mf)
-    for join in join_nodes(query):
-        for key, side in ((join.key_left, join.left), (join.key_right, join.right)):
-            base = scope_of(side)[attribute_index(key, side)].provenance
-            if base is not None and (base.table, base.column) in mf:
-                rows, columns = db.tables[base.table], db.columns[base.table]
-                observed = column_max_frequency(rows, columns.index(base.column))
-                mf[base.table, base.column] = max(mf[base.table, base.column], observed)
+    for table, column in key_columns(query):
+        if (table, column) in mf:
+            rows, columns = db.tables[table], db.columns[table]
+            observed = column_max_frequency(rows, columns.index(column))
+            mf[table, column] = max(mf[table, column], observed)
     return dataclasses.replace(store, mf=mf)
 
 

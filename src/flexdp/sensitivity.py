@@ -28,14 +28,19 @@ node: a step per base table, join and count. The plan holds no metric
 values. A table step names its table, and a join step holds its self-join
 flag and, per key, the base column's (table, column) and the inner joins
 whose key mf multiplies it; a key that passes through an aggregation is
-rejected while compiling. One loop, ``_evaluate``, reads each table's
-public flag and each key's mf from the metrics it is given and applies the
-rules to the plan in one of three number systems:
+rejected while compiling. The compile walk keeps an explicit stack and
+reads those inner joins off up-links from each join input to the join
+above it, so its time grows with the plan's size, at any depth.
+
+One loop, ``_evaluate``, reads each table's public flag and each key's mf
+from the metrics it is given and applies the rules to the plan in one of
+three number systems:
 
 * ``_Exact``: exact integers at a single k;
 * ``_Poly``: exact polynomials in k with non-negative integer coefficients.
   A value is a set of them whose largest is the bound at every k, so that
-  the mechanism can smooth in closed form;
+  the mechanism can smooth in closed form. Most values hold one
+  polynomial, and arithmetic on two of those skips the set;
 * ``_Log``: a float64 natural log at one distance, in pure Python, for
   values past double range. Products become sums, sums ``logaddexp`` and
   max stays max, a few ulps of error per step.
@@ -83,7 +88,8 @@ class _Step(NamedTuple):
     and right ``keys``, each (table, column, factors): the base column,
     then (join step, side) pairs, innermost first, whose key mf multiplies
     its mf; a column multiplies by the key of the side (0 left, 1 right) it
-    is not on.
+    is not on. ``_compile`` reads the pairs off the up-links of the steps
+    above the column's table step.
     """
 
     op: str
@@ -93,68 +99,89 @@ class _Step(NamedTuple):
     keys: tuple = ()
 
 
-def _through(columns: list, factor: tuple) -> list:
-    return [None if c is None else c + (factor,) for c in columns]
+def _factors(step: int, up: dict) -> tuple:
+    """The (join step, side) pairs above ``step``, innermost first, from its up-links."""
+    factors = []
+    while step in up:
+        factors.append(up[step])
+        step = up[step][0]
+    return tuple(factors)
 
 
-def _key(attr: AttrRef, r: RelExpr, columns: list):
+def _key(attr: AttrRef, r: RelExpr, columns: list, up: dict):
     """The key ``attr`` in ``r`` as (table, column, factors); refused past an aggregation."""
     column = columns[attribute_index(attr, r)]
     if column is None:
         raise UnsupportedQuery(
             "join key %s has no max-frequency bound (aggregation input)" % attr
         )
-    return column[0], column[1], column[2:]
+    table, name, step = column
+    return table, name, _factors(step, up)
 
 
 def _compile(r: RelExpr):
-    """Walk ``r`` once and return its post-order plan and output columns.
+    """Walk ``r`` once and return its post-order plan, output columns and up-links.
 
-    The columns hold, per scope position of ``r``, (table, column, factors...)
-    for a position that traces to a base-table column, and None for one that
-    passes through an aggregation. The last step of the plan is ``r``'s.
-    It reads no metrics, so the result is kept on ``r`` (``_Node._plan``).
+    The columns hold, per scope position of ``r``, (table, column, table
+    step) for a position that traces to a base-table column, and None for
+    one that passes through an aggregation. ``up`` maps the top step of
+    each join input to its up-link, (join step, side): the join above it
+    and the side whose key multiplies it. A key's factors are the up-links
+    followed from its table step (``_factors``). A join records its
+    up-links after it reads its keys, so that walk stops at the top of the
+    join's input and no factor tuple is ever copied.
+
+    The last step of the plan is ``r``'s. The walk keeps an explicit
+    stack, so a tree of any depth compiles. It reads no metrics, so the
+    result is kept on ``r`` (``_Node._plan``).
 
     Raises:
         UnsupportedQuery: a join key has no max-frequency bound.
     """
-    plan = []
-
-    def walk(r):
+    plan, up = [], {}
+    done = []  # per walked input: (its output columns, its top step)
+    stack = [(r, False)]
+    while stack:
+        r, inputs_done = stack.pop()
         if isinstance(r, Table):
+            done.append(([(r.name, column, len(plan)) for column in r.columns], len(plan)))
             plan.append(_Step("table", table=r.name))
-            return [(r.name, column) for column in r.columns]
-        if isinstance(r, Join):
-            left_columns = walk(r.left)
-            left = len(plan) - 1
-            right_columns = walk(r.right)
+        elif isinstance(r, Count):
+            done.append(([None], len(plan)))
+            plan.append(_Step("count"))
+        elif not inputs_done:
+            stack.append((r, True))
+            if isinstance(r, Join):
+                stack += ((r.right, False), (r.left, False))
+            elif isinstance(r, (Project, Select, Aliased, CountGrouped)):
+                stack.append((r.input, False))
+            else:
+                raise TypeError("not a relational expression: %r" % (r,))
+            continue
+        elif isinstance(r, Join):
+            (right_columns, right), (left_columns, left) = done.pop(), done.pop()
             keys = (
-                _key(r.key_left, r.left, left_columns),
-                _key(r.key_right, r.right, right_columns),
+                _key(r.key_left, r.left, left_columns, up),
+                _key(r.key_right, r.right, right_columns, up),
             )
             step = len(plan)
-            plan.append(_Step("join", (left, step - 1), self_join=is_self_join(r), keys=keys))
-            return _through(left_columns, (step, 1)) + _through(right_columns, (step, 0))
-        if isinstance(r, Project):
-            columns = walk(r.input)
-            return [columns[attribute_index(a, r.input)] for a in r.attrs]
-        if isinstance(r, (Select, Aliased)):
-            return walk(r.input)
-        if isinstance(r, Count):
-            plan.append(_Step("count"))
-            return [None]
-        if isinstance(r, CountGrouped):
-            walk(r.input)
-            plan.append(_Step("grouped", (len(plan) - 1,)))
-            return [None] * (len(r.group_attrs) + 1)
-        raise TypeError("not a relational expression: %r" % (r,))
-
-    columns = walk(r)
-    return plan, columns
+            up[left], up[right] = (step, 1), (step, 0)
+            left_columns += right_columns  # each input's list is its own
+            done.append((left_columns, step))
+            plan.append(_Step("join", (left, right), self_join=is_self_join(r), keys=keys))
+        elif isinstance(r, Project):
+            columns, top = done.pop()
+            done.append(([columns[attribute_index(a, r.input)] for a in r.attrs], top))
+        elif isinstance(r, CountGrouped):
+            top = done.pop()[1]
+            done.append(([None] * (len(r.group_attrs) + 1), len(plan)))
+            plan.append(_Step("grouped", (top,)))
+        # Select and Aliased pass their input's columns and top step through
+    return plan, done.pop()[0], up
 
 
 def _compiled(r: RelExpr):
-    """``r``'s plan and output columns, compiled on first use and kept on ``r``."""
+    """``r``'s plan, output columns and up-links, compiled on first use and kept on ``r``."""
     _check_node(r)
     return r._plan
 
@@ -205,6 +232,10 @@ class _Log:
 
 
 def _times(p: tuple, q: tuple) -> tuple:
+    if len(q) == 1:
+        p, q = q, p
+    if len(p) == 1:  # a constant scales the other's coefficients
+        return tuple([p[0] * c for c in q])
     out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         for j, b in enumerate(q):
@@ -314,9 +345,20 @@ class _Poly:
 
     const = staticmethod(lambda n: ((n,) if n else (),))
     grow = staticmethod(lambda n: ((n, 1),))
-    mul = staticmethod(lambda a, b: _undominated(_times(p, q) for p in a for q in b))
-    add = staticmethod(lambda a, b: _undominated(_plus(p, q) for p in a for q in b))
     max = staticmethod(lambda a, b: _undominated(a + b))
+
+    # one polynomial each, the usual case, needs no set
+    @staticmethod
+    def mul(a, b):
+        if len(a) == len(b) == 1:
+            return (_times(a[0], b[0]),)
+        return _undominated(_times(p, q) for p in a for q in b)
+
+    @staticmethod
+    def add(a, b):
+        if len(a) == len(b) == 1:
+            return (_plus(a[0], b[0]),)
+        return _undominated(_plus(p, q) for p in a for q in b)
 
 
 def _key_mf(key: tuple, key_mfs: list, numbers, m: MetricsStore):
@@ -362,13 +404,28 @@ def _evaluate(plan: list, numbers, m: MetricsStore):
     return stability, key_mfs
 
 
-def _sensitivity(q: RelExpr, m: MetricsStore, numbers):
+def _counted_plan(q: RelExpr) -> list:
     # a plain count moves by the counted relation's stability; a grouped
     # count's is its own (the input's, doubled)
     root = root_count(q)
-    relation = root if isinstance(root, CountGrouped) else root.input
-    plan, _ = _compiled(relation)
-    return _evaluate(plan, numbers, m)[0][-1]
+    return _compiled(root if isinstance(root, CountGrouped) else root.input)[0]
+
+
+def _sensitivity(q: RelExpr, m: MetricsStore, numbers):
+    return _evaluate(_counted_plan(q), numbers, m)[0][-1]
+
+
+def key_columns(q: RelExpr) -> list:
+    """The base column, as (table, column), of every join key the query's bound reads.
+
+    One per key of each join of the compiled plan, in plan order. Joins
+    under a nested plain count are not read (its stability is 1).
+
+    Raises:
+        UnsupportedQuery: the root is not a count, or a join key lacks a
+            max-frequency bound.
+    """
+    return [key[:2] for step in _counted_plan(q) for key in step.keys]
 
 
 def mf_at_distance(attr: AttrRef, r: RelExpr, k: int, m: MetricsStore) -> int:
@@ -385,8 +442,8 @@ def mf_at_distance(attr: AttrRef, r: RelExpr, k: int, m: MetricsStore) -> int:
             has no metric-derived bound, or a join in ``r`` has such a key.
     """
     _check_distance(k)
-    plan, columns = _compiled(r)
-    key = _key(attr, r, columns)
+    plan, columns, up = _compiled(r)
+    key = _key(attr, r, columns, up)
     numbers = _Exact(k)
     return _key_mf(key, _evaluate(plan, numbers, m)[1], numbers, m)
 
@@ -399,7 +456,7 @@ def elastic_stability(r: RelExpr, k: int, m: MetricsStore) -> int:
     up to k from the actual one.
     """
     _check_distance(k)
-    plan, _ = _compiled(r)
+    plan = _compiled(r)[0]
     return _evaluate(plan, _Exact(k), m)[0][-1]
 
 

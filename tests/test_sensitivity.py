@@ -1,6 +1,8 @@
 """Stability and max-frequency rules, frozen against hand derivations."""
 
 import gc
+import math
+import sys
 import weakref
 
 import numpy as np
@@ -349,6 +351,81 @@ def test_star_key_multiplied_through_inner_join():
         assert mf_at_distance(AttrRef("f", "b"), join.left, k, STAR_METRICS) == (7 + k) * (2 + k)
         # S(fact JOIN d1) = max(5+k, 2+k); outer: max(mf(f.b)*0, 3*S(left))
         assert elastic_sensitivity(q, k, STAR_METRICS) == 3 * (5 + k)
+
+
+def test_plan_of_a_bushy_tree_reads_key_factors_through_up_links():
+    # a self-join subquery joined on the right under Aliased and a
+    # reordering Project, and a star key f.b that passes two inner joins
+    q = parse_query(
+        "WITH s AS (SELECT e2.dest, e1.source FROM edges e1 JOIN edges e2 ON e1.dest = e2.source) "
+        "SELECT COUNT(*) FROM fact f JOIN d1 ON f.a = d1.id JOIN d2 ON d1.x = d2.id "
+        "JOIN s ON f.b = s.source",
+        STAR_CATALOG,
+    )
+    Step = sensitivity._Step
+    plan, columns, up = sensitivity._compiled(q.input)
+    assert plan == [
+        Step("table", table="fact"),
+        Step("table", table="d1"),
+        Step("join", (0, 1), keys=(("fact", "a", ()), ("d1", "id", ()))),
+        Step("table", table="d2"),
+        Step("join", (2, 3), keys=(("d1", "x", ((2, 0),)), ("d2", "id", ()))),
+        Step("table", table="edges"),
+        Step("table", table="edges"),
+        Step("join", (5, 6), self_join=True, keys=(("edges", "dest", ()), ("edges", "source", ()))),
+        Step("join", (4, 7), keys=(("fact", "b", ((2, 1), (4, 1))), ("edges", "source", ((7, 1),)))),
+    ]
+    # each input's top step links to the join above it and the other side
+    assert up == {0: (2, 1), 1: (2, 0), 2: (4, 1), 3: (4, 0), 5: (7, 1), 6: (7, 0), 4: (8, 1), 7: (8, 0)}
+    assert columns[6] == ("edges", "dest", 6)  # s.dest, after f, d1 and d2
+    for k in (0, 1, 4):
+        # e2.dest: its own mf, times e1.dest's at the self join, times f.b's
+        # at the root join, which is (7+k) times d1.id's (2+k) and d2.id's 3
+        assert mf_at_distance(AttrRef("s", "dest"), q.input, k, STAR_METRICS) == (
+            (65 + k) ** 2 * (7 + k) * (2 + k) * 3
+        )
+        assert mf_at_distance(AttrRef("d1", "x"), q.input, k, STAR_METRICS) == (
+            (4 + k) * (5 + k) * 3 * (65 + k) ** 2
+        )
+
+
+def _schoolbook(p, q):
+    out = [0] * (len(p) + len(q) - 1) if p and q else []
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+def test_single_polynomial_arithmetic_matches_the_set_path():
+    # the zero polynomial, one, constants (the scaling path of _times) and
+    # random polynomials with large coefficients
+    rng = np.random.default_rng(13)
+    polys = [(), (1,), (0,), (2,), (65,), (7, 1), (10**40, 3, 0)]
+    for _ in range(40):
+        degree, digits = int(rng.integers(0, 7)), int(rng.integers(1, 30))
+        polys.append(tuple(int(rng.integers(0, 10)) ** digits for _ in range(degree + 1)))
+    times, plus, undominated = sensitivity._times, sensitivity._plus, sensitivity._undominated
+    for p in polys:
+        for q in polys:
+            assert times(p, q) == _schoolbook(p, q)
+            assert sensitivity._Poly.mul((p,), (q,)) == undominated([_schoolbook(p, q)])
+            assert sensitivity._Poly.add((p,), (q,)) == undominated([plus(p, q)])
+    # a value of several polynomials still goes through the set
+    a, b = ((1, 2), (3,)), ((2,), (0, 1))
+    assert sensitivity._Poly.mul(a, b) == undominated(_schoolbook(p, q) for p in a for q in b)
+    assert sensitivity._Poly.add(a, b) == undominated(plus(p, q) for p in a for q in b)
+
+
+def test_a_chain_deeper_than_the_recursion_limit_is_analysed():
+    # compile keeps an explicit stack, so the depth takes no frames; the
+    # interpreter's limit is left as it is
+    n = sys.getrecursionlimit() + 1
+    q = parse_query(chain_sql(n), chain_catalog(n + 1))
+    m = chain_metrics(n + 1)  # mf 10: each join multiplies the bound by 10
+    assert elastic_sensitivity(q, 0, m) == 10**n
+    bound = smooth_bound(q, m, make_params(1.0, 1e-9))
+    assert bound.S == math.inf and n * math.log(10) <= bound.log_S < math.inf
 
 
 def _nodes(r):
