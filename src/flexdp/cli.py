@@ -94,12 +94,25 @@ def _load_inputs(args):
     return store, query, params
 
 
+def _printable(n: int):
+    """``n``, or None when it has more digits than Python converts to text.
+
+    The limit is ``sys.get_int_max_str_digits()``; ``json.loads`` refuses
+    such an integer too, so it is reported like an overflowing float.
+    """
+    try:
+        str(n)
+    except ValueError:
+        return None
+    return n
+
+
 def cmd_analyze(args) -> int:
     store, query, params = _load_inputs(args)
     bound = smooth_bound(query, store, params)
     report = {
         "joins": join_count(query),
-        "stability_at_0": elastic_sensitivity(query, 0, store),
+        "stability_at_0": _printable(elastic_sensitivity(query, 0, store)),
         "epsilon": params.epsilon,
         "delta": params.delta,
         "beta": params.beta,

@@ -45,7 +45,7 @@ from .relalg import (
     RelExpr,
     Select,
     Table,
-    attribute_index,
+    _Names,
     root_count,
     scope_of,
 )
@@ -159,9 +159,9 @@ class _Parser:
         self._expect_keyword("SELECT")
         items = self._select_list()
         self._expect_keyword("FROM")
-        rel = self._from_clause()
+        rel, names = self._from_clause()
         if self._accept_keyword("WHERE"):
-            predicate = self._conjunction(rel)
+            predicate = self._conjunction(names)
             rel = Select(tuple(predicate), rel)
         group_attrs = None
         if self._accept_keyword("GROUP"):
@@ -170,8 +170,8 @@ class _Parser:
             while self._accept_punc(","):
                 group_attrs.append(self._attribute())
             for attr in group_attrs:
-                self._resolve(attr, rel)
-        return self._assemble(items, rel, group_attrs)
+                self._resolve(attr, names)
+        return self._assemble(items, rel, names, group_attrs)
 
     def _select_list(self):
         items = [self._select_item()]
@@ -204,9 +204,16 @@ class _Parser:
             return AttrRef(first, self._identifier("column name"))
         return AttrRef(None, first)
 
-    def _from_clause(self) -> RelExpr:
+    def _from_clause(self):
+        """The FROM relation and the name index of its scope, grown with each JOIN.
+
+        Each JOIN adds its new input's names before its ON clause is
+        parsed, so a condition sees the inputs joined so far, and the
+        finished index is the whole relation's.
+        """
         rel = self._table_ref()
-        qualifiers = self._qualifiers(rel)  # of ``rel``, kept as it grows
+        names = _Names(scope_of(rel))
+        qualifiers = {entry.qualifier for entry in names.entries}  # kept as ``rel`` grows
         while True:
             if self._accept_keyword("INNER"):
                 self._expect_keyword("JOIN")
@@ -221,11 +228,14 @@ class _Parser:
             else:
                 break
             right = self._table_ref()
-            self._add_distinct_aliases(qualifiers, right)
+            added = scope_of(right)
+            self._add_distinct_aliases(qualifiers, added)
+            split = len(names.entries)
+            names.add(added)
             self._expect_keyword("ON")
-            condition = self._conjunction(rel, right)
-            rel = self._make_join(rel, right, condition)
-        return rel
+            condition = self._conjunction(names, join=True)
+            rel = self._make_join(rel, right, condition, names, split)
+        return rel, names
 
     def _table_ref(self) -> RelExpr:
         name = self._identifier("table name")
@@ -244,12 +254,9 @@ class _Parser:
         return Table(name, alias or name, tuple(self.catalog.columns[name]))
 
     @staticmethod
-    def _qualifiers(rel: RelExpr):
-        return {entry.qualifier for entry in scope_of(rel)}
-
-    def _add_distinct_aliases(self, qualifiers: set, right: RelExpr):
-        """Add the qualifiers of ``right`` to ``qualifiers``, the left input's; refuse a shared one."""
-        added = self._qualifiers(right)
+    def _add_distinct_aliases(qualifiers: set, entries: tuple):
+        """Add the qualifiers of ``entries``, the right input's scope, to the left input's; refuse a shared one."""
+        added = {entry.qualifier for entry in entries}
         shared = qualifiers & added
         if shared:
             raise ParseError(
@@ -258,14 +265,14 @@ class _Parser:
             )
         qualifiers |= added
 
-    def _conjunction(self, *rels: RelExpr):
-        """Parse comparisons joined by AND; two relations make it a join condition."""
-        comparisons = [self._comparison(rels)]
+    def _conjunction(self, names: _Names, join: bool = False):
+        """Parse comparisons joined by AND, each attribute resolved in ``names``."""
+        comparisons = [self._comparison(names)]
         while True:
             if self._accept_keyword("AND"):
-                comparisons.append(self._comparison(rels))
+                comparisons.append(self._comparison(names))
             elif self._at_keyword("OR"):
-                if len(rels) == 2:
+                if join:
                     raise UnsupportedQuery(
                         "disjunction (OR) in a join condition is not supported"
                     )
@@ -283,7 +290,7 @@ class _Parser:
             return value[1:-1]
         return self._attribute()
 
-    def _comparison(self, rels) -> Comparison:
+    def _comparison(self, names: _Names) -> Comparison:
         left = self._operand()
         kind, op = self._peek()
         if kind != "op":
@@ -301,20 +308,24 @@ class _Parser:
         # scope; a bare name visible on both sides of a join is ambiguous
         for attr in (comparison.left, comparison.right):
             if isinstance(attr, AttrRef):
-                self._resolve(attr, *rels)
+                self._resolve(attr, names)
         return comparison
 
     @staticmethod
-    def _resolve(attr: AttrRef, *rels: RelExpr) -> int:
-        """``attribute_index``, with an unknown or ambiguous name as UnknownColumn."""
+    def _resolve(attr: AttrRef, names: _Names) -> int:
+        """``names.index``, with an unknown or ambiguous name as UnknownColumn."""
         try:
-            return attribute_index(attr, *rels)
+            return names.index(attr)
         except UnresolvedAttribute as exc:
             raise UnknownColumn(str(exc)) from None
 
-    def _make_join(self, left: RelExpr, right: RelExpr, condition) -> Join:
-        scope = scope_of(left) + scope_of(right)
-        split = len(scope_of(left))
+    @staticmethod
+    def _make_join(left: RelExpr, right: RelExpr, condition, names: _Names, split: int) -> Join:
+        """The join of ``left`` and ``right`` on ``condition``.
+
+        ``names`` indexes both inputs' scopes, the right's from position
+        ``split`` on.
+        """
         key = None
         derived_key = None
         residual = []
@@ -323,12 +334,10 @@ class _Parser:
                 # order the two ends by position alone (AttrRef has no ordering,
                 # and a.x = a.x gives equal positions); a key has one end per side
                 pair = (comparison.left, comparison.right)
-                ends = sorted(
-                    ((attribute_index(a, left, right), a) for a in pair), key=lambda e: e[0]
-                )
+                ends = sorted(((names.index(a), a) for a in pair), key=lambda e: e[0])
                 (i, kl), (j, kr) = ends
                 if i < split <= j:
-                    derived = [a for n, a in ends if scope[n].provenance is None]
+                    derived = [a for n, a in ends if names.entries[n].provenance is None]
                     if not derived:
                         key = (kl, kr)
                         continue
@@ -346,7 +355,7 @@ class _Parser:
             )
         return Join(left, right, key[0], key[1], tuple(residual))
 
-    def _assemble(self, items, rel, group_attrs) -> RelExpr:
+    def _assemble(self, items, rel, names, group_attrs) -> RelExpr:
         count_items = [item for item in items if item[0] == "count"]
         plain_attrs = [item[1] for item in items if item[0] == "attr"]
         if len(count_items) > 1:
@@ -354,16 +363,16 @@ class _Parser:
         if count_items:
             _, arg, label = count_items[0]
             if arg is not None:
-                self._resolve(arg, rel)
+                self._resolve(arg, names)
             if group_attrs is None:
                 if plain_attrs:
                     raise ParseError(
                         "non-aggregated column %s requires GROUP BY" % plain_attrs[0]
                     )
                 return Count(rel, label)
-            grouped = {self._resolve(g, rel) for g in group_attrs}
+            grouped = {self._resolve(g, names) for g in group_attrs}
             for attr in plain_attrs:
-                if self._resolve(attr, rel) not in grouped:
+                if self._resolve(attr, names) not in grouped:
                     raise ParseError(
                         "column %s is not in the GROUP BY list" % attr
                     )
@@ -371,7 +380,7 @@ class _Parser:
         if group_attrs is not None:
             raise ParseError("GROUP BY without a COUNT expression")
         for attr in plain_attrs:
-            self._resolve(attr, rel)
+            self._resolve(attr, names)
         return Project(tuple(plain_attrs), rel)
 
 

@@ -14,8 +14,13 @@ Example::
 
 Attribute references are kept as written in the query (optional qualifier
 plus column name). ``scope_of`` computes the attributes visible at each node
-together with their provenance. ``attribute_index`` resolves a reference to
-its position in one scope, or in the concatenated scopes of a join's inputs;
+together with their provenance. A reference resolves through a name index,
+``_Names``, that maps a bare name and a (qualifier, name) pair to a scope
+position in O(1) and grows by one scope at a time. The parser grows one
+index with each JOIN of a FROM clause, and the sensitivity compiler one with
+each join it walks, so neither rebuilds an input's names at each join.
+``attribute_index`` resolves a reference in one node's scope, through an
+index kept on the node, or in the concatenated scopes of several relations;
 the entry at that position carries the base-table column the reference
 names, or ``None`` when the value passes through an aggregation.
 """
@@ -23,6 +28,7 @@ names, or ``None`` when the value passes through an aggregation.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
@@ -76,14 +82,19 @@ class Comparison:
 class _Node:
     """Common base of the relational node classes.
 
-    A node's scope, ancestor set and sensitivity plan are each computed at
-    most once and kept on the node, so they are freed with the tree. They
-    are not dataclass fields: node equality and hashing ignore them.
+    A node's scope, name index, ancestor set and sensitivity plan are each
+    computed at most once and kept on the node, so they are freed with the
+    tree. They are not dataclass fields: node equality and hashing ignore
+    them.
     """
 
     @functools.cached_property
     def _scope(self) -> tuple:
         return _compute_scope(self)
+
+    @functools.cached_property
+    def _names(self) -> "_Names":
+        return _Names(self._scope)
 
     @functools.cached_property
     def _ancestors(self) -> frozenset:
@@ -228,10 +239,19 @@ def _compute_scope(r: RelExpr) -> tuple:
             ScopeEntry(r.alias, col, BaseColumn(r.name, col)) for col in r.columns
         )
     if isinstance(r, Join):
-        return scope_of(r.left) + scope_of(r.right)
+        # the scopes under r's joins, left to right; no inner join's scope is
+        # built, so a chain of any depth costs O(its width)
+        parts, stack = [], [r]
+        while stack:
+            r = stack.pop()
+            if isinstance(r, Join):
+                stack += (r.right, r.left)
+            else:
+                parts.append(scope_of(r))
+        return tuple(itertools.chain.from_iterable(parts))
     if isinstance(r, Project):
         inner = scope_of(r.input)
-        return tuple(inner[_lookup(attr, inner)] for attr in r.attrs)
+        return tuple(inner[attribute_index(attr, r.input)] for attr in r.attrs)
     if isinstance(r, Select):
         return scope_of(r.input)
     if isinstance(r, Aliased):
@@ -245,40 +265,68 @@ def _compute_scope(r: RelExpr) -> tuple:
         inner = scope_of(r.input)
         keys = tuple(
             ScopeEntry(e.qualifier, e.name, None)
-            for e in (inner[_lookup(attr, inner)] for attr in r.group_attrs)
+            for e in (inner[attribute_index(attr, r.input)] for attr in r.group_attrs)
         )
         return keys + (ScopeEntry(None, r.label, None),)
 
 
-def _lookup(attr: AttrRef, scope: tuple) -> int:
-    """Position of the unique scope entry ``attr`` names, or raise UnresolvedAttribute."""
-    name, qualifier = attr.name, attr.qualifier
-    found = None
-    for i, entry in enumerate(scope):
-        if entry.name == name and (qualifier is None or entry.qualifier == qualifier):
-            if found is not None:
-                raise UnresolvedAttribute("ambiguous attribute %s" % attr)
-            found = i
-    if found is None:
-        raise UnresolvedAttribute("no attribute %s in scope" % attr)
-    return found
+_AMBIGUOUS = -1  # the position of a name that more than one entry has
+
+
+class _Names:
+    """A name index over a scope that grows one scope at a time.
+
+    ``entries`` is the scope so far. The index maps each bare name and each
+    (qualifier, name) pair to the position of the one entry that has it,
+    or to _AMBIGUOUS. ``add`` appends a scope in O(its entries) and
+    ``index`` resolves a reference in O(1).
+    """
+
+    __slots__ = ("entries", "_positions")
+
+    def __init__(self, entries=()):
+        self.entries = []
+        self._positions = {}
+        self.add(entries)
+
+    def add(self, entries):
+        """Append the scope ``entries`` (a sequence of ScopeEntry)."""
+        positions = self._positions
+        for i, entry in enumerate(entries, len(self.entries)):
+            for key in (entry.name, (entry.qualifier, entry.name)):
+                positions[key] = _AMBIGUOUS if key in positions else i
+        self.entries += entries
+
+    def index(self, attr: AttrRef) -> int:
+        """Position of the unique entry ``attr`` names, or raise UnresolvedAttribute."""
+        name, qualifier = attr.name, attr.qualifier
+        found = self._positions.get(name if qualifier is None else (qualifier, name))
+        if found is None:
+            raise UnresolvedAttribute("no attribute %s in scope" % attr)
+        if found == _AMBIGUOUS:
+            raise UnresolvedAttribute("ambiguous attribute %s" % attr)
+        return found
 
 
 def attribute_index(attr: AttrRef, *relations: RelExpr) -> int:
     """Return the position of ``attr`` in the concatenated scopes of ``relations``.
 
-    With one relation this is the column ``attr`` names in its output tuples.
-    With a join's two inputs a bare name must be unique across both sides,
-    and a position at or past ``len(scope_of(left))`` is on the right. The
-    entry at that position of the concatenated scope carries the provenance.
+    With one relation this is the column ``attr`` names in its output tuples,
+    resolved through the name index kept on the node. With a join's two
+    inputs a bare name must be unique across both sides, and a position at
+    or past ``len(scope_of(left))`` is on the right. The entry at that
+    position of the concatenated scope carries the provenance.
 
     Raises:
         UnresolvedAttribute: no attribute, or more than one, matches ``attr``.
     """
-    scope: tuple = ()
+    if len(relations) == 1:
+        _check_node(relations[0])
+        return relations[0]._names.index(attr)
+    names = _Names()
     for r in relations:
-        scope += scope_of(r)
-    return _lookup(attr, scope)
+        names.add(scope_of(r))
+    return names.index(attr)
 
 
 def ancestors(r: RelExpr) -> frozenset:
@@ -293,11 +341,18 @@ def ancestors(r: RelExpr) -> frozenset:
 
 
 def _compute_ancestors(r: RelExpr) -> frozenset:
-    if isinstance(r, Table):
-        return frozenset((r.name,))
-    if isinstance(r, Join):
-        return ancestors(r.left) | ancestors(r.right)
-    return ancestors(r.input)
+    # a walk with an explicit stack: no inner node's set is built, so a
+    # tree of any depth costs O(its nodes)
+    tables, stack = set(), [r]
+    while stack:
+        r = stack.pop()
+        if isinstance(r, Table):
+            tables.add(r.name)
+        elif isinstance(r, Join):
+            stack += (r.left, r.right)
+        else:  # every other node has one input
+            stack.append(r.input)
+    return frozenset(tables)
 
 
 def is_self_join(j: Join) -> bool:

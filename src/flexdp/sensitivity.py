@@ -28,9 +28,10 @@ node: a step per base table, join and count. The plan holds no metric
 values. A table step names its table, and a join step holds its self-join
 flag and, per key, the base column's (table, column) and the inner joins
 whose key mf multiplies it; a key that passes through an aggregation is
-rejected while compiling. The compile walk keeps an explicit stack and
-reads those inner joins off up-links from each join input to the join
-above it, so its time grows with the plan's size, at any depth.
+rejected while compiling. The compile walk keeps an explicit stack,
+resolves each join key in a name index it grows along the walk, and reads
+those inner joins off up-links from each join input to the join above it,
+so its time grows with the plan's size, at any depth.
 
 One loop, ``_evaluate``, reads each table's public flag and each key's mf
 from the metrics it is given and applies the rules to the plan in one of
@@ -68,10 +69,12 @@ from .relalg import (
     Select,
     Table,
     _check_node,
+    _Names,
+    ancestors,
     attribute_index,
-    is_self_join,
     join_nodes,
     root_count,
+    scope_of,
 )
 
 
@@ -84,12 +87,13 @@ class _Step(NamedTuple):
     """One plan step; ``inputs`` are indices of earlier steps.
 
     ``op`` is "table" (the base table ``table``), "count" (a plain count,
-    stability 1), "grouped" or "join". A join has ``self_join`` and left
-    and right ``keys``, each (table, column, factors): the base column,
-    then (join step, side) pairs, innermost first, whose key mf multiplies
-    its mf; a column multiplies by the key of the side (0 left, 1 right) it
-    is not on. ``_compile`` reads the pairs off the up-links of the steps
-    above the column's table step.
+    stability 1), "grouped" or "join". A join has ``self_join``, true when
+    its two inputs read a common base table, and left and right ``keys``,
+    each (table, column, factors): the base column, then (join step, side)
+    pairs, innermost first, whose key mf multiplies its mf; a column
+    multiplies by the key of the side (0 left, 1 right) it is not on.
+    ``_compile`` reads the pairs off the up-links of the steps above the
+    column's table step.
     """
 
     op: str
@@ -108,9 +112,12 @@ def _factors(step: int, up: dict) -> tuple:
     return tuple(factors)
 
 
-def _key(attr: AttrRef, r: RelExpr, columns: list, up: dict):
-    """The key ``attr`` in ``r`` as (table, column, factors); refused past an aggregation."""
-    column = columns[attribute_index(attr, r)]
+def _key(attr: AttrRef, column, up: dict):
+    """The key ``attr``, whose output column is ``column``, as (table, column, factors).
+
+    Raises:
+        UnsupportedQuery: the key passes through an aggregation.
+    """
     if column is None:
         raise UnsupportedQuery(
             "join key %s has no max-frequency bound (aggregation input)" % attr
@@ -131,6 +138,13 @@ def _compile(r: RelExpr):
     up-links after it reads its keys, so that walk stops at the top of the
     join's input and no factor tuple is ever copied.
 
+    Each walked input also carries a name index of its scope
+    (``relalg._Names``) and the set of base tables it reads. A join
+    resolves each key in its input's index, is a self join when the two
+    table sets meet, and then grows its left input's columns, index and
+    set in place by the right's, so a chain's names are indexed once, not
+    once per join.
+
     The last step of the plan is ``r``'s. The walk keeps an explicit
     stack, so a tree of any depth compiles. It reads no metrics, so the
     result is kept on ``r`` (``_Node._plan``).
@@ -139,15 +153,16 @@ def _compile(r: RelExpr):
         UnsupportedQuery: a join key has no max-frequency bound.
     """
     plan, up = [], {}
-    done = []  # per walked input: (its output columns, its top step)
+    done = []  # per walked input: (its output columns, names, tables, top step)
     stack = [(r, False)]
     while stack:
         r, inputs_done = stack.pop()
         if isinstance(r, Table):
-            done.append(([(r.name, column, len(plan)) for column in r.columns], len(plan)))
+            columns = [(r.name, column, len(plan)) for column in r.columns]
+            done.append((columns, _Names(scope_of(r)), {r.name}, len(plan)))
             plan.append(_Step("table", table=r.name))
         elif isinstance(r, Count):
-            done.append(([None], len(plan)))
+            done.append(([None], _Names(scope_of(r)), set(ancestors(r)), len(plan)))
             plan.append(_Step("count"))
         elif not inputs_done:
             stack.append((r, True))
@@ -159,24 +174,34 @@ def _compile(r: RelExpr):
                 raise TypeError("not a relational expression: %r" % (r,))
             continue
         elif isinstance(r, Join):
-            (right_columns, right), (left_columns, left) = done.pop(), done.pop()
+            right_columns, right_names, right_tables, right = done.pop()
+            left_columns, left_names, left_tables, left = done.pop()
             keys = (
-                _key(r.key_left, r.left, left_columns, up),
-                _key(r.key_right, r.right, right_columns, up),
+                _key(r.key_left, left_columns[left_names.index(r.key_left)], up),
+                _key(r.key_right, right_columns[right_names.index(r.key_right)], up),
             )
             step = len(plan)
             up[left], up[right] = (step, 1), (step, 0)
-            left_columns += right_columns  # each input's list is its own
-            done.append((left_columns, step))
-            plan.append(_Step("join", (left, right), self_join=is_self_join(r), keys=keys))
+            self_join = not left_tables.isdisjoint(right_tables)
+            plan.append(_Step("join", (left, right), self_join=self_join, keys=keys))
+            # each input's columns, index and set are its own
+            left_columns += right_columns
+            left_names.add(right_names.entries)
+            left_tables |= right_tables
+            done.append((left_columns, left_names, left_tables, step))
         elif isinstance(r, Project):
-            columns, top = done.pop()
-            done.append(([columns[attribute_index(a, r.input)] for a in r.attrs], top))
+            columns, names, tables, top = done.pop()
+            columns = [columns[names.index(a)] for a in r.attrs]
+            done.append((columns, _Names(scope_of(r)), tables, top))
         elif isinstance(r, CountGrouped):
-            top = done.pop()[1]
-            done.append(([None] * (len(r.group_attrs) + 1), len(plan)))
+            tables, top = done.pop()[2:]
+            columns = [None] * (len(r.group_attrs) + 1)
+            done.append((columns, _Names(scope_of(r)), tables, len(plan)))
             plan.append(_Step("grouped", (top,)))
-        # Select and Aliased pass their input's columns and top step through
+        elif isinstance(r, Aliased):
+            columns, _, tables, top = done.pop()
+            done.append((columns, _Names(scope_of(r)), tables, top))
+        # Select passes its input's columns, index, tables and top step through
     return plan, done.pop()[0], up
 
 
@@ -443,7 +468,7 @@ def mf_at_distance(attr: AttrRef, r: RelExpr, k: int, m: MetricsStore) -> int:
     """
     _check_distance(k)
     plan, columns, up = _compiled(r)
-    key = _key(attr, r, columns, up)
+    key = _key(attr, columns[attribute_index(attr, r)], up)
     numbers = _Exact(k)
     return _key_mf(key, _evaluate(plan, numbers, m)[1], numbers, m)
 

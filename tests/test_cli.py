@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import pathlib
 import re
@@ -135,6 +136,42 @@ def test_analyze_json_writes_non_finite_as_null(tmp_path, capsys, store, sql, ex
     assert code == 0
     report = json.loads(out, parse_constant=_refuse_constant)
     assert {key: report[key] for key in expected} == expected
+
+
+@pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+def test_analyze_reports_a_stability_too_long_for_text_as_null(tmp_path, capsys, as_json):
+    # 80 joins at mf 1e60: the k=0 bound 1e4800 has more digits than Python
+    # converts to text, or json.loads reads
+    save_metrics(chain_metrics(81, mf=10**60, rows=10**60), str(tmp_path / "metrics.txt"))
+    (tmp_path / "q.sql").write_text(chain_sql(80))
+    code, out, err = run(
+        capsys,
+        "analyze",
+        tmp_path / "q.sql",
+        "--metrics",
+        tmp_path / "metrics.txt",
+        "--epsilon",
+        "1.0",
+        "--delta",
+        "1e-9",
+        *(["--json"] if as_json else []),
+    )
+    assert (code, err) == (0, "")
+    if as_json:
+        report = json.loads(out, parse_constant=_refuse_constant)
+        assert report["stability_at_0"] is None and report["S"] is None
+    else:
+        report = dict(line.split(": ", 1) for line in out.strip().splitlines())
+        assert report["stability_at_0"] == "None" and report["S"] == "inf"
+    assert float(report["log_S"]) == pytest.approx(4800 * math.log(10), rel=1e-3)
+
+
+def test_printable_stops_at_the_int_to_text_limit():
+    digits = sys.get_int_max_str_digits()
+    if not digits:
+        pytest.skip("int-to-text conversion is unlimited in this interpreter")
+    assert cli._printable(10 ** (digits - 1)) == 10 ** (digits - 1)
+    assert cli._printable(10**digits) is None
 
 
 def test_analyze_defaults_delta_from_row_count(workspace, capsys):

@@ -17,10 +17,12 @@ from flexdp import (
     UnknownColumn,
     UnknownTable,
     UnsupportedQuery,
+    elastic_sensitivity,
+    join_nodes,
     parse_query,
 )
 
-from _support import TRIANGLE_SQL, triangle_catalog
+from _support import TRIANGLE_SQL, chain_catalog, chain_metrics, chain_sql, triangle_catalog
 
 CATALOG = Catalog(
     columns={
@@ -273,3 +275,30 @@ def test_duplicate_with_name_rejected():
     )
     with pytest.raises(ParseError, match="duplicate subquery name"):
         parse(sql)
+
+
+def test_on_clause_sees_only_the_inputs_joined_so_far():
+    # ``uid`` is unique when the first ON is parsed; a later input that
+    # brings a second ``uid`` does not make that condition ambiguous
+    catalog = Catalog(columns={**CATALOG.columns, "returns": ("uid", "item")})
+    joins = "users u JOIN orders o ON u.id = uid JOIN returns r ON o.item = r.item"
+    q = parse("SELECT COUNT(*) FROM " + joins, catalog)
+    assert q.input.left.key_right == AttrRef(None, "uid")
+    # after the FROM clause, every input is in scope
+    for sql in (
+        "SELECT COUNT(*) FROM %s WHERE uid = 3",
+        "SELECT uid, COUNT(*) FROM %s GROUP BY uid",
+        "SELECT COUNT(uid) FROM %s",
+    ):
+        with pytest.raises(UnknownColumn, match="ambiguous attribute uid"):
+            parse(sql % joins, catalog)
+
+
+def test_chain_parse_and_compile_index_names_once():
+    # the parser and the compiler grow one name index along the chain, so no
+    # join builds the concatenated scope of its inputs
+    q = parse_query(chain_sql(300), chain_catalog(301))
+    assert elastic_sensitivity(q, 0, chain_metrics(301)) == 10**300
+    joins = list(join_nodes(q))
+    assert len(joins) == 300
+    assert not [j for j in joins if "_scope" in vars(j)]

@@ -1,5 +1,7 @@
 """Algebra nodes, scopes, and name resolution."""
 
+import random
+
 import pytest
 
 from flexdp import (
@@ -11,6 +13,7 @@ from flexdp import (
     CountGrouped,
     Join,
     Project,
+    ScopeEntry,
     Select,
     Table,
     UnresolvedAttribute,
@@ -23,6 +26,7 @@ from flexdp import (
     scope_of,
     unwrap_root,
 )
+from flexdp.relalg import _Names
 
 EDGES = Table("edges", "e1", ("source", "dest"))
 EDGES2 = Table("edges", "e2", ("source", "dest"))
@@ -126,6 +130,56 @@ def test_resolution_failures():
         attribute_index(AttrRef(None, "source"), EDGES, EDGES2)
     with pytest.raises(UnresolvedAttribute, match="no attribute"):
         attribute_index(AttrRef("zz", "source"), EDGES, EDGES2)
+
+
+def _scan(attr, scope):
+    """Reference resolution: a linear scan of the whole scope."""
+    found = [
+        i for i, entry in enumerate(scope)
+        if entry.name == attr.name and attr.qualifier in (None, entry.qualifier)
+    ]
+    if not found:
+        raise UnresolvedAttribute("no attribute %s in scope" % attr)
+    if len(found) > 1:
+        raise UnresolvedAttribute("ambiguous attribute %s" % attr)
+    return found[0]
+
+
+def _outcome(resolve, attr):
+    try:
+        return resolve(attr)
+    except UnresolvedAttribute as exc:
+        return type(exc), str(exc)
+
+
+def test_name_index_agrees_with_a_linear_scan():
+    # small alphabets, so qualifiers are missing or repeated, bare and
+    # qualified names repeat, and some references name nothing
+    rng = random.Random(1706)
+    qualifiers, names = (None, "a", "b", "c"), ("x", "y", "z")
+    attrs = [AttrRef(q, n) for q in qualifiers + ("d",) for n in names + ("w",)]
+    for _ in range(500):
+        scope = [
+            ScopeEntry(rng.choice(qualifiers), rng.choice(names), None)
+            for _ in range(rng.randrange(9))
+        ]
+        whole = _Names(scope)
+        assert whole.entries == scope
+        # grown in random pieces, the index answers at every prefix it
+        # passes as the scan of that prefix does, and ends equal to the whole
+        grown, start = _Names(), 0
+        while True:
+            prefix = scope[:start]
+            for attr in attrs:
+                assert _outcome(grown.index, attr) == _outcome(lambda a: _scan(a, prefix), attr)
+            if start == len(scope):
+                break
+            end = rng.randrange(start + 1, len(scope) + 1)
+            grown.add(tuple(scope[start:end]))
+            start = end
+        assert grown.entries == whole.entries
+        for attr in attrs:
+            assert _outcome(whole.index, attr) == _outcome(lambda a: _scan(a, scope), attr)
 
 
 def test_ancestors_and_self_join():
