@@ -25,7 +25,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 from .errors import EvaluationError, TooLargeToEnumerate
 from .metrics import MetricsStore
 from .relalg import (
-    Aliased,
     AttrRef,
     Catalog,
     Count,
@@ -35,6 +34,7 @@ from .relalg import (
     RelExpr,
     Select,
     Table,
+    _check_node,
     attribute_index,
     root_count,
 )
@@ -114,7 +114,7 @@ class MicroDatabase:
 
         Raises:
             EvaluationError: no table to load, a named table has no file, or
-                a file has no header row.
+                a file has no header row or repeats a column name in it.
         """
         if tables is None:
             names = sorted(n[: -len(".csv")] for n in os.listdir(path) if n.endswith(".csv"))
@@ -136,6 +136,8 @@ class MicroDatabase:
                 except StopIteration:
                     raise EvaluationError("%s is empty (no header row)" % filename) from None
                 columns[name] = tuple(h.strip() for h in header)
+                if len(set(columns[name])) != len(columns[name]):
+                    raise EvaluationError("%s repeats a column name in its header" % filename)
                 rows_of[name] = [
                     tuple(coerce_value(cell.strip()) for cell in row)
                     for row in reader
@@ -195,83 +197,75 @@ class MicroDatabase:
         ]
 
 
+def _table_rows(t: Table, db: MicroDatabase) -> List[tuple]:
+    stored = tuple(db.columns.get(t.name, ()))
+    if stored == t.columns:
+        return list(db.tables[t.name])
+    if set(stored) != set(t.columns):
+        raise EvaluationError("table %r columns do not match the query's schema" % t.name)
+    # same columns, different declared order: permute to the query's order
+    order = [stored.index(col) for col in t.columns]
+    return [tuple(row[i] for i in order) for row in db.tables[t.name]]
+
+
 def eval_rows(r: RelExpr, db: MicroDatabase) -> List[tuple]:
-    """Evaluate a relational transformation to its concrete rows."""
-    if isinstance(r, Table):
-        stored = tuple(db.columns.get(r.name, ()))
-        if stored == r.columns:
-            return list(db.tables[r.name])
-        if set(stored) != set(r.columns):
-            raise EvaluationError(
-                "table %r columns do not match the query's schema" % r.name
-            )
-        # same columns, different declared order: permute to the query's order
-        order = [stored.index(col) for col in r.columns]
-        return [tuple(row[i] for i in order) for row in db.tables[r.name]]
-    if isinstance(r, Join):
-        left_rows = eval_rows(r.left, db)
-        right_rows = eval_rows(r.right, db)
-        li = attribute_index(r.key_left, r.left)
-        ri = attribute_index(r.key_right, r.right)
-        buckets: Dict[Value, List[tuple]] = {}
-        for row in right_rows:
-            buckets.setdefault(row[ri], []).append(row)
-        joined = [
-            lrow + rrow for lrow in left_rows for rrow in buckets.get(lrow[li], ())
-        ]
-        if r.residual:
-            joined = _filter(joined, r.residual, r)
-        return joined
-    if isinstance(r, Select):
-        return _filter(eval_rows(r.input, db), r.predicate, r)
-    if isinstance(r, Project):
-        indices = [attribute_index(attr, r.input) for attr in r.attrs]
-        return [tuple(row[i] for i in indices) for row in eval_rows(r.input, db)]
-    if isinstance(r, Aliased):
-        return eval_rows(r.input, db)
-    if isinstance(r, Count):
-        return [(len(eval_rows(r.input, db)),)]
-    if isinstance(r, CountGrouped):
-        groups = _group_counts(r, db)
-        return [key + (count,) for key, count in sorted(groups.items(), key=repr)]
-    raise TypeError("not a relational expression: %r" % (r,))
+    """Evaluate a relational transformation to its concrete rows.
 
-
-def _filter(rows: List[tuple], predicate, node: RelExpr) -> List[tuple]:
-    compiled = []
-    for comparison in predicate:
-        li = attribute_index(comparison.left, node)
-        if isinstance(comparison.right, AttrRef):
-            ri = attribute_index(comparison.right, node)
-            compiled.append((li, _OPS[comparison.op], ("col", ri)))
+    One loop over ``r``'s resolved nodes (``relalg.resolve``) with a stack
+    of row lists, so a tree of any depth evaluates: each node pops its
+    inputs' rows and pushes its own. A grouped count's rows are its groups
+    in order of first appearance.
+    """
+    _check_node(r)
+    stack: List[List[tuple]] = []
+    for node, positions in r._resolved[0]:
+        if isinstance(node, Table):
+            rows = _table_rows(node, db)
+        elif isinstance(node, Join):
+            right_rows, left_rows = stack.pop(), stack.pop()
+            li, ri, residual = positions
+            buckets: Dict[Value, List[tuple]] = {}
+            for row in right_rows:
+                buckets.setdefault(row[ri], []).append(row)
+            rows = [lrow + rrow for lrow in left_rows for rrow in buckets.get(lrow[li], ())]
+            if residual:
+                rows = _filter(rows, node.residual, residual)
         else:
-            compiled.append((li, _OPS[comparison.op], ("lit", comparison.right)))
+            rows = stack.pop()
+            if isinstance(node, Select):
+                rows = _filter(rows, node.predicate, positions)
+            elif isinstance(node, Project):
+                rows = [tuple(row[i] for i in positions) for row in rows]
+            elif isinstance(node, Count):
+                rows = [(len(rows),)]
+            elif isinstance(node, CountGrouped):
+                counts: Dict[tuple, int] = {}
+                for row in rows:
+                    key = tuple(row[i] for i in positions)
+                    counts[key] = counts.get(key, 0) + 1
+                rows = [key + (count,) for key, count in counts.items()]
+            # Aliased passes its input's rows through
+        stack.append(rows)
+    return stack.pop()
+
+
+def _filter(rows: List[tuple], predicate: tuple, positions: tuple) -> List[tuple]:
+    """The rows that satisfy every comparison of ``predicate``, resolved to ``positions``."""
+    tests = [(li, _OPS[c.op], ri, c.right) for c, (li, ri) in zip(predicate, positions)]
     out = []
     for row in rows:
-        ok = True
-        for li, op, (kind, operand) in compiled:
-            right = row[operand] if kind == "col" else operand
+        for li, op, ri, literal in tests:
+            right = literal if ri is None else row[ri]
             try:
                 if not op(row[li], right):
-                    ok = False
                     break
             except TypeError:
                 raise EvaluationError(
                     "cannot compare %r with %r" % (row[li], right)
                 ) from None
-        if ok:
+        else:
             out.append(row)
     return out
-
-
-def _group_counts(r: CountGrouped, db: MicroDatabase) -> Dict[tuple, int]:
-    rows = eval_rows(r.input, db)
-    indices = [attribute_index(attr, r.input) for attr in r.group_attrs]
-    counts: Dict[tuple, int] = {}
-    for row in rows:
-        key = tuple(row[i] for i in indices)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
 
 
 def column_max_frequency(rows: List[tuple], index: int) -> int:
@@ -288,15 +282,13 @@ def eval_query(q: RelExpr, db: MicroDatabase):
     Returns:
         An int for a plain count; for a grouped count, a dict mapping the
         group label (a scalar for one grouping column, else a tuple) to its
-        count. Groups with no rows are absent.
+        count, in order of first appearance. Groups with no rows are absent.
     """
     root = root_count(q)
+    rows = eval_rows(root, db)
     if isinstance(root, Count):
-        return len(eval_rows(root.input, db))
-    counts = _group_counts(root, db)
-    if len(root.group_attrs) == 1:
-        return {key[0]: count for key, count in counts.items()}
-    return dict(counts)
+        return rows[0][0]
+    return {row[0] if len(row) == 2 else row[:-1]: row[-1] for row in rows}
 
 
 def _alternative_counts(db: MicroDatabase) -> List[int]:

@@ -13,22 +13,20 @@ Example::
     ancestors(q)            # frozenset({'edges'})
 
 Attribute references are kept as written in the query (optional qualifier
-plus column name). ``scope_of`` computes the attributes visible at each node
-together with their provenance. A reference resolves through a name index,
-``_Names``, that maps a bare name and a (qualifier, name) pair to a scope
-position in O(1) and grows by one scope at a time. The parser grows one
-index with each JOIN of a FROM clause, and the sensitivity compiler one with
-each join it walks, so neither rebuilds an input's names at each join.
-``attribute_index`` resolves a reference in one node's scope, through an
-index kept on the node, or in the concatenated scopes of several relations;
-the entry at that position carries the base-table column the reference
-names, or ``None`` when the value passes through an aggregation.
+plus column name). ``resolve`` walks a tree once and turns every reference
+under it into a position in a scope, through a name index, ``_Names``, that
+answers in O(1) and grows by one scope at a time, so no input's names are
+indexed twice. A node's resolution is kept on it: ``scope_of`` and
+``attribute_index`` read it, and so does the evaluator (``flexdp.oracle``).
+The sensitivity compiler reads the positions of a walk of its own. The
+parser grows one index with each JOIN of a FROM clause. The scope entry at
+a position carries the base-table column the reference names, or ``None``
+when the value passes through an aggregation.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
@@ -82,23 +80,15 @@ class Comparison:
 class _Node:
     """Common base of the relational node classes.
 
-    A node's scope, name index, ancestor set and sensitivity plan are each
+    A node's resolution (``resolve``) and sensitivity plan are each
     computed at most once and kept on the node, so they are freed with the
     tree. They are not dataclass fields: node equality and hashing ignore
     them.
     """
 
     @functools.cached_property
-    def _scope(self) -> tuple:
-        return _compute_scope(self)
-
-    @functools.cached_property
-    def _names(self) -> "_Names":
-        return _Names(self._scope)
-
-    @functools.cached_property
-    def _ancestors(self) -> frozenset:
-        return _compute_ancestors(self)
+    def _resolved(self) -> tuple:
+        return resolve(self)
 
     @functools.cached_property
     def _plan(self) -> tuple:
@@ -124,6 +114,12 @@ class Table(_Node):
     name: str
     alias: str
     columns: tuple
+
+    @functools.cached_property
+    def _entries(self) -> tuple:
+        return tuple(
+            ScopeEntry(self.alias, col, BaseColumn(self.name, col)) for col in self.columns
+        )
 
     def __str__(self) -> str:
         if self.alias != self.name:
@@ -227,47 +223,12 @@ def scope_of(r: RelExpr) -> tuple:
     The order matches the tuple layout the evaluator produces for the node:
     a join exposes its left input's attributes followed by the right's, a
     projection the selected subset, and so on. Aggregations expose their
-    grouping keys (with no provenance) and the count attribute.
+    grouping keys (with no provenance) and the count attribute. Building
+    it resolves every reference under ``r`` (UnresolvedAttribute).
     """
     _check_node(r)
-    return r._scope
-
-
-def _compute_scope(r: RelExpr) -> tuple:
-    if isinstance(r, Table):
-        return tuple(
-            ScopeEntry(r.alias, col, BaseColumn(r.name, col)) for col in r.columns
-        )
-    if isinstance(r, Join):
-        # the scopes under r's joins, left to right; no inner join's scope is
-        # built, so a chain of any depth costs O(its width)
-        parts, stack = [], [r]
-        while stack:
-            r = stack.pop()
-            if isinstance(r, Join):
-                stack += (r.right, r.left)
-            else:
-                parts.append(scope_of(r))
-        return tuple(itertools.chain.from_iterable(parts))
-    if isinstance(r, Project):
-        inner = scope_of(r.input)
-        return tuple(inner[attribute_index(attr, r.input)] for attr in r.attrs)
-    if isinstance(r, Select):
-        return scope_of(r.input)
-    if isinstance(r, Aliased):
-        return tuple(
-            ScopeEntry(r.alias, entry.name, entry.provenance)
-            for entry in scope_of(r.input)
-        )
-    if isinstance(r, Count):
-        return (ScopeEntry(None, r.label, None),)
-    if isinstance(r, CountGrouped):
-        inner = scope_of(r.input)
-        keys = tuple(
-            ScopeEntry(e.qualifier, e.name, None)
-            for e in (inner[attribute_index(attr, r.input)] for attr in r.group_attrs)
-        )
-        return keys + (ScopeEntry(None, r.label, None),)
+    # a table's entries are kept on it: the parser asks for them at every JOIN
+    return r._entries if isinstance(r, Table) else tuple(r._resolved[1].entries)
 
 
 _AMBIGUOUS = -1  # the position of a name that more than one entry has
@@ -308,25 +269,87 @@ class _Names:
         return found
 
 
-def attribute_index(attr: AttrRef, *relations: RelExpr) -> int:
-    """Return the position of ``attr`` in the concatenated scopes of ``relations``.
+def postorder(r: RelExpr, leaves: tuple = (Table,)) -> list:
+    """The nodes of ``r`` in post-order: a join after its left input's nodes, then its right's.
 
-    With one relation this is the column ``attr`` names in its output tuples,
-    resolved through the name index kept on the node. With a join's two
-    inputs a bare name must be unique across both sides, and a position at
-    or past ``len(scope_of(left))`` is on the right. The entry at that
-    position of the concatenated scope carries the provenance.
+    A node of a type in ``leaves`` is listed but not entered. The walk
+    keeps an explicit stack, so it costs O(nodes) at any depth.
+    """
+    nodes, stack = [], [r]
+    while stack:
+        r = stack.pop()
+        nodes.append(r)
+        if isinstance(r, Join):
+            stack += (r.left, r.right)
+        elif not isinstance(r, leaves):  # every other node has one input
+            _check_node(r)
+            stack.append(r.input)
+    return nodes[::-1]
+
+
+def _predicate_positions(predicate: tuple, names: _Names) -> tuple:
+    # per comparison: its left side's position, and its right side's or None for a literal
+    return tuple(
+        (names.index(c.left), names.index(c.right) if isinstance(c.right, AttrRef) else None)
+        for c in predicate
+    )
+
+
+def resolve(r: RelExpr, leaves: tuple = (Table,)):
+    """Resolve every reference under ``r`` to a position, in one walk.
+
+    Returns a ``(node, positions)`` pair per node of ``postorder(r,
+    leaves)``, and the name index of ``r``'s scope. A join's positions are
+    its keys' in its left and right input and its residual's, a
+    selection's its predicate's, and a projection's or grouped count's its
+    attributes' in its input. A join grows its left input's index by the
+    right's, so a chain's names are indexed once.
+
+    Raises:
+        UnresolvedAttribute: a reference names no attribute, or more than one.
+    """
+    resolved, done = [], []  # done: the name index of each finished input
+    for node in postorder(r, leaves):
+        positions = ()
+        if isinstance(node, Table):
+            names = _Names(node._entries)
+        elif isinstance(node, Join):
+            right, names = done.pop(), done.pop()
+            keys = (names.index(node.key_left), right.index(node.key_right))
+            names.add(right.entries)
+            positions = keys + (_predicate_positions(node.residual, names),)
+        elif isinstance(node, Count):
+            if not isinstance(node, leaves):
+                done.pop()
+            names = _Names((ScopeEntry(None, node.label, None),))
+        else:
+            names = done.pop()
+            if isinstance(node, Select):
+                positions = _predicate_positions(node.predicate, names)
+            elif isinstance(node, Aliased):
+                names = _Names([e._replace(qualifier=node.alias) for e in names.entries])
+            elif isinstance(node, Project):
+                positions = tuple(map(names.index, node.attrs))
+                names = _Names([names.entries[i] for i in positions])
+            else:  # a grouped count, whose keys lose their provenance
+                positions = tuple(map(names.index, node.group_attrs))
+                keys = [names.entries[i]._replace(provenance=None) for i in positions]
+                names = _Names(keys + [ScopeEntry(None, node.label, None)])
+        resolved.append((node, positions))
+        done.append(names)
+    return resolved, done.pop()
+
+
+def attribute_index(attr: AttrRef, r: RelExpr) -> int:
+    """Return the position of ``attr`` in ``r``'s scope, the column it names in ``r``'s rows.
+
+    The entry at that position of ``scope_of(r)`` carries the provenance.
 
     Raises:
         UnresolvedAttribute: no attribute, or more than one, matches ``attr``.
     """
-    if len(relations) == 1:
-        _check_node(relations[0])
-        return relations[0]._names.index(attr)
-    names = _Names()
-    for r in relations:
-        names.add(scope_of(r))
-    return names.index(attr)
+    _check_node(r)
+    return r._resolved[1].index(attr)
 
 
 def ancestors(r: RelExpr) -> frozenset:
@@ -336,47 +359,16 @@ def ancestors(r: RelExpr) -> frozenset:
     the stability analysis must treat more conservatively than a join of
     unrelated relations.
     """
-    _check_node(r)
-    return r._ancestors
-
-
-def _compute_ancestors(r: RelExpr) -> frozenset:
-    # a walk with an explicit stack: no inner node's set is built, so a
-    # tree of any depth costs O(its nodes)
-    tables, stack = set(), [r]
-    while stack:
-        r = stack.pop()
-        if isinstance(r, Table):
-            tables.add(r.name)
-        elif isinstance(r, Join):
-            stack += (r.left, r.right)
-        else:  # every other node has one input
-            stack.append(r.input)
-    return frozenset(tables)
-
-
-def is_self_join(j: Join) -> bool:
-    """True when the join's operands share at least one base table."""
-    return bool(ancestors(j.left) & ancestors(j.right))
+    return frozenset(n.name for n in postorder(r) if isinstance(n, Table))
 
 
 def join_nodes(r: RelExpr):
     """Every Join node in ``r``, as an iterator in post-order.
 
     A join comes after the joins of its left input, then those of its right
-    input. The walk keeps an explicit stack, so it costs O(nodes) however
-    deep the tree: it collects the joins root, right, left and returns them
-    reversed.
+    input, however deep the tree (``postorder``).
     """
-    joins, stack = [], [r]
-    while stack:
-        r = stack.pop()
-        if isinstance(r, Join):
-            joins.append(r)
-            stack += (r.left, r.right)
-        elif not isinstance(r, Table):  # every other node has one input
-            stack.append(r.input)
-    return reversed(joins)
+    return (n for n in postorder(r) if isinstance(n, Join))
 
 
 def unwrap_root(q: RelExpr) -> RelExpr:

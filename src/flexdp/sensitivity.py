@@ -28,10 +28,10 @@ node: a step per base table, join and count. The plan holds no metric
 values. A table step names its table, and a join step holds its self-join
 flag and, per key, the base column's (table, column) and the inner joins
 whose key mf multiplies it; a key that passes through an aggregation is
-rejected while compiling. The compile walk keeps an explicit stack,
-resolves each join key in a name index it grows along the walk, and reads
-those inner joins off up-links from each join input to the join above it,
-so its time grows with the plan's size, at any depth.
+rejected while compiling. The compile walk is ``relalg.resolve``'s, which
+has already turned each join key into a position in its input, and it
+reads those inner joins off up-links from each join input to the join
+above it, so its time grows with the plan's size, at any depth.
 
 One loop, ``_evaluate``, reads each table's public flag and each key's mf
 from the metrics it is given and applies the rules to the plan in one of
@@ -59,22 +59,19 @@ from typing import NamedTuple
 from .errors import UnsupportedQuery
 from .metrics import MetricsStore
 from .relalg import (
-    Aliased,
     AttrRef,
     Count,
     CountGrouped,
     Join,
     Project,
     RelExpr,
-    Select,
     Table,
     _check_node,
-    _Names,
     ancestors,
     attribute_index,
     join_nodes,
+    resolve,
     root_count,
-    scope_of,
 )
 
 
@@ -138,70 +135,50 @@ def _compile(r: RelExpr):
     up-links after it reads its keys, so that walk stops at the top of the
     join's input and no factor tuple is ever copied.
 
-    Each walked input also carries a name index of its scope
-    (``relalg._Names``) and the set of base tables it reads. A join
-    resolves each key in its input's index, is a self join when the two
-    table sets meet, and then grows its left input's columns, index and
-    set in place by the right's, so a chain's names are indexed once, not
-    once per join.
+    The walk is ``relalg.resolve``'s, with a nested plain count as a leaf
+    (stability 1). A join is a self join when its inputs' table sets meet,
+    and grows its left input's columns and set in place by the right's.
 
-    The last step of the plan is ``r``'s. The walk keeps an explicit
-    stack, so a tree of any depth compiles. It reads no metrics, so the
-    result is kept on ``r`` (``_Node._plan``).
+    The last step of the plan is ``r``'s. A tree of any depth compiles. It
+    reads no metrics, so the result is kept on ``r`` (``_Node._plan``).
 
     Raises:
+        UnresolvedAttribute: a reference under ``r`` does not resolve.
         UnsupportedQuery: a join key has no max-frequency bound.
     """
     plan, up = [], {}
-    done = []  # per walked input: (its output columns, names, tables, top step)
-    stack = [(r, False)]
-    while stack:
-        r, inputs_done = stack.pop()
-        if isinstance(r, Table):
-            columns = [(r.name, column, len(plan)) for column in r.columns]
-            done.append((columns, _Names(scope_of(r)), {r.name}, len(plan)))
-            plan.append(_Step("table", table=r.name))
-        elif isinstance(r, Count):
-            done.append(([None], _Names(scope_of(r)), set(ancestors(r)), len(plan)))
+    done = []  # per walked input: (its output columns, tables, top step)
+    for node, positions in resolve(r, leaves=(Table, Count))[0]:
+        if isinstance(node, Table):
+            columns = [(node.name, column, len(plan)) for column in node.columns]
+            done.append((columns, {node.name}, len(plan)))
+            plan.append(_Step("table", table=node.name))
+        elif isinstance(node, Count):
+            done.append(([None], set(ancestors(node)), len(plan)))
             plan.append(_Step("count"))
-        elif not inputs_done:
-            stack.append((r, True))
-            if isinstance(r, Join):
-                stack += ((r.right, False), (r.left, False))
-            elif isinstance(r, (Project, Select, Aliased, CountGrouped)):
-                stack.append((r.input, False))
-            else:
-                raise TypeError("not a relational expression: %r" % (r,))
-            continue
-        elif isinstance(r, Join):
-            right_columns, right_names, right_tables, right = done.pop()
-            left_columns, left_names, left_tables, left = done.pop()
+        elif isinstance(node, Join):
+            right_columns, right_tables, right = done.pop()
+            left_columns, left_tables, left = done.pop()
             keys = (
-                _key(r.key_left, left_columns[left_names.index(r.key_left)], up),
-                _key(r.key_right, right_columns[right_names.index(r.key_right)], up),
+                _key(node.key_left, left_columns[positions[0]], up),
+                _key(node.key_right, right_columns[positions[1]], up),
             )
             step = len(plan)
             up[left], up[right] = (step, 1), (step, 0)
             self_join = not left_tables.isdisjoint(right_tables)
             plan.append(_Step("join", (left, right), self_join=self_join, keys=keys))
-            # each input's columns, index and set are its own
+            # each input's columns and set are its own
             left_columns += right_columns
-            left_names.add(right_names.entries)
             left_tables |= right_tables
-            done.append((left_columns, left_names, left_tables, step))
-        elif isinstance(r, Project):
-            columns, names, tables, top = done.pop()
-            columns = [columns[names.index(a)] for a in r.attrs]
-            done.append((columns, _Names(scope_of(r)), tables, top))
-        elif isinstance(r, CountGrouped):
-            tables, top = done.pop()[2:]
-            columns = [None] * (len(r.group_attrs) + 1)
-            done.append((columns, _Names(scope_of(r)), tables, len(plan)))
+            done.append((left_columns, left_tables, step))
+        elif isinstance(node, Project):
+            columns, tables, top = done.pop()
+            done.append(([columns[i] for i in positions], tables, top))
+        elif isinstance(node, CountGrouped):
+            tables, top = done.pop()[1:]
+            done.append(([None] * (len(positions) + 1), tables, len(plan)))
             plan.append(_Step("grouped", (top,)))
-        elif isinstance(r, Aliased):
-            columns, _, tables, top = done.pop()
-            done.append((columns, _Names(scope_of(r)), tables, top))
-        # Select passes its input's columns, index, tables and top step through
+        # Select and Aliased pass their input's columns, tables and top step through
     return plan, done.pop()[0], up
 
 

@@ -666,6 +666,18 @@ def test_collect_metrics_local(workspace, capsys):
     assert store.mf[("edges", "dest")] == 2
 
 
+def test_collect_metrics_refuses_a_repeated_column_name(tmp_path, capsys):
+    # which ``a`` a metric or a row would read is not defined: refuse, write nothing
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "t.csv").write_text("a,a,b\n1,1,0\n1,2,0\n")
+    out_path = tmp_path / "t.metrics"
+    code, _, err = run(capsys, "collect-metrics", "--data", data, "--metrics", out_path)
+    assert code == 3
+    assert "repeats a column name" in err
+    assert not out_path.exists()
+
+
 def test_collect_metrics_emit_sql(workspace, capsys):
     code, out, _ = run(
         capsys,

@@ -7,6 +7,7 @@ slip through.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from flexdp import (
 )
 from flexdp.oracle import max_frequency_at
 
-from _support import naive_eval, random_micro_db, random_query_sql
+from _support import chain_catalog, chain_sql, naive_eval, random_micro_db, random_query_sql
 
 
 def db_from(rows, columns=("source", "dest"), name="edges", domains=None):
@@ -113,6 +114,13 @@ def test_grouped_results():
         "SELECT source, dest, COUNT(*) FROM edges GROUP BY source, dest", db
     )
     assert eval_query(double, db) == {(1, 2): 1, (1, 3): 1, (2, 3): 1}
+
+
+def test_chain_deeper_than_the_recursion_limit_evaluates():
+    n = sys.getrecursionlimit() + 100
+    tables = ["t%d" % i for i in range(n + 1)]
+    db = MicroDatabase({t: [(1, 1)] for t in tables}, {t: ("a", "b") for t in tables})
+    assert eval_query(parse_query(chain_sql(n), chain_catalog(n + 1)), db) == 1
 
 
 def test_eval_rows_and_max_frequency():

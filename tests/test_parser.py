@@ -10,6 +10,7 @@ from flexdp import (
     Count,
     CountGrouped,
     Join,
+    MicroDatabase,
     ParseError,
     Project,
     Select,
@@ -18,6 +19,7 @@ from flexdp import (
     UnknownTable,
     UnsupportedQuery,
     elastic_sensitivity,
+    eval_query,
     join_nodes,
     parse_query,
 )
@@ -295,10 +297,13 @@ def test_on_clause_sees_only_the_inputs_joined_so_far():
 
 
 def test_chain_parse_and_compile_index_names_once():
-    # the parser and the compiler grow one name index along the chain, so no
-    # join builds the concatenated scope of its inputs
+    # the parser, the compiler and the evaluator each grow one name index
+    # along the chain, so no join keeps a resolution of its own inputs
     q = parse_query(chain_sql(300), chain_catalog(301))
     assert elastic_sensitivity(q, 0, chain_metrics(301)) == 10**300
-    joins = list(join_nodes(q))
+    tables = ["t%d" % i for i in range(301)]
+    db = MicroDatabase({t: [(1, 1)] for t in tables}, {t: ("a", "b") for t in tables})
+    assert eval_query(q, db) == 1
+    joins = list(join_nodes(q))  # post-order: the outermost join is last
     assert len(joins) == 300
-    assert not [j for j in joins if "_scope" in vars(j)]
+    assert not [j for j in joins[:-1] if "_resolved" in vars(j)]
