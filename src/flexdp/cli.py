@@ -8,15 +8,17 @@ Subcommands:
     check            brute-force validate the bounds on a corpus of tiny
                      databases and queries
 
-Results go to stdout, diagnostics and release metadata to stderr. Exit codes:
-0 success, 1 analysis rejection, 2 budget refusal, 3 I/O or format error.
-The true query result is never printed.
+Each subcommand's parser carries its handler. Results go to stdout,
+diagnostics and release metadata to stderr. Exit codes: 0 success, 1
+analysis rejection, 2 budget refusal, 3 I/O or format error. A refusal
+prints ``error[<category>]: <message>`` and exits with the code that its
+error class in ``errors.py`` carries; an OSError is an I/O error. The true
+query result is never printed.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import fcntl
 import itertools
 import json
@@ -24,20 +26,7 @@ import math
 import os
 import sys
 
-from .errors import (
-    BudgetExhausted,
-    EvaluationError,
-    FlexError,
-    FormatError,
-    InvalidParams,
-    InvalidScale,
-    MissingMetric,
-    ParseError,
-    ProtectedBinLabels,
-    TooLargeToEnumerate,
-    UnresolvedAttribute,
-    UnsupportedQuery,
-)
+from .errors import FlexError, FormatError, InvalidParams
 from .mechanism import (
     BudgetLedger,
     PrivacyParams,
@@ -213,7 +202,7 @@ def _observed_metrics(query, store: MetricsStore, db: MicroDatabase) -> MetricsS
             rows, columns = db.tables[table], db.columns[table]
             observed = column_max_frequency(rows, columns.index(column))
             mf[table, column] = max(mf[table, column], observed)
-    return dataclasses.replace(store, mf=mf)
+    return MetricsStore(mf, public_tables=store.public_tables, row_counts=store.row_counts)
 
 
 def _charge_budget(args, params: PrivacyParams):
@@ -232,11 +221,14 @@ def _charge_budget(args, params: PrivacyParams):
             try:
                 with open(path, "r", encoding="utf-8") as handle:
                     data = json.load(handle)
-                spent_epsilon = float(data["spent_epsilon"])
-                spent_delta = float(data["spent_delta"])
+                spent_epsilon, spent_delta = data["spent_epsilon"], data["spent_delta"]
             except (ValueError, KeyError, TypeError) as exc:
                 raise FormatError("budget ledger %s is unreadable: %r" % (path, exc)) from None
-            if not all(math.isfinite(v) and v >= 0 for v in (spent_epsilon, spent_delta)):
+            # a JSON number only: float() would read true as 1.0 and "0.5" as 0.5
+            if not all(
+                type(v) in (int, float) and 0 <= v <= sys.float_info.max
+                for v in (spent_epsilon, spent_delta)
+            ):
                 raise FormatError("budget ledger %s holds an invalid total" % path)
         ledger = BudgetLedger(
             max_epsilon=args.budget_epsilon,
@@ -422,7 +414,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="bound a query's sensitivity")
     add_common(p_analyze)
-    p_analyze.set_defaults(handler="analyze")
+    p_analyze.set_defaults(handler=cmd_analyze)
 
     p_release = sub.add_parser("release", help="privately release a query result")
     add_common(p_release)
@@ -433,54 +425,30 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     p_release.add_argument("--bins", default=None, help="comma-separated histogram bin labels")
     p_release.add_argument("--budget-epsilon", type=float, default=None)
     p_release.add_argument("--budget-delta", type=float, default=None)
-    p_release.set_defaults(handler="release")
+    p_release.set_defaults(handler=cmd_release)
 
     p_collect = sub.add_parser("collect-metrics", help="build or emit metric collection")
     p_collect.add_argument("--data", default=None, help="directory of CSV tables")
     p_collect.add_argument("--metrics", default=None, help="metrics file to write (or read with --emit-sql)")
     p_collect.add_argument("--public", default=None, help="comma-separated public table names")
     p_collect.add_argument("--emit-sql", action="store_true", help="print collection SQL instead of running locally")
-    p_collect.set_defaults(handler="collect")
+    p_collect.set_defaults(handler=cmd_collect_metrics)
 
     p_check = sub.add_parser("check", help="brute-force validate bounds on a corpus")
     p_check.add_argument("--corpus", required=True, help="directory of case subdirectories")
-    p_check.set_defaults(handler="check")
+    p_check.set_defaults(handler=cmd_check)
 
     return parser
-
-
-_CATEGORIES = (
-    (BudgetExhausted, "budget", 2),
-    (UnsupportedQuery, "unsupported", 1),
-    (ProtectedBinLabels, "unsupported", 1),
-    (MissingMetric, "missing-metric", 1),
-    (InvalidParams, "invalid-params", 1),
-    (InvalidScale, "invalid-params", 1),
-    (ParseError, "parse", 1),  # covers UnknownTable and UnknownColumn
-    (UnresolvedAttribute, "parse", 1),
-    (FormatError, "io", 3),
-    (EvaluationError, "io", 3),
-    (TooLargeToEnumerate, "limits", 3),
-)
 
 
 def main(argv=None) -> int:
     args = _build_arg_parser().parse_args(argv)
     try:
-        if args.handler == "analyze":
-            return cmd_analyze(args)
-        if args.handler == "release":
-            return cmd_release(args)
-        if args.handler == "collect":
-            return cmd_collect_metrics(args)
-        return cmd_check(args)
+        return args.handler(args)
     except FlexError as exc:
-        for kind, category, code in _CATEGORIES:
-            if isinstance(exc, kind):
-                _diag("error[%s]: %s" % (category, exc))
-                return code
-        _diag("error: %s" % exc)
-        return 1
+        prefix = "error" if exc.category is None else "error[%s]" % exc.category
+        _diag("%s: %s" % (prefix, exc))
+        return exc.exit_code
     except OSError as exc:
         _diag("error[io]: %s" % exc)
         return 3

@@ -73,6 +73,8 @@ from .sensitivity import (
 
 # Every integer distance up to here is exact in float64.
 _MAX_DISTANCE = 1 << 53
+# The largest |ln(1 - |t|)| the 53-bit sampler can produce: |t| <= 1 - 2**-52.
+_MAX_TAIL = 52 * math.log(2)
 
 
 @dataclass(frozen=True)
@@ -367,8 +369,10 @@ def _release(
 
     The noisy values become ``bins`` paired with ``labels``, or ``value``
     when there are no labels. A non-finite value or a seed that is not a
-    non-negative integer is refused before anything is computed or drawn,
-    and a non-finite S before anything is drawn.
+    non-negative integer is refused before anything is computed or drawn.
+    So is, before anything is drawn, a scale whose largest draw, scale *
+    52 ln 2, could carry some value past the float range (a non-finite S
+    among them): no released value is ever infinite.
     """
     values = [float(v) for v in true_values]
     if not all(math.isfinite(v) for v in values):
@@ -377,10 +381,12 @@ def _release(
         raise InvalidParams("seed must be a non-negative integer")
     bound = smooth_bound(q, m, p)
     scale = 2.0 * bound.S / p.epsilon
-    if not (math.isfinite(bound.S) and math.isfinite(scale)):
+    # inf or NaN when S or the scale is: no draw can then stay finite either
+    largest = max(map(abs, values), default=0.0) + scale * _MAX_TAIL
+    if not math.isfinite(math.nextafter(largest, math.inf)):
         raise UnsupportedQuery(
-            "smoothed sensitivity %r gives a non-finite noise scale; refusing "
-            "to release" % (bound.S,)
+            "smoothed sensitivity %r (noise scale %r) could make a released "
+            "value non-finite; refusing to release" % (bound.S, scale)
         )
     seed = secrets.randbits(128) if seed is None else int(seed)
     rng = PCG64(seed)
@@ -415,7 +421,8 @@ def release_count(
         ReleaseResult carrying the noisy value; noise has scale 2*S/epsilon.
 
     Raises:
-        UnsupportedQuery: the root is a grouped count, or S is not finite.
+        UnsupportedQuery: the root is a grouped count, S is not finite, or
+            the noise could carry the value past the float range.
         InvalidParams: the true count is not finite, or the seed is not a
             non-negative integer.
     """
@@ -443,7 +450,8 @@ def release_histogram(
     groups exist, so a missing domain is refused.
 
     Raises:
-        UnsupportedQuery: the root is a plain count, or S is not finite.
+        UnsupportedQuery: the root is a plain count, S is not finite, or
+            the noise could carry a value past the float range.
         ProtectedBinLabels: no bin domain supplied.
         InvalidParams: the domain repeats a label, a released bin's true
             count is not finite, or the seed is not a non-negative integer.
@@ -470,8 +478,10 @@ class BudgetLedger:
     """Cumulative privacy spend with hard caps.
 
     Charges add up; one that would push either total past its cap raises
-    BudgetExhausted and leaves the ledger unchanged. Not thread-safe; callers
-    that share a ledger across processes must serialize access themselves.
+    BudgetExhausted and leaves the ledger unchanged. Spent totals start
+    non-negative and finite (InvalidParams otherwise), so no total grants
+    budget. Not thread-safe; callers that share a ledger across processes
+    must serialize access themselves.
     """
 
     max_epsilon: float
@@ -484,6 +494,8 @@ class BudgetLedger:
             raise InvalidParams("max_epsilon must be positive and finite")
         if not 0 < self.max_delta < 1:
             raise InvalidParams("max_delta must be in (0, 1)")
+        if not all(0 <= v < math.inf for v in (self.spent_epsilon, self.spent_delta)):
+            raise InvalidParams("spent totals must be non-negative and finite")
 
     def remaining(self) -> Tuple[float, float]:
         return (

@@ -13,7 +13,7 @@ import sys
 import pytest
 
 import flexdp
-from flexdp import MetricsStore, cli, load_metrics, save_metrics
+from flexdp import MetricsStore, cli, errors, load_metrics, save_metrics
 
 from _support import chain_metrics, chain_sql
 
@@ -359,6 +359,133 @@ def test_grouped_release_from_true_result_file(workspace, capsys):
     assert len(out.strip().splitlines()) == 3
 
 
+@pytest.fixture
+def cities(tmp_path, capsys):
+    """Private trips (corpus/grouped) joined to a public table of city zones."""
+    data = tmp_path / "data"
+    shutil.copytree(pathlib.Path(__file__).parent.parent / "corpus" / "grouped", data)
+    (data / "cities.csv").write_text("city,zone\na,1\nb,1\nc,2\n")
+    metrics = tmp_path / "metrics.txt"
+    argv = ["collect-metrics", "--data", str(data), "--metrics", str(metrics), "--public", "cities"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    return tmp_path
+
+
+def release_cities(capsys, cities, group_by, *extra):
+    sql = "SELECT %s, COUNT(*) FROM trips t JOIN cities c ON t.city = c.city GROUP BY %s"
+    (cities / "q.sql").write_text(sql % (group_by, group_by))
+    return run(
+        capsys,
+        "release",
+        cities / "q.sql",
+        "--metrics",
+        cities / "metrics.txt",
+        "--epsilon",
+        "1.0",
+        "--delta",
+        "1e-6",
+        "--seed",
+        "5",
+        *extra,
+    )
+
+
+def test_bin_domain_of_a_public_grouping_column_comes_from_the_data(cities, capsys):
+    code, out, err = release_cities(capsys, cities, "c.zone", "--execute", "--data", cities / "data")
+    assert code == 0
+    assert [line.split("\t")[0] for line in out.strip().splitlines()] == ["1", "2"]
+    # trips a, a, b lie in zone 1 and c in zone 2: the same draw as from the counts
+    truth = cities / "truth.txt"
+    truth.write_text("1,3\n2,1\n")
+    assert release_cities(capsys, cities, "c.zone", "--true-result", truth, "--bins", "1,2") == (
+        0, out, err
+    )
+
+
+def test_bin_domain_of_two_public_grouping_columns_is_their_product(cities, capsys):
+    code, out, err = release_cities(
+        capsys, cities, "c.city, c.zone", "--execute", "--data", cities / "data", "--json"
+    )
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    labels = [label for label, _ in report["bins"]]
+    assert labels == ["a|1", "a|2", "b|1", "b|2", "c|1", "c|2"]
+    assert all(math.isfinite(value) for _, value in report["bins"])
+    assert report["seed"] == 5 and report["S"] > 0
+
+
+def test_multi_part_bins_and_a_true_result_file_with_label_columns(cities, capsys):
+    # labels spread over columns, tab- or comma-separated, with a blank line
+    truth = cities / "truth.txt"
+    truth.write_text("a,1,2\n\nb\t1\t1\n  \nc,2,1\n")
+    code, out, _ = release_cities(
+        capsys, cities, "c.city, c.zone", "--true-result", truth, "--bins", "a|1, c|2,b|2", "--json"
+    )
+    assert code == 0
+    store = load_metrics(str(cities / "metrics.txt"))
+    query = flexdp.parse_query((cities / "q.sql").read_text(), flexdp.catalog_from_metrics(store))
+    expected = flexdp.release_histogram(
+        {("a", 1): 2, ("b", 1): 1, ("c", 2): 1},
+        [("a", 1), ("c", 2), ("b", 2)],
+        query,
+        store,
+        flexdp.make_params(1.0, 1e-6),
+        seed=5,
+    )
+    labels = ["a|1", "c|2", "b|2"]
+    assert json.loads(out)["bins"] == [[t, v] for t, (_, v) in zip(labels, expected.bins)]
+
+
+def test_bins_with_the_wrong_number_of_parts_are_refused(cities, capsys):
+    code, out, err = release_cities(
+        capsys, cities, "c.city, c.zone", "--execute", "--data", cities / "data", "--bins", "a|1,b"
+    )
+    assert code == 1 and out == ""
+    assert "error[invalid-params]" in err and "'b' does not have 2" in err
+
+
+@pytest.mark.parametrize(
+    "text,grouped,fragment",
+    [
+        ("1,2\n", False, "single number"),
+        ("1,2\nb\n", True, "is not 'label,count'"),
+    ],
+    ids=["plain-with-a-label", "grouped-line-without-count"],
+)
+def test_malformed_true_result_file_is_a_format_error(workspace, capsys, text, grouped, fragment):
+    truth = workspace / "truth.txt"
+    truth.write_text(text)
+    query = workspace / ("grouped.sql" if grouped else "pairs.sql")
+    code, out, err = run(
+        capsys,
+        "release",
+        query,
+        "--metrics",
+        workspace / "metrics.txt",
+        "--epsilon",
+        "1.0",
+        "--delta",
+        "1e-6",
+        "--true-result",
+        truth,
+        "--bins",
+        "1,2",
+        *BUDGET,
+    )
+    assert_refused_free(code, out, err, workspace / "metrics.txt")
+    assert code == 3 and "error[io]" in err and fragment in err
+
+
+def test_true_result_file_with_a_single_number(workspace, capsys):
+    truth = workspace / "truth.txt"
+    truth.write_text("\n7\n")
+    argv = ("release", workspace / "pairs.sql", "--metrics", workspace / "metrics.txt",
+            "--epsilon", "1.0", "--delta", "1e-6", "--seed", "3", "--true-result")
+    from_file, from_flag = run(capsys, *argv, truth), run(capsys, *argv, "7")
+    assert from_file[0] == 0 and from_file == from_flag
+
+
 def test_budget_refusal_is_exit_2_and_persists(workspace, capsys):
     argv = (
         "release",
@@ -472,6 +599,34 @@ def test_non_finite_bound_is_refused_and_charges_nothing(tmp_path, capsys):
     )
     assert_refused_free(code, out, err, tmp_path / "metrics.txt")
     assert code == 1 and "error[unsupported]" in err
+
+
+def test_release_whose_draw_could_overflow_is_refused_and_charges_nothing(tmp_path, capsys):
+    # S = 5.55e307 and the scale are finite, but seed 10 draws past the float range
+    save_metrics(chain_metrics(55, mf=500000, rows=10**7), str(tmp_path / "metrics.txt"))
+    (tmp_path / "chain.sql").write_text(chain_sql(54))
+    code, out, err = run(
+        capsys,
+        "release",
+        tmp_path / "chain.sql",
+        "--metrics",
+        tmp_path / "metrics.txt",
+        "--epsilon",
+        "1",
+        "--delta",
+        "1e-9",
+        "--true-result",
+        "0",
+        "--seed",
+        "10",
+        "--json",
+        "--budget-epsilon",
+        "5",
+        "--budget-delta",
+        "0.1",
+    )
+    assert_refused_free(code, out, err, tmp_path / "metrics.txt")
+    assert code == 1 and "error[unsupported]" in err and "value non-finite" in err
 
 
 def test_infinite_epsilon_release_is_refused_and_charges_nothing(workspace, capsys):
@@ -601,8 +756,14 @@ def test_drawn_seed_is_not_printed(workspace, capsys):
         '{"spent_epsilon": NaN, "spent_delta": 0}',
         '{"spent_epsilon": 0.1, "spent_delta": Infinity}',
         "[0.1, 0]",
+        '{"spent_epsilon": true, "spent_delta": 0}',
+        '{"spent_epsilon": "0.5", "spent_delta": 0}',
+        '{"spent_epsilon": 0, "spent_delta": 1%s}' % ("0" * 400),
     ],
-    ids=["truncated", "negative", "missing-delta", "nan", "infinite", "not-an-object"],
+    ids=[
+        "truncated", "negative", "missing-delta", "nan", "infinite", "not-an-object",
+        "boolean", "string", "past-the-float-range",
+    ],
 )
 def test_corrupt_ledger_is_io_error_and_left_alone(workspace, capsys, text):
     ledger_path = _ledger(workspace / "metrics.txt")
@@ -726,6 +887,58 @@ def test_check_flags_understated_metrics(workspace, capsys):
         line.startswith("VIOLATION") and "mf bound for" in line
         for line in out.splitlines()
     )
+
+
+# The categories and exit codes every error class has always been reported
+# with, restated here so that a change to errors.py cannot move one silently.
+ERROR_REPORTS = [
+    (errors.BudgetExhausted, "error[budget]", 2),
+    (errors.UnsupportedQuery, "error[unsupported]", 1),
+    (errors.ProtectedBinLabels, "error[unsupported]", 1),
+    (errors.MissingMetric, "error[missing-metric]", 1),
+    (errors.InvalidParams, "error[invalid-params]", 1),
+    (errors.InvalidScale, "error[invalid-params]", 1),
+    (errors.ParseError, "error[parse]", 1),
+    (errors.UnknownTable, "error[parse]", 1),
+    (errors.UnknownColumn, "error[parse]", 1),
+    (errors.UnresolvedAttribute, "error[parse]", 1),
+    (errors.FormatError, "error[io]", 3),
+    (errors.NegativeCount, "error[io]", 3),
+    (errors.EvaluationError, "error[io]", 3),
+    (errors.TooLargeToEnumerate, "error[limits]", 3),
+    (errors.FlexError, "error", 1),
+    (OSError, "error[io]", 3),
+]
+
+
+def test_every_error_class_has_a_pinned_report():
+    classes, pending = {errors.FlexError}, [errors.FlexError]
+    while pending:
+        for sub in pending.pop().__subclasses__():
+            classes.add(sub)
+            pending.append(sub)
+    assert classes == {cls for cls, _, _ in ERROR_REPORTS} - {OSError}
+
+
+@pytest.mark.parametrize(
+    "cls,prefix,code", ERROR_REPORTS, ids=[cls.__name__ for cls, _, _ in ERROR_REPORTS]
+)
+def test_each_error_class_reaches_stderr_with_its_category_and_exit_code(
+    monkeypatch, capsys, cls, prefix, code
+):
+    def refuse(args):
+        raise cls("no way")
+
+    monkeypatch.setattr(cli, "cmd_check", refuse)
+    assert run(capsys, "check", "--corpus", "corpus") == (code, "", prefix + ": no way\n")
+
+
+def test_a_format_error_names_its_line(monkeypatch, capsys):
+    def refuse(args):
+        raise errors.NegativeCount("mf is negative", line=4)
+
+    monkeypatch.setattr(cli, "cmd_check", refuse)
+    assert run(capsys, "check", "--corpus", "corpus") == (3, "", "error[io]: line 4: mf is negative\n")
 
 
 REJECTED = [

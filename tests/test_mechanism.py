@@ -28,6 +28,7 @@ from flexdp import (
     smooth_bound,
 )
 
+from flexdp import mechanism
 from flexdp.mechanism import PCG64, _peak
 
 from _support import (
@@ -416,6 +417,44 @@ def test_release_refuses_non_finite_bound():
         release_count(5.0, q, m, p, seed=1)
 
 
+def _chain_54(grouped, mf):
+    sql = chain_sql(54)
+    if grouped:
+        sql = sql.replace("COUNT(*)", "r0.a, COUNT(*)") + " GROUP BY r0.a"
+    return parse_query(sql, chain_catalog(55)), chain_metrics(55, mf=mf, rows=10**7)
+
+
+@pytest.mark.parametrize("grouped,mf", [(False, 500000), (True, 495000)], ids=["plain", "grouped"])
+def test_release_refuses_a_finite_scale_whose_draw_can_overflow(grouped, mf):
+    # S and the scale are finite, but a draw near the sampler's largest
+    # |ln(1 - |t|)| = 52 ln 2 is not: seeds 3, 4 and 10 would release +-inf
+    q, m = _chain_54(grouped, mf)
+    p = make_params(1.0, 1e-9)
+    bound = smooth_bound(q, m, p)
+    scale = 2.0 * bound.S / p.epsilon
+    assert bound.k_star == 0 and math.isfinite(scale)
+    overflowing = [s for s in range(20) if math.isinf(0.0 + laplace_sample(scale, PCG64(s)))]
+    assert overflowing == [3, 4, 10]
+    for seed in (None, 0, 10):
+        with pytest.raises(UnsupportedQuery, match="value non-finite"):
+            if grouped:
+                release_histogram({}, ["x", "y"], q, m, p, seed=seed)
+            else:
+                release_count(0.0, q, m, p, seed=seed)
+
+
+def test_largest_draw_is_scale_times_52_ln_2():
+    class Lowest:
+        def random(self):
+            return 2.0**-53  # the smallest non-zero 53-bit uniform
+
+    assert laplace_sample(1.0, Lowest()) == -mechanism._MAX_TAIL
+    # far from the line, a true value near the top of the float range still releases
+    q, m = _chain_54(False, 10)
+    p = make_params(1.0, 1e-9)
+    assert math.isfinite(release_count(1e300, q, m, p, seed=10).value)
+
+
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_release_refuses_non_finite_true_result(value, monkeypatch):
     def no_bound(*args):
@@ -476,6 +515,17 @@ def test_budget_validates_caps():
         BudgetLedger(max_epsilon=0.0, max_delta=1e-5)
     with pytest.raises(InvalidParams):
         BudgetLedger(max_epsilon=1.0, max_delta=0.0)
+
+
+@pytest.mark.parametrize(
+    "spent",
+    [(-5.0, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, -1e-9), (-5.0, math.nan)],
+    ids=["negative-epsilon", "nan-delta", "infinite-epsilon", "negative-delta", "both"],
+)
+def test_budget_refuses_spent_totals_that_grant_budget(spent):
+    # a negative or NaN total would let later charges pass their caps
+    with pytest.raises(InvalidParams, match="spent totals"):
+        BudgetLedger(1.0, 1e-5, spent_epsilon=spent[0], spent_delta=spent[1])
 
 
 def test_infinite_epsilon_is_refused():

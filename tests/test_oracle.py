@@ -24,6 +24,7 @@ from flexdp import (
     local_sensitivity_at,
     neighbors_at,
     parse_query,
+    root_count,
 )
 from flexdp.oracle import max_frequency_at
 
@@ -114,6 +115,13 @@ def test_grouped_results():
         "SELECT source, dest, COUNT(*) FROM edges GROUP BY source, dest", db
     )
     assert eval_query(double, db) == {(1, 2): 1, (1, 3): 1, (2, 3): 1}
+
+
+def test_projection_in_a_with_subquery():
+    db = db_from([(1, 2), (2, 3), (3, 1), (1, 3)])
+    query = q("WITH p AS (SELECT source FROM edges) SELECT COUNT(*) FROM p", db)
+    assert eval_query(query, db) == 4
+    assert eval_rows(root_count(query).input, db) == [(1,), (2,), (3,), (1,)]
 
 
 def test_chain_deeper_than_the_recursion_limit_evaluates():

@@ -16,6 +16,7 @@ from flexdp import (
     CountGrouped,
     Join,
     MetricsStore,
+    MicroDatabase,
     MissingMetric,
     Project,
     Select,
@@ -24,6 +25,7 @@ from flexdp import (
     elastic_sensitivity,
     elastic_stability,
     join_count,
+    local_sensitivity_at,
     make_params,
     mf_at_distance,
     parse_query,
@@ -33,6 +35,7 @@ from flexdp import (
     smooth_bound,
 )
 from flexdp import mechanism, sensitivity
+from flexdp.sensitivity import key_columns
 
 from _support import (
     TRIANGLE_SQL,
@@ -204,6 +207,28 @@ def test_grouped_count_doubles():
         assert elastic_sensitivity(q_grouped, k, METRICS) == 2 * elastic_sensitivity(
             q_plain, k, METRICS
         )
+
+
+def test_count_of_a_counted_with_subquery():
+    # the inner count is one row whatever the data, so the outer count is
+    # constant: stability 1 through the count step, 2 once grouped
+    inner = (
+        "WITH c AS (SELECT COUNT(*) AS n FROM edges e1 "
+        "JOIN edges e2 ON e1.dest = e2.source) "
+    )
+    plain = parse_query(inner + "SELECT COUNT(*) FROM c", triangle_catalog())
+    grouped = parse_query(inner + "SELECT n, COUNT(*) FROM c GROUP BY n", triangle_catalog())
+    for k in (0, 1, 5, 40):
+        assert elastic_sensitivity(plain, k, METRICS) == 1
+        assert elastic_sensitivity(grouped, k, METRICS) == 2
+    assert key_columns(plain) == [] and key_columns(grouped) == []
+    db = MicroDatabase(
+        tables={"edges": [(1, 2), (2, 3), (3, 1), (1, 3)]},
+        columns={"edges": ("source", "dest")},
+    )
+    for k in (0, 1):
+        assert local_sensitivity_at(plain, db, k) <= 1
+        assert local_sensitivity_at(grouped, db, k) <= 2
 
 
 def test_join_on_aggregate_key_rejected_at_analysis():
