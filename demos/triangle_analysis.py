@@ -15,7 +15,6 @@ from flexdp import (
     elastic_sensitivity,
     make_params,
     parse_query,
-    scan_limit,
     smooth_bound,
 )
 
@@ -53,7 +52,7 @@ def main():
         bound = smooth_bound(query, metrics, params)
         print(
             "epsilon=0.7 delta=%g: beta=%.6f, horizon 0..%d, max at k*=%d"
-            % (delta, params.beta, scan_limit(query, params), bound.k_star)
+            % (delta, params.beta, bound.k_max, bound.k_star)
         )
         print(
             "  smooth sensitivity S = %.2f  ->  Laplace scale 2S/eps = %.1f"

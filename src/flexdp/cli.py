@@ -12,8 +12,8 @@ Each subcommand's parser carries its handler. Results go to stdout,
 diagnostics and release metadata to stderr. Exit codes: 0 success, 1
 analysis rejection, 2 budget refusal, 3 I/O or format error. A refusal
 prints ``error[<category>]: <message>`` and exits with the code that its
-error class in ``errors.py`` carries; an OSError is an I/O error. The true
-query result is never printed.
+error class in ``errors.py`` carries; an OSError, or an input file that is
+not UTF-8, is an I/O error. The true query result is never printed.
 """
 
 from __future__ import annotations
@@ -168,7 +168,10 @@ def _parse_true_result(text: str, grouped: bool):
             if len(label_parts) == 1
             else tuple(coerce_value(p) for p in label_parts)
         )
-        bins[label] = float(count)
+        try:
+            bins[label] = float(count)
+        except ValueError:
+            raise FormatError("true-result line %r has a count that is not a number" % line) from None
     return bins
 
 
@@ -449,7 +452,7 @@ def main(argv=None) -> int:
         prefix = "error" if exc.category is None else "error[%s]" % exc.category
         _diag("%s: %s" % (prefix, exc))
         return exc.exit_code
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _diag("error[io]: %s" % exc)
         return 3
 

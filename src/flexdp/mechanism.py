@@ -10,16 +10,11 @@ which yields (epsilon, delta)-differential privacy. S is found in closed
 form, without scanning distances:
 
 * the bound is a max of polynomials in k with non-negative integer
-  coefficients (``sensitivity_polynomials``), each of degree at most j for
-  j joins: a column's mf in a relation with i joins has degree at most
-  i + 1 (a private mf + k has degree 1, a public one 0, and each join it
-  passes multiplies in the other side's key), and the stability of a join
-  of sides with a and b joins has degree at most (a + 1) + b = j. Sums,
-  max and the grouped doubling do not raise the degree;
-* the two maxima commute, S = max over P of max over k of
-  exp(-beta*k) * P(k), so each P is maximised alone. As P(k+1)/P(k) <=
-  ((k+1)/k)**j <= exp(j/k), the damped P does not rise from
-  k_max = ceil(j/beta) on (0 without joins);
+  coefficients (``sensitivity_polynomials``), so the two maxima commute:
+  S = max over P of max over k of exp(-beta*k) * P(k), and each P is
+  maximised alone. For d the largest degree in the set, P(k+1)/P(k) <=
+  (1 + 1/k)**d <= exp(beta) once k >= d/beta, so the damped P does not
+  rise from k_max = ceil(d/beta) on (0 for a constant or zero set);
 * with beta = num/den exactly (``float.as_integer_ratio``), ln P(x) - beta*x
   rises on the reals where g = den*P' - num*P > 0. g has integer
   coefficients, so its sign at an integer is exact, and a negative leading
@@ -66,7 +61,6 @@ from .relalg import Count, CountGrouped, RelExpr, root_count
 from .sensitivity import (
     _brackets,
     _value,
-    join_count,
     sensitivity_log_profile,
     sensitivity_polynomials,
 )
@@ -131,9 +125,11 @@ def make_params(
 class SmoothBound:
     """Result of smoothing: S, attained at distance k_star in 0..k_max.
 
-    values_scanned counts the distances at which a polynomial was evaluated
-    to find it. log_S is ln S as computed: finite where S overflows to inf,
-    and -inf where S is 0.
+    k_max is ceil(d/beta), for d the largest degree of the query's
+    polynomial set: the damped bound does not rise past it. values_scanned
+    counts the distances at which a polynomial was evaluated to find it.
+    log_S is ln S as computed: finite where S overflows to inf, and -inf
+    where S is 0.
     """
 
     S: float
@@ -141,25 +137,6 @@ class SmoothBound:
     k_max: int
     values_scanned: int
     log_S: float
-
-
-def scan_limit(q: RelExpr, p: PrivacyParams) -> int:
-    """The largest distance smoothing must consider for ``q``: ceil(j/beta) for j joins, 0 for none.
-
-    The bound has degree at most j in k, so its damped profile cannot rise
-    past j/beta (module docstring).
-
-    Raises:
-        InvalidParams: the distance passes 2**53 (epsilon is too small).
-    """
-    horizon = join_count(q) / p.beta
-    if horizon > _MAX_DISTANCE:
-        raise InvalidParams(
-            "k_max = ceil(j/beta) must be at most 2**53, past which float "
-            "distances are not exact (it grows as epsilon shrinks), got "
-            "j/beta = %r" % (horizon,)
-        )
-    return math.ceil(horizon)
 
 
 def _rises(lo: int, hi: int, num: int, den: int) -> bool:
@@ -215,11 +192,22 @@ def _peak(polys, beta: float, k_max: int) -> Tuple[int, int]:
 def smooth_bound(q: RelExpr, m: MetricsStore, p: PrivacyParams) -> SmoothBound:
     """Smoothed sensitivity of a counting query under metrics ``m``, in closed form (module docstring).
 
+    Smoothing stops at k_max = ceil(d/beta), for d the largest degree of
+    ``sensitivity_polynomials(q, m)``.
+
     Raises:
         InvalidParams: k_max passes 2**53 (epsilon is too small).
     """
-    k_max = scan_limit(q, p)
-    k_star, scanned = _peak(sensitivity_polynomials(q, m), p.beta, k_max)
+    polys = sensitivity_polynomials(q, m)
+    horizon = max(max(map(len, polys)) - 1, 0) / p.beta  # () is the zero polynomial
+    if horizon > _MAX_DISTANCE:
+        raise InvalidParams(
+            "k_max = ceil(d/beta), for d the bound's degree in k, must be at "
+            "most 2**53, past which float distances are not exact (it grows "
+            "as epsilon shrinks), got d/beta = %r" % (horizon,)
+        )
+    k_max = math.ceil(horizon)
+    k_star, scanned = _peak(polys, p.beta, k_max)
     log_s = sensitivity_log_profile(q, [float(k_star)], m)[0] - p.beta * k_star
     try:
         s = math.exp(log_s)

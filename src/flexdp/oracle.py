@@ -114,7 +114,8 @@ class MicroDatabase:
 
         Raises:
             EvaluationError: no table to load, a named table has no file, or
-                a file has no header row or repeats a column name in it.
+                a file's header row is missing or blank, or has an empty or
+                repeated column name.
         """
         if tables is None:
             names = sorted(n[: -len(".csv")] for n in os.listdir(path) if n.endswith(".csv"))
@@ -136,6 +137,8 @@ class MicroDatabase:
                 except StopIteration:
                     raise EvaluationError("%s is empty (no header row)" % filename) from None
                 columns[name] = tuple(h.strip() for h in header)
+                if not columns[name] or "" in columns[name]:
+                    raise EvaluationError("%s has a blank header row or an empty column name" % filename)
                 if len(set(columns[name])) != len(columns[name]):
                     raise EvaluationError("%s repeats a column name in its header" % filename)
                 rows_of[name] = [

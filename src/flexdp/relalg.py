@@ -60,9 +60,6 @@ class BaseColumn:
     table: str
     column: str
 
-    def __str__(self) -> str:
-        return "%s.%s" % (self.table, self.column)
-
 
 @dataclass(frozen=True)
 class Comparison:
@@ -120,11 +117,6 @@ class Table(_Node):
         return tuple(
             ScopeEntry(self.alias, col, BaseColumn(self.name, col)) for col in self.columns
         )
-
-    def __str__(self) -> str:
-        if self.alias != self.name:
-            return "%s AS %s" % (self.name, self.alias)
-        return self.name
 
 
 @dataclass(frozen=True)

@@ -493,8 +493,10 @@ def sensitivity_polynomials(q: RelExpr, m: MetricsStore) -> tuple:
     Returns coefficient tuples, lowest degree first, whose largest value at
     each integer k >= 0 is elastic_sensitivity(q, k, m); none is bounded by
     another coefficient by coefficient, and of more than 8 only those
-    largest at some k are kept. Every coefficient is a non-negative integer
-    and, for j joins, every degree is at most j. The zero polynomial is ().
+    largest at some k are kept. Every coefficient is a non-negative integer,
+    so for d the largest degree each grows by at most (1 + 1/k)**d a step:
+    ``smooth_bound`` reads its horizon, ceil(d/beta), off d. The zero
+    polynomial is ().
     """
     return _sensitivity(q, m, _Poly)
 

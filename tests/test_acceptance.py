@@ -37,7 +37,6 @@ from flexdp import (
     parse_query,
     release_count,
     root_count,
-    scan_limit,
     smooth_bound,
 )
 from flexdp.mechanism import _peak
@@ -142,7 +141,6 @@ def test_criterion_02_smoothing_matches_brute_force():
     def check(q, store, params):
         nonlocal worst_rel, checks
         bound = smooth_bound(q, store, params)
-        limit = scan_limit(q, params)
         j = join_count(q)
         brute_s, brute_k = brute_smooth(
             lambda k: elastic_sensitivity(q, k, store),
@@ -153,7 +151,9 @@ def test_criterion_02_smoothing_matches_brute_force():
         worst_rel = max(worst_rel, rel)
         checks += 1
         assert bound.k_star == brute_k
-        assert bound.k_star <= limit
+        # the brute-force argmax lies within the horizon, ceil(d/beta) for
+        # the bound's degree d, which is at most ceil(j/beta)
+        assert brute_k <= bound.k_max <= math.ceil(j / params.beta)
         assert rel <= 1e-9
 
     check(
@@ -166,6 +166,11 @@ def test_criterion_02_smoothing_matches_brute_force():
     for _ in range(50):
         q, store = _random_metrics_query(rng)
         check(q, store, params)
+    # a public table can lower the degree below j, and so the horizon
+    for _ in range(20):
+        q, store = _random_metrics_query(rng)
+        public = frozenset({str(rng.choice(sorted(store.row_counts)))})
+        check(q, MetricsStore(store.mf, public_tables=public, row_counts=store.row_counts), params)
 
     elapsed = time.perf_counter() - t0
     ok = worst_rel <= 1e-9 and elapsed < 10.0
@@ -174,7 +179,7 @@ def test_criterion_02_smoothing_matches_brute_force():
         "smoothing-oracle",
         ok,
         "%d queries, worst rel err %.1e vs 1e-9, brute force to "
-        "50*ceil(j^2/beta), argmax always inside ceil(j/beta); %.1fs"
+        "50*ceil(j^2/beta), argmax always inside k_max = ceil(d/beta); %.1fs"
         % (checks, worst_rel, elapsed),
     )
     assert ok

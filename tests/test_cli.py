@@ -450,8 +450,9 @@ def test_bins_with_the_wrong_number_of_parts_are_refused(cities, capsys):
     [
         ("1,2\n", False, "single number"),
         ("1,2\nb\n", True, "is not 'label,count'"),
+        ("1,2\n1,abc\n", True, "line '1,abc' has a count that is not a number"),
     ],
-    ids=["plain-with-a-label", "grouped-line-without-count"],
+    ids=["plain-with-a-label", "grouped-line-without-count", "grouped-count-not-a-number"],
 )
 def test_malformed_true_result_file_is_a_format_error(workspace, capsys, text, grouped, fragment):
     truth = workspace / "truth.txt"
@@ -667,8 +668,13 @@ def _release_pairs(capsys, workspace, *extra):
 
 @pytest.mark.parametrize(
     "extra",
-    [("--true-result", "inf"), ("--true-result", "nan"), ("--seed", "-1", "--true-result", "5")],
-    ids=["inf", "nan", "negative-seed"],
+    [
+        ("--true-result", "inf"),
+        ("--true-result", "nan"),
+        ("--seed", "-1", "--true-result", "5"),
+        ("--execute",),
+    ],
+    ids=["inf", "nan", "negative-seed", "execute-without-data"],
 )
 def test_invalid_release_input_is_refused_and_charges_nothing(workspace, capsys, extra):
     code, out, err = _release_pairs(capsys, workspace, *extra)
@@ -839,6 +845,42 @@ def test_collect_metrics_refuses_a_repeated_column_name(tmp_path, capsys):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("header", ["\n", "a,,b\n"], ids=["blank-header", "empty-name"])
+@pytest.mark.parametrize("command", ["collect-metrics", "check"])
+def test_a_csv_header_without_column_names_is_an_io_error(tmp_path, capsys, command, header):
+    case = tmp_path / "corpus" / "case"
+    case.mkdir(parents=True)
+    (case / "t.csv").write_text(header + "1,2,3\n")
+    out_path = tmp_path / "t.metrics"
+    if command == "check":
+        argv = ("check", "--corpus", case.parent)
+    else:
+        argv = ("collect-metrics", "--data", case, "--metrics", out_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == "error[io]: t.csv has a blank header row or an empty column name\n"
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,fragment",
+    [
+        (("--emit-sql",), "--emit-sql needs --data or an existing --metrics file"),
+        (("--metrics", "{tmp}/out.txt"), "collect-metrics needs --data"),
+        (("--data", "{tmp}/data"), "collect-metrics needs --metrics"),
+        (("--data", "{tmp}/data", "--metrics", "{tmp}/out.txt", "--public", "edges,nope"),
+         "--public names unknown tables: nope"),
+    ],
+    ids=["emit-sql-without-inputs", "without-data", "without-metrics", "unknown-public-table"],
+)
+def test_collect_metrics_refuses_missing_or_unknown_inputs(workspace, capsys, argv, fragment):
+    argv = [a.format(tmp=workspace) for a in argv]
+    code, out, err = run(capsys, "collect-metrics", *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error[invalid-params]: ") and fragment in err and err.count("\n") == 1
+    assert not (workspace / "out.txt").exists()
+
+
 def test_collect_metrics_emit_sql(workspace, capsys):
     code, out, _ = run(
         capsys,
@@ -869,6 +911,13 @@ def test_check_passes_on_consistent_corpus(workspace, capsys):
     code, out, _ = run(capsys, "check", "--corpus", corpus)
     assert code == 0
     assert "violations: 0" in out
+
+
+def test_check_refuses_a_corpus_without_cases(tmp_path, capsys):
+    (tmp_path / "loose.sql").write_text(PAIRS_SQL)
+    code, out, err = run(capsys, "check", "--corpus", tmp_path)
+    assert (code, out) == (3, "")
+    assert err == "error[io]: no case directories in %r\n" % str(tmp_path)
 
 
 def test_check_flags_understated_metrics(workspace, capsys):
@@ -972,6 +1021,35 @@ def test_rejected_query_exits_1_with_category(workspace, capsys, sql, category, 
     assert "error[%s]" % category in err
     assert fragment in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "target", ["metrics", "query", "csv-collect", "csv-execute", "true-result"]
+)
+def test_input_that_is_not_utf8_is_an_io_error(workspace, capsys, target):
+    # a 0xff byte is never UTF-8: one error[io] line, nothing written or charged
+    metrics, data = workspace / "metrics.txt", workspace / "data"
+    bad = {
+        "metrics": metrics,
+        "query": workspace / "pairs.sql",
+        "csv-collect": data / "edges.csv",
+        "csv-execute": data / "edges.csv",
+        "true-result": workspace / "truth.txt",
+    }[target]
+    bad.write_bytes(b"\xff" + (bad.read_bytes() if bad.exists() else b"1\n"))
+    if target == "csv-collect":
+        argv = ("collect-metrics", "--data", data, "--metrics", workspace / "collected.txt")
+    else:
+        source = {
+            "csv-execute": ("--execute", "--data", data),
+            "true-result": ("--true-result", bad),
+        }.get(target, ("--true-result", "5"))
+        argv = ("release", workspace / "pairs.sql", "--metrics", metrics, "--epsilon", "1.0",
+                "--delta", "1e-6", *BUDGET, *source)
+    code, out, err = run(capsys, *argv)
+    assert_refused_free(code, out, err, metrics)
+    assert code == 3 and err.startswith("error[io]: ")
+    assert not (workspace / "collected.txt").exists()
 
 
 def test_missing_metrics_file_is_io_error(workspace, capsys):

@@ -22,7 +22,6 @@ from flexdp import (
     parse_query,
     release_count,
     release_histogram,
-    scan_limit,
     sensitivity_log_profile,
     sensitivity_polynomials,
     smooth_bound,
@@ -149,11 +148,12 @@ def test_scan_all_zero_profile():
     assert bound.S == 0.0 and bound.k_star == 0
 
 
-def test_scan_limit():
+def test_k_max_is_ceil_of_the_largest_degree_over_beta():
     p = make_params(0.7, 1e-7)
-    assert scan_limit(parse_query("SELECT COUNT(*) FROM edges", CATALOG), p) == 0
+    assert smooth_bound(parse_query("SELECT COUNT(*) FROM edges", CATALOG), METRICS, p).k_max == 0
     q = triangle_query()
-    assert scan_limit(q, p) == math.ceil(2 / p.beta)
+    assert [len(poly) - 1 for poly in sensitivity_polynomials(q, METRICS)] == [2]
+    assert smooth_bound(q, METRICS, p).k_max == math.ceil(2 / p.beta)
 
 
 def test_smooth_bound_matches_naive_maximization():
@@ -182,17 +182,38 @@ def _dense_profile(polys):
 
 
 def test_deep_chain_scan_matches_the_square_horizon():
-    # 40 joins at epsilon 0.1: the ceil(j/beta) horizon holds the maximum
-    # that a dense scan of the exact polynomials 40 times longer, to
-    # ceil(j*j/beta), finds
+    # 40 joins at epsilon 0.1, every table private, so degree 40: the
+    # ceil(40/beta) horizon holds the maximum that a dense scan of the exact
+    # polynomials 40 times longer, to ceil(j*j/beta), finds
     q = parse_query(chain_sql(40), chain_catalog(41))
     m = chain_metrics(41)
     p = make_params(0.1, 1e-6)
     bound = smooth_bound(q, m, p)
     wide = dense_scan(_dense_profile(sensitivity_polynomials(q, m)), p.beta, math.ceil(1600 / p.beta))
-    assert bound.k_max == scan_limit(q, p) == math.ceil(40 / p.beta)
+    assert bound.k_max == math.ceil(40 / p.beta)
     assert bound.k_star == wide.k_star
     assert bound.log_S == pytest.approx(wide.log_S, rel=1e-13)
+
+
+@pytest.mark.parametrize("n_joins, degree", [(1, 0), (2, 1), (3, 2)])
+def test_a_public_join_side_lowers_the_horizon_below_the_join_count(n_joins, degree):
+    # with t1 public its key mf is a constant, so the chain's bound has
+    # degree j - 1: smoothing stops at ceil(d/beta), short of ceil(j/beta),
+    # and a dense scan out to ceil(j/beta) finds the same S and k*
+    q = parse_query(chain_sql(n_joins), chain_catalog(n_joins + 1))
+    chain = chain_metrics(n_joins + 1)
+    m = MetricsStore(chain.mf, public_tables=frozenset({"t1"}), row_counts=chain.row_counts)
+    p = make_params(0.5, 1e-6)
+    bound = smooth_bound(q, m, p)
+    horizon = math.ceil(n_joins / p.beta)
+    assert bound.k_max == math.ceil(degree / p.beta) < horizon
+    dense = dense_scan(_dense_profile(sensitivity_polynomials(q, m)), p.beta, horizon)
+    assert bound.k_star == dense.k_star
+    assert bound.S == pytest.approx(dense.S, rel=1e-13)
+    if degree == 0:
+        # a constant bound needs no horizon: analysed, not refused, at any epsilon
+        tiny = smooth_bound(q, m, make_params(1e-17, 1e-7))
+        assert (tiny.k_max, tiny.k_star, tiny.S) == (0, 0, bound.S)
 
 
 def test_pruned_scan_matches_the_exhaustive_scan_at_tiny_epsilon():
@@ -203,7 +224,7 @@ def test_pruned_scan_matches_the_exhaustive_scan_at_tiny_epsilon():
     bound = smooth_bound(q, METRICS, p)
     whole = dense_scan(_dense_profile(sensitivity_polynomials(q, METRICS)), p.beta, bound.k_max)
     assert (bound.k_star, bound.log_S) == (whole.k_star, pytest.approx(whole.log_S, rel=1e-15))
-    assert whole.values_scanned == bound.k_max + 1 == scan_limit(q, p) + 1
+    assert whole.values_scanned == bound.k_max + 1 == math.ceil(2 / p.beta) + 1
     assert bound.values_scanned < 100
 
 
@@ -324,6 +345,23 @@ def test_inverse_cdf_domain_checks():
     for u in (0.0, 1.0, -0.1, 1.1):
         with pytest.raises(ValueError):
             laplace_inverse_cdf(u, 1.0)
+    for scale in (0.0, -1.0):
+        with pytest.raises(InvalidScale):
+            laplace_sample(scale, PCG64(1))
+
+
+def test_sample_redraws_an_exact_zero():
+    # u = 0 is outside the open interval the inverse CDF takes: draw again
+    class Draws:
+        def __init__(self, *values):
+            self.values = list(values)
+
+        def random(self):
+            return self.values.pop(0)
+
+    rng = Draws(0.0, 0.0, 0.75)
+    assert laplace_sample(3.0, rng) == laplace_inverse_cdf(0.75, 3.0)
+    assert rng.values == []
 
 
 def test_sample_is_seed_deterministic():

@@ -42,6 +42,8 @@ def test_store_lookups():
 def test_validate_rejects_impossible_values():
     with pytest.raises(NegativeCount):
         validate_store(make_store(mf={("edges", "source"): -1}))
+    with pytest.raises(NegativeCount, match="row count for edges"):
+        validate_store(make_store(row_counts={"edges": -1}))
     # a max frequency above the row count is impossible
     with pytest.raises(FormatError, match="exceeds"):
         validate_store(make_store(mf={("edges", "source"): 2000}))

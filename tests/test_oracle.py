@@ -62,6 +62,23 @@ def test_csv_loading(tmp_path):
     assert set(db.domains["edges"][0]) == {1, 2}
 
 
+@pytest.mark.parametrize(
+    "files,fragment",
+    [
+        ({}, "no .csv tables found"),
+        ({"edges.csv": ""}, "edges.csv is empty"),
+        # names are stripped, so blanks are empty names too
+        ({"edges.csv": " , \n1,2\n"}, "empty column name"),
+    ],
+    ids=["no-tables", "empty-file", "blank-names"],
+)
+def test_csv_loading_refuses_a_missing_or_malformed_header(tmp_path, files, fragment):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    with pytest.raises(EvaluationError, match=fragment):
+        MicroDatabase.from_csv_dir(str(tmp_path))
+
+
 def test_domains_are_built_on_first_read_from_the_original_rows():
     db = db_from([(1, 2), (2, 3)], name="edges")
     assert dict(db.domains) == {}  # nothing sorted at load
@@ -136,6 +153,14 @@ def test_eval_rows_and_max_frequency():
     assert rows == [(1, 2), (2, 3), (3, 1)]
     assert column_max_frequency([(1,), (1,), (2,)], 0) == 2
     assert column_max_frequency([], 0) == 0
+    with pytest.raises(TypeError, match="not a relational expression"):
+        eval_rows("edges", CYCLE)
+
+
+def test_a_table_whose_columns_differ_from_the_query_is_an_evaluation_error():
+    query = q("SELECT COUNT(*) FROM edges", CYCLE)
+    with pytest.raises(EvaluationError, match="do not match the query's schema"):
+        eval_query(query, db_from([(1, 2)], columns=("source", "weight")))
 
 
 def test_max_frequency_at_grows_by_one_per_replacement():
@@ -203,6 +228,8 @@ def test_neighbors_respect_distance():
     for d in neighbors_at(db, 1):
         changed = sum(1 for a, b in zip(d.tables["edges"], original) if a != b)
         assert changed <= 1
+    with pytest.raises(ValueError, match="non-negative"):
+        next(neighbors_at(db, -1))
 
 
 def test_neighbors_never_resize_tables():

@@ -166,6 +166,18 @@ def test_case_insensitive_keywords():
     assert isinstance(q, Count)
 
 
+def test_inner_join_as_aliases_and_angle_bracket_inequality():
+    # INNER JOIN is JOIN, AS before an alias is optional, and <> is !=
+    spelled = parse(
+        "SELECT COUNT(*) FROM users AS u INNER JOIN orders AS o ON u.id = o.uid "
+        "WHERE u.dept <> 'x'"
+    )
+    assert spelled == parse(
+        "SELECT COUNT(*) FROM users u JOIN orders o ON u.id = o.uid WHERE u.dept != 'x'"
+    )
+    assert spelled.input.predicate[0].op == "!="
+
+
 def test_comments_and_whitespace():
     q = parse(
         "SELECT COUNT(*) -- how many\nFROM users -- base table\nWHERE id = 1"
@@ -241,6 +253,10 @@ REJECTIONS = [
     ("", ParseError, "empty"),
     # an unknown select-list column under GROUP BY is an unknown column too
     ("SELECT nosuch, COUNT(*) FROM users GROUP BY dept", UnknownColumn, "nosuch"),
+    ("SELECT COUNT(*) FROM users WHERE id = @", ParseError, "unexpected character '@'"),
+    ("SELECT COUNT(* FROM users", ParseError, "expected '[)]', found 'FROM'"),
+    ("SELECT COUNT(*) FROM WHERE", ParseError, "expected table name, found 'WHERE'"),
+    ("SELECT COUNT(*) FROM users WHERE id dept", ParseError, "expected comparison operator"),
 ]
 
 
