@@ -126,17 +126,20 @@ def cmd_analyze(args) -> int:
 
 def _parse_bins(raw: str, arity: int):
     labels = []
-    for part in raw.split(","):
-        part = part.strip()
-        if arity == 1:
-            labels.append(coerce_value(part))
-        else:
-            pieces = part.split("|")
-            if len(pieces) != arity:
-                raise InvalidParams(
-                    "bin label %r does not have %d '|'-separated parts" % (part, arity)
-                )
-            labels.append(tuple(coerce_value(p) for p in pieces))
+    try:
+        for part in raw.split(","):
+            part = part.strip()
+            if arity == 1:
+                labels.append(coerce_value(part))
+            else:
+                pieces = part.split("|")
+                if len(pieces) != arity:
+                    raise InvalidParams(
+                        "bin label %r does not have %d '|'-separated parts" % (part, arity)
+                    )
+                labels.append(tuple(coerce_value(p) for p in pieces))
+    except ValueError as exc:  # from coerce_value: more digits than Python converts
+        raise InvalidParams("--bins: %s" % exc) from None
     return labels
 
 
@@ -146,7 +149,7 @@ def _parse_true_result(text: str, grouped: bool):
     except ValueError:
         pass
     with open(text, "r", encoding="utf-8") as handle:
-        content = handle.read().strip()
+        content = handle.read()
     if not grouped:
         try:
             return float(content)
@@ -155,7 +158,7 @@ def _parse_true_result(text: str, grouped: bool):
                 "true-result file must hold a single number for a plain count"
             ) from None
     bins = {}
-    for line in content.splitlines():
+    for lineno, line in enumerate(content.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -163,11 +166,14 @@ def _parse_true_result(text: str, grouped: bool):
         if len(parts) < 2:
             raise FormatError("true-result line %r is not 'label,count'" % line)
         *label_parts, count = parts
-        label = (
-            coerce_value(label_parts[0])
-            if len(label_parts) == 1
-            else tuple(coerce_value(p) for p in label_parts)
-        )
+        try:
+            label = (
+                coerce_value(label_parts[0])
+                if len(label_parts) == 1
+                else tuple(coerce_value(p) for p in label_parts)
+            )
+        except ValueError as exc:  # from coerce_value: more digits than Python converts
+            raise FormatError("true-result label: %s" % exc, line=lineno) from None
         try:
             bins[label] = float(count)
         except ValueError:

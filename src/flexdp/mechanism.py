@@ -45,8 +45,7 @@ from __future__ import annotations
 
 import math
 import numbers
-import secrets
-from dataclasses import dataclass, field
+import os
 from typing import Mapping, Optional, Sequence, Tuple
 
 from .errors import (
@@ -57,6 +56,7 @@ from .errors import (
     UnsupportedQuery,
 )
 from .metrics import MetricsStore
+from .records import Frozen, Record
 from .relalg import Count, CountGrouped, RelExpr, root_count
 from .sensitivity import (
     _brackets,
@@ -71,8 +71,7 @@ _MAX_DISTANCE = 1 << 53
 _MAX_TAIL = 52 * math.log(2)
 
 
-@dataclass(frozen=True)
-class PrivacyParams:
+class PrivacyParams(Frozen):
     """Privacy parameters for one release, checked at construction; ``beta`` is derived from them.
 
     Raises:
@@ -80,23 +79,18 @@ class PrivacyParams:
             or epsilon so small that beta underflows to 0.
     """
 
-    epsilon: float
-    delta: float
-    beta: float = field(init=False)
+    _fields = ("epsilon", "delta", "beta")
 
-    def __post_init__(self):
-        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
-            raise InvalidParams(
-                "epsilon must be positive and finite, got %r" % (self.epsilon,)
-            )
-        if not 0 < self.delta < 1:
-            raise InvalidParams("delta must be in (0, 1), got %r" % (self.delta,))
-        beta = self.epsilon / (2.0 * math.log(2.0 / self.delta))
+    def __init__(self, epsilon: float, delta: float):
+        if not (epsilon > 0 and math.isfinite(epsilon)):
+            raise InvalidParams("epsilon must be positive and finite, got %r" % (epsilon,))
+        if not 0 < delta < 1:
+            raise InvalidParams("delta must be in (0, 1), got %r" % (delta,))
+        beta = epsilon / (2.0 * math.log(2.0 / delta))
         if not beta > 0:
-            raise InvalidParams("epsilon %r is too small: beta underflows to 0" % (self.epsilon,))
-        object.__setattr__(self, "epsilon", float(self.epsilon))
-        object.__setattr__(self, "delta", float(self.delta))
-        object.__setattr__(self, "beta", beta)
+            raise InvalidParams("epsilon %r is too small: beta underflows to 0" % (epsilon,))
+        d = self.__dict__
+        d["epsilon"], d["delta"], d["beta"] = float(epsilon), float(delta), beta
 
 
 def make_params(
@@ -121,8 +115,7 @@ def make_params(
     return PrivacyParams(epsilon, delta)
 
 
-@dataclass(frozen=True)
-class SmoothBound:
+class SmoothBound(Frozen):
     """Result of smoothing: S, attained at distance k_star in 0..k_max.
 
     k_max is ceil(d/beta), for d the largest degree of the query's
@@ -132,11 +125,13 @@ class SmoothBound:
     where S is 0.
     """
 
-    S: float
-    k_star: int
-    k_max: int
-    values_scanned: int
-    log_S: float
+    _fields = ("S", "k_star", "k_max", "values_scanned", "log_S")
+
+    def __init__(self, S: float, k_star: int, k_max: int, values_scanned: int, log_S: float):
+        d = self.__dict__
+        d["S"], d["k_star"], d["k_max"], d["values_scanned"], d["log_S"] = (
+            S, k_star, k_max, values_scanned, log_S
+        )
 
 
 def _rises(lo: int, hi: int, num: int, den: int) -> bool:
@@ -328,8 +323,7 @@ class PCG64:
         return (out >> 11) * (1.0 / 9007199254740992.0)
 
 
-@dataclass(frozen=True)
-class ReleaseResult:
+class ReleaseResult(Frozen):
     """A noisy release plus the metadata needed to audit and replay it.
 
     Exactly one of ``value`` (plain count) and ``bins`` (grouped count, one
@@ -337,12 +331,20 @@ class ReleaseResult:
     replays the noise and so recovers the true result: never publish it.
     """
 
-    value: Optional[float]
-    bins: Optional[Tuple]
-    S: float
-    k_star: int
-    noise_scale: float
-    seed: int
+    _fields = ("value", "bins", "S", "k_star", "noise_scale", "seed")
+
+    def __init__(
+        self,
+        value: Optional[float],
+        bins: Optional[Tuple],
+        S: float,
+        k_star: int,
+        noise_scale: float,
+        seed: int,
+    ):
+        d = self.__dict__
+        d["value"], d["bins"], d["S"], d["k_star"] = value, bins, S, k_star
+        d["noise_scale"], d["seed"] = noise_scale, seed
 
 
 def _release(
@@ -376,7 +378,7 @@ def _release(
             "smoothed sensitivity %r (noise scale %r) could make a released "
             "value non-finite; refusing to release" % (bound.S, scale)
         )
-    seed = secrets.randbits(128) if seed is None else int(seed)
+    seed = int.from_bytes(os.urandom(16), "little") if seed is None else int(seed)
     rng = PCG64(seed)
     noisy = [v + (laplace_sample(scale, rng) if scale > 0 else 0.0) for v in values]
     return ReleaseResult(
@@ -461,8 +463,7 @@ def release_histogram(
     return _release([true_bins.get(l, 0) for l in domain], domain, q, m, p, seed)
 
 
-@dataclass
-class BudgetLedger:
+class BudgetLedger(Record):
     """Cumulative privacy spend with hard caps.
 
     Charges add up; one that would push either total past its cap raises
@@ -472,18 +473,23 @@ class BudgetLedger:
     must serialize access themselves.
     """
 
-    max_epsilon: float
-    max_delta: float
-    spent_epsilon: float = 0.0
-    spent_delta: float = 0.0
+    _fields = ("max_epsilon", "max_delta", "spent_epsilon", "spent_delta")
 
-    def __post_init__(self):
-        if not (self.max_epsilon > 0 and math.isfinite(self.max_epsilon)):
+    def __init__(
+        self,
+        max_epsilon: float,
+        max_delta: float,
+        spent_epsilon: float = 0.0,
+        spent_delta: float = 0.0,
+    ):
+        if not (max_epsilon > 0 and math.isfinite(max_epsilon)):
             raise InvalidParams("max_epsilon must be positive and finite")
-        if not 0 < self.max_delta < 1:
+        if not 0 < max_delta < 1:
             raise InvalidParams("max_delta must be in (0, 1)")
-        if not all(0 <= v < math.inf for v in (self.spent_epsilon, self.spent_delta)):
+        if not all(0 <= v < math.inf for v in (spent_epsilon, spent_delta)):
             raise InvalidParams("spent totals must be non-negative and finite")
+        self.max_epsilon, self.max_delta = max_epsilon, max_delta
+        self.spent_epsilon, self.spent_delta = spent_epsilon, spent_delta
 
     def remaining(self) -> Tuple[float, float]:
         return (

@@ -28,28 +28,38 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from .errors import FormatError, MissingMetric, NegativeCount
+from .records import Frozen
 from .relalg import Catalog
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
-@dataclass(frozen=True)
-class MetricsStore:
+class MetricsStore(Frozen):
     """Max-frequency metrics, public-table flags, and row counts.
 
     Fields:
         mf: (table, column) -> max frequency of any single value.
         public_tables: tables whose rows are not protected.
         row_counts: table -> number of rows (used for the delta default).
+
+    An omitted ``mf`` or ``row_counts`` is a new empty dict.
     """
 
-    mf: Dict[Tuple[str, str], int] = field(default_factory=dict)
-    public_tables: frozenset = frozenset()
-    row_counts: Dict[str, int] = field(default_factory=dict)
+    _fields = ("mf", "public_tables", "row_counts")
+
+    def __init__(
+        self,
+        mf: Optional[Dict[Tuple[str, str], int]] = None,
+        public_tables: frozenset = frozenset(),
+        row_counts: Optional[Dict[str, int]] = None,
+    ):
+        d = self.__dict__
+        d["mf"] = {} if mf is None else mf
+        d["public_tables"] = public_tables
+        d["row_counts"] = {} if row_counts is None else row_counts
 
     def mf_of(self, table: str, column: str) -> int:
         try:

@@ -19,11 +19,11 @@ import csv
 import itertools
 import operator
 import os
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .errors import EvaluationError, TooLargeToEnumerate
 from .metrics import MetricsStore
+from .records import Record
 from .relalg import (
     AttrRef,
     Catalog,
@@ -52,9 +52,14 @@ Value = Union[int, str]
 
 
 def coerce_value(text: str) -> Value:
-    """Read a CSV cell or a bin label: an optionally signed integer, else the text."""
+    """Read a CSV cell or a bin label: an optionally signed integer in ASCII digits, else the text.
+
+    Raises:
+        ValueError: the integer has more digits than Python converts
+            (``sys.get_int_max_str_digits()``).
+    """
     body = text[1:] if text.startswith("-") else text
-    if body.isdigit():
+    if body.isdigit() and body.isascii():
         return int(text)
     return text
 
@@ -86,25 +91,29 @@ def _check_width(row: tuple, cols: tuple, name: str):
         raise EvaluationError("row width %d does not match columns of %r" % (len(row), name))
 
 
-@dataclass
-class MicroDatabase:
+class MicroDatabase(Record):
     """A tiny multi-table database with explicit per-column value domains.
 
     Rows are position-indexed: neighbor enumeration replaces the row at a
     position, so row order is meaningful for bookkeeping even though query
-    semantics are bag semantics.
+    semantics are bag semantics. A table's domains, when not given, are
+    its observed values (``_ObservedDomains``).
     """
 
-    tables: Dict[str, List[tuple]]
-    columns: Dict[str, tuple]
-    domains: Dict[str, tuple] = field(default_factory=dict)
+    _fields = ("tables", "columns", "domains")
 
-    def __post_init__(self):
-        for name, cols in self.columns.items():
-            for row in self.tables.get(name, []):
+    def __init__(
+        self,
+        tables: Dict[str, List[tuple]],
+        columns: Dict[str, tuple],
+        domains: Optional[Dict[str, tuple]] = None,
+    ):
+        for name, cols in columns.items():
+            for row in tables.get(name, []):
                 _check_width(row, cols, name)
-        if not isinstance(self.domains, _ObservedDomains):
-            self.domains = _ObservedDomains(self.domains, self.tables, self.columns)
+        if not isinstance(domains, _ObservedDomains):
+            domains = _ObservedDomains(domains or {}, tables, columns)
+        self.tables, self.columns, self.domains = tables, columns, domains
 
     @classmethod
     def from_csv_dir(cls, path: str, tables: Optional[Iterable[str]] = None) -> "MicroDatabase":
@@ -113,9 +122,10 @@ class MicroDatabase:
         The file name (less ``.csv``) is the table name.
 
         Raises:
-            EvaluationError: no table to load, a named table has no file, or
+            EvaluationError: no table to load, a named table has no file,
                 a file's header row is missing or blank, or has an empty or
-                repeated column name.
+                repeated column name, or a cell holds an integer of more
+                digits than Python converts.
         """
         if tables is None:
             names = sorted(n[: -len(".csv")] for n in os.listdir(path) if n.endswith(".csv"))
@@ -141,11 +151,18 @@ class MicroDatabase:
                     raise EvaluationError("%s has a blank header row or an empty column name" % filename)
                 if len(set(columns[name])) != len(columns[name]):
                     raise EvaluationError("%s repeats a column name in its header" % filename)
-                rows_of[name] = [
-                    tuple(coerce_value(cell.strip()) for cell in row)
-                    for row in reader
-                    if row
-                ]
+                try:
+                    rows_of[name] = [
+                        tuple(coerce_value(cell.strip()) for cell in row)
+                        for row in reader
+                        if row
+                    ]
+                except UnicodeDecodeError:  # a ValueError, but reported as an I/O error
+                    raise
+                except ValueError as exc:  # from coerce_value: more digits than Python converts
+                    raise EvaluationError(
+                        "%s line %d: %s" % (filename, reader.line_num, exc)
+                    ) from None
         return cls(tables=rows_of, columns=columns)
 
     def catalog(self) -> Catalog:
@@ -185,7 +202,7 @@ class MicroDatabase:
             if tables[name] is self.tables[name]:
                 tables[name] = list(tables[name])
             tables[name][index] = row
-        neighbour = MicroDatabase.__new__(MicroDatabase)  # skips __post_init__'s full check
+        neighbour = MicroDatabase.__new__(MicroDatabase)  # skips __init__'s full check
         neighbour.tables, neighbour.columns, neighbour.domains = tables, self.columns, self.domains
         return neighbour
 
@@ -207,8 +224,10 @@ def _table_rows(t: Table, db: MicroDatabase) -> List[tuple]:
     if set(stored) != set(t.columns):
         raise EvaluationError("table %r columns do not match the query's schema" % t.name)
     # same columns, different declared order: permute to the query's order
-    order = [stored.index(col) for col in t.columns]
-    return [tuple(row[i] for i in order) for row in db.tables[t.name]]
+    pick = operator.itemgetter(*[stored.index(col) for col in t.columns])
+    if len(t.columns) == 1:  # itemgetter of one index returns the value, not a 1-tuple
+        return [(pick(row),) for row in db.tables[t.name]]
+    return list(map(pick, db.tables[t.name]))
 
 
 def eval_rows(r: RelExpr, db: MicroDatabase) -> List[tuple]:

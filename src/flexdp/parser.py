@@ -53,7 +53,7 @@ from .relalg import (
 _TOKEN_RE = re.compile(
     r"""\s*(?:
       (?P<comment>--[^\n]*)
-    | (?P<number>-?\d+)
+    | (?P<number>-?[0-9]+)
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<string>'[^']*'|"[^"]*")
     | (?P<op><=|>=|<>|!=|=|<|>)
@@ -284,7 +284,10 @@ class _Parser:
         kind, value = self._peek()
         if kind == "number":
             self.pos += 1
-            return int(value)
+            try:
+                return int(value)
+            except ValueError as exc:  # more digits than Python converts
+                raise ParseError("integer literal: %s" % exc) from None
         if kind == "string":
             self.pos += 1
             return value[1:-1]

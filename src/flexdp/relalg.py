@@ -27,18 +27,20 @@ when the value passes through an aggregation.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 from .errors import UnresolvedAttribute, UnsupportedQuery
+from .records import Frozen
 
 
-@dataclass(frozen=True)
-class AttrRef:
+class AttrRef(Frozen):
     """An attribute reference as written in a query, e.g. ``e1.dest`` or ``city``."""
 
-    qualifier: Optional[str]
-    name: str
+    _fields = ("qualifier", "name")
+
+    def __init__(self, qualifier: Optional[str], name: str):
+        d = self.__dict__
+        d["qualifier"], d["name"] = qualifier, name
 
     @classmethod
     def parse(cls, text: str) -> "AttrRef":
@@ -53,34 +55,40 @@ class AttrRef:
         return self.name
 
 
-@dataclass(frozen=True)
-class BaseColumn:
+class BaseColumn(Frozen):
     """Provenance of an attribute that traces to a base-table column."""
 
-    table: str
-    column: str
+    _fields = ("table", "column")
+
+    def __init__(self, table: str, column: str):
+        d = self.__dict__
+        d["table"], d["column"] = table, column
 
 
-@dataclass(frozen=True)
-class Comparison:
-    """A single comparison ``left op right``; ``right`` may be a literal."""
+class Comparison(Frozen):
+    """A single comparison ``left op right``; ``right`` may be a literal.
 
-    left: AttrRef
-    op: str  # one of = != < <= > >=
-    right: Union[AttrRef, int, str]
+    ``op`` is one of = != < <= > >=.
+    """
+
+    _fields = ("left", "op", "right")
+
+    def __init__(self, left: AttrRef, op: str, right: Union[AttrRef, int, str]):
+        d = self.__dict__
+        d["left"], d["op"], d["right"] = left, op, right
 
     def __str__(self) -> str:
         right = self.right if isinstance(self.right, AttrRef) else repr(self.right)
         return "%s %s %s" % (self.left, self.op, right)
 
 
-class _Node:
+class _Node(Frozen):
     """Common base of the relational node classes.
 
     A node's resolution (``resolve``) and sensitivity plan are each
     computed at most once and kept on the node, so they are freed with the
-    tree. They are not dataclass fields: node equality and hashing ignore
-    them.
+    tree. They are not among its ``_fields``: node equality and hashing
+    ignore them.
     """
 
     @functools.cached_property
@@ -99,7 +107,6 @@ def _check_node(r):
         raise TypeError("not a relational expression: %r" % (r,))
 
 
-@dataclass(frozen=True)
 class Table(_Node):
     """A base-table reference.
 
@@ -108,9 +115,11 @@ class Table(_Node):
     column tuple is copied out of the catalog so trees are self-contained.
     """
 
-    name: str
-    alias: str
-    columns: tuple
+    _fields = ("name", "alias", "columns")
+
+    def __init__(self, name: str, alias: str, columns: tuple):
+        d = self.__dict__
+        d["name"], d["alias"], d["columns"] = name, alias, columns
 
     @functools.cached_property
     def _entries(self) -> tuple:
@@ -119,7 +128,6 @@ class Table(_Node):
         )
 
 
-@dataclass(frozen=True)
 class Join(_Node):
     """An equijoin on ``key_left = key_right`` with an optional residual filter.
 
@@ -128,30 +136,36 @@ class Join(_Node):
     an ordinary selection, never increases stability.
     """
 
-    left: "RelExpr"
-    right: "RelExpr"
-    key_left: AttrRef
-    key_right: AttrRef
-    residual: tuple = ()
+    _fields = ("left", "right", "key_left", "key_right", "residual")
+
+    def __init__(
+        self, left: RelExpr, right: RelExpr, key_left: AttrRef, key_right: AttrRef, residual: tuple = ()
+    ):
+        d = self.__dict__
+        d["left"], d["right"], d["key_left"], d["key_right"] = left, right, key_left, key_right
+        d["residual"] = residual
 
 
-@dataclass(frozen=True)
 class Project(_Node):
     """Projection onto a subset of the input's attributes (no renaming)."""
 
-    attrs: tuple
-    input: "RelExpr"
+    _fields = ("attrs", "input")
+
+    def __init__(self, attrs: tuple, input: RelExpr):
+        d = self.__dict__
+        d["attrs"], d["input"] = attrs, input
 
 
-@dataclass(frozen=True)
 class Select(_Node):
     """Selection by a conjunction of comparisons."""
 
-    predicate: tuple
-    input: "RelExpr"
+    _fields = ("predicate", "input")
+
+    def __init__(self, predicate: tuple, input: RelExpr):
+        d = self.__dict__
+        d["predicate"], d["input"] = predicate, input
 
 
-@dataclass(frozen=True)
 class Aliased(_Node):
     """A named subquery reference: the input's attributes requalified under one alias.
 
@@ -159,46 +173,52 @@ class Aliased(_Node):
     analysis treats it as a pass-through.
     """
 
-    input: "RelExpr"
-    alias: str
+    _fields = ("input", "alias")
+
+    def __init__(self, input: RelExpr, alias: str):
+        d = self.__dict__
+        d["input"], d["alias"] = input, alias
 
 
-@dataclass(frozen=True)
 class Count(_Node):
     """A plain count of the input's rows. Output is one attribute, ``label``."""
 
-    input: "RelExpr"
-    label: str = "count"
+    _fields = ("input", "label")
+
+    def __init__(self, input: RelExpr, label: str = "count"):
+        d = self.__dict__
+        d["input"], d["label"] = input, label
 
 
-@dataclass(frozen=True)
 class CountGrouped(_Node):
     """A grouped count: one output row per distinct grouping-key value."""
 
-    group_attrs: tuple
-    input: "RelExpr"
-    label: str = "count"
+    _fields = ("group_attrs", "input", "label")
+
+    def __init__(self, group_attrs: tuple, input: RelExpr, label: str = "count"):
+        d = self.__dict__
+        d["group_attrs"], d["input"], d["label"] = group_attrs, input, label
 
 
 RelExpr = Union[Table, Join, Project, Select, Aliased, Count, CountGrouped]
 
 
-@dataclass(frozen=True)
-class Catalog:
+class Catalog(Frozen):
     """Schema information the parser validates queries against.
 
     Fields:
         columns: mapping from table name to its tuple of column names.
     """
 
-    columns: dict
+    _fields = ("columns",)
 
-    def __post_init__(self):
-        for table, cols in self.columns.items():
+    def __init__(self, columns: dict):
+        for table, cols in columns.items():
             if not cols:
                 raise ValueError("table %r has no columns" % table)
             if len(set(cols)) != len(cols):
                 raise ValueError("table %r repeats a column name" % table)
+        self.__dict__["columns"] = columns
 
 
 class ScopeEntry(NamedTuple):

@@ -107,6 +107,10 @@ def test_privacy_params_derive_beta():
     assert p.beta == 0.7 / (2.0 * math.log(2.0 / 1e-7))
     with pytest.raises(TypeError):
         PrivacyParams(1.0, 1e-6, 0.0)
+    # epsilon and delta are stored as floats; the derived beta is shown with them
+    assert repr(make_params(1, 1e-6)) == (
+        "PrivacyParams(epsilon=1.0, delta=1e-06, beta=0.03446218175457895)"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +538,10 @@ def test_budget_accumulates_and_allows_exact_cap():
     ledger.charge(make_params(0.5, 5e-6))
     ledger.charge(make_params(0.5, 5e-6))  # reaches both caps exactly
     assert ledger.remaining() == (0.0, 0.0)
+    # a ledger changes as it is charged: equal while its totals are, never hashable
+    assert ledger == BudgetLedger(1.0, 1e-5, 1.0, 1e-5)
+    with pytest.raises(TypeError):
+        hash(BudgetLedger(1.0, 0.5))
 
 
 def test_budget_refuses_and_preserves_state():

@@ -37,6 +37,11 @@ def test_store_lookups():
     assert store.total_rows() == 1000
     with pytest.raises(MissingMetric, match="edges.weight"):
         store.mf_of("edges", "weight")
+    # each empty store has dicts of its own
+    empty, other = MetricsStore(), MetricsStore()
+    assert empty == other and empty.mf == {} and empty.row_counts == {}
+    assert empty.mf is not other.mf and empty.row_counts is not other.row_counts
+    assert repr(empty) == "MetricsStore(mf={}, public_tables=frozenset(), row_counts={})"
 
 
 def test_validate_rejects_impossible_values():

@@ -14,6 +14,7 @@ import pytest
 
 from flexdp import (
     AttrRef,
+    Catalog,
     EvaluationError,
     MicroDatabase,
     TooLargeToEnumerate,
@@ -77,6 +78,35 @@ def test_csv_loading_refuses_a_missing_or_malformed_header(tmp_path, files, frag
         (tmp_path / name).write_text(text)
     with pytest.raises(EvaluationError, match=fragment):
         MicroDatabase.from_csv_dir(str(tmp_path))
+
+
+def test_a_csv_header_in_another_order_evaluates_the_same(tmp_path):
+    # a catalog from metrics lists each table's columns sorted; a file whose
+    # header is in another order has its rows permuted to the catalog's
+    sql = (
+        "SELECT COUNT(*) FROM users u JOIN orders o ON u.id = o.uid "
+        "WHERE o.item != 'pen' AND u.dept = 'a'"
+    )
+    catalog = Catalog({"users": ("dept", "id", "zip"), "orders": ("item", "uid")})
+    tables = {
+        "users": [dict(id=1, dept="a", zip="x"), dict(id=2, dept="b", zip="y"), dict(id=3, dept="a", zip="z")],
+        "orders": [dict(uid=1, item="pen"), dict(uid=1, item="ink"), dict(uid=3, item="cap")],
+    }
+    results = []
+    for headers in (("dept,id,zip", "item,uid"), ("zip,dept,id", "uid,item")):
+        data = tmp_path / headers[0].replace(",", "_")
+        data.mkdir()
+        for (name, rows), header in zip(tables.items(), headers):
+            lines = [",".join(str(row[c]) for c in header.split(",")) for row in rows]
+            (data / (name + ".csv")).write_text("\n".join([header] + lines) + "\n")
+        db = MicroDatabase.from_csv_dir(str(data))
+        query = parse_query(sql, catalog)
+        results.append((eval_query(query, db), eval_rows(query.input, db)))
+    assert results[0] == results[1]
+    assert results[0] == (2, [("a", 1, "x", "ink", 1), ("a", 3, "z", "cap", 3)])
+    # a database is mutable, so it compares by value but is never hashable
+    with pytest.raises(TypeError):
+        hash(db)
 
 
 def test_domains_are_built_on_first_read_from_the_original_rows():

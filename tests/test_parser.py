@@ -84,6 +84,14 @@ def test_join_key_and_residual_split():
     assert j.residual == (
         Comparison(AttrRef("u", "dept"), "!=", AttrRef("o", "item")),
     )
+    # a parse tree's repr is its identity check: every field, by name, in order
+    assert repr(q) == (
+        "Count(input=Join(left=Table(name='users', alias='u', columns=('id', 'dept')), "
+        "right=Table(name='orders', alias='o', columns=('uid', 'item')), "
+        "key_left=AttrRef(qualifier='u', name='id'), key_right=AttrRef(qualifier='o', name='uid'), "
+        "residual=(Comparison(left=AttrRef(qualifier='u', name='dept'), op='!=', "
+        "right=AttrRef(qualifier='o', name='item')),)), label='count')"
+    )
 
 
 def test_triangle_decomposition():
@@ -254,6 +262,9 @@ REJECTIONS = [
     # an unknown select-list column under GROUP BY is an unknown column too
     ("SELECT nosuch, COUNT(*) FROM users GROUP BY dept", UnknownColumn, "nosuch"),
     ("SELECT COUNT(*) FROM users WHERE id = @", ParseError, "unexpected character '@'"),
+    # a number is ASCII digits, as many as Python converts
+    ("SELECT COUNT(*) FROM users WHERE id = \u0663", ParseError, "unexpected character"),
+    ("SELECT COUNT(*) FROM users WHERE id < " + "9" * 5000, ParseError, "integer literal"),
     ("SELECT COUNT(* FROM users", ParseError, "expected '[)]', found 'FROM'"),
     ("SELECT COUNT(*) FROM WHERE", ParseError, "expected table name, found 'WHERE'"),
     ("SELECT COUNT(*) FROM users WHERE id dept", ParseError, "expected comparison operator"),

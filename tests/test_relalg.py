@@ -9,12 +9,17 @@ from flexdp import (
     AttrRef,
     BaseColumn,
     Catalog,
+    Comparison,
     Count,
     CountGrouped,
     Join,
+    MetricsStore,
+    PrivacyParams,
     Project,
+    ReleaseResult,
     ScopeEntry,
     Select,
+    SmoothBound,
     Table,
     UnresolvedAttribute,
     UnsupportedQuery,
@@ -244,3 +249,50 @@ def test_scope_entries_align_with_row_width():
     g = CountGrouped((AttrRef("u", "dept"),), USERS)
     for node, width in [(USERS, 2), (Count(USERS), 1), (g, 2)]:
         assert len(scope_of(node)) == width
+
+
+def _triangle():
+    inner = _join(EDGES, EDGES2, "e1.dest", "e2.source")
+    e3 = Table("edges", "e3", ("source", "dest"))
+    return Count(Join(inner, e3, AttrRef("e2", "dest"), AttrRef("e3", "source")))
+
+
+def test_equality_and_hash_ignore_the_cached_resolution_and_plan():
+    q, fresh = _triangle(), _triangle()
+    before = hash(q)
+    scope_of(q), scope_of(q.input), _compiled(q.input)
+    assert {"_resolved", "_plan"} <= set(vars(q.input)) and "_entries" in vars(EDGES)
+    assert not {"_resolved", "_plan"} & set(vars(fresh.input))
+    assert q == fresh and hash(q) == hash(fresh) == before
+    assert q != Count(fresh.input, label="n") and q.input != fresh
+
+
+_FROZEN = [
+    (AttrRef("e1", "dest"), ("qualifier", "name")),
+    (BaseColumn("edges", "dest"), ("table", "column")),
+    (Comparison(AttrRef(None, "a"), "<", 3), ("left", "op", "right")),
+    (EDGES, ("name", "alias", "columns")),
+    (_join(EDGES, EDGES2, "e1.dest", "e2.source"), ("left", "right", "key_left", "key_right", "residual")),
+    (Project((AttrRef("e1", "dest"),), EDGES), ("attrs", "input")),
+    (Select((), EDGES), ("predicate", "input")),
+    (Aliased(USERS, "v"), ("input", "alias")),
+    (Count(USERS), ("input", "label")),
+    (CountGrouped((AttrRef("u", "dept"),), USERS), ("group_attrs", "input", "label")),
+    (Catalog(columns={"t": ("a",)}), ("columns",)),
+    (PrivacyParams(1.0, 1e-6), ("epsilon", "delta", "beta")),
+    (SmoothBound(2.0, 1, 3, 4, 0.5), ("S", "k_star", "k_max", "values_scanned", "log_S")),
+    (ReleaseResult(1.5, None, 2.0, 1, 4.0, 7), ("value", "bins", "S", "k_star", "noise_scale", "seed")),
+    (MetricsStore(), ("mf", "public_tables", "row_counts")),
+]
+
+
+@pytest.mark.parametrize("record, fields", _FROZEN, ids=[type(r).__name__ for r, _ in _FROZEN])
+def test_frozen_records_refuse_assignment(record, fields):
+    # every field, in constructor order: the positional form rebuilds an equal record
+    values = tuple(getattr(record, name) for name in fields)
+    init = values[:2] if isinstance(record, PrivacyParams) else values  # beta is derived
+    assert type(record)(*init) == record
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    assert tuple(getattr(record, name) for name in fields) == values
