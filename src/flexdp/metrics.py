@@ -37,6 +37,16 @@ from .relalg import Catalog
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
+def ascii_int(text: str) -> Optional[int]:
+    """``text`` as an int if it is an optional ``-`` then ASCII digits only, else None.
+
+    The integer rule of metrics values, CSV cells and bin labels. Raises
+    ValueError past ``sys.get_int_max_str_digits()`` digits.
+    """
+    body = text[1:] if text.startswith("-") else text
+    return int(text) if body.isdigit() and body.isascii() else None
+
+
 class MetricsStore(Frozen):
     """Max-frequency metrics, public-table flags, and row counts.
 
@@ -160,11 +170,12 @@ def load_metrics(path: str) -> MetricsStore:
                 raise FormatError("expected 'name = value'", line=lineno)
             key, _, value = (part.strip() for part in line.partition("="))
             try:
-                number = int(value)
-            except ValueError:
-                raise FormatError(
-                    "value for %r is not an integer: %r" % (key, value), line=lineno
-                ) from None
+                number = ascii_int(value)
+            except ValueError:  # count the digits, echo none
+                raise FormatError("value for %r has %d digits, more than Python converts"
+                                  % (key, len(value.lstrip("-"))), line=lineno) from None
+            if number is None:
+                raise FormatError("value for %r is not an integer: %r" % (key, value), line=lineno)
             if number < 0:
                 raise NegativeCount(
                     "negative count for %r: %d" % (key, number), line=lineno

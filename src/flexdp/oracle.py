@@ -4,8 +4,11 @@ The sensitivity analysis promises an upper bound on local sensitivity at
 every distance k. This module checks that promise the slow way: evaluate the
 query on a small concrete database, enumerate every database reachable by
 replacing up to k tuples, and measure how much one further replacement can
-move the result. Nothing here is private or fast; it exists so the bound can
-be cross-examined and is wired into the ``flexdp check`` command.
+move the result. The enumeration is slow; ``flexdp check`` runs it to
+cross-examine the bound. The CSV loader and the evaluator also read the
+protected data: ``collect-metrics`` and ``release --execute`` load CSVs with
+``MicroDatabase.from_csv_dir``, and ``release --execute`` computes the true
+result it releases with ``eval_query``.
 
 Databases follow the bounded model: a fixed number of rows per table, and
 neighbors differ by replacing rows (never adding or removing them). Each
@@ -22,7 +25,7 @@ import os
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .errors import EvaluationError, TooLargeToEnumerate
-from .metrics import MetricsStore
+from .metrics import MetricsStore, ascii_int
 from .records import Record
 from .relalg import (
     AttrRef,
@@ -52,16 +55,9 @@ Value = Union[int, str]
 
 
 def coerce_value(text: str) -> Value:
-    """Read a CSV cell or a bin label: an optionally signed integer in ASCII digits, else the text.
-
-    Raises:
-        ValueError: the integer has more digits than Python converts
-            (``sys.get_int_max_str_digits()``).
-    """
-    body = text[1:] if text.startswith("-") else text
-    if body.isdigit() and body.isascii():
-        return int(text)
-    return text
+    """A CSV cell or a bin label: its ``ascii_int`` value, else the text (ValueError as there)."""
+    number = ascii_int(text)
+    return text if number is None else number
 
 
 class _ObservedDomains(dict):
@@ -143,15 +139,7 @@ class MicroDatabase(Record):
             with open(os.path.join(path, filename), newline="", encoding="utf-8") as f:
                 reader = csv.reader(f)
                 try:
-                    header = next(reader)
-                except StopIteration:
-                    raise EvaluationError("%s is empty (no header row)" % filename) from None
-                columns[name] = tuple(h.strip() for h in header)
-                if not columns[name] or "" in columns[name]:
-                    raise EvaluationError("%s has a blank header row or an empty column name" % filename)
-                if len(set(columns[name])) != len(columns[name]):
-                    raise EvaluationError("%s repeats a column name in its header" % filename)
-                try:
+                    header = next(reader, None)
                     rows_of[name] = [
                         tuple(coerce_value(cell.strip()) for cell in row)
                         for row in reader
@@ -159,10 +147,19 @@ class MicroDatabase(Record):
                     ]
                 except UnicodeDecodeError:  # a ValueError, but reported as an I/O error
                     raise
-                except ValueError as exc:  # from coerce_value: more digits than Python converts
+                # csv.Error: a cell past the csv module's field limit (process-global, so
+                # left as it is); ValueError from coerce_value: more digits than Python converts
+                except (csv.Error, ValueError) as exc:
                     raise EvaluationError(
                         "%s line %d: %s" % (filename, reader.line_num, exc)
                     ) from None
+            if header is None:
+                raise EvaluationError("%s is empty (no header row)" % filename)
+            columns[name] = tuple(h.strip() for h in header)
+            if not columns[name] or "" in columns[name]:
+                raise EvaluationError("%s has a blank header row or an empty column name" % filename)
+            if len(set(columns[name])) != len(columns[name]):
+                raise EvaluationError("%s repeats a column name in its header" % filename)
         return cls(tables=rows_of, columns=columns)
 
     def catalog(self) -> Catalog:
@@ -245,13 +242,11 @@ def eval_rows(r: RelExpr, db: MicroDatabase) -> List[tuple]:
             rows = _table_rows(node, db)
         elif isinstance(node, Join):
             right_rows, left_rows = stack.pop(), stack.pop()
-            li, ri, residual = positions
+            li, ri = positions
             buckets: Dict[Value, List[tuple]] = {}
             for row in right_rows:
                 buckets.setdefault(row[ri], []).append(row)
             rows = [lrow + rrow for lrow in left_rows for rrow in buckets.get(lrow[li], ())]
-            if residual:
-                rows = _filter(rows, node.residual, residual)
         else:
             rows = stack.pop()
             if isinstance(node, Select):

@@ -11,8 +11,8 @@ Supported shape::
 WITH-subqueries may themselves be counting queries or plain
 selections/projections of base tables. Join conditions are conjunctions of
 comparisons; the first equality whose two sides are base-table columns of the
-two join inputs becomes the equijoin key, and every other conjunct is kept as
-a residual filter on the joined rows. Queries the analysis cannot bound are
+two join inputs becomes the equijoin key, and every other conjunct becomes a
+selection on the joined rows. Queries the analysis cannot bound are
 rejected with UnsupportedQuery: join conditions with no usable equijoin term,
 join keys produced by an aggregation, outer joins, disjunctive join
 conditions, and outermost operations that are not counts.
@@ -323,15 +323,16 @@ class _Parser:
             raise UnknownColumn(str(exc)) from None
 
     @staticmethod
-    def _make_join(left: RelExpr, right: RelExpr, condition, names: _Names, split: int) -> Join:
+    def _make_join(left: RelExpr, right: RelExpr, condition, names: _Names, split: int) -> RelExpr:
         """The join of ``left`` and ``right`` on ``condition``.
 
         ``names`` indexes both inputs' scopes, the right's from position
-        ``split`` on.
+        ``split`` on. Conjuncts other than the key are a ``Select`` above
+        the ``Join``.
         """
         key = None
         derived_key = None
-        residual = []
+        extra = []
         for comparison in condition:
             if key is None and comparison.op == "=" and isinstance(comparison.right, AttrRef):
                 # order the two ends by position alone (AttrRef has no ordering,
@@ -345,7 +346,7 @@ class _Parser:
                         key = (kl, kr)
                         continue
                     derived_key = derived_key or derived[0]
-            residual.append(comparison)
+            extra.append(comparison)
         if key is None:
             if derived_key is not None:
                 raise UnsupportedQuery(
@@ -356,7 +357,8 @@ class _Parser:
                 "join condition has no equijoin term between the two inputs: %s"
                 % " AND ".join(str(c) for c in condition)
             )
-        return Join(left, right, key[0], key[1], tuple(residual))
+        join = Join(left, right, key[0], key[1])
+        return Select(tuple(extra), join) if extra else join
 
     def _assemble(self, items, rel, names, group_attrs) -> RelExpr:
         count_items = [item for item in items if item[0] == "count"]

@@ -1,10 +1,9 @@
 """Relational algebra core for counting queries.
 
 The sensitivity analysis operates on a small relational algebra rather than
-on SQL text: base tables, equijoins (with optional residual filters),
-projection, selection, and counting (plain or grouped). A query is a tree of
-the node types defined here; the SQL front end in ``flexdp.parser`` produces
-these trees.
+on SQL text: base tables, equijoins, projection, selection, and counting
+(plain or grouped). A query is a tree of the node types defined here; the
+SQL front end in ``flexdp.parser`` produces these trees.
 
 Example::
 
@@ -129,21 +128,13 @@ class Table(_Node):
 
 
 class Join(_Node):
-    """An equijoin on ``key_left = key_right`` with an optional residual filter.
+    """An equijoin on ``key_left = key_right``."""
 
-    The residual holds every conjunct of the original join condition other
-    than the chosen equijoin term; it is applied to the joined rows and, like
-    an ordinary selection, never increases stability.
-    """
+    _fields = ("left", "right", "key_left", "key_right")
 
-    _fields = ("left", "right", "key_left", "key_right", "residual")
-
-    def __init__(
-        self, left: RelExpr, right: RelExpr, key_left: AttrRef, key_right: AttrRef, residual: tuple = ()
-    ):
+    def __init__(self, left: RelExpr, right: RelExpr, key_left: AttrRef, key_right: AttrRef):
         d = self.__dict__
         d["left"], d["right"], d["key_left"], d["key_right"] = left, right, key_left, key_right
-        d["residual"] = residual
 
 
 class Project(_Node):
@@ -299,23 +290,16 @@ def postorder(r: RelExpr, leaves: tuple = (Table,)) -> list:
     return nodes[::-1]
 
 
-def _predicate_positions(predicate: tuple, names: _Names) -> tuple:
-    # per comparison: its left side's position, and its right side's or None for a literal
-    return tuple(
-        (names.index(c.left), names.index(c.right) if isinstance(c.right, AttrRef) else None)
-        for c in predicate
-    )
-
-
 def resolve(r: RelExpr, leaves: tuple = (Table,)):
     """Resolve every reference under ``r`` to a position, in one walk.
 
     Returns a ``(node, positions)`` pair per node of ``postorder(r,
     leaves)``, and the name index of ``r``'s scope. A join's positions are
-    its keys' in its left and right input and its residual's, a
-    selection's its predicate's, and a projection's or grouped count's its
-    attributes' in its input. A join grows its left input's index by the
-    right's, so a chain's names are indexed once.
+    its keys' in its left and right input, a selection's its predicate's
+    (per comparison, its left side's and its right side's or ``None`` for
+    a literal), and a projection's or grouped count's its attributes' in
+    its input. A join grows its left input's index by the right's, so a
+    chain's names are indexed once.
 
     Raises:
         UnresolvedAttribute: a reference names no attribute, or more than one.
@@ -327,9 +311,8 @@ def resolve(r: RelExpr, leaves: tuple = (Table,)):
             names = _Names(node._entries)
         elif isinstance(node, Join):
             right, names = done.pop(), done.pop()
-            keys = (names.index(node.key_left), right.index(node.key_right))
+            positions = (names.index(node.key_left), right.index(node.key_right))
             names.add(right.entries)
-            positions = keys + (_predicate_positions(node.residual, names),)
         elif isinstance(node, Count):
             if not isinstance(node, leaves):
                 done.pop()
@@ -337,7 +320,10 @@ def resolve(r: RelExpr, leaves: tuple = (Table,)):
         else:
             names = done.pop()
             if isinstance(node, Select):
-                positions = _predicate_positions(node.predicate, names)
+                positions = tuple(
+                    (names.index(c.left), names.index(c.right) if isinstance(c.right, AttrRef) else None)
+                    for c in node.predicate
+                )
             elif isinstance(node, Aliased):
                 names = _Names([e._replace(qualifier=node.alias) for e in names.entries])
             elif isinstance(node, Project):

@@ -63,15 +63,7 @@ def naive_rows(r, db: MicroDatabase):
         right = naive_rows(r.right, db)
         li = attribute_index(r.key_left, r.left)
         ri = attribute_index(r.key_right, r.right)
-        out = []
-        for a in left:
-            for b in right:
-                if a[li] != b[ri]:
-                    continue
-                row = a + b
-                if all(_holds(c, row, r) for c in r.residual):
-                    out.append(row)
-        return out
+        return [a + b for a in left for b in right if a[li] == b[ri]]
     if isinstance(r, Select):
         rows = naive_rows(r.input, db)
         return [row for row in rows if all(_holds(c, row, r.input) for c in r.predicate)]

@@ -164,6 +164,13 @@ BAD_FILES = [
     ("[tables]\nedges = 4\n[mf]\nedges.s = 1\nedges.s = 1\n", "duplicate mf", 5),
     ("[public]\nzips = 1\n", "bare table names", 2),
     ("[public]\nzips\nzips\n", "duplicate public", 3),
+    # one integer rule with CSV cells: an optional '-', then ASCII digits only
+    ("[tables]\nt = 1_000\n", "not an integer", 2),
+    ("[tables]\nt = +5\n", "not an integer", 2),
+    ("[tables]\nt = \u0663\n", "not an integer", 2),
+    ("[tables]\nt = 1\n[mf]\nt.a = \u0662\n", "not an integer", 4),
+    pytest.param("[tables]\nt = %s\n" % ("9" * 5000), "'t' has 5000 digits, more than Python converts", 2,
+                 id="5000-digits"),
 ]
 
 
@@ -174,6 +181,7 @@ def test_load_rejects_bad_files(tmp_path, text, fragment, lineno):
     with pytest.raises(FormatError, match=fragment) as exc:
         load_metrics(str(path))
     assert exc.value.line == lineno
+    assert len(str(exc.value)) < 100  # a 5000-digit value is counted, not echoed
 
 
 def test_load_rejects_negative_with_line(tmp_path):

@@ -70,8 +70,10 @@ def test_csv_loading(tmp_path):
         ({"edges.csv": ""}, "edges.csv is empty"),
         # names are stripped, so blanks are empty names too
         ({"edges.csv": " , \n1,2\n"}, "empty column name"),
+        # csv.Error past the field limit, which is process-global and left as it is
+        ({"edges.csv": "a,b\n1," + "x" * 140_000 + "\n"}, r"edges.csv line 2: field larger than field limit"),
     ],
-    ids=["no-tables", "empty-file", "blank-names"],
+    ids=["no-tables", "empty-file", "blank-names", "oversized-cell"],
 )
 def test_csv_loading_refuses_a_missing_or_malformed_header(tmp_path, files, fragment):
     for name, text in files.items():

@@ -77,41 +77,57 @@ def test_join_key_and_residual_split():
         "SELECT COUNT(*) FROM users u JOIN orders o "
         "ON u.id = o.uid AND u.dept != o.item"
     )
-    j = q.input
+    sel = q.input
+    assert isinstance(sel, Select)
+    # every conjunct but the key is a selection on the joined rows
+    assert sel.predicate == (
+        Comparison(AttrRef("u", "dept"), "!=", AttrRef("o", "item")),
+    )
+    j = sel.input
     assert isinstance(j, Join)
     # first equijoin conjunct with one side per input becomes the key
     assert (j.key_left, j.key_right) == (AttrRef("u", "id"), AttrRef("o", "uid"))
-    assert j.residual == (
-        Comparison(AttrRef("u", "dept"), "!=", AttrRef("o", "item")),
-    )
     # a parse tree's repr is its identity check: every field, by name, in order
     assert repr(q) == (
-        "Count(input=Join(left=Table(name='users', alias='u', columns=('id', 'dept')), "
+        "Count(input=Select(predicate=(Comparison(left=AttrRef(qualifier='u', name='dept'), op='!=', "
+        "right=AttrRef(qualifier='o', name='item')),), "
+        "input=Join(left=Table(name='users', alias='u', columns=('id', 'dept')), "
         "right=Table(name='orders', alias='o', columns=('uid', 'item')), "
-        "key_left=AttrRef(qualifier='u', name='id'), key_right=AttrRef(qualifier='o', name='uid'), "
-        "residual=(Comparison(left=AttrRef(qualifier='u', name='dept'), op='!=', "
-        "right=AttrRef(qualifier='o', name='item')),)), label='count')"
+        "key_left=AttrRef(qualifier='u', name='id'), key_right=AttrRef(qualifier='o', name='uid'))), "
+        "label='count')"
     )
+
+
+def test_extra_on_conjuncts_parse_like_a_where_clause():
+    on = parse("SELECT COUNT(*) FROM users u JOIN orders o ON u.id = o.uid AND u.dept < o.item")
+    where = parse("SELECT COUNT(*) FROM users u JOIN orders o ON u.id = o.uid WHERE u.dept < o.item")
+    assert on == where
 
 
 def test_triangle_decomposition():
     q = parse(TRIANGLE_SQL, triangle_catalog())
-    outer = q.input
+    outer_sel = q.input
+    assert isinstance(outer_sel, Select)
+    assert outer_sel.predicate == (
+        Comparison(AttrRef("e3", "dest"), "=", AttrRef("e1", "source")),
+        Comparison(AttrRef("e2", "source"), "<", AttrRef("e3", "source")),
+    )
+    outer = outer_sel.input
+    assert isinstance(outer, Join)
     assert (outer.key_left, outer.key_right) == (
         AttrRef("e2", "dest"),
         AttrRef("e3", "source"),
     )
-    assert outer.residual == (
-        Comparison(AttrRef("e3", "dest"), "=", AttrRef("e1", "source")),
-        Comparison(AttrRef("e2", "source"), "<", AttrRef("e3", "source")),
+    inner_sel = outer.left
+    assert isinstance(inner_sel, Select)
+    assert inner_sel.predicate == (
+        Comparison(AttrRef("e1", "source"), "<", AttrRef("e2", "source")),
     )
-    inner = outer.left
+    inner = inner_sel.input
+    assert isinstance(inner, Join)
     assert (inner.key_left, inner.key_right) == (
         AttrRef("e1", "dest"),
         AttrRef("e2", "source"),
-    )
-    assert inner.residual == (
-        Comparison(AttrRef("e1", "source"), "<", AttrRef("e2", "source")),
     )
 
 
@@ -127,11 +143,14 @@ def test_same_side_equality_is_residual_not_key():
         "SELECT COUNT(*) FROM edges e1 JOIN edges e2 "
         "ON e1.source = e1.dest AND e1.dest = e2.source"
     )
-    j = q.input
-    assert (j.key_left, j.key_right) == (AttrRef("e1", "dest"), AttrRef("e2", "source"))
-    assert j.residual == (
+    sel = q.input
+    assert isinstance(sel, Select)
+    assert sel.predicate == (
         Comparison(AttrRef("e1", "source"), "=", AttrRef("e1", "dest")),
     )
+    j = sel.input
+    assert isinstance(j, Join)
+    assert (j.key_left, j.key_right) == (AttrRef("e1", "dest"), AttrRef("e2", "source"))
 
 
 def test_grouped_count():

@@ -272,7 +272,7 @@ _FROZEN = [
     (BaseColumn("edges", "dest"), ("table", "column")),
     (Comparison(AttrRef(None, "a"), "<", 3), ("left", "op", "right")),
     (EDGES, ("name", "alias", "columns")),
-    (_join(EDGES, EDGES2, "e1.dest", "e2.source"), ("left", "right", "key_left", "key_right", "residual")),
+    (_join(EDGES, EDGES2, "e1.dest", "e2.source"), ("left", "right", "key_left", "key_right")),
     (Project((AttrRef("e1", "dest"),), EDGES), ("attrs", "input")),
     (Select((), EDGES), ("predicate", "input")),
     (Aliased(USERS, "v"), ("input", "alias")),
@@ -289,6 +289,7 @@ _FROZEN = [
 @pytest.mark.parametrize("record, fields", _FROZEN, ids=[type(r).__name__ for r, _ in _FROZEN])
 def test_frozen_records_refuse_assignment(record, fields):
     # every field, in constructor order: the positional form rebuilds an equal record
+    assert type(record)._fields == fields
     values = tuple(getattr(record, name) for name in fields)
     init = values[:2] if isinstance(record, PrivacyParams) else values  # beta is derived
     assert type(record)(*init) == record

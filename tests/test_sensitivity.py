@@ -472,7 +472,7 @@ def test_analysis_keeps_no_reference_to_the_query():
     assert elastic_sensitivity(q, 0, METRICS) == 12871
     release_count(10, q, METRICS, make_params(1.0, 1e-9), seed=1)
     refs = [weakref.ref(node) for node in _nodes(q)]
-    assert len(refs) == 6  # count, two joins, three tables
+    assert len(refs) == 8  # count, two selections, two joins, three tables
     del q
     gc.collect()
     assert [r for r in refs if r() is not None] == []
