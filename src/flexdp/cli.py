@@ -206,7 +206,7 @@ def _observed_metrics(query, store: MetricsStore, db: MicroDatabase) -> MetricsS
     needs, so a stale file cannot lower the noise of a release from data.
     """
     mf = dict(store.mf)
-    for table, column in key_columns(query):
+    for table, column in dict.fromkeys(key_columns(query)):  # each column once
         if (table, column) in mf:
             rows, columns = db.tables[table], db.columns[table]
             observed = column_max_frequency(rows, columns.index(column))

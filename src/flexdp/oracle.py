@@ -1,14 +1,13 @@
-"""Brute-force ground truth on tiny databases.
+"""Ground truth on concrete databases: CSV loading, evaluation and enumeration.
 
-The sensitivity analysis promises an upper bound on local sensitivity at
-every distance k. This module checks that promise the slow way: evaluate the
-query on a small concrete database, enumerate every database reachable by
-replacing up to k tuples, and measure how much one further replacement can
-move the result. The enumeration is slow; ``flexdp check`` runs it to
-cross-examine the bound. The CSV loader and the evaluator also read the
-protected data: ``collect-metrics`` and ``release --execute`` load CSVs with
-``MicroDatabase.from_csv_dir``, and ``release --execute`` computes the true
-result it releases with ``eval_query``.
+``eval_query`` is ``release --execute``'s evaluator, playing the database
+whose answer is released. A join is a hash join keyed on every ``=`` between
+its two sides, a selection's directly above it included, so the pairs those
+reject are never built. ``MicroDatabase.from_csv_dir`` converts a column of
+ASCII digits whole, every other cell by ``coerce_value``. ``flexdp check``
+checks the bound on local sensitivity at distance k the slow way: it lists
+every database reachable by replacing up to k tuples and measures how much
+one further replacement can move the result.
 
 Databases follow the bounded model: a fixed number of rows per table, and
 neighbors differ by replacing rows (never adding or removing them). Each
@@ -18,6 +17,7 @@ from.
 
 from __future__ import annotations
 
+import collections
 import csv
 import itertools
 import operator
@@ -82,9 +82,31 @@ class _ObservedDomains(dict):
         return observed
 
 
-def _check_width(row: tuple, cols: tuple, name: str):
-    if len(row) != len(cols):
+def _check_width(row: tuple, width: int, name: str):
+    if len(row) != width:
         raise EvaluationError("row width %d does not match columns of %r" % (len(row), name))
+
+
+def _coerce_column(rows: List[list], index: int) -> Iterator[Value]:
+    """``coerce_value`` of each stripped cell at ``index``; ASCII digits go to ``int`` whole."""
+    cells = [row[index].strip() for row in rows]
+    text = "".join(cells)
+    whole = all(cells) and text.isdigit() and text.isascii()
+    return map(int if whole else coerce_value, cells)
+
+
+def _refuse_first_bad_row(path: str, filename: str, name: str, width: int):
+    """Re-read a CSV file row by row; raise the error of its first ragged or unconvertible row."""
+    with open(os.path.join(path, filename), newline="", encoding="utf-8") as f:
+        reader = csv.reader(f)
+        next(reader)
+        for row in filter(None, reader):
+            try:
+                _check_width(row, width, name)
+                [coerce_value(cell.strip()) for cell in row]
+            except (EvaluationError, ValueError) as exc:
+                raise EvaluationError("%s line %d: %s" % (filename, reader.line_num, exc)) from None
+    raise EvaluationError("%s changed while it was read" % filename)
 
 
 class MicroDatabase(Record):
@@ -106,7 +128,7 @@ class MicroDatabase(Record):
     ):
         for name, cols in columns.items():
             for row in tables.get(name, []):
-                _check_width(row, cols, name)
+                _check_width(row, len(cols), name)
         if not isinstance(domains, _ObservedDomains):
             domains = _ObservedDomains(domains or {}, tables, columns)
         self.tables, self.columns, self.domains = tables, columns, domains
@@ -115,13 +137,14 @@ class MicroDatabase(Record):
     def from_csv_dir(cls, path: str, tables: Optional[Iterable[str]] = None) -> "MicroDatabase":
         """Load every ``*.csv`` in a directory, or only those of ``tables``.
 
-        The file name (less ``.csv``) is the table name.
+        The file name (less ``.csv``) is the table name; blank lines are skipped.
 
         Raises:
             EvaluationError: no table to load, a named table has no file,
                 a file's header row is missing or blank, or has an empty or
-                repeated column name, or a cell holds an integer of more
-                digits than Python converts.
+                repeated column name, a row's width differs from the
+                header's, or a cell holds an integer of more digits than
+                Python converts.
         """
         if tables is None:
             names = sorted(n[: -len(".csv")] for n in os.listdir(path) if n.endswith(".csv"))
@@ -140,16 +163,10 @@ class MicroDatabase(Record):
                 reader = csv.reader(f)
                 try:
                     header = next(reader, None)
-                    rows_of[name] = [
-                        tuple(coerce_value(cell.strip()) for cell in row)
-                        for row in reader
-                        if row
-                    ]
-                except UnicodeDecodeError:  # a ValueError, but reported as an I/O error
-                    raise
-                # csv.Error: a cell past the csv module's field limit (process-global, so
-                # left as it is); ValueError from coerce_value: more digits than Python converts
-                except (csv.Error, ValueError) as exc:
+                    rows = list(filter(None, reader))
+                # csv.Error: a cell past the csv module's field limit (process-global,
+                # so left as it is); UnicodeDecodeError is reported as an I/O error
+                except csv.Error as exc:
                     raise EvaluationError(
                         "%s line %d: %s" % (filename, reader.line_num, exc)
                     ) from None
@@ -160,7 +177,15 @@ class MicroDatabase(Record):
                 raise EvaluationError("%s has a blank header row or an empty column name" % filename)
             if len(set(columns[name])) != len(columns[name]):
                 raise EvaluationError("%s repeats a column name in its header" % filename)
-        return cls(tables=rows_of, columns=columns)
+            if set(map(len, rows)) - {len(header)}:
+                _refuse_first_bad_row(path, filename, name, len(header))
+            try:
+                rows_of[name] = list(zip(*[_coerce_column(rows, i) for i in range(len(header))]))
+            except ValueError:  # more digits than Python converts
+                _refuse_first_bad_row(path, filename, name, len(header))
+        db = cls.__new__(cls)  # skips __init__'s row-by-row check, made above
+        db.tables, db.columns, db.domains = rows_of, columns, _ObservedDomains({}, rows_of, columns)
+        return db
 
     def catalog(self) -> Catalog:
         return Catalog(columns=dict(self.columns))
@@ -195,7 +220,7 @@ class MicroDatabase(Record):
         """
         tables = dict(self.tables)
         for (name, index), row in updates.items():
-            _check_width(row, self.columns[name], name)
+            _check_width(row, len(self.columns[name]), name)
             if tables[name] is self.tables[name]:
                 tables[name] = list(tables[name])
             tables[name][index] = row
@@ -214,6 +239,14 @@ class MicroDatabase(Record):
         ]
 
 
+def _tuple_getter(positions: tuple):
+    """``operator.itemgetter`` of ``positions``, returning a tuple also for one position."""
+    if len(positions) == 1:
+        (i,) = positions
+        return lambda row: (row[i],)
+    return operator.itemgetter(*positions)
+
+
 def _table_rows(t: Table, db: MicroDatabase) -> List[tuple]:
     stored = tuple(db.columns.get(t.name, ()))
     if stored == t.columns:
@@ -221,10 +254,7 @@ def _table_rows(t: Table, db: MicroDatabase) -> List[tuple]:
     if set(stored) != set(t.columns):
         raise EvaluationError("table %r columns do not match the query's schema" % t.name)
     # same columns, different declared order: permute to the query's order
-    pick = operator.itemgetter(*[stored.index(col) for col in t.columns])
-    if len(t.columns) == 1:  # itemgetter of one index returns the value, not a 1-tuple
-        return [(pick(row),) for row in db.tables[t.name]]
-    return list(map(pick, db.tables[t.name]))
+    return list(map(_tuple_getter([stored.index(col) for col in t.columns]), db.tables[t.name]))
 
 
 def eval_rows(r: RelExpr, db: MicroDatabase) -> List[tuple]:
@@ -232,65 +262,80 @@ def eval_rows(r: RelExpr, db: MicroDatabase) -> List[tuple]:
 
     One loop over ``r``'s resolved nodes (``relalg.resolve``) with a stack
     of row lists, so a tree of any depth evaluates: each node pops its
-    inputs' rows and pushes its own. A grouped count's rows are its groups
-    in order of first appearance.
+    inputs' rows and pushes its own. A selection directly on a join, the
+    next node after it, is evaluated inside the join (``_join``). A grouped
+    count's rows are its groups in order of first appearance.
     """
     _check_node(r)
+    resolved = r._resolved[0]
     stack: List[List[tuple]] = []
-    for node, positions in r._resolved[0]:
+    for at, (node, positions) in enumerate(resolved):
         if isinstance(node, Table):
             rows = _table_rows(node, db)
         elif isinstance(node, Join):
             right_rows, left_rows = stack.pop(), stack.pop()
-            li, ri = positions
-            buckets: Dict[Value, List[tuple]] = {}
-            for row in right_rows:
-                buckets.setdefault(row[ri], []).append(row)
-            rows = [lrow + rrow for lrow in left_rows for rrow in buckets.get(lrow[li], ())]
+            above = resolved[at + 1] if at + 1 < len(resolved) else (None, ())
+            rows = _join(left_rows, right_rows, positions, *above)
         else:
             rows = stack.pop()
-            if isinstance(node, Select):
-                rows = _filter(rows, node.predicate, positions)
+            if isinstance(node, Select) and not isinstance(node.input, Join):
+                rows = _filter(rows, zip(node.predicate, positions))
             elif isinstance(node, Project):
-                rows = [tuple(row[i] for i in positions) for row in rows]
+                rows = list(map(_tuple_getter(positions), rows))
             elif isinstance(node, Count):
                 rows = [(len(rows),)]
             elif isinstance(node, CountGrouped):
-                counts: Dict[tuple, int] = {}
-                for row in rows:
-                    key = tuple(row[i] for i in positions)
-                    counts[key] = counts.get(key, 0) + 1
+                counts = collections.Counter(map(_tuple_getter(positions), rows))
                 rows = [key + (count,) for key, count in counts.items()]
             # Aliased passes its input's rows through
         stack.append(rows)
     return stack.pop()
 
 
-def _filter(rows: List[tuple], predicate: tuple, positions: tuple) -> List[tuple]:
-    """The rows that satisfy every comparison of ``predicate``, resolved to ``positions``."""
-    tests = [(li, _OPS[c.op], ri, c.right) for c, (li, ri) in zip(predicate, positions)]
-    out = []
-    for row in rows:
-        for li, op, ri, literal in tests:
-            right = literal if ri is None else row[ri]
-            try:
-                if not op(row[li], right):
-                    break
-            except TypeError:
-                raise EvaluationError(
-                    "cannot compare %r with %r" % (row[li], right)
-                ) from None
-        else:
-            out.append(row)
-    return out
+def _join(left_rows: List[tuple], right_rows: List[tuple], keys: tuple, above, positions) -> list:
+    """The rows of a join on ``keys``, and of ``above`` on it when that is a ``Select``.
+
+    Each ``=`` of the selection across the two sides joins the hash key, and
+    its other comparisons filter the pairs. Rows are left-major, the right
+    rows in stored order.
+    """
+    left_keys, right_keys, rest = [keys[0]], [keys[1]], []
+    if isinstance(above, Select) and left_rows:
+        width = len(left_rows[0])
+        for c, (li, ri) in zip(above.predicate, positions):
+            if c.op == "=" and ri is not None and (li < width) != (ri < width):
+                left_keys.append(min(li, ri))
+                right_keys.append(max(li, ri) - width)
+            else:
+                rest.append((c, (li, ri)))
+    left_key, right_key = operator.itemgetter(*left_keys), operator.itemgetter(*right_keys)
+    buckets: Dict[object, List[tuple]] = {}  # a value, or a tuple of them
+    for row in right_rows:
+        buckets.setdefault(right_key(row), []).append(row)
+    rows = [lrow + rrow for lrow in left_rows for rrow in buckets.get(left_key(lrow), ())]
+    return _filter(rows, rest)
+
+
+def _filter(rows: List[tuple], tests) -> List[tuple]:
+    """The rows passing each of ``tests``, (comparison, positions) pairs, in turn.
+
+    An error names the comparison, never a value of the rows.
+    """
+    for c, (li, ri) in tests:
+        op, literal = _OPS[c.op], c.right
+        try:
+            if ri is None:
+                rows = [row for row in rows if op(row[li], literal)]
+            else:
+                rows = [row for row in rows if op(row[li], row[ri])]
+        except TypeError:
+            raise EvaluationError("cannot compare the values of %s" % c) from None
+    return rows
 
 
 def column_max_frequency(rows: List[tuple], index: int) -> int:
     """Multiplicity of the most frequent value at ``index``; 0 for no rows."""
-    counts: Dict[Value, int] = {}
-    for row in rows:
-        counts[row[index]] = counts.get(row[index], 0) + 1
-    return max(counts.values()) if counts else 0
+    return max(collections.Counter(map(operator.itemgetter(index), rows)).values(), default=0)
 
 
 def eval_query(q: RelExpr, db: MicroDatabase):
@@ -308,13 +353,6 @@ def eval_query(q: RelExpr, db: MicroDatabase):
     return {row[0] if len(row) == 2 else row[:-1]: row[-1] for row in rows}
 
 
-def _alternative_counts(db: MicroDatabase) -> List[int]:
-    counts = []
-    for name, _ in db.positions():
-        counts.append(len(db.row_domain(name)) - 1)
-    return counts
-
-
 def ball_size(db: MicroDatabase, k: int) -> int:
     """Exactly count the databases within replacement distance k of ``db``.
 
@@ -323,7 +361,8 @@ def ball_size(db: MicroDatabase, k: int) -> int:
     number of databases at distance exactly i.
     """
     coeffs = [1]
-    for alternatives in _alternative_counts(db):
+    for name, _ in db.positions():
+        alternatives = len(db.row_domain(name)) - 1
         nxt = [0] * min(len(coeffs) + 1, k + 1)
         for i, c in enumerate(coeffs):
             if i < len(nxt):

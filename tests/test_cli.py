@@ -852,8 +852,10 @@ def test_collect_metrics_refuses_a_repeated_column_name(tmp_path, capsys):
         ("a,,b\n1,2,3\n", "t.csv has a blank header row or an empty column name"),
         # past the csv module's field limit, which is process-global and left as it is
         ("a,b\n1," + "x" * 140_000 + "\n", "t.csv line 2: field larger than field limit (131072)"),
+        # the blank line 3 is skipped but counted
+        ("a,b\n1,2\n\n3\n", "t.csv line 4: row width 1 does not match columns of 't'"),
     ],
-    ids=["blank-header", "empty-name", "oversized-cell"],
+    ids=["blank-header", "empty-name", "oversized-cell", "ragged-row"],
 )
 @pytest.mark.parametrize("command", ["collect-metrics", "check"])
 def test_a_csv_header_without_column_names_is_an_io_error(tmp_path, capsys, command, text, message):
@@ -1110,6 +1112,22 @@ def test_a_digit_that_is_not_ascii_stays_text(workspace, capsys):
     )
     assert code == 0 and err == ""
     assert [label for label, _ in json.loads(out)["bins"]] == ["1", "\u00b2"]
+
+
+def test_a_comparison_the_data_cannot_make_names_no_cell(tmp_path, capsys):
+    # a holds ints, which do not order against the text 'q': the error names
+    # the comparison, never a value of the protected rows
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "t.csv").write_text("a,b\n1,x\n2,y\n")
+    metrics = tmp_path / "metrics.txt"
+    assert run(capsys, "collect-metrics", "--data", data, "--metrics", metrics)[0] == 0
+    (tmp_path / "q.sql").write_text("SELECT COUNT(*) FROM t WHERE a < 'q'\n")
+    code, out, err = run(capsys, "release", tmp_path / "q.sql", "--metrics", metrics,
+                         "--epsilon", "1", "--execute", "--data", data, *BUDGET)
+    assert_refused_free(code, out, err, metrics)
+    assert code == 3 and err == "error[io]: cannot compare the values of a < 'q'\n"
+    assert not {"1", "2", "x", "y"} & set(re.findall(r"\w+", out + err))
 
 
 def test_missing_metrics_file_is_io_error(workspace, capsys):

@@ -6,6 +6,7 @@ corpus, so an error would have to be made twice, in two different ways, to
 slip through.
 """
 
+import csv
 import math
 import sys
 
@@ -27,7 +28,7 @@ from flexdp import (
     parse_query,
     root_count,
 )
-from flexdp.oracle import max_frequency_at
+from flexdp.oracle import coerce_value, max_frequency_at
 
 from _support import chain_catalog, chain_sql, naive_eval, random_micro_db, random_query_sql
 
@@ -72,13 +73,46 @@ def test_csv_loading(tmp_path):
         ({"edges.csv": " , \n1,2\n"}, "empty column name"),
         # csv.Error past the field limit, which is process-global and left as it is
         ({"edges.csv": "a,b\n1," + "x" * 140_000 + "\n"}, r"edges.csv line 2: field larger than field limit"),
+        # a quoted cell spans lines 2 and 3; a row of three cells is line 4
+        ({"edges.csv": 'a,b\n1,"x\ny"\n3,4,5\n'}, "edges.csv line 4: row width 3 does not match columns of 'edges'"),
     ],
-    ids=["no-tables", "empty-file", "blank-names", "oversized-cell"],
+    ids=["no-tables", "empty-file", "blank-names", "oversized-cell", "ragged-row"],
 )
 def test_csv_loading_refuses_a_missing_or_malformed_header(tmp_path, files, fragment):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     with pytest.raises(EvaluationError, match=fragment):
+        MicroDatabase.from_csv_dir(str(tmp_path))
+
+
+_LONG = "9" * 5000  # more digits than Python converts to an int (4300 by default)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "a,b\n1,x\n2,3\n y , 4 \n",
+        "a,b,c,d,e,f\n-3,007,\u00b2,-,,5\n-10,1,2,3,4, 6\n",
+        "a,b\n1,2\n\n3,4\n\n",
+        'a,b\n1,"x\ny"\n2,3\n',
+        "a\n1\n2\n",
+        "a,b\n",
+    ],
+    ids=["mixed-column", "signs-zeros-and-blanks", "blank-lines", "multi-line-cell", "one-column", "header-only"],
+)
+def test_csv_loading_reads_each_cell_as_coerce_value(tmp_path, text):
+    (tmp_path / "t.csv").write_text(text)
+    with open(tmp_path / "t.csv", newline="") as f:
+        rows = list(csv.reader(f))[1:]
+    expected = [tuple(coerce_value(cell.strip()) for cell in row) for row in rows if row]
+    assert MicroDatabase.from_csv_dir(str(tmp_path)).tables["t"] == expected
+
+
+def test_csv_loading_names_the_line_of_a_cell_past_the_digit_limit(tmp_path):
+    # the quoted cell spans lines 3 and 4, so the long one is on line 5; a
+    # later ragged row is not reached
+    (tmp_path / "t.csv").write_text('a,b\n1,2\n3,"x\ny"\n%s,5\n6\n' % _LONG)
+    with pytest.raises(EvaluationError, match="^t.csv line 5: Exceeds the limit"):
         MicroDatabase.from_csv_dir(str(tmp_path))
 
 
@@ -231,6 +265,48 @@ def test_evaluator_agrees_with_naive_route():
         sql = random_query_sql(rng, db)
         query = parse_query(sql, db.catalog())
         assert eval_query(query, db) == naive_eval(query, db), sql
+
+
+def _keyed_join_sql(rng, db) -> str:
+    """A 1-3 join query whose ON and WHERE clauses mix cross-side ``=`` with ``<`` and ``!=``."""
+    refs = [str(rng.choice(sorted(db.tables))) for _ in range(int(rng.integers(2, 5)))]
+
+    def col(i):
+        return "r%d.%s" % (i, rng.choice(db.columns[refs[i]]))
+
+    def comparison(i):  # relation i against an earlier one, or against a literal
+        op = str(rng.choice(["=", "=", "<", "!="]))
+        if rng.random() < 0.8:
+            return "%s %s %s" % (col(int(rng.integers(0, i))), op, col(i))
+        return "%s %s %d" % (col(i), op, rng.integers(0, 3))
+
+    parts = ["%s r0" % refs[0]]
+    for i in range(1, len(refs)):
+        conds = [comparison(i) for _ in range(int(rng.integers(0, 3)))]
+        conds.insert(int(rng.integers(0, len(conds) + 1)), "%s = %s" % (col(int(rng.integers(0, i))), col(i)))
+        parts.append("JOIN %s r%d ON %s" % (refs[i], i, " AND ".join(conds)))
+    sql = " FROM " + " ".join(parts)
+    where = [comparison(int(rng.integers(1, len(refs)))) for _ in range(int(rng.integers(0, 3)))]
+    if where:
+        sql += " WHERE " + " AND ".join(where)
+    if rng.random() < 0.4:
+        group = ", ".join(sorted({col(int(rng.integers(0, len(refs)))) for _ in range(2)}))
+        return "SELECT %s, COUNT(*)%s GROUP BY %s" % (group, sql, group)
+    return "SELECT COUNT(*)" + sql
+
+
+def test_keyed_joins_agree_with_naive_route_in_order():
+    # every cross-side = of a selection on a join joins the hash key; the
+    # rows, and so a grouped count's groups, keep the naive route's order
+    rng = np.random.default_rng(20261019)
+    for _ in range(300):
+        db = random_micro_db(rng, max_tables=3, max_rows=6)
+        sql = _keyed_join_sql(rng, db)
+        query = parse_query(sql, db.catalog())
+        got, expected = eval_query(query, db), naive_eval(query, db)
+        if isinstance(expected, dict):
+            got, expected = list(got.items()), list(expected.items())
+        assert got == expected, sql
 
 
 # ---------------------------------------------------------------------------
