@@ -14,6 +14,27 @@ analysis rejection, 2 budget refusal, 3 I/O or format error. A refusal
 prints ``error[<category>]: <message>`` and exits with the code that its
 error class in ``errors.py`` carries; an OSError, or an input file that is
 not UTF-8, is an I/O error. The true query result is never printed.
+
+``release --execute`` reads the data before it bounds the query. These
+refusals can follow that read; for each, whether its outcome can depend on
+a protected row:
+
+* a CSV file that does not load (a ragged row, a cell past the digit or
+  field limit, a byte that is not UTF-8, a missing or malformed header),
+  ``io``: yes, on the form of a row, though on no value a query selects;
+* a table whose header lacks a column of the query's schema, ``io``: no,
+  on the header only;
+* a comparison: none can fail. Ints and text order as in SQLite, numbers
+  first (``oracle._filter``);
+* a grouped release without a bin domain, ``unsupported``, or with
+  repeated labels, ``invalid-params``: no. A domain derived from the data
+  reads public tables only;
+* a noise scale whose largest draw could overflow (``mechanism._release``),
+  ``unsupported``: yes. The scale comes from S under the data's observed
+  key mfs, and the true counts add to the largest draw. This refusal
+  charges nothing; it should instead be decided from the query and the
+  metrics file alone, or charge the budget;
+* the budget, ``budget``: no, on the ledger and the parameters only.
 """
 
 from __future__ import annotations

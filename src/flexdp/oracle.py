@@ -316,18 +316,35 @@ def _join(left_rows: List[tuple], right_rows: List[tuple], keys: tuple, above, p
     return _filter(rows, rest)
 
 
+def _typed(value) -> tuple:
+    """``value``'s place in SQLite's order, where every number sorts before every text value."""
+    return isinstance(value, str), value
+
+
+def _passing(rows: List[tuple], op, li: int, ri, literal) -> List[tuple]:
+    if ri is None:
+        return [row for row in rows if op(row[li], literal)]
+    return [row for row in rows if op(row[li], row[ri])]
+
+
 def _filter(rows: List[tuple], tests) -> List[tuple]:
     """The rows passing each of ``tests``, (comparison, positions) pairs, in turn.
 
-    An error names the comparison, never a value of the rows.
+    Comparisons are total on ints and text, in SQLite's order: an int and a
+    text value are never equal, and the int sorts first. So whether a query
+    can be evaluated never depends on which rows reach a comparison. A
+    comparison is made plainly first and redone in that order only when an
+    int met a text value, so an all-int column pays nothing. Values of any
+    other type, which no CSV file yields, are an error that names the
+    comparison, never a value of the rows.
     """
     for c, (li, ri) in tests:
         op, literal = _OPS[c.op], c.right
         try:
-            if ri is None:
-                rows = [row for row in rows if op(row[li], literal)]
-            else:
-                rows = [row for row in rows if op(row[li], row[ri])]
+            try:
+                rows = _passing(rows, op, li, ri, literal)
+            except TypeError:  # an int met a text value
+                rows = _passing(rows, lambda a, b: op(_typed(a), _typed(b)), li, ri, literal)
         except TypeError:
             raise EvaluationError("cannot compare the values of %s" % c) from None
     return rows

@@ -48,6 +48,15 @@ three number systems:
 
 So exact k=0, the polynomials, the smoothed value and ``check``'s loop
 share one compile, and one tree can be evaluated against any metrics.
+
+A key's mf is its own times the product of its factors' key mfs. In the
+exact systems, keys on one join path share that product: each factor
+tuple's product is kept for one evaluation, and a key extends the longest
+one stored. On a j-dimension star each fact-table key then adds one
+product to the key before it, so the bound costs O(j^2) coefficient work,
+not O(j^3). Exact products regroup without changing a number. ``_Log``
+keeps its own-first fold, because its products are float sums, which
+regrouping would change in the last bits.
 """
 
 from __future__ import annotations
@@ -363,13 +372,42 @@ class _Poly:
         return _undominated(_plus(p, q) for p in a for q in b)
 
 
-def _key_mf(key: tuple, key_mfs: list, numbers, m: MetricsStore):
+def _key_mf(key: tuple, key_mfs: list, numbers, m: MetricsStore, products=None):
+    """The mf of ``key``: its base column's, times the key mf of each of its factors.
+
+    With ``products``, which the exact systems pass, a key of two or more
+    factors multiplies its own value by their product, which it shares
+    with the keys on its join path (``_path_product``). ``_Log`` passes
+    none and folds its own value first: regrouping its float sums would
+    change their last bits.
+    """
     table, column, factors = key
     mf = m.mf_of(table, column)
     value = numbers.const(mf) if m.is_public(table) else numbers.grow(mf)
+    if products is not None and len(factors) > 1:
+        return numbers.mul(value, _path_product(factors, key_mfs, numbers, products))
     for step, side in factors:
         value = numbers.mul(value, key_mfs[step][side])
     return value
+
+
+def _path_product(factors: tuple, key_mfs: list, numbers, products: dict):
+    """The product of the key mfs that ``factors`` name, stored in ``products``.
+
+    It extends the longest prefix of ``factors`` already stored by the
+    factors past it. On a star, each fact-table key's factors extend the
+    previous key's by one join, so each key costs one product, not j.
+    """
+    n = len(factors)
+    while n > 1 and (product := products.get(factors[:n])) is None:
+        n -= 1
+    if n == 1:
+        step, side = factors[0]
+        product = key_mfs[step][side]
+    for step, side in factors[n:]:
+        product = numbers.mul(product, key_mfs[step][side])
+    products[factors] = product
+    return product
 
 
 def _evaluate(plan: list, numbers, m: MetricsStore):
@@ -382,6 +420,7 @@ def _evaluate(plan: list, numbers, m: MetricsStore):
         MissingMetric: ``m`` has no mf for a join key.
     """
     stability, key_mfs = [], []
+    products = None if isinstance(numbers, _Log) else {}  # see _key_mf
     for step in plan:
         mfs = ()
         if step.op == "table":
@@ -390,7 +429,7 @@ def _evaluate(plan: list, numbers, m: MetricsStore):
             s = numbers.const(1)
         elif step.op == "join":
             s_left, s_right = stability[step.inputs[0]], stability[step.inputs[1]]
-            mfs = [_key_mf(key, key_mfs, numbers, m) for key in step.keys]
+            mfs = [_key_mf(key, key_mfs, numbers, m, products) for key in step.keys]
             via_right = numbers.mul(mfs[0], s_right)
             via_left = numbers.mul(mfs[1], s_left)
             if step.self_join:

@@ -206,6 +206,23 @@ def chain_sql(n_joins: int) -> str:
     return "SELECT COUNT(*) FROM " + " ".join(parts)
 
 
+def star_sql(n_dims: int) -> str:
+    """A star: fact table f joined to ``n_dims`` dimension tables, d<i> on f.k<i> = d<i>.id."""
+    parts = ["f"] + ["JOIN d%d ON f.k%d = d%d.id" % (i, i, i) for i in range(1, n_dims + 1)]
+    return "SELECT COUNT(*) FROM " + " ".join(parts)
+
+
+def star_metrics(n_dims: int, mf=10, rows=100000) -> MetricsStore:
+    """Metrics for ``star_sql(n_dims)``: every key column has max frequency ``mf``."""
+    mf_map = {("f", "k%d" % i): mf for i in range(1, n_dims + 1)}
+    mf_map.update({("d%d" % i, "id"): mf for i in range(1, n_dims + 1)})
+    return MetricsStore(
+        mf=mf_map,
+        public_tables=frozenset(),
+        row_counts={table: rows for table, _ in mf_map},
+    )
+
+
 def brute_smooth(profile_at, beta: float, upto: int):
     """Naive maximization of exp(-beta*k) * profile_at(k) over k in [0, upto].
 

@@ -1114,20 +1114,45 @@ def test_a_digit_that_is_not_ascii_stays_text(workspace, capsys):
     assert [label for label, _ in json.loads(out)["bins"]] == ["1", "\u00b2"]
 
 
-def test_a_comparison_the_data_cannot_make_names_no_cell(tmp_path, capsys):
-    # a holds ints, which do not order against the text 'q': the error names
-    # the comparison, never a value of the protected rows
+def test_an_int_column_orders_before_text_and_releases(tmp_path, capsys):
+    # a holds ints and 'q' is text: in SQLite's order every number sorts
+    # first, so both rows pass and the release is charged like any other
     data = tmp_path / "data"
     data.mkdir()
     (data / "t.csv").write_text("a,b\n1,x\n2,y\n")
     metrics = tmp_path / "metrics.txt"
     assert run(capsys, "collect-metrics", "--data", data, "--metrics", metrics)[0] == 0
-    (tmp_path / "q.sql").write_text("SELECT COUNT(*) FROM t WHERE a < 'q'\n")
-    code, out, err = run(capsys, "release", tmp_path / "q.sql", "--metrics", metrics,
-                         "--epsilon", "1", "--execute", "--data", data, *BUDGET)
-    assert_refused_free(code, out, err, metrics)
-    assert code == 3 and err == "error[io]: cannot compare the values of a < 'q'\n"
-    assert not {"1", "2", "x", "y"} & set(re.findall(r"\w+", out + err))
+    for where in ("a < 'q'", "a >= 'q'", "b > 5"):
+        (tmp_path / "q.sql").write_text("SELECT COUNT(*) FROM t WHERE %s\n" % where)
+        code, out, err = run(capsys, "release", tmp_path / "q.sql", "--metrics", metrics,
+                             "--epsilon", "0.25", "--delta", "1e-7", "--execute", "--data", data,
+                             *BUDGET, "--json")
+        assert code == 0 and err == "", (where, err)
+        assert json.loads(out)["S"] == 1.0
+    assert json.loads(out)["spent_epsilon"] == 0.75
+
+
+def test_whether_a_release_is_refused_does_not_depend_on_a_protected_row(tmp_path, capsys):
+    # the ordering against text meets only the rows the name test keeps. When
+    # an int and text did not order, alice's row made the release exit 3 and
+    # charge nothing while zed's absence released: the exit code told, for
+    # free and again and again, whether alice exists
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "t.csv").write_text("name,salary\nalice,100\nbob,200\ncarol,300\n")
+    metrics = tmp_path / "metrics.txt"
+    assert run(capsys, "collect-metrics", "--data", data, "--metrics", metrics)[0] == 0
+    spent = []
+    for who in ("alice", "zed", "alice"):
+        (tmp_path / "q.sql").write_text(
+            "SELECT COUNT(*) FROM t WHERE name = '%s' AND salary < 'x'\n" % who
+        )
+        code, out, err = run(capsys, "release", tmp_path / "q.sql", "--metrics", metrics,
+                             "--epsilon", "0.5", "--delta", "1e-6", "--execute", "--data", data,
+                             "--budget-epsilon", "2", "--budget-delta", "0.1", "--json")
+        assert code == 0 and err == "", (who, err)
+        spent.append(json.loads(out)["spent_epsilon"])
+    assert spent == [0.5, 1.0, 1.5]
 
 
 def test_missing_metrics_file_is_io_error(workspace, capsys):

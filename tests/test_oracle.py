@@ -237,17 +237,42 @@ def test_max_frequency_at_grows_by_one_per_replacement():
     assert [max_frequency_at(dest, edges, CYCLE, k) for k in (0, 1, 2, 3)] == [1, 2, 3, 3]
 
 
-def test_mixed_type_comparison_is_an_evaluation_error():
-    db = db_from([(1, "x")])
-    query = q("SELECT COUNT(*) FROM edges WHERE dest < 5", db)
-    with pytest.raises(EvaluationError):
-        eval_query(query, db)
+def test_mixed_type_comparison_orders_numbers_before_text():
+    # SQLite's order: every number sorts before every text value
+    db = db_from([(1, "x"), (2, 3), (3, "a")])
+    for where, count in (("dest < 5", 1), ("dest > 5", 2), ("dest >= 'b'", 1), ("dest < 'b'", 2),
+                         ("source < dest", 3), ("dest <= source", 0)):
+        assert eval_query(q("SELECT COUNT(*) FROM edges WHERE " + where, db), db) == count, where
+
+
+def test_a_value_neither_int_nor_text_is_an_evaluation_error():
+    # no CSV file yields one; the error names the comparison, not the value
+    db = db_from([(1, None)])
+    with pytest.raises(EvaluationError, match=r"^cannot compare the values of dest < 5$"):
+        eval_query(q("SELECT COUNT(*) FROM edges WHERE dest < 5", db), db)
 
 
 def test_mixed_type_equality_is_plain_false():
     db = db_from([(1, "x")])
     assert eval_query(q("SELECT COUNT(*) FROM edges WHERE dest = 5", db), db) == 0
     assert eval_query(q("SELECT COUNT(*) FROM edges WHERE dest != 5", db), db) == 1
+
+
+def test_a_text_literal_gives_every_neighbour_the_same_kind_of_outcome():
+    # ints sort before text, so against the generator's int columns 'q'
+    # acts as an int above every value: x and each neighbour at distance 1
+    # evaluate, to what the int literal gives, whichever rows reach it
+    rng = np.random.default_rng(1306)
+    for _ in range(60):
+        db = random_micro_db(rng, max_tables=2, max_rows=3, max_values=3)
+        sql = random_query_sql(rng, db, max_joins=2, allow_grouped=False)
+        table = sql.split()[3]  # r0's, in "SELECT COUNT(*) FROM <table> r0 ..."
+        column = "r0.%s" % rng.choice(db.columns[table])
+        test = "%s %s %%s" % (column, rng.choice(["<", ">=", "=", "!="]))
+        sql += (" AND " if " WHERE " in sql else " WHERE ") + test
+        text, number = q(sql % "'q'", db), q(sql % 10**6, db)
+        for y in neighbors_at(db, 1):
+            assert eval_query(text, y) == eval_query(number, y), sql
 
 
 def test_exact_metrics():

@@ -22,6 +22,7 @@ from flexdp import (
     Select,
     Table,
     UnsupportedQuery,
+    catalog_from_metrics,
     elastic_sensitivity,
     elastic_stability,
     join_count,
@@ -44,6 +45,8 @@ from _support import (
     chain_sql,
     random_micro_db,
     random_query_sql,
+    star_metrics,
+    star_sql,
     triangle_catalog,
     triangle_metrics,
 )
@@ -414,6 +417,67 @@ def test_plan_of_a_bushy_tree_reads_key_factors_through_up_links():
         assert mf_at_distance(AttrRef("d1", "x"), q.input, k, STAR_METRICS) == (
             (4 + k) * (5 + k) * 3 * (65 + k) ** 2
         )
+
+
+def _own_first(key, key_mfs, numbers, m):
+    # the key's own mf, then each factor's key mf, innermost first
+    table, column, factors = key
+    mf = m.mf_of(table, column)
+    value = numbers.const(mf) if m.is_public(table) else numbers.grow(mf)
+    for step, side in factors:
+        value = numbers.mul(value, key_mfs[step][side])
+    return value
+
+
+def _star_case(rng, n):
+    # star_sql(n) under random mfs, some dimensions public
+    m = star_metrics(n)
+    public = frozenset(table for table, _ in m.mf if table != "f" and rng.random() < 0.2)
+    mf = {column: int(rng.integers(0, 30)) for column in m.mf}
+    m = MetricsStore(mf=mf, public_tables=public, row_counts=m.row_counts)
+    return parse_query(star_sql(n), catalog_from_metrics(m)), m
+
+
+def test_keys_on_one_join_path_share_their_product_without_changing_a_number():
+    # the exact systems multiply a key's own mf by the stored product of its
+    # factors, and every key mf equals the own-first fold's; _Log keeps that
+    # fold, since regrouping its float sums would change their last bits
+    rng = np.random.default_rng(2106)
+    cases = [_star_case(rng, n) for n in range(1, 41)]
+    while len(cases) < 340:
+        db = random_micro_db(rng, max_tables=3, max_rows=4, max_values=3)
+        public = [name for name in sorted(db.tables) if rng.random() < 0.25]
+        q = parse_query(random_query_sql(rng, db, max_joins=6), db.catalog())
+        cases.append((q, db.exact_metrics(public)))
+    shared = 0
+    for q, m in cases:
+        plan = sensitivity._counted_plan(q)
+        for numbers in (sensitivity._Exact(0), sensitivity._Exact(1), sensitivity._Exact(7),
+                        sensitivity._Poly, sensitivity._Log(7.0)):
+            key_mfs = sensitivity._evaluate(plan, numbers, m)[1]
+            # step by step, so each key's factors are already checked
+            assert [list(mfs) for mfs in key_mfs] == [
+                [_own_first(key, key_mfs, numbers, m) for key in step.keys] for step in plan
+            ], q
+        shared += any(len(key[2]) > 1 for step in plan for key in step.keys)
+    assert shared > 100  # keys of two or more factors, in stars and generated trees
+
+
+def test_a_stars_product_count_grows_quadratically_not_cubically(monkeypatch):
+    # each fact-table key extends the one before it by one product, so 80
+    # dimensions take about twice the products of 40; an own-first fold per
+    # key takes about four times as many (860 and 3320)
+    calls = []
+    times = sensitivity._times
+    monkeypatch.setattr(sensitivity, "_times", lambda p, q: calls.append(1) or times(p, q))
+    counts = []
+    for n in (40, 80):
+        m = star_metrics(n)
+        q = parse_query(star_sql(n), catalog_from_metrics(m))
+        calls.clear()
+        sensitivity_polynomials(q, m)
+        counts.append(len(calls))
+    assert counts[1] <= 2.1 * counts[0], counts
 
 
 def _schoolbook(p, q):
