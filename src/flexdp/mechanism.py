@@ -359,7 +359,8 @@ def _release(
 
     The noisy values become ``bins`` paired with ``labels``, or ``value``
     when there are no labels. A non-finite value or a seed that is not a
-    non-negative integer is refused before anything is computed or drawn.
+    non-negative integer (a bool, which would replay seed 0 or 1, is not)
+    is refused before anything is computed or drawn.
     So is, before anything is drawn, a scale whose largest draw, scale *
     52 ln 2, could carry some value past the float range (a non-finite S
     among them): no released value is ever infinite.
@@ -367,7 +368,9 @@ def _release(
     values = [float(v) for v in true_values]
     if not all(math.isfinite(v) for v in values):
         raise InvalidParams("the true result is not finite; refusing to release")
-    if seed is not None and not (isinstance(seed, numbers.Integral) and seed >= 0):
+    if seed is not None and (
+        isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and seed >= 0)
+    ):
         raise InvalidParams("seed must be a non-negative integer")
     bound = smooth_bound(q, m, p)
     scale = 2.0 * bound.S / p.epsilon
@@ -490,12 +493,6 @@ class BudgetLedger(Record):
             raise InvalidParams("spent totals must be non-negative and finite")
         self.max_epsilon, self.max_delta = max_epsilon, max_delta
         self.spent_epsilon, self.spent_delta = spent_epsilon, spent_delta
-
-    def remaining(self) -> Tuple[float, float]:
-        return (
-            self.max_epsilon - self.spent_epsilon,
-            self.max_delta - self.spent_delta,
-        )
 
     def charge(self, p: PrivacyParams) -> "BudgetLedger":
         new_epsilon = self.spent_epsilon + p.epsilon

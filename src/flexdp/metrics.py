@@ -112,21 +112,16 @@ def validate_store(store: MetricsStore):
                 )
 
 
-def metrics_collection_sql(table: str, column: str, catalog: Optional[Catalog] = None) -> str:
+def metrics_collection_sql(table: str, column: str) -> str:
     """Return the SQL statement that collects one max-frequency metric.
 
     The statement is meant to be run once, by the operator, against the
-    live database. Identifiers are validated (and optionally checked against
-    a catalog) so the template cannot be used for injection.
+    live database. Identifiers are validated so the template cannot be used
+    for injection.
     """
     for name in (table, column):
         if not _IDENT_RE.match(name):
             raise FormatError("invalid identifier %r" % name)
-    if catalog is not None:
-        if table not in catalog.columns:
-            raise FormatError("unknown table %r" % table)
-        if column not in catalog.columns[table]:
-            raise FormatError("unknown column %r in table %r" % (column, table))
     return (
         "SELECT COUNT(%(col)s) AS mf FROM %(table)s GROUP BY %(col)s "
         "ORDER BY mf DESC LIMIT 1;" % {"col": column, "table": table}
@@ -215,6 +210,8 @@ def save_metrics(store: MetricsStore, path: str):
     tmp = os.fspath(path) + ".tmp"
     with open(tmp, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines))
+        handle.flush()
+        os.fsync(handle.fileno())
     os.replace(tmp, path)
 
 

@@ -190,9 +190,6 @@ class MicroDatabase(Record):
     def catalog(self) -> Catalog:
         return Catalog(columns=dict(self.columns))
 
-    def table_node(self, name: str, alias: Optional[str] = None) -> Table:
-        return Table(name, alias or name, self.columns[name])
-
     def exact_metrics(self, public=()) -> MetricsStore:
         """Ground-truth metrics: true max frequency of every column."""
         mf = {}

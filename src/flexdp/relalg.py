@@ -85,9 +85,10 @@ class _Node(Frozen):
     """Common base of the relational node classes.
 
     A node's resolution (``resolve``) and sensitivity plan are each
-    computed at most once and kept on the node, so they are freed with the
-    tree. They are not among its ``_fields``: node equality and hashing
-    ignore them.
+    computed at most once and kept on the node. They are not among its
+    ``_fields``: node equality and hashing ignore them. The plan holds no
+    node, but an evaluated tree's ``_resolved`` lists the node itself, so
+    only the cyclic collector frees that tree.
     """
 
     @functools.cached_property
@@ -369,22 +370,16 @@ def join_nodes(r: RelExpr):
     return (n for n in postorder(r) if isinstance(n, Join))
 
 
-def unwrap_root(q: RelExpr) -> RelExpr:
-    """Strip projection and alias wrappers from the query root.
+def root_count(q: RelExpr) -> RelExpr:
+    """Return the root Count/CountGrouped node, or raise UnsupportedQuery.
 
     A counting query may surface as a bare projection of a subquery's count
-    attribute; the count node underneath is then the effective root.
+    attribute; projection and alias wrappers are stripped to reach it.
     """
     while isinstance(q, (Project, Aliased)):
         q = q.input
-    return q
-
-
-def root_count(q: RelExpr) -> RelExpr:
-    """Return the root Count/CountGrouped node, or raise UnsupportedQuery."""
-    root = unwrap_root(q)
-    if not isinstance(root, (Count, CountGrouped)):
+    if not isinstance(q, (Count, CountGrouped)):
         raise UnsupportedQuery(
             "outermost operation is not a count; only counting queries are supported"
         )
-    return root
+    return q

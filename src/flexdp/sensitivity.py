@@ -489,18 +489,6 @@ def mf_at_distance(attr: AttrRef, r: RelExpr, k: int, m: MetricsStore) -> int:
     return _key_mf(key, _evaluate(plan, numbers, m)[1], numbers, m)
 
 
-def elastic_stability(r: RelExpr, k: int, m: MetricsStore) -> int:
-    """Exact integer stability bound of relation ``r`` at distance k.
-
-    This bounds how many rows of ``r`` can change when one tuple of the
-    underlying database is replaced, maximized over databases at distance
-    up to k from the actual one.
-    """
-    _check_distance(k)
-    plan = _compiled(r)[0]
-    return _evaluate(plan, _Exact(k), m)[0][-1]
-
-
 def elastic_sensitivity(q: RelExpr, k: int, m: MetricsStore) -> int:
     """Sensitivity bound of a counting query at distance k.
 

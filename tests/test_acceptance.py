@@ -25,7 +25,6 @@ from flexdp import (
     cli,
     column_max_frequency,
     elastic_sensitivity,
-    elastic_stability,
     eval_rows,
     join_count,
     join_nodes,

@@ -94,7 +94,7 @@ def test_privacy_params_cannot_hold_invalid_parameters(epsilon, delta):
     ledger = BudgetLedger(max_epsilon=1.0, max_delta=1e-5)
     with pytest.raises(InvalidParams):
         ledger.charge(PrivacyParams(epsilon, delta))
-    assert ledger.remaining() == (1.0, 1e-5)
+    assert (ledger.spent_epsilon, ledger.spent_delta) == (0.0, 0.0)
     with pytest.raises(BudgetExhausted):
         ledger.charge(PrivacyParams(100.0, 1e-6))
 
@@ -514,7 +514,7 @@ def test_release_refuses_non_finite_true_result(value, monkeypatch):
     assert "'b'" not in str(refused.value) and str(value) not in str(refused.value)
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+@pytest.mark.parametrize("seed", [-1, 1.5, "7", True, False])
 def test_release_refuses_seed_that_is_not_a_non_negative_int(seed):
     q = parse_query("SELECT COUNT(*) FROM edges", CATALOG)
     with pytest.raises(InvalidParams, match="seed"):
@@ -537,7 +537,7 @@ def test_budget_accumulates_and_allows_exact_cap():
     ledger = BudgetLedger(max_epsilon=1.0, max_delta=1e-5)
     ledger.charge(make_params(0.5, 5e-6))
     ledger.charge(make_params(0.5, 5e-6))  # reaches both caps exactly
-    assert ledger.remaining() == (0.0, 0.0)
+    assert (ledger.spent_epsilon, ledger.spent_delta) == (1.0, 1e-5)
     # a ledger changes as it is charged: equal while its totals are, never hashable
     assert ledger == BudgetLedger(1.0, 1e-5, 1.0, 1e-5)
     with pytest.raises(TypeError):

@@ -18,6 +18,7 @@ from flexdp import (
     Catalog,
     EvaluationError,
     MicroDatabase,
+    Table,
     TooLargeToEnumerate,
     ball_size,
     column_max_frequency,
@@ -215,7 +216,7 @@ def test_chain_deeper_than_the_recursion_limit_evaluates():
 
 
 def test_eval_rows_and_max_frequency():
-    rows = eval_rows(CYCLE.table_node("edges"), CYCLE)
+    rows = eval_rows(Table("edges", "edges", CYCLE.columns["edges"]), CYCLE)
     assert rows == [(1, 2), (2, 3), (3, 1)]
     assert column_max_frequency([(1,), (1,), (2,)], 0) == 2
     assert column_max_frequency([], 0) == 0
@@ -232,7 +233,7 @@ def test_a_table_whose_columns_differ_from_the_query_is_an_evaluation_error():
 def test_max_frequency_at_grows_by_one_per_replacement():
     # CYCLE's dest column holds 2, 3, 1 once each; every replacement can add
     # one more copy of one value, until all three rows share it
-    edges = CYCLE.table_node("edges")
+    edges = Table("edges", "edges", CYCLE.columns["edges"])
     dest = AttrRef(None, "dest")
     assert [max_frequency_at(dest, edges, CYCLE, k) for k in (0, 1, 2, 3)] == [1, 2, 3, 3]
 

@@ -28,7 +28,6 @@ from flexdp import (
     join_nodes,
     root_count,
     scope_of,
-    unwrap_root,
 )
 from flexdp.relalg import _Names
 from flexdp.sensitivity import _compiled
@@ -238,7 +237,6 @@ def test_join_nodes_walks_a_chain_deeper_than_the_recursion_limit():
 def test_unwrap_and_root_count():
     c = Count(USERS, label="n")
     q = Project((AttrRef(None, "n"),), Aliased(c, "sub"))
-    assert unwrap_root(q) is c
     assert root_count(q) is c
     with pytest.raises(UnsupportedQuery, match="count"):
         root_count(Project((AttrRef("u", "id"),), USERS))
