@@ -15,13 +15,17 @@ prints ``error[<category>]: <message>`` and exits with the code that its
 error class in ``errors.py`` carries; an OSError, or an input file that is
 not UTF-8, is an I/O error. The true query result is never printed.
 
-``release --execute`` reads the data before it bounds the query. These
-refusals can follow that read; for each, whether its outcome can depend on
-a protected row:
+``release --execute`` reads the data before it bounds the query. It loads
+only the tables the query reads and converts only their columns that a
+join key, comparison, projection or grouping references
+(``relalg.read_columns``); the loader and evaluator run with the cyclic
+garbage collector paused. These refusals can follow that read; for each,
+whether its outcome can depend on a protected row:
 
-* a CSV file that does not load (a ragged row, a cell past the digit or
-  field limit, a byte that is not UTF-8, a missing or malformed header),
-  ``io``: yes, on the form of a row, though on no value a query selects;
+* a CSV file that does not load (a ragged row, a cell past the field
+  limit, a byte that is not UTF-8, a missing or malformed header, or in a
+  converted column a cell past the digit limit), ``io``: yes, on the form
+  of a row, though on no value a query selects;
 * a table whose header lacks a column of the query's schema, ``io``: no,
   on the header only;
 * a comparison: none can fail. Ints and text order as in SQLite, numbers
@@ -75,9 +79,9 @@ from .oracle import (
 from .parser import parse_query
 from .relalg import (
     CountGrouped,
-    ancestors,
     attribute_index,
     join_nodes,
+    read_columns,
     root_count,
     scope_of,
 )
@@ -290,8 +294,8 @@ def cmd_release(args) -> int:
     if args.execute:
         if not args.data:
             raise InvalidParams("--execute requires --data")
-        # only the tables the query reads: a release never parses the others
-        db = MicroDatabase.from_csv_dir(args.data, tables=ancestors(query))
+        # only the tables and columns the query reads: a release never converts the others
+        db = MicroDatabase.from_csv_dir(args.data, read=read_columns(query))
         true_result = eval_query(query, db)
         store = _observed_metrics(query, store, db)
     elif args.true_result is not None:

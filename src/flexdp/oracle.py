@@ -3,8 +3,12 @@
 ``eval_query`` is ``release --execute``'s evaluator, playing the database
 whose answer is released. A join is a hash join keyed on every ``=`` between
 its two sides, a selection's directly above it included, so the pairs those
-reject are never built. ``MicroDatabase.from_csv_dir`` converts a column of
-ASCII digits whole, every other cell by ``coerce_value``. ``flexdp check``
+reject are never built; that selection's comparisons of one side filter
+that side's rows before the join. ``MicroDatabase.from_csv_dir`` converts
+only the columns it is asked for (for a release, ``relalg.read_columns``), a
+column of ASCII digits whole, every other cell by ``coerce_value``. Loading
+and evaluation pause the cyclic garbage collector: their rows are tuples and
+lists that hold no cycle, and reference counting frees them. ``flexdp check``
 checks the bound on local sensitivity at distance k the slow way: it lists
 every database reachable by replacing up to k tuples and measures how much
 one further replacement can move the result.
@@ -19,6 +23,8 @@ from __future__ import annotations
 
 import collections
 import csv
+import functools
+import gc
 import itertools
 import operator
 import os
@@ -39,6 +45,7 @@ from .relalg import (
     Table,
     _check_node,
     attribute_index,
+    postorder,
     root_count,
 )
 
@@ -87,23 +94,63 @@ def _check_width(row: tuple, width: int, name: str):
         raise EvaluationError("row width %d does not match columns of %r" % (len(row), name))
 
 
-def _coerce_column(rows: List[list], index: int) -> Iterator[Value]:
-    """``coerce_value`` of each stripped cell at ``index``; ASCII digits go to ``int`` whole."""
-    cells = [row[index].strip() for row in rows]
+def _collector_paused(fn):
+    """``fn`` run with the cyclic garbage collector paused, its state restored after.
+
+    For the loader and the evaluator: their rows are tuples and lists that
+    hold no cycle, so reference counting frees them, and the collector's
+    passes over millions of new objects would be wasted.
+    """
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
+_INT_START = frozenset("-0123456789")  # the first character of every ``ascii_int``
+
+
+def _all_digits(cells: List[str]) -> bool:
     text = "".join(cells)
-    whole = all(cells) and text.isdigit() and text.isascii()
-    return map(int if whole else coerce_value, cells)
+    return all(cells) and text.isdigit() and text.isascii()
 
 
-def _refuse_first_bad_row(path: str, filename: str, name: str, width: int):
-    """Re-read a CSV file row by row; raise the error of its first ragged or unconvertible row."""
+def _coerce_column(rows: List[list], index: int) -> Iterator[Value]:
+    """``coerce_value`` of each stripped cell at ``index``, a column at a time.
+
+    A column whose raw cells are all ASCII digits goes to ``int`` unstripped,
+    and one where no stripped cell starts like an int stays text.
+    """
+    cells = [row[index] for row in rows]
+    if _all_digits(cells):
+        return map(int, cells)
+    cells = [cell.strip() for cell in cells]
+    if _INT_START.isdisjoint("".join([cell[:1] for cell in cells])):
+        return iter(cells)
+    return map(int if _all_digits(cells) else coerce_value, cells)
+
+
+def _refuse_first_bad_row(path: str, filename: str, name: str, width: int, converted: List[int]):
+    """Re-read a CSV file row by row; raise the error of its first bad row.
+
+    A row is bad when its width differs from the header's, or when one of
+    its cells at ``converted`` is an integer longer than Python converts.
+    """
     with open(os.path.join(path, filename), newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         next(reader)
         for row in filter(None, reader):
             try:
                 _check_width(row, width, name)
-                [coerce_value(cell.strip()) for cell in row]
+                [coerce_value(row[i].strip()) for i in converted]
             except (EvaluationError, ValueError) as exc:
                 raise EvaluationError("%s line %d: %s" % (filename, reader.line_num, exc)) from None
     raise EvaluationError("%s changed while it was read" % filename)
@@ -134,24 +181,30 @@ class MicroDatabase(Record):
         self.tables, self.columns, self.domains = tables, columns, domains
 
     @classmethod
-    def from_csv_dir(cls, path: str, tables: Optional[Iterable[str]] = None) -> "MicroDatabase":
-        """Load every ``*.csv`` in a directory, or only those of ``tables``.
+    @_collector_paused
+    def from_csv_dir(cls, path: str, read: Optional[Dict[str, Iterable[str]]] = None) -> "MicroDatabase":
+        """Load every ``*.csv`` in a directory, or only the tables ``read`` names.
 
-        The file name (less ``.csv``) is the table name; blank lines are skipped.
+        The file name (less ``.csv``) is the table name; blank lines are
+        skipped. ``read`` maps each table to load to the columns to convert
+        (``relalg.read_columns``); every other cell of it is ``None``.
+        Without ``read`` every column is converted. A column of ASCII
+        digits goes to ``int`` whole, every other cell by ``coerce_value``.
+        The cyclic collector is paused meanwhile.
 
         Raises:
             EvaluationError: no table to load, a named table has no file,
                 a file's header row is missing or blank, or has an empty or
                 repeated column name, a row's width differs from the
-                header's, or a cell holds an integer of more digits than
-                Python converts.
+                header's, or a converted cell holds an integer of more
+                digits than Python converts.
         """
-        if tables is None:
+        if read is None:
             names = sorted(n[: -len(".csv")] for n in os.listdir(path) if n.endswith(".csv"))
             if not names:
                 raise EvaluationError("no .csv tables found in %r" % path)
         else:
-            names = sorted(tables)
+            names = sorted(read)
             for name in names:
                 if not os.path.isfile(os.path.join(path, name + ".csv")):
                     raise EvaluationError("no table %r (%s.csv) in %r" % (name, name, path))
@@ -177,12 +230,16 @@ class MicroDatabase(Record):
                 raise EvaluationError("%s has a blank header row or an empty column name" % filename)
             if len(set(columns[name])) != len(columns[name]):
                 raise EvaluationError("%s repeats a column name in its header" % filename)
+            converted = [i for i, column in enumerate(columns[name]) if read is None or column in read[name]]
             if set(map(len, rows)) - {len(header)}:
-                _refuse_first_bad_row(path, filename, name, len(header))
+                _refuse_first_bad_row(path, filename, name, len(header), converted)
+            cells = [itertools.repeat(None, len(rows)) for _ in header]
             try:
-                rows_of[name] = list(zip(*[_coerce_column(rows, i) for i in range(len(header))]))
+                for i in converted:
+                    cells[i] = _coerce_column(rows, i)
+                rows_of[name] = list(zip(*cells))
             except ValueError:  # more digits than Python converts
-                _refuse_first_bad_row(path, filename, name, len(header))
+                _refuse_first_bad_row(path, filename, name, len(header), converted)
         db = cls.__new__(cls)  # skips __init__'s row-by-row check, made above
         db.tables, db.columns, db.domains = rows_of, columns, _ObservedDomains({}, rows_of, columns)
         return db
@@ -254,24 +311,26 @@ def _table_rows(t: Table, db: MicroDatabase) -> List[tuple]:
     return list(map(_tuple_getter([stored.index(col) for col in t.columns]), db.tables[t.name]))
 
 
+@_collector_paused
 def eval_rows(r: RelExpr, db: MicroDatabase) -> List[tuple]:
     """Evaluate a relational transformation to its concrete rows.
 
-    One loop over ``r``'s resolved nodes (``relalg.resolve``) with a stack
-    of row lists, so a tree of any depth evaluates: each node pops its
-    inputs' rows and pushes its own. A selection directly on a join, the
-    next node after it, is evaluated inside the join (``_join``). A grouped
-    count's rows are its groups in order of first appearance.
+    One loop over ``r``'s nodes in post-order (``relalg.postorder``), each
+    with its resolved positions, and a stack of row lists, so a tree of any
+    depth evaluates: each node pops its inputs' rows and pushes its own. A
+    selection directly on a join, the next node after it, is evaluated
+    inside the join (``_join``). A grouped count's rows are its groups in
+    order of first appearance. The cyclic collector is paused meanwhile.
     """
     _check_node(r)
-    resolved = r._resolved[0]
+    nodes, resolved = postorder(r), r._resolved[0]
     stack: List[List[tuple]] = []
-    for at, (node, positions) in enumerate(resolved):
+    for at, (node, positions) in enumerate(zip(nodes, resolved)):
         if isinstance(node, Table):
             rows = _table_rows(node, db)
         elif isinstance(node, Join):
             right_rows, left_rows = stack.pop(), stack.pop()
-            above = resolved[at + 1] if at + 1 < len(resolved) else (None, ())
+            above = (nodes[at + 1], resolved[at + 1]) if at + 1 < len(nodes) else (None, ())
             rows = _join(left_rows, right_rows, positions, *above)
         else:
             rows = stack.pop()
@@ -292,19 +351,25 @@ def eval_rows(r: RelExpr, db: MicroDatabase) -> List[tuple]:
 def _join(left_rows: List[tuple], right_rows: List[tuple], keys: tuple, above, positions) -> list:
     """The rows of a join on ``keys``, and of ``above`` on it when that is a ``Select``.
 
-    Each ``=`` of the selection across the two sides joins the hash key, and
-    its other comparisons filter the pairs. Rows are left-major, the right
-    rows in stored order.
+    Each ``=`` of the selection across the two sides joins the hash key. A
+    comparison of one side only filters that side's rows before the buckets
+    are built or probed, and the other comparisons filter the pairs. Rows
+    are left-major, the right rows in stored order.
     """
-    left_keys, right_keys, rest = [keys[0]], [keys[1]], []
+    left_keys, right_keys, left_tests, right_tests, rest = [keys[0]], [keys[1]], [], [], []
     if isinstance(above, Select) and left_rows:
         width = len(left_rows[0])
         for c, (li, ri) in zip(above.predicate, positions):
-            if c.op == "=" and ri is not None and (li < width) != (ri < width):
+            if li < width and (ri is None or ri < width):
+                left_tests.append((c, (li, ri)))
+            elif li >= width and (ri is None or ri >= width):
+                right_tests.append((c, (li - width, None if ri is None else ri - width)))
+            elif c.op == "=":
                 left_keys.append(min(li, ri))
                 right_keys.append(max(li, ri) - width)
             else:
                 rest.append((c, (li, ri)))
+    left_rows, right_rows = _filter(left_rows, left_tests), _filter(right_rows, right_tests)
     left_key, right_key = operator.itemgetter(*left_keys), operator.itemgetter(*right_keys)
     buckets: Dict[object, List[tuple]] = {}  # a value, or a tuple of them
     for row in right_rows:

@@ -12,7 +12,9 @@ WITH-subqueries may themselves be counting queries or plain
 selections/projections of base tables. Join conditions are conjunctions of
 comparisons; the first equality whose two sides are base-table columns of the
 two join inputs becomes the equijoin key, and every other conjunct becomes a
-selection on the joined rows. Queries the analysis cannot bound are
+selection on the joined rows. A WHERE conjunction is a selection on the
+FROM relation; when that is already the last join's selection, the two are
+one ``Select``, the ON conjuncts first. Queries the analysis cannot bound are
 rejected with UnsupportedQuery: join conditions with no usable equijoin term,
 join keys produced by an aggregation, outer joins, disjunctive join
 conditions, and outermost operations that are not counts.
@@ -161,8 +163,11 @@ class _Parser:
         self._expect_keyword("FROM")
         rel, names = self._from_clause()
         if self._accept_keyword("WHERE"):
-            predicate = self._conjunction(names)
-            rel = Select(tuple(predicate), rel)
+            predicate = tuple(self._conjunction(names))
+            if isinstance(rel, Select):  # the last JOIN's other ON conjuncts: one selection
+                rel = Select(rel.predicate + predicate, rel.input)
+            else:
+                rel = Select(predicate, rel)
         group_attrs = None
         if self._accept_keyword("GROUP"):
             self._expect_keyword("BY")

@@ -15,8 +15,9 @@ Attribute references are kept as written in the query (optional qualifier
 plus column name). ``resolve`` walks a tree once and turns every reference
 under it into a position in a scope, through a name index, ``_Names``, that
 answers in O(1) and grows by one scope at a time, so no input's names are
-indexed twice. A node's resolution is kept on it: ``scope_of`` and
-``attribute_index`` read it, and so does the evaluator (``flexdp.oracle``).
+indexed twice. A node's resolution is kept on it: ``scope_of``,
+``attribute_index`` and ``read_columns`` read it, and so does the evaluator
+(``flexdp.oracle``).
 The sensitivity compiler reads the positions of a walk of its own. The
 parser grows one index with each JOIN of a FROM clause. The scope entry at
 a position carries the base-table column the reference names, or ``None``
@@ -86,14 +87,16 @@ class _Node(Frozen):
 
     A node's resolution (``resolve``) and sensitivity plan are each
     computed at most once and kept on the node. They are not among its
-    ``_fields``: node equality and hashing ignore them. The plan holds no
-    node, but an evaluated tree's ``_resolved`` lists the node itself, so
-    only the cyclic collector frees that tree.
+    ``_fields``: node equality and hashing ignore them. Neither holds a
+    node: ``_resolved`` keeps the positions of each node of
+    ``postorder(self)``, in that order, and the name index of the scope.
+    So reference counting alone frees an analysed or evaluated tree.
     """
 
     @functools.cached_property
     def _resolved(self) -> tuple:
-        return resolve(self)
+        resolved, names = resolve(self)
+        return [positions for _, positions in resolved], names
 
     @functools.cached_property
     def _plan(self) -> tuple:
@@ -349,6 +352,41 @@ def attribute_index(attr: AttrRef, r: RelExpr) -> int:
     """
     _check_node(r)
     return r._resolved[1].index(attr)
+
+
+def read_columns(q: RelExpr) -> dict:
+    """Map each base table ``q`` reads to the set of its columns that ``q`` references.
+
+    A column is referenced when a join key, a comparison, a projection or a
+    grouping names an attribute whose provenance (``ScopeEntry``) is that
+    column. A table none of whose columns is referenced maps to an empty set.
+    """
+    _check_node(q)
+    read, stack = {}, []  # stack: the provenance of each finished input's scope
+    for node, positions in zip(postorder(q), q._resolved[0]):
+        if isinstance(node, Table):
+            read.setdefault(node.name, set())
+            stack.append([entry.provenance for entry in node._entries])
+            continue
+        if isinstance(node, Join):
+            right, scope = stack.pop(), stack[-1]
+            used = [scope[positions[0]], right[positions[1]]]
+            scope += right  # the join's scope, grown in place as in ``resolve``
+        else:
+            scope = stack.pop()
+            if isinstance(node, Select):
+                used = [scope[i] for pair in positions for i in pair if i is not None]
+            else:  # a projection's or grouped count's attributes; none elsewhere
+                used = [scope[i] for i in positions]
+            if isinstance(node, Project):
+                scope = used
+            elif isinstance(node, (Count, CountGrouped)):
+                scope = [None] * (len(positions) + 1)
+            stack.append(scope)
+        for provenance in used:
+            if provenance is not None:
+                read[provenance.table].add(provenance.column)
+    return read
 
 
 def ancestors(r: RelExpr) -> frozenset:

@@ -7,6 +7,7 @@ slip through.
 """
 
 import csv
+import gc
 import math
 import sys
 
@@ -17,7 +18,9 @@ from flexdp import (
     AttrRef,
     Catalog,
     EvaluationError,
+    Join,
     MicroDatabase,
+    Select,
     Table,
     TooLargeToEnumerate,
     ball_size,
@@ -29,7 +32,9 @@ from flexdp import (
     parse_query,
     root_count,
 )
+from flexdp import oracle
 from flexdp.oracle import coerce_value, max_frequency_at
+from flexdp.relalg import read_columns
 
 from _support import chain_catalog, chain_sql, naive_eval, random_micro_db, random_query_sql
 
@@ -98,8 +103,10 @@ _LONG = "9" * 5000  # more digits than Python converts to an int (4300 by defaul
         'a,b\n1,"x\ny"\n2,3\n',
         "a\n1\n2\n",
         "a,b\n",
+        "a,b\n x ,1\nq\u00b2,\n\u00b2,-\n",
     ],
-    ids=["mixed-column", "signs-zeros-and-blanks", "blank-lines", "multi-line-cell", "one-column", "header-only"],
+    ids=["mixed-column", "signs-zeros-and-blanks", "blank-lines", "multi-line-cell", "one-column", "header-only",
+         "text-column"],
 )
 def test_csv_loading_reads_each_cell_as_coerce_value(tmp_path, text):
     (tmp_path / "t.csv").write_text(text)
@@ -115,6 +122,74 @@ def test_csv_loading_names_the_line_of_a_cell_past_the_digit_limit(tmp_path):
     (tmp_path / "t.csv").write_text('a,b\n1,2\n3,"x\ny"\n%s,5\n6\n' % _LONG)
     with pytest.raises(EvaluationError, match="^t.csv line 5: Exceeds the limit"):
         MicroDatabase.from_csv_dir(str(tmp_path))
+
+
+def test_csv_loading_converts_only_the_columns_asked_for(tmp_path):
+    (tmp_path / "t.csv").write_text("a,b,c\n%s, x ,7\n2,3,%s\n" % (_LONG, _LONG))
+    (tmp_path / "u.csv").write_text("d\n5\n")
+    (tmp_path / "other.csv").write_text("not,loaded\n1\n")  # ragged, but not asked for
+    db = MicroDatabase.from_csv_dir(str(tmp_path), read={"t": {"b"}, "u": set()})
+    assert db.tables == {"t": [(None, "x", None), (None, 3, None)], "u": [(None,)]}
+    assert db.columns == {"t": ("a", "b", "c"), "u": ("d",)}
+    # a cell past the digit limit is refused in a converted column only,
+    # and the line named is that column's, not an earlier unconverted one's
+    with pytest.raises(EvaluationError, match="^t.csv line 3: Exceeds the limit"):
+        MicroDatabase.from_csv_dir(str(tmp_path), read={"t": {"b", "c"}})
+    # the width of every row of a loaded table is checked, converted or not
+    (tmp_path / "u.csv").write_text("d\n5,6\n")
+    with pytest.raises(EvaluationError, match="^u.csv line 2: row width 2"):
+        MicroDatabase.from_csv_dir(str(tmp_path), read={"u": set()})
+    with pytest.raises(EvaluationError, match="no table 'v'"):
+        MicroDatabase.from_csv_dir(str(tmp_path), read={"v": {"a"}})
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_loading_and_evaluation_pause_the_collector_and_restore_it(tmp_path, monkeypatch, enabled):
+    (tmp_path / "t.csv").write_text("a,b\n1,2\n3,x\n")
+    paused = []
+    for name in ("_coerce_column", "_table_rows"):
+        real = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name, lambda *a, real=real: paused.append(not gc.isenabled()) or real(*a))
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        db = MicroDatabase.from_csv_dir(str(tmp_path))
+        assert gc.isenabled() is enabled
+        assert eval_rows(Table("t", "t", ("a", "b")), db) == [(1, 2), (3, "x")]
+        assert gc.isenabled() is enabled
+        (tmp_path / "t.csv").write_text("a,b\n1,2\n3\n")
+        with pytest.raises(EvaluationError, match="row width 1"):
+            MicroDatabase.from_csv_dir(str(tmp_path))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert paused == [True, True, True]
+
+
+def test_loading_only_the_read_columns_evaluates_the_same(tmp_path):
+    # each table gets a column no query names; loaded with the query's
+    # read_columns, that column and every other unread one is None
+    rng = np.random.default_rng(20261020)
+    for trial in range(120):
+        db = random_micro_db(rng, max_tables=3, max_rows=6)
+        data = tmp_path / str(trial)
+        data.mkdir()
+        for name, rows in db.tables.items():
+            with open(data / (name + ".csv"), "w", newline="") as f:
+                writer = csv.writer(f)
+                writer.writerow(db.columns[name] + ("z",))
+                extra = rng.choice(["x", " 7 ", "-1", ""], size=len(rows))
+                writer.writerows(row + (str(z),) for row, z in zip(rows, extra))
+        whole = MicroDatabase.from_csv_dir(str(data))
+        sql = (_keyed_join_sql if trial % 2 else random_query_sql)(rng, db)
+        query = parse_query(sql, whole.catalog())
+        read = read_columns(query)
+        partial = MicroDatabase.from_csv_dir(str(data), read=read)
+        assert set(partial.tables) == set(read) and all(row[-1] is None for row in partial.tables[min(read)])
+        got, expected = eval_query(query, partial), eval_query(query, whole)
+        if isinstance(expected, dict):
+            got, expected = list(got.items()), list(expected.items())
+        assert got == expected, sql
 
 
 def test_a_csv_header_in_another_order_evaluates_the_same(tmp_path):
@@ -300,10 +375,10 @@ def _keyed_join_sql(rng, db) -> str:
     def col(i):
         return "r%d.%s" % (i, rng.choice(db.columns[refs[i]]))
 
-    def comparison(i):  # relation i against an earlier one, or against a literal
+    def comparison(i):  # relation i against an earlier one or itself, or against a literal
         op = str(rng.choice(["=", "=", "<", "!="]))
         if rng.random() < 0.8:
-            return "%s %s %s" % (col(int(rng.integers(0, i))), op, col(i))
+            return "%s %s %s" % (col(int(rng.integers(0, i + 1))), op, col(i))
         return "%s %s %d" % (col(i), op, rng.integers(0, 3))
 
     parts = ["%s r0" % refs[0]]
@@ -319,6 +394,40 @@ def _keyed_join_sql(rng, db) -> str:
         group = ", ".join(sorted({col(int(rng.integers(0, len(refs)))) for _ in range(2)}))
         return "SELECT %s, COUNT(*)%s GROUP BY %s" % (group, sql, group)
     return "SELECT COUNT(*)" + sql
+
+
+def test_a_one_side_comparison_filters_that_side_before_the_join(monkeypatch):
+    db = MicroDatabase(
+        {"users": [(1, "a"), (2, "b"), (3, "a")],
+         "orders": [(1, "pen", 5), (1, "ink", 0), (3, "cap", 4), (2, "ink", 9)]},
+        {"users": ("id", "dept"), "orders": ("uid", "item", "qty")},
+    )
+    sql = (
+        "SELECT COUNT(*) FROM users u JOIN orders o ON u.id = o.uid AND o.item != 'pen' "
+        "WHERE u.dept = 'a' AND o.qty > o.uid AND u.dept != o.item"
+    )
+    filtered, real = [], oracle._filter
+
+    def spy(rows, tests):
+        tests = list(tests)
+        filtered.append((len(rows), [str(c) for c, _ in tests]))
+        return real(rows, tests)
+
+    monkeypatch.setattr(oracle, "_filter", spy)
+    assert eval_query(q(sql, db), db) == 1
+    # users, then orders, each filtered before the join; one pair is built
+    assert filtered == [
+        (3, ["u.dept = 'a'"]), (4, ["o.item != 'pen'", "o.qty > o.uid"]), (1, ["u.dept != o.item"]),
+    ]
+
+
+def test_a_where_merged_into_the_on_selection_agrees_with_the_naive_route():
+    db = db_from([(1, 2), (2, 3), (3, 1), (1, 3), (3, 4), (4, 1), (2, 1), (4, 2)])
+    query = q(TRIANGLE + " WHERE e1.source < 2 AND e3.dest != e2.dest AND e3.source > 1", db)
+    # the WHERE conjuncts follow the last ON clause's in one selection
+    assert isinstance(query.input, Select) and isinstance(query.input.input, Join)
+    assert len(query.input.predicate) == 5
+    assert eval_query(query, db) == naive_eval(query, db) == 2
 
 
 def test_keyed_joins_agree_with_naive_route_in_order():

@@ -104,6 +104,30 @@ def test_extra_on_conjuncts_parse_like_a_where_clause():
     assert on == where
 
 
+def test_where_on_a_join_merges_into_its_on_selection():
+    # one Select above the last join, its ON conjuncts first
+    q = parse(
+        "SELECT COUNT(*) FROM users u JOIN orders o ON u.id = o.uid AND u.dept != o.item "
+        "WHERE o.item = 'pen' AND u.id > 3"
+    )
+    sel = q.input
+    assert isinstance(sel, Select) and isinstance(sel.input, Join)
+    assert sel.predicate == (
+        Comparison(AttrRef("u", "dept"), "!=", AttrRef("o", "item")),
+        Comparison(AttrRef("o", "item"), "=", "pen"),
+        Comparison(AttrRef("u", "id"), ">", 3),
+    )
+    assert q == parse(
+        "SELECT COUNT(*) FROM users u JOIN orders o "
+        "ON u.id = o.uid AND u.dept != o.item AND o.item = 'pen' AND u.id > 3"
+    )
+    # a WHERE on a table, or on a join with no other ON conjunct, is a Select of its own
+    on_table = parse("SELECT COUNT(*) FROM users WHERE id > 3").input
+    on_join = parse("SELECT COUNT(*) FROM users u JOIN orders o ON u.id = o.uid WHERE u.id > 3").input
+    assert on_table.input == Table("users", "users", ("id", "dept"))
+    assert isinstance(on_join.input, Join)
+
+
 def test_triangle_decomposition():
     q = parse(TRIANGLE_SQL, triangle_catalog())
     outer_sel = q.input

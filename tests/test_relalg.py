@@ -29,7 +29,7 @@ from flexdp import (
     root_count,
     scope_of,
 )
-from flexdp.relalg import _Names
+from flexdp.relalg import _Names, read_columns
 from flexdp.sensitivity import _compiled
 
 EDGES = Table("edges", "e1", ("source", "dest"))
@@ -191,6 +191,23 @@ def test_ancestors_and_self_join():
     # aliasing a subtree does not hide shared ancestry
     wrapped = _join(Aliased(EDGES, "w"), EDGES2, "w.dest", "e2.source")
     assert self_join(wrapped)
+
+
+def test_read_columns_follows_provenance_to_each_referenced_column():
+    orders = Table("orders", "o", ("uid", "item", "qty"))
+    joined = Select((Comparison(AttrRef("o", "qty"), ">", 2),), _join(USERS, orders, "u.id", "o.uid"))
+    grouped = CountGrouped((AttrRef("u", "dept"),), joined)
+    assert read_columns(grouped) == {"users": {"id", "dept"}, "orders": {"uid", "qty"}}
+    # a table none of whose columns is referenced maps to an empty set
+    assert read_columns(Count(EDGES)) == {"edges": set()}
+    # through a projection and an alias; a self join's columns fall on one table
+    projected = Project((AttrRef("e2", "dest"),), _join(EDGES, EDGES2, "e1.dest", "e2.source"))
+    sel = Select((Comparison(AttrRef("w", "dest"), "<", 3),), Aliased(projected, "w"))
+    assert read_columns(Count(sel)) == {"edges": {"source", "dest"}}
+    # a count's attribute traces to no column; the grouping key does
+    counted = Aliased(CountGrouped((AttrRef("u", "dept"),), USERS, label="n"), "g")
+    sel = Select((Comparison(AttrRef("g", "n"), ">", 1),), counted)
+    assert read_columns(Count(sel)) == {"users": {"dept"}}
 
 
 def test_join_nodes_walks_whole_tree():

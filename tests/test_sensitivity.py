@@ -22,8 +22,10 @@ from flexdp import (
     Select,
     Table,
     UnsupportedQuery,
+    attribute_index,
     catalog_from_metrics,
     elastic_sensitivity,
+    eval_query,
     join_count,
     local_sensitivity_at,
     make_params,
@@ -544,11 +546,13 @@ def test_analysis_keeps_no_reference_to_the_query():
 def test_reference_counting_alone_frees_an_analysed_tree():
     # gc.collect() above also frees a tree the analysis made cyclic (say, by
     # keeping a node's resolution, which lists the node itself); with the
-    # collector off, only reference counting can free it
+    # collector off, only reference counting can free it. Evaluating the
+    # tree and indexing its attributes keep resolutions on its nodes too.
     sql = TRIANGLE_SQL
     for old, new in (("e1", "v1"), ("e2", "v2"), ("e3", "v3")):
         sql = sql.replace(old, new)
     p = make_params(1.0, 1e-9)
+    db = MicroDatabase({"edges": [(1, 2), (2, 3), (3, 1)]}, {"edges": ("source", "dest")})
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -556,6 +560,10 @@ def test_reference_counting_alone_frees_an_analysed_tree():
         assert elastic_sensitivity(q, 0, METRICS) == 12871
         smooth_bound(q, METRICS, p)
         release_count(10, q, METRICS, p, seed=1)
+        assert eval_query(q, db) == 1
+        dest = AttrRef("v3", "dest")
+        assert attribute_index(dest, q.input.input) == 5
+        assert mf_at_distance(dest, q.input.input, 0, METRICS) == 65**3
         refs = [weakref.ref(node) for node in _nodes(q)]
         assert len(refs) == 8
         del q
