@@ -149,33 +149,39 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _label(parts):
+    """A bin label from its parts: each part's ``coerce_value``, a scalar for one part."""
+    return coerce_value(parts[0]) if len(parts) == 1 else tuple(map(coerce_value, parts))
+
+
 def _parse_bins(raw: str, arity: int):
     labels = []
     try:
         for part in raw.split(","):
             part = part.strip()
-            if arity == 1:
-                labels.append(coerce_value(part))
-            else:
-                pieces = part.split("|")
-                if len(pieces) != arity:
-                    raise InvalidParams(
-                        "bin label %r does not have %d '|'-separated parts" % (part, arity)
-                    )
-                labels.append(tuple(coerce_value(p) for p in pieces))
+            pieces = [part] if arity == 1 else part.split("|")
+            if len(pieces) != arity:
+                raise InvalidParams(
+                    "bin label %r does not have %d '|'-separated parts" % (part, arity)
+                )
+            labels.append(_label(pieces))
     except ValueError as exc:  # from coerce_value: more digits than Python converts
         raise InvalidParams("--bins: %s" % exc) from None
     return labels
 
 
-def _parse_true_result(text: str, grouped: bool):
+def _parse_true_result(text: str, arity):
+    """A number or a file of one; for ``arity`` grouping columns, a file of per-label counts.
+
+    An error names a line, never its content: labels and counts are protected.
+    """
     try:
         return float(text)
     except ValueError:
         pass
     with open(text, "r", encoding="utf-8") as handle:
         content = handle.read()
-    if not grouped:
+    if arity is None:
         try:
             return float(content)
         except ValueError:
@@ -187,22 +193,22 @@ def _parse_true_result(text: str, grouped: bool):
         line = line.strip()
         if not line:
             continue
-        parts = line.split("\t") if "\t" in line else line.split(",")
-        if len(parts) < 2:
-            raise FormatError("true-result line %r is not 'label,count'" % line)
-        *label_parts, count = parts
-        try:
-            label = (
-                coerce_value(label_parts[0])
-                if len(label_parts) == 1
-                else tuple(coerce_value(p) for p in label_parts)
+        *parts, count = line.split("\t") if "\t" in line else line.split(",")
+        if len(parts) != arity:
+            raise FormatError(
+                "true-result line is not 'label,count' with a %d-part label" % arity, line=lineno
             )
+        try:
+            label = _label(parts)
         except ValueError as exc:  # from coerce_value: more digits than Python converts
             raise FormatError("true-result label: %s" % exc, line=lineno) from None
         try:
-            bins[label] = float(count)
+            count = float(count)
         except ValueError:
-            raise FormatError("true-result line %r has a count that is not a number" % line) from None
+            raise FormatError("true-result count is not a number", line=lineno) from None
+        if label in bins:
+            raise FormatError("true-result label repeats an earlier line's", line=lineno)
+        bins[label] = count
     return bins
 
 
@@ -288,7 +294,9 @@ def _charge_budget(args, params: PrivacyParams):
 
 def cmd_release(args) -> int:
     store, query, params = _load_inputs(args)
-    grouped = isinstance(root_count(query), CountGrouped)
+    root = root_count(query)
+    grouped = isinstance(root, CountGrouped)
+    arity = len(root.group_attrs) if grouped else None  # a label's parts
 
     db = None
     if args.execute:
@@ -299,13 +307,12 @@ def cmd_release(args) -> int:
         true_result = eval_query(query, db)
         store = _observed_metrics(query, store, db)
     elif args.true_result is not None:
-        true_result = _parse_true_result(args.true_result, grouped)
+        true_result = _parse_true_result(args.true_result, arity)
     else:
         raise InvalidParams("supply the true result (--true-result) or --execute")
 
     bin_domain = None
     if grouped:
-        arity = len(root_count(query).group_attrs)
         if args.bins:
             bin_domain = _parse_bins(args.bins, arity)
         elif db is not None:

@@ -93,7 +93,7 @@ class BudgetExhausted(FlexError):
 
 
 class TooLargeToEnumerate(FlexError):
-    """A brute-force enumeration would exceed the configured candidate guard."""
+    """A brute-force enumeration would exceed ``oracle.ENUMERATION_GUARD`` candidates."""
 
     category, exit_code = "limits", 3
 

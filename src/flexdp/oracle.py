@@ -452,24 +452,23 @@ def ball_size(db: MicroDatabase, k: int) -> int:
     return sum(coeffs)
 
 
-def neighbors_at(
-    db: MicroDatabase, k: int, guard: int = 10**6
-) -> Iterator[MicroDatabase]:
+ENUMERATION_GUARD = 10**6  # the most databases an enumeration visits
+
+
+def neighbors_at(db: MicroDatabase, k: int) -> Iterator[MicroDatabase]:
     """Yield every distinct database within replacement distance k.
 
     Includes ``db`` itself (distance 0). Each yielded database differs from
     ``db`` in exactly the chosen positions, so no database appears twice.
 
     Raises:
-        TooLargeToEnumerate: the ball holds more than ``guard`` databases.
+        TooLargeToEnumerate: the ball holds more than ``ENUMERATION_GUARD`` databases.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
     total = ball_size(db, k)
-    if total > guard:
-        raise TooLargeToEnumerate(
-            "distance-%d ball holds %d databases (guard %d)" % (k, total, guard)
-        )
+    if total > ENUMERATION_GUARD:
+        raise TooLargeToEnumerate("distance-%d ball holds %d databases" % (k, total))
     positions = db.positions()
     domains = {name: db.row_domain(name) for name in db.tables}
     yield db
@@ -504,9 +503,7 @@ def _distance(a, b) -> float:
     return float(abs(a - b))
 
 
-def local_sensitivity_at(
-    q: RelExpr, db: MicroDatabase, k: int, guard: int = 10**6
-) -> float:
+def local_sensitivity_at(q: RelExpr, db: MicroDatabase, k: int) -> float:
     """Exact local sensitivity of ``q`` at distance k, by enumeration.
 
     Maximizes, over every database y within distance k of ``db``, the change
@@ -514,14 +511,12 @@ def local_sensitivity_at(
     results are compared in L1 over the union of their bins.
 
     Raises:
-        TooLargeToEnumerate: the required enumeration exceeds ``guard``.
+        TooLargeToEnumerate: the required enumeration exceeds ``ENUMERATION_GUARD``.
     """
     # every database evaluated lies within distance k+1 of the original
-    if ball_size(db, k + 1) > guard:
-        raise TooLargeToEnumerate(
-            "distance-%d ball holds %d databases (guard %d)"
-            % (k + 1, ball_size(db, k + 1), guard)
-        )
+    total = ball_size(db, k + 1)
+    if total > ENUMERATION_GUARD:
+        raise TooLargeToEnumerate("distance-%d ball holds %d databases" % (k + 1, total))
     cache: Dict[tuple, object] = {}
 
     def evaluate(d: MicroDatabase):
@@ -534,7 +529,7 @@ def local_sensitivity_at(
 
     domains = {name: db.row_domain(name) for name in db.tables}
     worst = 0.0
-    for y in neighbors_at(db, k, guard):
+    for y in neighbors_at(db, k):
         base = evaluate(y)
         for name, index in y.positions():
             current = y.tables[name][index]

@@ -15,9 +15,9 @@ Attribute references are kept as written in the query (optional qualifier
 plus column name). ``resolve`` walks a tree once and turns every reference
 under it into a position in a scope, through a name index, ``_Names``, that
 answers in O(1) and grows by one scope at a time, so no input's names are
-indexed twice. A node's resolution is kept on it: ``scope_of``,
-``attribute_index`` and ``read_columns`` read it, and so does the evaluator
-(``flexdp.oracle``).
+indexed twice. The same walk records the base columns the references read.
+A node's resolution is kept on it: ``scope_of``, ``attribute_index`` and
+``read_columns`` read it, and so does the evaluator (``flexdp.oracle``).
 The sensitivity compiler reads the positions of a walk of its own. The
 parser grows one index with each JOIN of a FROM clause. The scope entry at
 a position carries the base-table column the reference names, or ``None``
@@ -89,14 +89,15 @@ class _Node(Frozen):
     computed at most once and kept on the node. They are not among its
     ``_fields``: node equality and hashing ignore them. Neither holds a
     node: ``_resolved`` keeps the positions of each node of
-    ``postorder(self)``, in that order, and the name index of the scope.
-    So reference counting alone frees an analysed or evaluated tree.
+    ``postorder(self)``, in that order, the name index of the scope, and
+    what the references read (``read_columns``). So reference counting
+    alone frees an analysed or evaluated tree.
     """
 
     @functools.cached_property
     def _resolved(self) -> tuple:
-        resolved, names = resolve(self)
-        return [positions for _, positions in resolved], names
+        resolved, names, read = resolve(self)
+        return [positions for _, positions in resolved], names, read
 
     @functools.cached_property
     def _plan(self) -> tuple:
@@ -260,9 +261,10 @@ class _Names:
     def add(self, entries):
         """Append the scope ``entries`` (a sequence of ScopeEntry)."""
         positions = self._positions
-        for i, entry in enumerate(entries, len(self.entries)):
-            for key in (entry.name, (entry.qualifier, entry.name)):
-                positions[key] = _AMBIGUOUS if key in positions else i
+        for i, (qualifier, name, _) in enumerate(entries, len(self.entries)):
+            positions[name] = _AMBIGUOUS if name in positions else i
+            key = qualifier, name
+            positions[key] = _AMBIGUOUS if key in positions else i
         self.entries += entries
 
     def index(self, attr: AttrRef) -> int:
@@ -298,24 +300,29 @@ def resolve(r: RelExpr, leaves: tuple = (Table,)):
     """Resolve every reference under ``r`` to a position, in one walk.
 
     Returns a ``(node, positions)`` pair per node of ``postorder(r,
-    leaves)``, and the name index of ``r``'s scope. A join's positions are
-    its keys' in its left and right input, a selection's its predicate's
-    (per comparison, its left side's and its right side's or ``None`` for
-    a literal), and a projection's or grouped count's its attributes' in
-    its input. A join grows its left input's index by the right's, so a
-    chain's names are indexed once.
+    leaves)``, the name index of ``r``'s scope, and what the references
+    read: the name of each table walked, and the scope entry each
+    reference resolves to, whose provenance is the base column it reads
+    (``read_columns``). A join's positions are its keys' in its left and
+    right input, a selection's its predicate's (per comparison, its left
+    side's and its right side's or ``None`` for a literal), and a
+    projection's or grouped count's its attributes' in its input. A join
+    grows its left input's index by the right's, so a chain's names are
+    indexed once.
 
     Raises:
         UnresolvedAttribute: a reference names no attribute, or more than one.
     """
-    resolved, done = [], []  # done: the name index of each finished input
+    resolved, done, tables, reads = [], [], [], []  # done: the name index of each finished input
     for node in postorder(r, leaves):
         positions = ()
         if isinstance(node, Table):
             names = _Names(node._entries)
+            tables.append(node.name)
         elif isinstance(node, Join):
             right, names = done.pop(), done.pop()
             positions = (names.index(node.key_left), right.index(node.key_right))
+            reads += names.entries[positions[0]], right.entries[positions[1]]
             names.add(right.entries)
         elif isinstance(node, Count):
             if not isinstance(node, leaves):
@@ -323,23 +330,29 @@ def resolve(r: RelExpr, leaves: tuple = (Table,)):
             names = _Names((ScopeEntry(None, node.label, None),))
         else:
             names = done.pop()
+            entries = names.entries
             if isinstance(node, Select):
                 positions = tuple(
                     (names.index(c.left), names.index(c.right) if isinstance(c.right, AttrRef) else None)
                     for c in node.predicate
                 )
+                reads += [entries[i] for pair in positions for i in pair if i is not None]
             elif isinstance(node, Aliased):
-                names = _Names([e._replace(qualifier=node.alias) for e in names.entries])
+                names = _Names([e._replace(qualifier=node.alias) for e in entries])
             elif isinstance(node, Project):
                 positions = tuple(map(names.index, node.attrs))
-                names = _Names([names.entries[i] for i in positions])
+                used = [entries[i] for i in positions]
+                reads += used
+                names = _Names(used)
             else:  # a grouped count, whose keys lose their provenance
                 positions = tuple(map(names.index, node.group_attrs))
-                keys = [names.entries[i]._replace(provenance=None) for i in positions]
+                used = [entries[i] for i in positions]
+                reads += used
+                keys = [e._replace(provenance=None) for e in used]
                 names = _Names(keys + [ScopeEntry(None, node.label, None)])
         resolved.append((node, positions))
         done.append(names)
-    return resolved, done.pop()
+    return resolved, done.pop(), (tables, reads)
 
 
 def attribute_index(attr: AttrRef, r: RelExpr) -> int:
@@ -360,32 +373,14 @@ def read_columns(q: RelExpr) -> dict:
     A column is referenced when a join key, a comparison, a projection or a
     grouping names an attribute whose provenance (``ScopeEntry``) is that
     column. A table none of whose columns is referenced maps to an empty set.
+    The map is built on each call from what ``resolve`` recorded on ``q``.
     """
     _check_node(q)
-    read, stack = {}, []  # stack: the provenance of each finished input's scope
-    for node, positions in zip(postorder(q), q._resolved[0]):
-        if isinstance(node, Table):
-            read.setdefault(node.name, set())
-            stack.append([entry.provenance for entry in node._entries])
-            continue
-        if isinstance(node, Join):
-            right, scope = stack.pop(), stack[-1]
-            used = [scope[positions[0]], right[positions[1]]]
-            scope += right  # the join's scope, grown in place as in ``resolve``
-        else:
-            scope = stack.pop()
-            if isinstance(node, Select):
-                used = [scope[i] for pair in positions for i in pair if i is not None]
-            else:  # a projection's or grouped count's attributes; none elsewhere
-                used = [scope[i] for i in positions]
-            if isinstance(node, Project):
-                scope = used
-            elif isinstance(node, (Count, CountGrouped)):
-                scope = [None] * (len(positions) + 1)
-            stack.append(scope)
-        for provenance in used:
-            if provenance is not None:
-                read[provenance.table].add(provenance.column)
+    tables, reads = q._resolved[2]
+    read = {table: set() for table in tables}
+    for _, _, provenance in reads:
+        if provenance is not None:
+            read[provenance.table].add(provenance.column)
     return read
 
 

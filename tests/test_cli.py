@@ -450,7 +450,7 @@ def test_bins_with_the_wrong_number_of_parts_are_refused(cities, capsys):
     [
         ("1,2\n", False, "single number"),
         ("1,2\nb\n", True, "is not 'label,count'"),
-        ("1,2\n1,abc\n", True, "line '1,abc' has a count that is not a number"),
+        ("1,2\n1,abc\n", True, "line 2: true-result count is not a number"),
     ],
     ids=["plain-with-a-label", "grouped-line-without-count", "grouped-count-not-a-number"],
 )
@@ -476,6 +476,28 @@ def test_malformed_true_result_file_is_a_format_error(workspace, capsys, text, g
     )
     assert_refused_free(code, out, err, workspace / "metrics.txt")
     assert code == 3 and "error[io]" in err and fragment in err
+
+
+@pytest.mark.parametrize(
+    "text,fragment",
+    [
+        ("alice|1,4711\n", "line 1: true-result line is not 'label,count' with a 2-part label"),
+        ("bob,1,3\nalice,1,4711,99\n", "line 2: true-result line is not 'label,count'"),
+        ("alice,1,4711\n\nbob,1,3\nalice,1,99\n", "line 4: true-result label repeats"),
+        ("alice,1,4711\nbob,1,9x9\n", "line 2: true-result count is not a number"),
+    ],
+    ids=["one-part-label", "three-part-label", "repeated-label", "count-not-a-number"],
+)
+def test_a_grouped_true_result_file_is_read_with_the_grouping_arity(cities, capsys, text, fragment):
+    # one error[io] line that names the line and echoes no label or count; nothing charged
+    truth = cities / "truth.txt"
+    truth.write_text(text)
+    code, out, err = release_cities(
+        capsys, cities, "c.city, c.zone", "--true-result", truth, "--bins", "alice|1,bob|1", *BUDGET
+    )
+    assert_refused_free(code, out, err, cities / "metrics.txt")
+    assert code == 3 and err.startswith("error[io]: " + fragment), err
+    assert not [value for value in ("alice", "bob", "4711", "99", "9x9") if value in err], err
 
 
 def test_true_result_file_with_a_single_number(workspace, capsys):

@@ -33,7 +33,7 @@ from flexdp import (
     root_count,
 )
 from flexdp import oracle
-from flexdp.oracle import coerce_value, max_frequency_at
+from flexdp.oracle import ENUMERATION_GUARD, coerce_value, max_frequency_at
 from flexdp.relalg import read_columns
 
 from _support import chain_catalog, chain_sql, naive_eval, random_micro_db, random_query_sql
@@ -487,8 +487,10 @@ def test_enumeration_guard():
     db = db_from(rows, domains=(domain, domain))
     with pytest.raises(TooLargeToEnumerate):
         list(neighbors_at(db, 3))
-    # a generous guard lifts the refusal
+    # the refusal goes by ball size, before anything is enumerated: 8 rows
+    # with 399 alternatives each make 3193 databases at distance 1, past 10**6 at 3
     assert ball_size(db, 1) == 1 + 8 * (20 * 20 - 1)
+    assert ball_size(db, 3) > ENUMERATION_GUARD
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from flexdp import (
     CountGrouped,
     Join,
     MetricsStore,
+    MicroDatabase,
     PrivacyParams,
     Project,
     ReleaseResult,
@@ -25,6 +26,7 @@ from flexdp import (
     UnsupportedQuery,
     ancestors,
     attribute_index,
+    eval_query,
     join_nodes,
     root_count,
     scope_of,
@@ -208,6 +210,23 @@ def test_read_columns_follows_provenance_to_each_referenced_column():
     counted = Aliased(CountGrouped((AttrRef("u", "dept"),), USERS, label="n"), "g")
     sel = Select((Comparison(AttrRef("g", "n"), ">", 1),), counted)
     assert read_columns(Count(sel)) == {"users": {"dept"}}
+
+
+def test_a_caller_changing_read_columns_changes_no_later_call():
+    # what resolve records is kept on the node: a caller's changes to the map stay its own
+    orders = Table("orders", "o", ("uid", "item", "qty"))
+    joined = Select((Comparison(AttrRef("o", "qty"), ">", 2),), _join(USERS, orders, "u.id", "o.uid"))
+    q = CountGrouped((AttrRef("u", "dept"),), joined)
+    db = MicroDatabase({"users": [(1, "x"), (2, "y")], "orders": [(1, 7, 3), (2, 8, 1), (1, 9, 5)]},
+                       {"users": USERS.columns, "orders": orders.columns})
+    counts = eval_query(q, db)
+    first = read_columns(q)
+    first["users"].add("name")
+    first["orders"].clear()
+    del first["users"]
+    first["extra"] = {"x"}
+    assert read_columns(q) == {"users": {"id", "dept"}, "orders": {"uid", "qty"}}
+    assert eval_query(q, db) == counts == {"x": 2}
 
 
 def test_join_nodes_walks_whole_tree():
