@@ -150,15 +150,15 @@ def cmd_analyze(args) -> int:
 
 
 def _label(parts):
-    """A bin label from its parts: each part's ``coerce_value``, a scalar for one part."""
-    return coerce_value(parts[0]) if len(parts) == 1 else tuple(map(coerce_value, parts))
+    """A bin label from its parts: each stripped part's ``coerce_value``, a scalar for one part."""
+    label = tuple(coerce_value(part.strip()) for part in parts)
+    return label[0] if len(label) == 1 else label
 
 
 def _parse_bins(raw: str, arity: int):
     labels = []
     try:
         for part in raw.split(","):
-            part = part.strip()
             pieces = [part] if arity == 1 else part.split("|")
             if len(pieces) != arity:
                 raise InvalidParams(

@@ -21,7 +21,10 @@ The store round-trips through a small INI-like text format::
     edges.dest = 65
 
 Section order is free, whitespace around '=' is ignored, duplicate keys and
-unknown section names are errors.
+unknown section names are errors. The ``[mf]`` lines give each table's
+columns in the order a catalog built from the store lists them. Nothing
+re-sorts them: a store keeps the order they were written in
+(``collect-metrics``: each CSV header's) through a save and a load.
 """
 
 from __future__ import annotations
@@ -204,8 +207,8 @@ def save_metrics(store: MetricsStore, path: str):
         lines.append(table)
     lines.append("")
     lines.append("[mf]")
-    for table, column in sorted(store.mf):
-        lines.append("%s.%s = %d" % (table, column, store.mf[(table, column)]))
+    for (table, column), value in store.mf.items():  # in the store's order
+        lines.append("%s.%s = %d" % (table, column, value))
     lines.append("")
     tmp = os.fspath(path) + ".tmp"
     with open(tmp, "w", encoding="utf-8") as handle:
@@ -216,9 +219,8 @@ def save_metrics(store: MetricsStore, path: str):
 
 
 def catalog_from_metrics(store: MetricsStore) -> Catalog:
-    """Build a parser catalog from the columns the store has metrics for."""
+    """Build a parser catalog from the columns the store has metrics for, in its order."""
     columns: Dict[str, tuple] = {}
-    for table, column in sorted(store.mf):
-        columns.setdefault(table, ())
-        columns[table] = columns[table] + (column,)
+    for table, column in store.mf:
+        columns[table] = columns.get(table, ()) + (column,)
     return Catalog(columns=columns)

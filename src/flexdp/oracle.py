@@ -1,17 +1,19 @@
 """Ground truth on concrete databases: CSV loading, evaluation and enumeration.
 
 ``eval_query`` is ``release --execute``'s evaluator, playing the database
-whose answer is released. A join is a hash join keyed on every ``=`` between
-its two sides, a selection's directly above it included, so the pairs those
-reject are never built; that selection's comparisons of one side filter
-that side's rows before the join. ``MicroDatabase.from_csv_dir`` converts
-only the columns it is asked for (for a release, ``relalg.read_columns``), a
-column of ASCII digits whole, every other cell by ``coerce_value``. Loading
-and evaluation pause the cyclic garbage collector: their rows are tuples and
-lists that hold no cycle, and reference counting frees them. ``flexdp check``
-checks the bound on local sensitivity at distance k the slow way: it lists
-every database reachable by replacing up to k tuples and measures how much
-one further replacement can move the result.
+whose answer is released: it finds a table's columns by name in its header,
+in any order, and ignores the others. A join is a hash join keyed on every
+``=`` between its two sides, a selection's directly above it included, so
+the pairs those reject are never built; that selection's comparisons of one
+side filter that side's rows before the join. ``MicroDatabase.from_csv_dir``
+converts only the columns it is asked for (for a release,
+``relalg.read_columns``), a column of ASCII digits whole, every other cell
+by ``coerce_value``. Loading and evaluation pause the cyclic garbage
+collector: their rows are tuples and lists that hold no cycle, and reference
+counting frees them. ``flexdp check`` checks the bound on local sensitivity
+at distance k the slow way: it lists every database reachable by replacing
+up to k tuples and measures how much one further replacement can move the
+result.
 
 Databases follow the bounded model: a fixed number of rows per table, and
 neighbors differ by replacing rows (never adding or removing them). Each
@@ -302,12 +304,14 @@ def _tuple_getter(positions: tuple):
 
 
 def _table_rows(t: Table, db: MicroDatabase) -> List[tuple]:
+    """``t``'s rows, each column found by name in the stored header; other columns are dropped."""
     stored = tuple(db.columns.get(t.name, ()))
     if stored == t.columns:
         return list(db.tables[t.name])
-    if set(stored) != set(t.columns):
-        raise EvaluationError("table %r columns do not match the query's schema" % t.name)
-    # same columns, different declared order: permute to the query's order
+    missing = [col for col in t.columns if col not in stored]
+    if missing:  # named by the header, never by a cell
+        raise EvaluationError("table %r has no column %r of the query's schema" % (t.name, missing[0]))
+    # another order (a hand-written metrics file, a hand-built database) or more columns
     return list(map(_tuple_getter([stored.index(col) for col in t.columns]), db.tables[t.name]))
 
 

@@ -42,13 +42,6 @@ class AttrRef(Frozen):
         d = self.__dict__
         d["qualifier"], d["name"] = qualifier, name
 
-    @classmethod
-    def parse(cls, text: str) -> "AttrRef":
-        if "." in text:
-            qualifier, name = text.split(".", 1)
-            return cls(qualifier, name)
-        return cls(None, text)
-
     def __str__(self) -> str:
         if self.qualifier:
             return "%s.%s" % (self.qualifier, self.name)

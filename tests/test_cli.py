@@ -500,6 +500,21 @@ def test_a_grouped_true_result_file_is_read_with_the_grouping_arity(cities, caps
     assert not [value for value in ("alice", "bob", "4711", "99", "9x9") if value in err], err
 
 
+def test_label_parts_are_read_stripped_like_csv_cells(trips, capsys):
+    # a space around a part, in --bins or in a true-result line, names the same label
+    (trips / "q.sql").write_text("SELECT city, taxi, COUNT(*) FROM trips GROUP BY city, taxi\n")
+    truth = trips / "truth.txt"
+    released = []
+    for bins, line in (("a|t1,b|t2", "a,t1,5"), ("a|t1,b|t2", "a, t1,5"), ("a| t1, b |t2 ", "a,t1 ,5")):
+        truth.write_text(line + "\n")
+        released.append(run(capsys, "release", trips / "q.sql", "--metrics", trips / "metrics.txt",
+                            "--epsilon", "1", "--delta", "1e-6", "--seed", "3", "--json",
+                            "--true-result", truth, "--bins", bins))
+    assert released[0][0] == 0
+    assert [label for label, _ in json.loads(released[0][1])["bins"]] == ["a|t1", "b|t2"]
+    assert released[1] == released[0] and released[2] == released[0]
+
+
 def test_true_result_file_with_a_single_number(workspace, capsys):
     truth = workspace / "truth.txt"
     truth.write_text("\n7\n")
@@ -927,12 +942,13 @@ def test_collect_metrics_emit_sql(workspace, capsys):
         "SELECT COUNT(source) AS mf FROM edges GROUP BY source "
         "ORDER BY mf DESC LIMIT 1;" in out
     )
-    # the same statements from the metrics file's columns (sorted there)
+    # the same statements from the metrics file's columns, in the file's order
+    # (here the header's)
     code, from_metrics, _ = run(
         capsys, "collect-metrics", "--metrics", workspace / "metrics.txt", "--emit-sql"
     )
     assert code == 0
-    assert sorted(from_metrics.splitlines()) == sorted(out.splitlines())
+    assert from_metrics == out
 
 
 def test_check_passes_on_consistent_corpus(workspace, capsys):
@@ -1300,3 +1316,65 @@ def test_execute_keeps_metrics_above_the_data(tmp_path, capsys):
     executed = run(capsys, "release", query, *common, "--execute", "--data", data)
     assert executed[0] == 0
     assert run(capsys, "release", query, *common, "--true-result", "3") == executed
+
+
+SHOP = {  # headers not in sorted order
+    "users": "uid,dept,age\n1,a,30\n2,b,41\n3,a,25\n",
+    "orders": "oid,uid,amount\n10,1,5\n11,1,7\n12,3,9\n13,2,6\n",
+}
+
+
+@pytest.fixture
+def shop(tmp_path, capsys):
+    """SHOP's tables in data/, their collected metrics, and a join with a filter on each side."""
+    data = tmp_path / "data"
+    data.mkdir()
+    for name, text in SHOP.items():
+        (data / (name + ".csv")).write_text(text)
+    sql = "SELECT COUNT(*) FROM orders o JOIN users u ON o.uid = u.uid WHERE u.age < 40 AND o.amount > 5\n"
+    (tmp_path / "q.sql").write_text(sql)
+    assert run(capsys, "collect-metrics", "--data", data, "--metrics", tmp_path / "metrics.txt")[0] == 0
+    return tmp_path
+
+
+def release_shop(capsys, shop, data, *extra):
+    return run(capsys, "release", shop / "q.sql", "--metrics", shop / "metrics.txt", "--epsilon", "1",
+               "--delta", "1e-6", "--seed", "3", "--json", "--execute", "--data", data, *extra)
+
+
+def test_collected_metrics_keep_each_header_and_a_release_permutes_no_table(shop, capsys, monkeypatch):
+    headers = {name: tuple(text.split("\n", 1)[0].split(",")) for name, text in SHOP.items()}
+    assert flexdp.catalog_from_metrics(load_metrics(shop / "metrics.txt")).columns == headers
+    # so the evaluator reads each table's stored rows as they are
+    real, unpermuted = flexdp.oracle._table_rows, []
+
+    def table_rows(t, db):
+        rows, stored = real(t, db), db.tables[t.name]
+        unpermuted.append(len(rows) == len(stored) and all(a is b for a, b in zip(rows, stored)))
+        return rows
+
+    monkeypatch.setattr(flexdp.oracle, "_table_rows", table_rows)
+    assert release_shop(capsys, shop, shop / "data")[0] == 0
+    assert unpermuted == [True, True]
+
+
+def test_a_header_with_an_extra_column_releases_the_same_value(shop, capsys):
+    # a database finds a table's columns by name and ignores the others
+    released = release_shop(capsys, shop, shop / "data")
+    assert released[0] == 0
+    extra = shop / "extra"
+    extra.mkdir()
+    (extra / "users.csv").write_text(SHOP["users"])
+    (extra / "orders.csv").write_text("note,amount,oid,uid\nx,5,10,1\ny,7,11,1\nz,9,12,3\nw,6,13,2\n")
+    assert release_shop(capsys, shop, extra) == released
+
+
+def test_a_header_lacking_a_schema_column_is_an_io_error_naming_no_cell(shop, capsys):
+    lacking = shop / "lacking"
+    lacking.mkdir()
+    (lacking / "users.csv").write_text(SHOP["users"])
+    (lacking / "orders.csv").write_text("oid,uid\n4711,1\n9973,2\n")
+    code, out, err = release_shop(capsys, shop, lacking, *BUDGET)
+    assert_refused_free(code, out, err, shop / "metrics.txt")
+    assert code == 3
+    assert err == "error[io]: table 'orders' has no column 'amount' of the query's schema\n"

@@ -126,6 +126,18 @@ def test_round_trip(tmp_path):
     assert load_metrics(tmp_path / "m.txt") == loaded
 
 
+def test_saving_and_loading_keep_the_order_columns_were_written_in(tmp_path):
+    # not sorted: a catalog built from the file lists a table's columns as
+    # they were written (by collect-metrics, in the CSV header's order;
+    # test_catalog_from_metrics)
+    store = make_store(mf={("edges", "source"): 65, ("users", "uid"): 1, ("edges", "dest"): 65})
+    save_metrics(store, tmp_path / "m.txt")
+    written = (tmp_path / "m.txt").read_text().split("[mf]\n")[1].splitlines()
+    assert written == ["edges.source = 65", "users.uid = 1", "edges.dest = 65"]
+    loaded = load_metrics(tmp_path / "m.txt")
+    assert list(loaded.mf) == list(store.mf)
+
+
 def test_save_metrics_syncs_the_file_before_renaming_it(tmp_path, monkeypatch):
     # renamed unsynced, a crash could leave a truncated file under the real
     # name, and an mf of 65 cut to 6 under-noises every later release
@@ -202,5 +214,6 @@ def test_catalog_from_metrics():
         public_tables=frozenset({"u"}),
         row_counts={"t": 1, "u": 1},
     )
+    # each table's columns in the order the store lists them, not sorted
     catalog = catalog_from_metrics(store)
-    assert catalog.columns == {"t": ("a", "b"), "u": ("x",)}
+    assert catalog.columns == {"t": ("b", "a"), "u": ("x",)}

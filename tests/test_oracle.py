@@ -166,6 +166,32 @@ def test_loading_and_evaluation_pause_the_collector_and_restore_it(tmp_path, mon
     assert paused == [True, True, True]
 
 
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_a_file_with_no_bad_row_on_its_second_read_changed_while_it_was_read(tmp_path, monkeypatch, enabled):
+    # a conversion that fails, then a row-by-row re-read that finds no bad
+    # row: the file changed in between, and the collector's state is restored
+    (tmp_path / "t.csv").write_text("a,b\n1,2\n3,x\n")
+    real, failed = oracle._coerce_column, []
+
+    def fails_once(rows, index):
+        if not failed:
+            failed.append(index)
+            raise ValueError("Exceeds the limit")
+        return real(rows, index)
+
+    monkeypatch.setattr(oracle, "_coerce_column", fails_once)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with pytest.raises(EvaluationError, match="^t.csv changed while it was read$"):
+            MicroDatabase.from_csv_dir(str(tmp_path))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert failed == [0]
+    assert MicroDatabase.from_csv_dir(str(tmp_path)).tables == {"t": [(1, 2), (3, "x")]}
+
+
 def test_loading_only_the_read_columns_evaluates_the_same(tmp_path):
     # each table gets a column no query names; loaded with the query's
     # read_columns, that column and every other unread one is None
@@ -193,8 +219,9 @@ def test_loading_only_the_read_columns_evaluates_the_same(tmp_path):
 
 
 def test_a_csv_header_in_another_order_evaluates_the_same(tmp_path):
-    # a catalog from metrics lists each table's columns sorted; a file whose
-    # header is in another order has its rows permuted to the catalog's
+    # a hand-built catalog may list a table's columns in another order than
+    # its file's header, which may also hold columns the catalog lacks: each
+    # column is found by name, and the others are dropped
     sql = (
         "SELECT COUNT(*) FROM users u JOIN orders o ON u.id = o.uid "
         "WHERE o.item != 'pen' AND u.dept = 'a'"
@@ -202,10 +229,10 @@ def test_a_csv_header_in_another_order_evaluates_the_same(tmp_path):
     catalog = Catalog({"users": ("dept", "id", "zip"), "orders": ("item", "uid")})
     tables = {
         "users": [dict(id=1, dept="a", zip="x"), dict(id=2, dept="b", zip="y"), dict(id=3, dept="a", zip="z")],
-        "orders": [dict(uid=1, item="pen"), dict(uid=1, item="ink"), dict(uid=3, item="cap")],
+        "orders": [dict(uid=1, item="pen", n=5), dict(uid=1, item="ink", n=6), dict(uid=3, item="cap", n=7)],
     }
     results = []
-    for headers in (("dept,id,zip", "item,uid"), ("zip,dept,id", "uid,item")):
+    for headers in (("dept,id,zip", "item,uid"), ("zip,dept,id", "uid,item"), ("id,dept,zip", "n,uid,item")):
         data = tmp_path / headers[0].replace(",", "_")
         data.mkdir()
         for (name, rows), header in zip(tables.items(), headers):
@@ -214,7 +241,7 @@ def test_a_csv_header_in_another_order_evaluates_the_same(tmp_path):
         db = MicroDatabase.from_csv_dir(str(data))
         query = parse_query(sql, catalog)
         results.append((eval_query(query, db), eval_rows(query.input, db)))
-    assert results[0] == results[1]
+    assert results[0] == results[1] == results[2]
     assert results[0] == (2, [("a", 1, "x", "ink", 1), ("a", 3, "z", "cap", 3)])
     # a database is mutable, so it compares by value but is never hashable
     with pytest.raises(TypeError):
@@ -301,8 +328,10 @@ def test_eval_rows_and_max_frequency():
 
 def test_a_table_whose_columns_differ_from_the_query_is_an_evaluation_error():
     query = q("SELECT COUNT(*) FROM edges", CYCLE)
-    with pytest.raises(EvaluationError, match="do not match the query's schema"):
+    with pytest.raises(EvaluationError, match="^table 'edges' has no column 'dest' of the query's schema$"):
         eval_query(query, db_from([(1, 2)], columns=("source", "weight")))
+    # a column the schema lacks is ignored, wherever it stands
+    assert eval_query(query, db_from([(7, 1, 2)], columns=("weight", "dest", "source"))) == 1
 
 
 def test_max_frequency_at_grows_by_one_per_replacement():

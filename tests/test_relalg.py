@@ -39,13 +39,11 @@ EDGES2 = Table("edges", "e2", ("source", "dest"))
 USERS = Table("users", "u", ("id", "dept"))
 
 
-def _join(left, right, kl, kr):
-    return Join(left, right, AttrRef.parse(kl), AttrRef.parse(kr))
+def _join(left, right, kl, kr):  # keys written "qualifier.name"
+    return Join(left, right, AttrRef(*kl.split(".")), AttrRef(*kr.split(".")))
 
 
-def test_attr_ref_parse():
-    assert AttrRef.parse("e1.dest") == AttrRef("e1", "dest")
-    assert AttrRef.parse("dest") == AttrRef(None, "dest")
+def test_attr_ref_text():
     assert str(AttrRef("e1", "dest")) == "e1.dest"
     assert str(AttrRef(None, "dest")) == "dest"
 
