@@ -5,146 +5,92 @@ sensitivity at every replacement distance using per-column max-frequency
 metrics, smooth the bound, and release the true result with calibrated
 Laplace noise. A brute-force oracle for tiny databases backs the bound with
 ground truth.
+
+Each public name is imported from its module on first use (PEP 562), so
+``import flexdp.parser`` loads the parser and what it imports, not the
+evaluator or the command line.
 """
 
-from .errors import (
-    BudgetExhausted,
-    EvaluationError,
-    FlexError,
-    FormatError,
-    InvalidParams,
-    InvalidScale,
-    MissingMetric,
-    NegativeCount,
-    ParseError,
-    ProtectedBinLabels,
-    TooLargeToEnumerate,
-    UnknownColumn,
-    UnknownTable,
-    UnresolvedAttribute,
-    UnsupportedQuery,
-)
-from .mechanism import (
-    BudgetLedger,
-    PrivacyParams,
-    ReleaseResult,
-    SmoothBound,
-    laplace_inverse_cdf,
-    laplace_sample,
-    make_params,
-    release_count,
-    release_histogram,
-    smooth_bound,
-)
-from .metrics import (
-    MetricsStore,
-    catalog_from_metrics,
-    load_metrics,
-    metrics_collection_sql,
-    save_metrics,
-    validate_store,
-)
-from .oracle import (
-    MicroDatabase,
-    ball_size,
-    column_max_frequency,
-    eval_query,
-    eval_rows,
-    local_sensitivity_at,
-    neighbors_at,
-)
-from .parser import parse_query
-from .relalg import (
-    Aliased,
-    AttrRef,
-    BaseColumn,
-    Catalog,
-    Comparison,
-    Count,
-    CountGrouped,
-    Join,
-    Project,
-    RelExpr,
-    ScopeEntry,
-    Select,
-    Table,
-    ancestors,
-    attribute_index,
-    join_nodes,
-    root_count,
-    scope_of,
-)
-from .sensitivity import (
-    elastic_sensitivity,
-    join_count,
-    mf_at_distance,
-    sensitivity_log_profile,
-    sensitivity_polynomials,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Aliased",
-    "AttrRef",
-    "BaseColumn",
-    "BudgetExhausted",
-    "BudgetLedger",
-    "Catalog",
-    "Comparison",
-    "Count",
-    "CountGrouped",
-    "EvaluationError",
-    "FlexError",
-    "FormatError",
-    "InvalidParams",
-    "InvalidScale",
-    "Join",
-    "MetricsStore",
-    "MicroDatabase",
-    "MissingMetric",
-    "NegativeCount",
-    "ParseError",
-    "PrivacyParams",
-    "Project",
-    "ProtectedBinLabels",
-    "RelExpr",
-    "ReleaseResult",
-    "ScopeEntry",
-    "Select",
-    "SmoothBound",
-    "Table",
-    "TooLargeToEnumerate",
-    "UnknownColumn",
-    "UnknownTable",
-    "UnresolvedAttribute",
-    "UnsupportedQuery",
-    "ancestors",
-    "attribute_index",
-    "ball_size",
-    "catalog_from_metrics",
-    "column_max_frequency",
-    "elastic_sensitivity",
-    "eval_query",
-    "eval_rows",
-    "join_count",
-    "join_nodes",
-    "laplace_inverse_cdf",
-    "laplace_sample",
-    "load_metrics",
-    "local_sensitivity_at",
-    "make_params",
-    "metrics_collection_sql",
-    "mf_at_distance",
-    "neighbors_at",
-    "parse_query",
-    "release_count",
-    "release_histogram",
-    "root_count",
-    "save_metrics",
-    "scope_of",
-    "sensitivity_log_profile",
-    "sensitivity_polynomials",
-    "smooth_bound",
-    "validate_store",
-]
+# each public name and the module that defines it, in ``__all__`` order
+_HOMES = {
+    "Aliased": "relalg",
+    "AttrRef": "relalg",
+    "BaseColumn": "relalg",
+    "BudgetExhausted": "errors",
+    "BudgetLedger": "mechanism",
+    "Catalog": "relalg",
+    "Comparison": "relalg",
+    "Count": "relalg",
+    "CountGrouped": "relalg",
+    "EvaluationError": "errors",
+    "FlexError": "errors",
+    "FormatError": "errors",
+    "InvalidParams": "errors",
+    "InvalidScale": "errors",
+    "Join": "relalg",
+    "MetricsStore": "metrics",
+    "MicroDatabase": "oracle",
+    "MissingMetric": "errors",
+    "NegativeCount": "errors",
+    "ParseError": "errors",
+    "PrivacyParams": "mechanism",
+    "Project": "relalg",
+    "ProtectedBinLabels": "errors",
+    "RelExpr": "relalg",
+    "ReleaseResult": "mechanism",
+    "ScopeEntry": "relalg",
+    "Select": "relalg",
+    "SmoothBound": "mechanism",
+    "Table": "relalg",
+    "TooLargeToEnumerate": "errors",
+    "UnknownColumn": "errors",
+    "UnknownTable": "errors",
+    "UnresolvedAttribute": "errors",
+    "UnsupportedQuery": "errors",
+    "ancestors": "relalg",
+    "attribute_index": "relalg",
+    "ball_size": "oracle",
+    "catalog_from_metrics": "metrics",
+    "column_max_frequency": "oracle",
+    "elastic_sensitivity": "sensitivity",
+    "eval_query": "oracle",
+    "eval_rows": "oracle",
+    "join_count": "sensitivity",
+    "join_nodes": "relalg",
+    "laplace_inverse_cdf": "mechanism",
+    "laplace_sample": "mechanism",
+    "load_metrics": "metrics",
+    "local_sensitivity_at": "oracle",
+    "make_params": "mechanism",
+    "metrics_collection_sql": "metrics",
+    "mf_at_distance": "sensitivity",
+    "neighbors_at": "oracle",
+    "parse_query": "parser",
+    "release_count": "mechanism",
+    "release_histogram": "mechanism",
+    "root_count": "relalg",
+    "save_metrics": "metrics",
+    "scope_of": "relalg",
+    "sensitivity_log_profile": "sensitivity",
+    "sensitivity_polynomials": "sensitivity",
+    "smooth_bound": "mechanism",
+    "validate_store": "metrics",
+}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name):
+    if name not in _HOMES:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module("." + _HOMES[name], __name__), name)
+    globals()[name] = value  # the next lookup finds it without this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

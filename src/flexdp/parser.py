@@ -21,6 +21,11 @@ conditions, and outermost operations that are not counts.
 
 COUNT(col) is treated identically to COUNT(*): the analysis bounds how much
 the row count can change, which is unaffected by which column is named.
+
+The text is read in one regular-expression scan into (kind, text, word)
+tokens (``_tokenize``). A keyword or punctuation test compares the token's
+word, an identifier's text upper-cased once, so keywords are matched in
+any case, and a character that starts no token is refused.
 """
 
 from __future__ import annotations
@@ -60,6 +65,7 @@ _TOKEN_RE = re.compile(
     | (?P<string>'[^']*'|"[^"]*")
     | (?P<op><=|>=|<>|!=|=|<|>)
     | (?P<punc>[(),.;*])
+    | (?P<bad>\S)
     )""",
     re.VERBOSE,
 )
@@ -72,23 +78,26 @@ _KEYWORDS = {
 _FLIPPED = {"=": "=", "!=": "!=", "<": ">", ">": "<", "<=": ">=", ">=": "<="}
 
 
-def _tokenize(text: str) -> List[Tuple[str, str]]:
+def _tokenize(text: str) -> List[Tuple[str, str, str]]:
+    """The tokens of ``text`` as (kind, text, word) triples, ending with ("eof", "", "").
+
+    A token's word is its text upper-cased for an identifier, so that a
+    keyword test compares one string, and its text otherwise: a number,
+    string, operator or punctuation mark never spells a keyword, and a
+    word never spells punctuation. One scan reads every token; its last
+    alternative, one non-space character where no token starts, is refused.
+    """
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            raise ParseError("unexpected character %r" % rest[0])
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind == "comment":
-            continue
-        value = m.group()
-        tokens.append((kind, value.strip()))
-    tokens.append(("eof", ""))
+        value = m[kind]
+        if kind == "ident":
+            tokens.append((kind, value, value.upper()))
+        elif kind == "bad":
+            raise ParseError("unexpected character %r" % value)
+        elif kind != "comment":
+            tokens.append((kind, value, value))
+    tokens.append(("eof", "", ""))
     return tokens
 
 
@@ -99,39 +108,31 @@ class _Parser:
         self.catalog = catalog
         self.ctes = {}
 
-    # token plumbing
+    # token plumbing: a keyword or punctuation mark is a token's word (_tokenize)
 
-    def _peek(self) -> Tuple[str, str]:
+    def _peek(self) -> Tuple[str, str, str]:
         return self.tokens[self.pos]
 
-    def _at_keyword(self, word: str) -> bool:
-        kind, value = self._peek()
-        return kind == "ident" and value.upper() == word
+    def _at(self, word: str) -> bool:
+        return self.tokens[self.pos][2] == word
 
-    def _accept_keyword(self, word: str) -> bool:
-        if self._at_keyword(word):
+    def _accept(self, word: str) -> bool:
+        if self.tokens[self.pos][2] == word:
             self.pos += 1
             return True
         return False
 
     def _expect_keyword(self, word: str):
-        if not self._accept_keyword(word):
+        if not self._accept(word):
             raise ParseError("expected %s, found %r" % (word, self._peek()[1]))
 
-    def _accept_punc(self, value: str) -> bool:
-        kind, tok = self._peek()
-        if kind == "punc" and tok == value:
-            self.pos += 1
-            return True
-        return False
-
     def _expect_punc(self, value: str):
-        if not self._accept_punc(value):
+        if not self._accept(value):
             raise ParseError("expected %r, found %r" % (value, self._peek()[1]))
 
     def _identifier(self, what: str) -> str:
-        kind, value = self._peek()
-        if kind != "ident" or value.upper() in _KEYWORDS:
+        kind, value, word = self.tokens[self.pos]
+        if kind != "ident" or word in _KEYWORDS:
             raise ParseError("expected %s, found %r" % (what, value))
         self.pos += 1
         return value
@@ -139,7 +140,7 @@ class _Parser:
     # grammar
 
     def parse(self) -> RelExpr:
-        if self._accept_keyword("WITH"):
+        if self._accept("WITH"):
             while True:
                 name = self._identifier("subquery name")
                 if name in self.ctes:
@@ -148,10 +149,10 @@ class _Parser:
                 self._expect_punc("(")
                 self.ctes[name] = self._select_statement()
                 self._expect_punc(")")
-                if not self._accept_punc(","):
+                if not self._accept(","):
                     break
         query = self._select_statement()
-        self._accept_punc(";")
+        self._accept(";")
         if self._peek()[0] != "eof":
             raise ParseError("trailing input after query: %r" % self._peek()[1])
         root_count(query)
@@ -162,17 +163,17 @@ class _Parser:
         items = self._select_list()
         self._expect_keyword("FROM")
         rel, names = self._from_clause()
-        if self._accept_keyword("WHERE"):
+        if self._accept("WHERE"):
             predicate = tuple(self._conjunction(names))
             if isinstance(rel, Select):  # the last JOIN's other ON conjuncts: one selection
                 rel = Select(rel.predicate + predicate, rel.input)
             else:
                 rel = Select(predicate, rel)
         group_attrs = None
-        if self._accept_keyword("GROUP"):
+        if self._accept("GROUP"):
             self._expect_keyword("BY")
             group_attrs = [self._attribute()]
-            while self._accept_punc(","):
+            while self._accept(","):
                 group_attrs.append(self._attribute())
             for attr in group_attrs:
                 self._resolve(attr, names)
@@ -180,32 +181,31 @@ class _Parser:
 
     def _select_list(self):
         items = [self._select_item()]
-        while self._accept_punc(","):
+        while self._accept(","):
             items.append(self._select_item())
         return items
 
     def _select_item(self):
-        kind, value = self._peek()
-        if kind == "punc" and value == "*":
+        if self._at("*"):
             raise ParseError("SELECT * is not supported; name columns or use COUNT(*)")
-        if kind == "ident" and value.upper() == "COUNT" and self.tokens[self.pos + 1] == ("punc", "("):
+        if self._at("COUNT") and self.tokens[self.pos + 1][2] == "(":
             self.pos += 2
-            if self._accept_punc("*"):
+            if self._accept("*"):
                 arg = None
             else:
-                if self._at_keyword("DISTINCT"):
+                if self._at("DISTINCT"):
                     raise ParseError("COUNT(DISTINCT ...) is not supported")
                 arg = self._attribute()
             self._expect_punc(")")
             label = "count"
-            if self._accept_keyword("AS"):
+            if self._accept("AS"):
                 label = self._identifier("count label")
             return ("count", arg, label)
         return ("attr", self._attribute())
 
     def _attribute(self) -> AttrRef:
         first = self._identifier("column name")
-        if self._accept_punc("."):
+        if self._accept("."):
             return AttrRef(first, self._identifier("column name"))
         return AttrRef(None, first)
 
@@ -220,15 +220,15 @@ class _Parser:
         names = _Names(scope_of(rel))
         qualifiers = {entry.qualifier for entry in names.entries}  # kept as ``rel`` grows
         while True:
-            if self._accept_keyword("INNER"):
+            if self._accept("INNER"):
                 self._expect_keyword("JOIN")
-            elif self._at_keyword("JOIN"):
+            elif self._at("JOIN"):
                 self.pos += 1
-            elif self._at_keyword("LEFT") or self._at_keyword("RIGHT") or self._at_keyword("FULL"):
+            elif self._at("LEFT") or self._at("RIGHT") or self._at("FULL"):
                 raise UnsupportedQuery("outer joins are not supported")
-            elif self._at_keyword("CROSS"):
+            elif self._at("CROSS"):
                 raise UnsupportedQuery("cross joins are not supported; use an equijoin")
-            elif self._accept_punc(","):
+            elif self._accept(","):
                 raise ParseError("comma joins are not supported; use JOIN ... ON")
             else:
                 break
@@ -245,11 +245,11 @@ class _Parser:
     def _table_ref(self) -> RelExpr:
         name = self._identifier("table name")
         alias = None
-        if self._accept_keyword("AS"):
+        if self._accept("AS"):
             alias = self._identifier("table alias")
         else:
-            kind, value = self._peek()
-            if kind == "ident" and value.upper() not in _KEYWORDS:
+            kind, value, word = self._peek()
+            if kind == "ident" and word not in _KEYWORDS:
                 self.pos += 1
                 alias = value
         if name in self.ctes:
@@ -274,9 +274,9 @@ class _Parser:
         """Parse comparisons joined by AND, each attribute resolved in ``names``."""
         comparisons = [self._comparison(names)]
         while True:
-            if self._accept_keyword("AND"):
+            if self._accept("AND"):
                 comparisons.append(self._comparison(names))
-            elif self._at_keyword("OR"):
+            elif self._at("OR"):
                 if join:
                     raise UnsupportedQuery(
                         "disjunction (OR) in a join condition is not supported"
@@ -286,7 +286,7 @@ class _Parser:
                 return comparisons
 
     def _operand(self):
-        kind, value = self._peek()
+        kind, value, _ = self._peek()
         if kind == "number":
             self.pos += 1
             try:
@@ -300,7 +300,7 @@ class _Parser:
 
     def _comparison(self, names: _Names) -> Comparison:
         left = self._operand()
-        kind, op = self._peek()
+        kind, op, _ = self._peek()
         if kind != "op":
             raise ParseError("expected comparison operator, found %r" % op)
         self.pos += 1
@@ -340,13 +340,14 @@ class _Parser:
         extra = []
         for comparison in condition:
             if key is None and comparison.op == "=" and isinstance(comparison.right, AttrRef):
-                # order the two ends by position alone (AttrRef has no ordering,
-                # and a.x = a.x gives equal positions); a key has one end per side
-                pair = (comparison.left, comparison.right)
-                ends = sorted(((names.index(a), a) for a in pair), key=lambda e: e[0])
-                (i, kl), (j, kr) = ends
+                # order the two ends by position (a.x = a.x gives equal
+                # positions); a key has one end per side
+                kl, kr = comparison.left, comparison.right
+                i, j = names.index(kl), names.index(kr)
+                if j < i:
+                    i, j, kl, kr = j, i, kr, kl
                 if i < split <= j:
-                    derived = [a for n, a in ends if names.entries[n].provenance is None]
+                    derived = [a for n, a in ((i, kl), (j, kr)) if names.entries[n].provenance is None]
                     if not derived:
                         key = (kl, kr)
                         continue

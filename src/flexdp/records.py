@@ -7,8 +7,10 @@ their fields; it leaves instances unhashable, as they may change.
 ``Frozen`` records hash by their fields and refuse assignment and deletion
 with ``AttributeError``. A frozen class's ``__init__`` stores its fields
 straight into the instance ``__dict__``, where ``functools.cached_property``
-also stores what it computes: neither passes through the guard, and neither
-kind of cached value is a field.
+also stores what it computes: neither passes through the guard. An
+``__init__`` may also store there a value derived from its fields, as
+``relalg.Table`` does with its scope entries; such a value, like a cached
+one, is not a field.
 """
 
 

@@ -110,6 +110,8 @@ class Table(_Node):
     ``name`` is the stored table (used for self-join detection); ``alias`` is
     the qualifier attribute references use, which defaults to the name. The
     column tuple is copied out of the catalog so trees are self-contained.
+    The table's scope entries are built with it and kept as ``_entries``,
+    which is not a field.
     """
 
     _fields = ("name", "alias", "columns")
@@ -117,12 +119,7 @@ class Table(_Node):
     def __init__(self, name: str, alias: str, columns: tuple):
         d = self.__dict__
         d["name"], d["alias"], d["columns"] = name, alias, columns
-
-    @functools.cached_property
-    def _entries(self) -> tuple:
-        return tuple(
-            ScopeEntry(self.alias, col, BaseColumn(self.name, col)) for col in self.columns
-        )
+        d["_entries"] = tuple([ScopeEntry(alias, col, BaseColumn(name, col)) for col in columns])
 
 
 class Join(_Node):
@@ -228,7 +225,7 @@ def scope_of(r: RelExpr) -> tuple:
     it resolves every reference under ``r`` (UnresolvedAttribute).
     """
     _check_node(r)
-    # a table's entries are kept on it: the parser asks for them at every JOIN
+    # a table's entries are built with it: the parser asks for them at every JOIN
     return r._entries if isinstance(r, Table) else tuple(r._resolved[1].entries)
 
 

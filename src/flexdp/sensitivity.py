@@ -243,10 +243,13 @@ class _Log:
 
 
 def _times(p: tuple, q: tuple) -> tuple:
-    if len(q) == 1:
+    if len(q) == 1 or len(q) == 2 and q[1] == 1:
         p, q = q, p
-    if len(p) == 1:  # a constant scales the other's coefficients
-        return tuple([p[0] * c for c in q])
+    if len(p) == 1:  # a constant scales the other's coefficients; 1 keeps them
+        return q if p[0] == 1 else tuple([p[0] * c for c in q])
+    if len(p) == 2 and p[1] == 1 and q:  # n + k, a private mf: n times q, plus q one degree up
+        n = p[0]
+        return (n * q[0], *[n * a + b for a, b in zip(q[1:], q)], q[-1])
     out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         for j, b in enumerate(q):

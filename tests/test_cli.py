@@ -1248,6 +1248,33 @@ def _run_child(argv):
     return "\n".join(lines), imported
 
 
+# A process that analyses queries in memory imports the analysis layers
+# only: the package resolves its public names on first use, so neither the
+# evaluator nor csv is compiled, and every public name is still there.
+_LAYERS_CHILD = """\
+import sys
+import flexdp.parser, flexdp.relalg, flexdp.sensitivity, flexdp.mechanism, flexdp.metrics
+assert not {"flexdp.oracle", "csv"} & set(sys.modules), sorted(sys.modules)
+import flexdp
+names = {}
+exec("from flexdp import *", names)
+got = [getattr(flexdp, name) for name in flexdp.__all__]
+assert len(flexdp.__all__) == len(set(flexdp.__all__)) == 62 == len(got), flexdp.__all__
+assert set(flexdp.__all__) <= set(names) and set(flexdp.__all__) <= set(dir(flexdp))
+print("ok")
+"""
+
+
+def test_the_analysis_layers_import_without_the_evaluator():
+    src = str(pathlib.Path(flexdp.__file__).parent.parent)
+    # -S: no site module, whose start-up could import csv on its own
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _LAYERS_CHILD],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")
+
+
 def test_small_commands_run_without_numpy(tmp_path, capsys):
     # at any epsilon, down to a horizon of 10**13 distances; this process,
     # which holds numpy, prints the same numbers

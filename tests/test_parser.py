@@ -377,3 +377,41 @@ def test_chain_parse_and_compile_index_names_once():
     joins = list(join_nodes(q))  # post-order: the outermost join is last
     assert len(joins) == 300
     assert not [j for j in joins[:-1] if "_resolved" in vars(j)]
+
+
+PEOPLE = Catalog(columns={"people": ("age", "city")})
+
+# text that ends mid-statement, an unterminated string and a doubled
+# semicolon: each is refused with exactly this class and message
+TRUNCATED = [
+    ("SELECT", "expected column name, found ''"),
+    ("SELECT COUNT(", "expected column name, found ''"),
+    ("SELECT city, COUNT(*) FROM people GROUP BY", "expected column name, found ''"),
+    ("SELECT COUNT(*) FROM people WHERE age < 3 AND", "expected column name, found ''"),
+    ("SELECT COUNT(*) FROM", "expected table name, found ''"),
+    ("SELECT COUNT(*) FROM people WHERE city = 'a", "unexpected character \"'\""),
+    ("SELECT COUNT(*) FROM people;;", "trailing input after query: ';'"),
+]
+
+
+@pytest.mark.parametrize("sql,message", TRUNCATED, ids=range(len(TRUNCATED)))
+def test_truncated_and_malformed_text_messages(sql, message):
+    with pytest.raises(ParseError) as info:
+        parse(sql, PEOPLE)
+    assert type(info.value) is ParseError
+    assert str(info.value) == message
+
+
+def test_keyword_case_whitespace_and_a_final_comment_parse_to_equal_trees():
+    sql = (
+        "SELECT p.city, COUNT(*) AS n FROM people p JOIN people q ON p.city = q.city "
+        "WHERE p.age < 3 AND q.city <> 'x' GROUP BY p.city"
+    )
+    lowercase = (
+        "select p.city, count(*) as n from people p join people q on p.city = q.city "
+        "where p.age < 3 and q.city <> 'x' group by p.city"
+    )
+    expected = parse(sql, PEOPLE)
+    for text in (lowercase, sql.replace(" ", "\r\n\t"), sql + " -- no newline after this"):
+        got = parse(text, PEOPLE)
+        assert got == expected and repr(got) == repr(expected), text

@@ -490,10 +490,12 @@ def _schoolbook(p, q):
 
 
 def test_single_polynomial_arithmetic_matches_the_set_path():
-    # the zero polynomial, one, constants (the scaling path of _times) and
-    # random polynomials with large coefficients
+    # the zero polynomial, one, constants (the scaling path of _times), n + k
+    # (the shifted add of _times, on either side) and random polynomials
+    # with large coefficients
     rng = np.random.default_rng(13)
-    polys = [(), (1,), (0,), (2,), (65,), (7, 1), (10**40, 3, 0)]
+    grows = [(0, 1), (1, 1), (65, 1), (10**40, 1)]
+    polys = [(), (1,), (0,), (2,), (65,), (7, 1), (10**40, 3, 0)] + grows
     for _ in range(40):
         degree, digits = int(rng.integers(0, 7)), int(rng.integers(1, 30))
         polys.append(tuple(int(rng.integers(0, 10)) ** digits for _ in range(degree + 1)))
@@ -503,6 +505,9 @@ def test_single_polynomial_arithmetic_matches_the_set_path():
             assert times(p, q) == _schoolbook(p, q)
             assert sensitivity._Poly.mul((p,), (q,)) == undominated([_schoolbook(p, q)])
             assert sensitivity._Poly.add((p,), (q,)) == undominated([plus(p, q)])
+    for n_plus_k in grows:
+        assert times(n_plus_k, ()) == times((), n_plus_k) == ()
+        assert times(n_plus_k, (0,)) == times((0,), n_plus_k) == (0, 0)
     # a value of several polynomials still goes through the set
     a, b = ((1, 2), (3,)), ((2,), (0, 1))
     assert sensitivity._Poly.mul(a, b) == undominated(_schoolbook(p, q) for p in a for q in b)
