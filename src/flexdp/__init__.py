@@ -51,7 +51,6 @@ _HOMES = {
     "UnknownTable": "errors",
     "UnresolvedAttribute": "errors",
     "UnsupportedQuery": "errors",
-    "ancestors": "relalg",
     "attribute_index": "relalg",
     "ball_size": "oracle",
     "catalog_from_metrics": "metrics",

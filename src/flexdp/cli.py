@@ -63,6 +63,7 @@ from .mechanism import (
 from .metrics import (
     MetricsStore,
     catalog_from_metrics,
+    check_identifiers,
     load_metrics,
     metrics_collection_sql,
     save_metrics,
@@ -80,6 +81,7 @@ from .parser import parse_query
 from .relalg import (
     CountGrouped,
     attribute_index,
+    counted_relation,
     join_nodes,
     read_columns,
     root_count,
@@ -95,7 +97,7 @@ def _diag(message: str):
 def _read_query(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return handle.read()
 
 
@@ -179,7 +181,7 @@ def _parse_true_result(text: str, arity):
         return float(text)
     except ValueError:
         pass
-    with open(text, "r", encoding="utf-8") as handle:
+    with open(text, "r", encoding="utf-8-sig") as handle:
         content = handle.read()
     if arity is None:
         try:
@@ -200,8 +202,8 @@ def _parse_true_result(text: str, arity):
             )
         try:
             label = _label(parts)
-        except ValueError as exc:  # from coerce_value: more digits than Python converts
-            raise FormatError("true-result label: %s" % exc, line=lineno) from None
+        except ValueError:  # from coerce_value, whose text counts the digits
+            raise FormatError("true-result label holds an integer past the digit limit", line=lineno) from None
         try:
             count = float(count)
         except ValueError:
@@ -302,8 +304,8 @@ def cmd_release(args) -> int:
     if args.execute:
         if not args.data:
             raise InvalidParams("--execute requires --data")
-        # only the tables and columns the query reads: a release never converts the others
-        db = MicroDatabase.from_csv_dir(args.data, read=read_columns(query))
+        # only the tables and columns the query reads, resolved once for the bound and evaluation
+        db = MicroDatabase.from_csv_dir(args.data, read=read_columns(counted_relation(query)))
         true_result = eval_query(query, db)
         store = _observed_metrics(query, store, db)
     elif args.true_result is not None:
@@ -380,6 +382,8 @@ def cmd_collect_metrics(args) -> int:
     if not args.metrics:
         raise InvalidParams("collect-metrics needs --metrics to write to")
     db = MicroDatabase.from_csv_dir(args.data)
+    # as --emit-sql does: written, table a.b's column x would load back as table a's b.x
+    check_identifiers(*db.columns, *itertools.chain(*db.columns.values()))
     public = frozenset(t.strip() for t in args.public.split(",") if t.strip()) if args.public else frozenset()
     unknown = public - set(db.columns)
     if unknown:
@@ -414,8 +418,7 @@ def cmd_check(args) -> int:
         catalog = db.catalog()
         queries = sorted(n for n in os.listdir(case_dir) if n.endswith(".sql"))
         for query_name in queries:
-            with open(os.path.join(case_dir, query_name), encoding="utf-8") as handle:
-                query = parse_query(handle.read(), catalog)
+            query = parse_query(_read_query(os.path.join(case_dir, query_name)), catalog)
             for k in distances:
                 # (what, bound, actual): the sensitivity, then each join key's mf
                 checks = [

@@ -115,6 +115,13 @@ def validate_store(store: MetricsStore):
                 )
 
 
+def check_identifiers(*names: str):
+    """Raise FormatError for the first of ``names`` that is not an SQL identifier."""
+    for name in names:
+        if not _IDENT_RE.match(name):
+            raise FormatError("invalid identifier %r" % name)
+
+
 def metrics_collection_sql(table: str, column: str) -> str:
     """Return the SQL statement that collects one max-frequency metric.
 
@@ -122,9 +129,7 @@ def metrics_collection_sql(table: str, column: str) -> str:
     live database. Identifiers are validated so the template cannot be used
     for injection.
     """
-    for name in (table, column):
-        if not _IDENT_RE.match(name):
-            raise FormatError("invalid identifier %r" % name)
+    check_identifiers(table, column)
     return (
         "SELECT COUNT(%(col)s) AS mf FROM %(table)s GROUP BY %(col)s "
         "ORDER BY mf DESC LIMIT 1;" % {"col": column, "table": table}
@@ -143,7 +148,7 @@ def load_metrics(path: str) -> MetricsStore:
     public = set()
     row_counts: Dict[str, int] = {}
     section = None
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -47,6 +47,7 @@ from .relalg import (
     Table,
     _check_node,
     attribute_index,
+    counted_relation,
     postorder,
     root_count,
 )
@@ -146,15 +147,18 @@ def _refuse_first_bad_row(path: str, filename: str, name: str, width: int, conve
     A row is bad when its width differs from the header's, or when one of
     its cells at ``converted`` is an integer longer than Python converts.
     """
-    with open(os.path.join(path, filename), newline="", encoding="utf-8") as f:
+    with open(os.path.join(path, filename), newline="", encoding="utf-8-sig") as f:
         reader = csv.reader(f)
         next(reader)
         for row in filter(None, reader):
             try:
                 _check_width(row, width, name)
                 [coerce_value(row[i].strip()) for i in converted]
-            except (EvaluationError, ValueError) as exc:
+            except EvaluationError as exc:
                 raise EvaluationError("%s line %d: %s" % (filename, reader.line_num, exc)) from None
+            except ValueError:  # whose text counts the cell's digits
+                raise EvaluationError(
+                    "%s line %d: a cell holds an integer past the digit limit" % (filename, reader.line_num)) from None
     raise EvaluationError("%s changed while it was read" % filename)
 
 
@@ -214,7 +218,7 @@ class MicroDatabase(Record):
         columns: Dict[str, tuple] = {}
         for name in names:
             filename = name + ".csv"
-            with open(os.path.join(path, filename), newline="", encoding="utf-8") as f:
+            with open(os.path.join(path, filename), newline="", encoding="utf-8-sig") as f:
                 reader = csv.reader(f)
                 try:
                     header = next(reader, None)
@@ -430,9 +434,9 @@ def eval_query(q: RelExpr, db: MicroDatabase):
         count, in order of first appearance. Groups with no rows are absent.
     """
     root = root_count(q)
-    rows = eval_rows(root, db)
+    rows = eval_rows(counted_relation(root), db)
     if isinstance(root, Count):
-        return rows[0][0]
+        return len(rows)
     return {row[0] if len(row) == 2 else row[:-1]: row[-1] for row in rows}
 
 

@@ -9,7 +9,7 @@ Example::
 
     t = Table("edges", "e1", ("source", "dest"))
     q = Count(t)
-    ancestors(q)            # frozenset({'edges'})
+    read_columns(q)         # {'edges': set()}
 
 Attribute references are kept as written in the query (optional qualifier
 plus column name). ``resolve`` walks a tree once and turns every reference
@@ -17,11 +17,11 @@ under it into a position in a scope, through a name index, ``_Names``, that
 answers in O(1) and grows by one scope at a time, so no input's names are
 indexed twice. The same walk records the base columns the references read.
 A node's resolution is kept on it: ``scope_of``, ``attribute_index`` and
-``read_columns`` read it, and so does the evaluator (``flexdp.oracle``).
-The sensitivity compiler reads the positions of a walk of its own. The
-parser grows one index with each JOIN of a FROM clause. The scope entry at
-a position carries the base-table column the reference names, or ``None``
-when the value passes through an aggregation.
+``read_columns`` read it, and so do the evaluator (``flexdp.oracle``) and
+the sensitivity compiler. The parser grows one index with each JOIN of a
+FROM clause. The scope entry at a position carries the base-table column
+the reference names, or ``None`` when the value passes through an
+aggregation.
 """
 
 from __future__ import annotations
@@ -81,16 +81,12 @@ class _Node(Frozen):
     A node's resolution (``resolve``) and sensitivity plan are each
     computed at most once and kept on the node. They are not among its
     ``_fields``: node equality and hashing ignore them. Neither holds a
-    node: ``_resolved`` keeps the positions of each node of
-    ``postorder(self)``, in that order, the name index of the scope, and
-    what the references read (``read_columns``). So reference counting
-    alone frees an analysed or evaluated tree.
+    node, so reference counting alone frees an analysed or evaluated tree.
     """
 
     @functools.cached_property
     def _resolved(self) -> tuple:
-        resolved, names, read = resolve(self)
-        return [positions for _, positions in resolved], names, read
+        return resolve(self)
 
     @functools.cached_property
     def _plan(self) -> tuple:
@@ -268,11 +264,10 @@ class _Names:
         return found
 
 
-def postorder(r: RelExpr, leaves: tuple = (Table,)) -> list:
+def postorder(r: RelExpr) -> list:
     """The nodes of ``r`` in post-order: a join after its left input's nodes, then its right's.
 
-    A node of a type in ``leaves`` is listed but not entered. The walk
-    keeps an explicit stack, so it costs O(nodes) at any depth.
+    The walk keeps an explicit stack, so it costs O(nodes) at any depth.
     """
     nodes, stack = [], [r]
     while stack:
@@ -280,31 +275,31 @@ def postorder(r: RelExpr, leaves: tuple = (Table,)) -> list:
         nodes.append(r)
         if isinstance(r, Join):
             stack += (r.left, r.right)
-        elif not isinstance(r, leaves):  # every other node has one input
+        elif not isinstance(r, Table):  # every other node has one input
             _check_node(r)
             stack.append(r.input)
     return nodes[::-1]
 
 
-def resolve(r: RelExpr, leaves: tuple = (Table,)):
+def resolve(r: RelExpr):
     """Resolve every reference under ``r`` to a position, in one walk.
 
-    Returns a ``(node, positions)`` pair per node of ``postorder(r,
-    leaves)``, the name index of ``r``'s scope, and what the references
-    read: the name of each table walked, and the scope entry each
-    reference resolves to, whose provenance is the base column it reads
-    (``read_columns``). A join's positions are its keys' in its left and
-    right input, a selection's its predicate's (per comparison, its left
-    side's and its right side's or ``None`` for a literal), and a
-    projection's or grouped count's its attributes' in its input. A join
-    grows its left input's index by the right's, so a chain's names are
-    indexed once.
+    Returns the positions of each node of ``postorder(r)``, in that order,
+    the name index of ``r``'s scope, and what the references read: the
+    name of each table walked, and the scope entry each reference resolves
+    to, whose provenance is the base column it reads (``read_columns``).
+    A join's positions are its keys' in its left and right input, a
+    selection's its predicate's (per comparison, its left side's and its
+    right side's or ``None`` for a literal), a projection's or grouped
+    count's its attributes' in its input, and any other node's ``()``. A
+    join grows its left input's index by the right's, so a chain's names
+    are indexed once.
 
     Raises:
         UnresolvedAttribute: a reference names no attribute, or more than one.
     """
     resolved, done, tables, reads = [], [], [], []  # done: the name index of each finished input
-    for node in postorder(r, leaves):
+    for node in postorder(r):
         positions = ()
         if isinstance(node, Table):
             names = _Names(node._entries)
@@ -315,8 +310,7 @@ def resolve(r: RelExpr, leaves: tuple = (Table,)):
             reads += names.entries[positions[0]], right.entries[positions[1]]
             names.add(right.entries)
         elif isinstance(node, Count):
-            if not isinstance(node, leaves):
-                done.pop()
+            done.pop()
             names = _Names((ScopeEntry(None, node.label, None),))
         else:
             names = done.pop()
@@ -340,7 +334,7 @@ def resolve(r: RelExpr, leaves: tuple = (Table,)):
                 reads += used
                 keys = [e._replace(provenance=None) for e in used]
                 names = _Names(keys + [ScopeEntry(None, node.label, None)])
-        resolved.append((node, positions))
+        resolved.append(positions)
         done.append(names)
     return resolved, done.pop(), (tables, reads)
 
@@ -374,16 +368,6 @@ def read_columns(q: RelExpr) -> dict:
     return read
 
 
-def ancestors(r: RelExpr) -> frozenset:
-    """The set of base tables ``r`` reads from.
-
-    Two join operands that share an ancestor constitute a self join, which
-    the stability analysis must treat more conservatively than a join of
-    unrelated relations.
-    """
-    return frozenset(n.name for n in postorder(r) if isinstance(n, Table))
-
-
 def join_nodes(r: RelExpr):
     """Every Join node in ``r``, as an iterator in post-order.
 
@@ -406,3 +390,9 @@ def root_count(q: RelExpr) -> RelExpr:
             "outermost operation is not a count; only counting queries are supported"
         )
     return q
+
+
+def counted_relation(q: RelExpr) -> RelExpr:
+    """The relation whose stability bounds ``q``'s sensitivity: a grouped count, or a plain count's input."""
+    root = root_count(q)
+    return root if isinstance(root, CountGrouped) else root.input

@@ -28,8 +28,8 @@ node: a step per base table, join and count. The plan holds no metric
 values. A table step names its table, and a join step holds its self-join
 flag and, per key, the base column's (table, column) and the inner joins
 whose key mf multiplies it; a key that passes through an aggregation is
-rejected while compiling. The compile walk is ``relalg.resolve``'s, which
-has already turned each join key into a position in its input, and it
+rejected while compiling. The compile walk reads the node's resolution,
+where each join key is already a position in its input (``relalg``), and
 reads those inner joins off up-links from each join input to the join
 above it, so its time grows with the plan's size, at any depth.
 
@@ -76,11 +76,10 @@ from .relalg import (
     RelExpr,
     Table,
     _check_node,
-    ancestors,
     attribute_index,
+    counted_relation,
     join_nodes,
-    resolve,
-    root_count,
+    postorder,
 )
 
 
@@ -144,9 +143,9 @@ def _compile(r: RelExpr):
     up-links after it reads its keys, so that walk stops at the top of the
     join's input and no factor tuple is ever copied.
 
-    The walk is ``relalg.resolve``'s, with a nested plain count as a leaf
-    (stability 1). A join is a self join when its inputs' table sets meet,
-    and grows its left input's columns and set in place by the right's.
+    It walks ``postorder(r)`` beside ``r``'s kept positions. A nested plain
+    count (stability 1) drops its input's steps and up-links but keeps its
+    table set. A join is a self join when its inputs' table sets meet.
 
     The last step of the plan is ``r``'s. A tree of any depth compiles. It
     reads no metrics, so the result is kept on ``r`` (``_Node._plan``).
@@ -157,13 +156,18 @@ def _compile(r: RelExpr):
     """
     plan, up = [], {}
     done = []  # per walked input: (its output columns, tables, top step)
-    for node, positions in resolve(r, leaves=(Table, Count))[0]:
+    for node, positions in zip(postorder(r), r._resolved[0]):
         if isinstance(node, Table):
             columns = [(node.name, column, len(plan)) for column in node.columns]
             done.append((columns, {node.name}, len(plan)))
             plan.append(_Step("table", table=node.name))
         elif isinstance(node, Count):
-            done.append(([None], set(ancestors(node)), len(plan)))
+            tables, first = done.pop()[1:]
+            while plan[first].inputs:  # down to the leftmost step under the input's top
+                first = plan[first].inputs[0]
+            del plan[first:]
+            up = {step: link for step, link in up.items() if step < first}
+            done.append(([None], tables, first))
             plan.append(_Step("count"))
         elif isinstance(node, Join):
             right_columns, right_tables, right = done.pop()
@@ -448,15 +452,8 @@ def _evaluate(plan: list, numbers, m: MetricsStore):
     return stability, key_mfs
 
 
-def _counted_plan(q: RelExpr) -> list:
-    # a plain count moves by the counted relation's stability; a grouped
-    # count's is its own (the input's, doubled)
-    root = root_count(q)
-    return _compiled(root if isinstance(root, CountGrouped) else root.input)[0]
-
-
 def _sensitivity(q: RelExpr, m: MetricsStore, numbers):
-    return _evaluate(_counted_plan(q), numbers, m)[0][-1]
+    return _evaluate(_compiled(counted_relation(q))[0], numbers, m)[0][-1]
 
 
 def key_columns(q: RelExpr) -> list:
@@ -469,7 +466,7 @@ def key_columns(q: RelExpr) -> list:
         UnsupportedQuery: the root is not a count, or a join key lacks a
             max-frequency bound.
     """
-    return [key[:2] for step in _counted_plan(q) for key in step.keys]
+    return [key[:2] for step in _compiled(counted_relation(q))[0] for key in step.keys]
 
 
 def mf_at_distance(attr: AttrRef, r: RelExpr, k: int, m: MetricsStore) -> int:

@@ -126,6 +126,15 @@ def test_round_trip(tmp_path):
     assert load_metrics(tmp_path / "m.txt") == loaded
 
 
+def test_load_drops_a_byte_order_mark(tmp_path):
+    # as Notepad writes it; otherwise the first line is no section header
+    store = make_store(public_tables=frozenset({"zips"}))
+    save_metrics(store, tmp_path / "m.txt")
+    text = (tmp_path / "m.txt").read_text()
+    (tmp_path / "bom.txt").write_text("\ufeff" + text, encoding="utf-8")
+    assert load_metrics(tmp_path / "bom.txt") == load_metrics(tmp_path / "m.txt")
+
+
 def test_saving_and_loading_keep_the_order_columns_were_written_in(tmp_path):
     # not sorted: a catalog built from the file lists a table's columns as
     # they were written (by collect-metrics, in the CSV header's order;

@@ -120,7 +120,7 @@ def test_csv_loading_names_the_line_of_a_cell_past_the_digit_limit(tmp_path):
     # the quoted cell spans lines 3 and 4, so the long one is on line 5; a
     # later ragged row is not reached
     (tmp_path / "t.csv").write_text('a,b\n1,2\n3,"x\ny"\n%s,5\n6\n' % _LONG)
-    with pytest.raises(EvaluationError, match="^t.csv line 5: Exceeds the limit"):
+    with pytest.raises(EvaluationError, match="^t.csv line 5: a cell holds an integer past the digit limit$"):
         MicroDatabase.from_csv_dir(str(tmp_path))
 
 
@@ -133,7 +133,7 @@ def test_csv_loading_converts_only_the_columns_asked_for(tmp_path):
     assert db.columns == {"t": ("a", "b", "c"), "u": ("d",)}
     # a cell past the digit limit is refused in a converted column only,
     # and the line named is that column's, not an earlier unconverted one's
-    with pytest.raises(EvaluationError, match="^t.csv line 3: Exceeds the limit"):
+    with pytest.raises(EvaluationError, match="^t.csv line 3: a cell holds an integer past the digit limit$"):
         MicroDatabase.from_csv_dir(str(tmp_path), read={"t": {"b", "c"}})
     # the width of every row of a loaded table is checked, converted or not
     (tmp_path / "u.csv").write_text("d\n5,6\n")

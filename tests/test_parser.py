@@ -367,8 +367,9 @@ def test_on_clause_sees_only_the_inputs_joined_so_far():
 
 
 def test_chain_parse_and_compile_index_names_once():
-    # the parser, the compiler and the evaluator each grow one name index
-    # along the chain, so no join keeps a resolution of its own inputs
+    # the parser grows one name index along the chain, and the compiler and
+    # the evaluator read the one resolution kept on the counted relation, the
+    # outermost join, so no inner join keeps a resolution of its own inputs
     q = parse_query(chain_sql(300), chain_catalog(301))
     assert elastic_sensitivity(q, 0, chain_metrics(301)) == 10**300
     tables = ["t%d" % i for i in range(301)]

@@ -24,7 +24,6 @@ from flexdp import (
     Table,
     UnresolvedAttribute,
     UnsupportedQuery,
-    ancestors,
     attribute_index,
     eval_query,
     join_nodes,
@@ -182,7 +181,7 @@ def test_ancestors_and_self_join():
         return _compiled(j)[0][-1].self_join
 
     plain = _join(EDGES, USERS, "e1.dest", "u.id")
-    assert ancestors(plain) == frozenset({"edges", "users"})
+    assert set(read_columns(plain)) == {"edges", "users"}
     assert not self_join(plain)
 
     selfy = _join(EDGES, EDGES2, "e1.dest", "e2.source")

@@ -12,6 +12,7 @@ from flexdp import (
     Aliased,
     AttrRef,
     Catalog,
+    Comparison,
     Count,
     CountGrouped,
     Join,
@@ -21,6 +22,7 @@ from flexdp import (
     Project,
     Select,
     Table,
+    UnresolvedAttribute,
     UnsupportedQuery,
     attribute_index,
     catalog_from_metrics,
@@ -37,6 +39,7 @@ from flexdp import (
     smooth_bound,
 )
 from flexdp import mechanism, sensitivity
+from flexdp.relalg import counted_relation
 from flexdp.sensitivity import key_columns
 
 from _support import (
@@ -242,6 +245,34 @@ def test_join_on_aggregate_key_rejected_at_analysis():
     bad = Join(counted, EDGES, AttrRef("a", "n"), AttrRef("edges", "source"))
     with pytest.raises(UnsupportedQuery, match="a.n"):
         elastic_sensitivity(Count(bad), 0, METRICS)
+
+
+def test_a_nested_count_resolves_its_input_for_analysis_and_evaluation():
+    # the compiler reads the resolution kept on the tree, so the analysis
+    # checks a reference under a nested count as the evaluator does
+    e = Table("edges", "e", ("source", "dest"))
+    nope = Select((Comparison(AttrRef("e", "nope"), "<", 3),), e)
+    bad = Count(Aliased(Count(nope), "c"))
+    db = MicroDatabase(tables={"edges": [(1, 2)]}, columns={"edges": ("source", "dest")})
+    with pytest.raises(UnresolvedAttribute, match="^no attribute e.nope in scope$"):
+        elastic_sensitivity(bad, 0, METRICS)
+    with pytest.raises(UnresolvedAttribute, match="^no attribute e.nope in scope$"):
+        eval_query(bad, db)
+    # a valid one: the count's input steps and their up-links go, and the
+    # nested count is one stability-1 step, grouped above it as any input
+    pairs = Join(e, EDGES, AttrRef("e", "dest"), AttrRef("edges", "source"))
+    counted = Aliased(Count(pairs, label="n"), "c")
+    plan, columns, up = sensitivity._compiled(counted)
+    assert [step.op for step in plan] == ["count"] and columns == [None] and up == {}
+    grouped = CountGrouped((AttrRef("c", "n"),), counted)
+    assert [(step.op, step.inputs) for step in sensitivity._compiled(grouped)[0]] == [
+        ("count", ()), ("grouped", (0,))]
+    assert elastic_sensitivity(Count(counted), 3, METRICS) == 1
+    assert elastic_sensitivity(grouped, 3, METRICS) == 2
+    # so is a join key under it that the parser refuses: it has no bound
+    on_count = Join(Aliased(Count(EDGES, label="n"), "a"), e, AttrRef("a", "n"), AttrRef("e", "source"))
+    with pytest.raises(UnsupportedQuery, match="join key a.n has no max-frequency bound"):
+        elastic_sensitivity(Count(Aliased(Count(on_count), "c")), 0, METRICS)
 
 
 def test_distance_must_be_non_negative_int():
@@ -452,7 +483,7 @@ def test_keys_on_one_join_path_share_their_product_without_changing_a_number():
         cases.append((q, db.exact_metrics(public)))
     shared = 0
     for q, m in cases:
-        plan = sensitivity._counted_plan(q)
+        plan = sensitivity._compiled(counted_relation(q))[0]
         for numbers in (sensitivity._Exact(0), sensitivity._Exact(1), sensitivity._Exact(7),
                         sensitivity._Poly, sensitivity._Log(7.0)):
             key_mfs = sensitivity._evaluate(plan, numbers, m)[1]
