@@ -3,8 +3,8 @@
 The pipeline: parse a counting query into relational algebra, bound its
 sensitivity at every replacement distance using per-column max-frequency
 metrics, smooth the bound, and release the true result with calibrated
-Laplace noise. A brute-force oracle for tiny databases backs the bound with
-ground truth.
+Laplace noise. Brute-force enumeration on tiny databases (``bruteforce``)
+backs the bound with ground truth.
 
 Each public name is imported from its module on first use (PEP 562), so
 ``import flexdp.parser`` loads the parser and what it imports, not the
@@ -52,7 +52,7 @@ _HOMES = {
     "UnresolvedAttribute": "errors",
     "UnsupportedQuery": "errors",
     "attribute_index": "relalg",
-    "ball_size": "oracle",
+    "ball_size": "bruteforce",
     "catalog_from_metrics": "metrics",
     "column_max_frequency": "oracle",
     "elastic_sensitivity": "sensitivity",
@@ -63,11 +63,11 @@ _HOMES = {
     "laplace_inverse_cdf": "mechanism",
     "laplace_sample": "mechanism",
     "load_metrics": "metrics",
-    "local_sensitivity_at": "oracle",
+    "local_sensitivity_at": "bruteforce",
     "make_params": "mechanism",
     "metrics_collection_sql": "metrics",
     "mf_at_distance": "sensitivity",
-    "neighbors_at": "oracle",
+    "neighbors_at": "bruteforce",
     "parse_query": "parser",
     "release_count": "mechanism",
     "release_histogram": "mechanism",

@@ -14,12 +14,14 @@ analysis rejection, 2 budget refusal, 3 I/O or format error. A refusal
 prints ``error[<category>]: <message>`` and exits with the code that its
 error class in ``errors.py`` carries; an OSError, or an input file that is
 not UTF-8, is an I/O error. The true query result is never printed.
+``main`` runs the subcommand with the cyclic garbage collector paused and
+restores its state after: the rows, trees and plans a command builds hold
+no cycle, so reference counting frees them.
 
 ``release --execute`` reads the data before it bounds the query. It loads
 only the tables the query reads and converts only their columns that a
 join key, comparison, projection or grouping references
-(``relalg.read_columns``); the loader and evaluator run with the cyclic
-garbage collector paused. These refusals can follow that read; for each,
+(``relalg.read_columns``). These refusals can follow that read; for each,
 whether its outcome can depend on a protected row:
 
 * a CSV file that does not load (a ragged row, a cell past the field
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import fcntl
+import gc
 import itertools
 import json
 import math
@@ -74,19 +77,9 @@ from .oracle import (
     coerce_value,
     column_max_frequency,
     eval_query,
-    local_sensitivity_at,
-    max_frequency_at,
 )
 from .parser import parse_query
-from .relalg import (
-    CountGrouped,
-    attribute_index,
-    counted_relation,
-    join_nodes,
-    read_columns,
-    root_count,
-    scope_of,
-)
+from .relalg import CountGrouped, counted_relation, join_nodes, read_columns, root_count
 from .sensitivity import elastic_sensitivity, join_count, key_columns, mf_at_distance
 
 
@@ -95,8 +88,8 @@ def _diag(message: str):
 
 
 def _read_query(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+    if path == "-":  # as utf-8-sig reads a file, without a leading byte-order mark
+        return sys.stdin.read().removeprefix("\ufeff")
     with open(path, "r", encoding="utf-8-sig") as handle:
         return handle.read()
 
@@ -218,9 +211,9 @@ def _derived_bin_domain(query, store: MetricsStore, db: MicroDatabase):
     """Enumerate the bin domain from the data when every grouping column is public."""
     root = root_count(query)
     per_column = []
-    scope = scope_of(root.input)
-    for attr in root.group_attrs:
-        provenance = scope[attribute_index(attr, root.input)].provenance
+    # the grouping keys' entries, which ``resolve`` records last, in the release's one resolution
+    _, reads = root._resolved[2]
+    for _, _, provenance in reads[len(reads) - len(root.group_attrs):]:
         if provenance is None or not store.is_public(provenance.table):
             return None
         index = db.columns[provenance.table].index(provenance.column)
@@ -373,9 +366,10 @@ def cmd_collect_metrics(args) -> int:
             schema = catalog_from_metrics(load_metrics(args.metrics)).columns
         else:
             raise InvalidParams("--emit-sql needs --data or an existing --metrics file")
-        for table in sorted(schema):
-            for column in schema[table]:
-                print(metrics_collection_sql(table, column))
+        # every name checked before a statement is printed
+        statements = [metrics_collection_sql(table, column) for table in sorted(schema) for column in schema[table]]
+        for statement in statements:
+            print(statement)
         return 0
     if not args.data:
         raise InvalidParams("collect-metrics needs --data (or --emit-sql)")
@@ -399,6 +393,8 @@ def cmd_collect_metrics(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .bruteforce import local_sensitivity_at, max_frequency_at  # only check enumerates
+
     corpus = args.corpus
     case_names = sorted(
         name
@@ -487,6 +483,8 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_arg_parser().parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.handler(args)
     except FlexError as exc:
@@ -496,6 +494,9 @@ def main(argv=None) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         _diag("error[io]: %s" % exc)
         return 3
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

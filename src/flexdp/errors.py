@@ -93,7 +93,7 @@ class BudgetExhausted(FlexError):
 
 
 class TooLargeToEnumerate(FlexError):
-    """A brute-force enumeration would exceed ``oracle.ENUMERATION_GUARD`` candidates."""
+    """A brute-force enumeration would exceed ``bruteforce.ENUMERATION_GUARD`` candidates."""
 
     category, exit_code = "limits", 3
 

@@ -30,14 +30,12 @@ re-sorts them: a store keeps the order they were written in
 from __future__ import annotations
 
 import os
-import re
 from typing import Dict, Optional, Tuple
 
 from .errors import FormatError, MissingMetric, NegativeCount
+from .parser import is_identifier
 from .records import Frozen
 from .relalg import Catalog
-
-_IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
 def ascii_int(text: str) -> Optional[int]:
@@ -116,9 +114,9 @@ def validate_store(store: MetricsStore):
 
 
 def check_identifiers(*names: str):
-    """Raise FormatError for the first of ``names`` that is not an SQL identifier."""
+    """Raise FormatError for the first of ``names`` that the parser cannot read as a name."""
     for name in names:
-        if not _IDENT_RE.match(name):
+        if not is_identifier(name):
             raise FormatError("invalid identifier %r" % name)
 
 

@@ -1,4 +1,4 @@
-"""Ground truth on concrete databases: CSV loading, evaluation and enumeration.
+"""Ground truth on concrete databases: CSV loading and evaluation.
 
 ``eval_query`` is ``release --execute``'s evaluator, playing the database
 whose answer is released: it finds a table's columns by name in its header,
@@ -8,12 +8,8 @@ the pairs those reject are never built; that selection's comparisons of one
 side filter that side's rows before the join. ``MicroDatabase.from_csv_dir``
 converts only the columns it is asked for (for a release,
 ``relalg.read_columns``), a column of ASCII digits whole, every other cell
-by ``coerce_value``. Loading and evaluation pause the cyclic garbage
-collector: their rows are tuples and lists that hold no cycle, and reference
-counting frees them. ``flexdp check`` checks the bound on local sensitivity
-at distance k the slow way: it lists every database reachable by replacing
-up to k tuples and measures how much one further replacement can move the
-result.
+by ``coerce_value``. The brute force that ``flexdp check`` runs on these
+databases is in ``bruteforce``.
 
 Databases follow the bounded model: a fixed number of rows per table, and
 neighbors differ by replacing rows (never adding or removing them). Each
@@ -25,18 +21,15 @@ from __future__ import annotations
 
 import collections
 import csv
-import functools
-import gc
 import itertools
 import operator
 import os
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from .errors import EvaluationError, TooLargeToEnumerate
+from .errors import EvaluationError
 from .metrics import MetricsStore, ascii_int
 from .records import Record
 from .relalg import (
-    AttrRef,
     Catalog,
     Count,
     CountGrouped,
@@ -46,7 +39,6 @@ from .relalg import (
     Select,
     Table,
     _check_node,
-    attribute_index,
     counted_relation,
     postorder,
     root_count,
@@ -95,27 +87,6 @@ class _ObservedDomains(dict):
 def _check_width(row: tuple, width: int, name: str):
     if len(row) != width:
         raise EvaluationError("row width %d does not match columns of %r" % (len(row), name))
-
-
-def _collector_paused(fn):
-    """``fn`` run with the cyclic garbage collector paused, its state restored after.
-
-    For the loader and the evaluator: their rows are tuples and lists that
-    hold no cycle, so reference counting frees them, and the collector's
-    passes over millions of new objects would be wasted.
-    """
-
-    @functools.wraps(fn)
-    def paused(*args, **kwargs):
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            if enabled:
-                gc.enable()
-
-    return paused
 
 
 _INT_START = frozenset("-0123456789")  # the first character of every ``ascii_int``
@@ -187,7 +158,6 @@ class MicroDatabase(Record):
         self.tables, self.columns, self.domains = tables, columns, domains
 
     @classmethod
-    @_collector_paused
     def from_csv_dir(cls, path: str, read: Optional[Dict[str, Iterable[str]]] = None) -> "MicroDatabase":
         """Load every ``*.csv`` in a directory, or only the tables ``read`` names.
 
@@ -196,7 +166,6 @@ class MicroDatabase(Record):
         (``relalg.read_columns``); every other cell of it is ``None``.
         Without ``read`` every column is converted. A column of ASCII
         digits goes to ``int`` whole, every other cell by ``coerce_value``.
-        The cyclic collector is paused meanwhile.
 
         Raises:
             EvaluationError: no table to load, a named table has no file,
@@ -319,7 +288,6 @@ def _table_rows(t: Table, db: MicroDatabase) -> List[tuple]:
     return list(map(_tuple_getter([stored.index(col) for col in t.columns]), db.tables[t.name]))
 
 
-@_collector_paused
 def eval_rows(r: RelExpr, db: MicroDatabase) -> List[tuple]:
     """Evaluate a relational transformation to its concrete rows.
 
@@ -328,7 +296,7 @@ def eval_rows(r: RelExpr, db: MicroDatabase) -> List[tuple]:
     depth evaluates: each node pops its inputs' rows and pushes its own. A
     selection directly on a join, the next node after it, is evaluated
     inside the join (``_join``). A grouped count's rows are its groups in
-    order of first appearance. The cyclic collector is paused meanwhile.
+    order of first appearance.
     """
     _check_node(r)
     nodes, resolved = postorder(r), r._resolved[0]
@@ -438,114 +406,3 @@ def eval_query(q: RelExpr, db: MicroDatabase):
     if isinstance(root, Count):
         return len(rows)
     return {row[0] if len(row) == 2 else row[:-1]: row[-1] for row in rows}
-
-
-def ball_size(db: MicroDatabase, k: int) -> int:
-    """Exactly count the databases within replacement distance k of ``db``.
-
-    Computes the truncated product of (1 + a_p * x) over positions p, where
-    a_p is the number of alternative rows at p; the coefficient of x^i is the
-    number of databases at distance exactly i.
-    """
-    coeffs = [1]
-    for name, _ in db.positions():
-        alternatives = len(db.row_domain(name)) - 1
-        nxt = [0] * min(len(coeffs) + 1, k + 1)
-        for i, c in enumerate(coeffs):
-            if i < len(nxt):
-                nxt[i] += c
-            if i + 1 < len(nxt):
-                nxt[i + 1] += c * alternatives
-        coeffs = nxt
-    return sum(coeffs)
-
-
-ENUMERATION_GUARD = 10**6  # the most databases an enumeration visits
-
-
-def neighbors_at(db: MicroDatabase, k: int) -> Iterator[MicroDatabase]:
-    """Yield every distinct database within replacement distance k.
-
-    Includes ``db`` itself (distance 0). Each yielded database differs from
-    ``db`` in exactly the chosen positions, so no database appears twice.
-
-    Raises:
-        TooLargeToEnumerate: the ball holds more than ``ENUMERATION_GUARD`` databases.
-    """
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    total = ball_size(db, k)
-    if total > ENUMERATION_GUARD:
-        raise TooLargeToEnumerate("distance-%d ball holds %d databases" % (k, total))
-    positions = db.positions()
-    domains = {name: db.row_domain(name) for name in db.tables}
-    yield db
-    for size in range(1, k + 1):
-        for combo in itertools.combinations(positions, size):
-            pools = []
-            for name, index in combo:
-                current = db.tables[name][index]
-                pools.append([row for row in domains[name] if row != current])
-            for replacement in itertools.product(*pools):
-                yield db.replace(dict(zip(combo, replacement)))
-
-
-def max_frequency_at(attr: AttrRef, r: RelExpr, db: MicroDatabase, k: int) -> int:
-    """Exact max frequency of ``attr`` in ``r`` at distance k, by enumeration.
-
-    Maximizes, over every database within distance k of ``db``, the
-    multiplicity of the most frequent value of ``attr`` in ``r``'s rows: the
-    quantity ``sensitivity.mf_at_distance`` bounds from the metrics alone.
-
-    Raises:
-        TooLargeToEnumerate: the distance-k ball is too large to enumerate.
-    """
-    index = attribute_index(attr, r)
-    return max(column_max_frequency(eval_rows(r, y), index) for y in neighbors_at(db, k))
-
-
-def _distance(a, b) -> float:
-    if isinstance(a, dict) or isinstance(b, dict):
-        labels = set(a) | set(b)
-        return float(sum(abs(a.get(l, 0) - b.get(l, 0)) for l in labels))
-    return float(abs(a - b))
-
-
-def local_sensitivity_at(q: RelExpr, db: MicroDatabase, k: int) -> float:
-    """Exact local sensitivity of ``q`` at distance k, by enumeration.
-
-    Maximizes, over every database y within distance k of ``db``, the change
-    in the query result caused by one further replacement in y. Histogram
-    results are compared in L1 over the union of their bins.
-
-    Raises:
-        TooLargeToEnumerate: the required enumeration exceeds ``ENUMERATION_GUARD``.
-    """
-    # every database evaluated lies within distance k+1 of the original
-    total = ball_size(db, k + 1)
-    if total > ENUMERATION_GUARD:
-        raise TooLargeToEnumerate("distance-%d ball holds %d databases" % (k + 1, total))
-    cache: Dict[tuple, object] = {}
-
-    def evaluate(d: MicroDatabase):
-        key = d.key()
-        try:
-            return cache[key]
-        except KeyError:
-            cache[key] = eval_query(q, d)
-            return cache[key]
-
-    domains = {name: db.row_domain(name) for name in db.tables}
-    worst = 0.0
-    for y in neighbors_at(db, k):
-        base = evaluate(y)
-        for name, index in y.positions():
-            current = y.tables[name][index]
-            for row in domains[name]:
-                if row == current:
-                    continue
-                moved = evaluate(y.replace({(name, index): row}))
-                delta = _distance(base, moved)
-                if delta > worst:
-                    worst = delta
-    return worst

@@ -57,11 +57,13 @@ from .relalg import (
     scope_of,
 )
 
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"  # a name, unless it spells a keyword (``is_identifier``)
+
 _TOKEN_RE = re.compile(
     r"""\s*(?:
       (?P<comment>--[^\n]*)
     | (?P<number>-?[0-9]+)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<ident>""" + _IDENT + r""")
     | (?P<string>'[^']*'|"[^"]*")
     | (?P<op><=|>=|<>|!=|=|<|>)
     | (?P<punc>[(),.;*])
@@ -74,6 +76,12 @@ _KEYWORDS = {
     "SELECT", "FROM", "JOIN", "INNER", "LEFT", "RIGHT", "FULL", "OUTER",
     "CROSS", "ON", "WHERE", "AND", "OR", "GROUP", "BY", "AS", "WITH",
 }
+
+
+def is_identifier(name: str) -> bool:
+    """Whether the parser reads ``name`` as a table, alias or column name: an ident token, no keyword."""
+    return re.fullmatch(_IDENT, name) is not None and name.upper() not in _KEYWORDS
+
 
 _FLIPPED = {"=": "=", "!=": "!=", "<": ">", ">": "<", "<=": ">=", ">=": "<="}
 

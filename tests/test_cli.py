@@ -1,5 +1,6 @@
 """End-to-end command behavior: exit codes, streams, determinism, budget."""
 
+import gc
 import io
 import json
 import math
@@ -993,6 +994,13 @@ def test_a_query_file_that_starts_with_a_byte_order_mark_reads_as_without(worksp
     assert (code, out.splitlines()[-2:]) == (0, ["comparisons: 9", "violations: 0"]), err
 
 
+def test_a_query_on_stdin_that_starts_with_a_byte_order_mark_reads_as_without(workspace, capsys, monkeypatch):
+    argv = ("--metrics", workspace / "metrics.txt", "--epsilon", "1", "--delta", "1e-6", "--json")
+    plain = run(capsys, "analyze", workspace / "pairs.sql", *argv)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(_BOM + PAIRS_SQL))
+    assert plain[0] == 0 and run(capsys, "analyze", "-", *argv) == plain
+
+
 @pytest.mark.parametrize("query,truth", [("pairs.sql", "5\n"), ("grouped.sql", "1,2\n2,1\n")], ids=["plain", "grouped"])
 def test_a_true_result_file_that_starts_with_a_byte_order_mark_reads_as_without(workspace, capsys, query, truth):
     truth_path = workspace / "truth.txt"
@@ -1004,10 +1012,12 @@ def test_a_true_result_file_that_starts_with_a_byte_order_mark_reads_as_without(
     assert released[0] == 0 and run(capsys, *argv) == released
 
 
-@pytest.mark.parametrize("filename,header,name", [("a.b.csv", "x", "a.b"), ("t.csv", "b.x", "b.x")],
-                         ids=["table", "column"])
+@pytest.mark.parametrize("filename,header,name",
+                         [("a.b.csv", "x", "a.b"), ("t.csv", "b.x", "b.x"), ("t.csv", "from", "from")],
+                         ids=["table", "column", "keyword"])
 def test_collect_metrics_refuses_a_name_that_is_not_an_identifier(workspace, capsys, filename, header, name):
-    # written, table a.b's column x would load back as table a's column b.x
+    # written, table a.b's column x would load back as table a's column b.x,
+    # and no query could name a column called from
     data, collected = workspace / "data", workspace / "collected.txt"
     (data / filename).write_text(header + "\n2\n")
     code, out, err = run(capsys, "collect-metrics", "--data", data, "--metrics", collected)
@@ -1015,6 +1025,16 @@ def test_collect_metrics_refuses_a_name_that_is_not_an_identifier(workspace, cap
     assert sorted(os.listdir(workspace)) == ["data", "grouped.sql", "metrics.txt", "pairs.sql"]
     # the rule --emit-sql applies to the same directory
     assert run(capsys, "collect-metrics", "--data", data, "--emit-sql")[0] == 3
+
+
+def test_emit_sql_refuses_a_keyword_column_and_prints_no_statement(workspace, capsys):
+    # SELECT COUNT(from) ... GROUP BY from is not SQL; the parser reads no keyword as a name
+    data = workspace / "data"
+    (data / "t.csv").write_text("id,from\n1,2\n")
+    (workspace / "t.metrics").write_text("[tables]\nt = 1\n[mf]\nt.id = 1\nt.from = 1\n")
+    refused = (3, "", "error[io]: invalid identifier 'from'\n")
+    assert run(capsys, "collect-metrics", "--data", data, "--emit-sql") == refused
+    assert run(capsys, "collect-metrics", "--metrics", workspace / "t.metrics", "--emit-sql") == refused
 
 
 def test_check_refuses_a_corpus_without_cases(tmp_path, capsys):
@@ -1323,6 +1343,63 @@ print("ok")
 """
 
 
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_main_runs_the_handler_with_the_collector_paused_and_restores_it(workspace, capsys, monkeypatch, enabled):
+    # what a command builds holds no cycle, so reference counting frees it
+    paused, real = [], cli.cmd_analyze
+
+    def handler(args):
+        paused.append(not gc.isenabled())
+        if args.epsilon == 2:
+            raise RuntimeError("a fault outside the handled errors")
+        return real(args)
+
+    monkeypatch.setattr(cli, "cmd_analyze", handler)
+    argv = ("analyze", workspace / "pairs.sql", "--metrics", workspace / "metrics.txt", "--epsilon")
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert run(capsys, *argv, "1")[0] == 0
+        assert gc.isenabled() is enabled
+        assert run(capsys, *argv, "0")[0] == 1  # invalid-params
+        assert gc.isenabled() is enabled
+        assert run(capsys, *argv[:-2], workspace / "absent.txt", "--epsilon", "1")[0] == 3  # io
+        assert gc.isenabled() is enabled
+        with pytest.raises(RuntimeError):
+            cli.main([str(a) for a in argv] + ["2"])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert paused == [True, True, True, True]
+
+
+# A release imports no brute force; ``check`` imports it when it runs.
+_BRUTE_FORCE_CHILD = """\
+import contextlib, io, sys
+from flexdp import cli
+corpus, metrics = sys.argv[1:]
+data = corpus + "/two_tables"
+common = ["--metrics", metrics, "--epsilon", "1", "--delta", "1e-9"]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    assert cli.main(["collect-metrics", "--data", data, "--metrics", metrics]) == 0
+    assert cli.main(["analyze", data + "/q_join.sql"] + common) == 0
+    assert cli.main(["release", data + "/q_join.sql", "--execute", "--data", data, "--seed", "5"] + common) == 0
+    before = "flexdp.bruteforce" in sys.modules
+    assert cli.main(["check", "--corpus", corpus]) == 0
+print(before, "flexdp.bruteforce" in sys.modules)
+"""
+
+
+def test_only_check_imports_the_brute_force(tmp_path):
+    src = pathlib.Path(flexdp.__file__).parent.parent
+    corpus = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+    done = subprocess.run(
+        [sys.executable, "-c", _BRUTE_FORCE_CHILD, str(corpus), str(tmp_path / "metrics.txt")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=120,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False True\n", "")
+
+
 def test_the_analysis_layers_import_without_the_evaluator():
     src = str(pathlib.Path(flexdp.__file__).parent.parent)
     # -S: no site module, whose start-up could import csv on its own
@@ -1374,8 +1451,12 @@ def _two_tables_metrics(tmp_path, capsys, name, **mf):
 
 
 def test_a_plain_count_release_resolves_its_query_once(tmp_path, capsys, monkeypatch):
-    # the bound, the columns read and the evaluation share the counted relation's resolution
+    # the bound, the columns read and the evaluation share the counted relation's resolution,
+    # and so does a grouped release's bin domain, derived from a public grouping column
     data, metrics = _two_tables_metrics(tmp_path, capsys, "metrics.txt")
+    grouped = pathlib.Path(__file__).resolve().parent.parent / "corpus" / "grouped"
+    trips_metrics = tmp_path / "trips.txt"
+    assert run(capsys, "collect-metrics", "--data", grouped, "--metrics", trips_metrics, "--public", "trips")[0] == 0
     calls, resolve = [], relalg.resolve
 
     def counted_resolve(*args, **options):
@@ -1385,10 +1466,13 @@ def test_a_plain_count_release_resolves_its_query_once(tmp_path, capsys, monkeyp
     for name, module in list(sys.modules.items()):  # each module that holds it by name
         if name.startswith("flexdp") and getattr(module, "resolve", None) is resolve:
             monkeypatch.setattr(module, "resolve", counted_resolve)
-    argv = ("release", data / "q_join.sql", "--metrics", metrics, "--epsilon", "1", "--delta", "1e-9",
-            "--seed", "5", "--execute", "--data", data)
-    assert run(capsys, *argv)[0] == 0
-    assert len(calls) == 1
+    for query, metrics_path, data_dir in ((data / "q_join.sql", metrics, data),
+                                          (grouped / "q_by_city.sql", trips_metrics, grouped)):
+        calls.clear()
+        argv = ("release", query, "--metrics", metrics_path, "--epsilon", "1", "--delta", "1e-9",
+                "--seed", "5", "--execute", "--data", data_dir)
+        assert run(capsys, *argv)[0] == 0
+        assert len(calls) == 1, calls
 
 
 def test_execute_raises_stale_metrics_to_the_data(tmp_path, capsys):

@@ -23,17 +23,15 @@ from flexdp import (
     Select,
     Table,
     TooLargeToEnumerate,
-    ball_size,
     column_max_frequency,
     eval_query,
     eval_rows,
-    local_sensitivity_at,
-    neighbors_at,
     parse_query,
     root_count,
 )
 from flexdp import oracle
-from flexdp.oracle import ENUMERATION_GUARD, coerce_value, max_frequency_at
+from flexdp.bruteforce import ENUMERATION_GUARD, ball_size, local_sensitivity_at, max_frequency_at, neighbors_at
+from flexdp.oracle import coerce_value
 from flexdp.relalg import read_columns
 
 from _support import chain_catalog, chain_sql, naive_eval, random_micro_db, random_query_sql
@@ -141,29 +139,6 @@ def test_csv_loading_converts_only_the_columns_asked_for(tmp_path):
         MicroDatabase.from_csv_dir(str(tmp_path), read={"u": set()})
     with pytest.raises(EvaluationError, match="no table 'v'"):
         MicroDatabase.from_csv_dir(str(tmp_path), read={"v": {"a"}})
-
-
-@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
-def test_loading_and_evaluation_pause_the_collector_and_restore_it(tmp_path, monkeypatch, enabled):
-    (tmp_path / "t.csv").write_text("a,b\n1,2\n3,x\n")
-    paused = []
-    for name in ("_coerce_column", "_table_rows"):
-        real = getattr(oracle, name)
-        monkeypatch.setattr(oracle, name, lambda *a, real=real: paused.append(not gc.isenabled()) or real(*a))
-    was_enabled = gc.isenabled()
-    (gc.enable if enabled else gc.disable)()
-    try:
-        db = MicroDatabase.from_csv_dir(str(tmp_path))
-        assert gc.isenabled() is enabled
-        assert eval_rows(Table("t", "t", ("a", "b")), db) == [(1, 2), (3, "x")]
-        assert gc.isenabled() is enabled
-        (tmp_path / "t.csv").write_text("a,b\n1,2\n3\n")
-        with pytest.raises(EvaluationError, match="row width 1"):
-            MicroDatabase.from_csv_dir(str(tmp_path))
-        assert gc.isenabled() is enabled
-    finally:
-        (gc.enable if was_enabled else gc.disable)()
-    assert paused == [True, True, True]
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
