@@ -2,31 +2,63 @@
 
 ``flexdp check`` and the tests check the analysis' bounds against these:
 they list every database reachable from a ``MicroDatabase`` by replacing
-up to k tuples, each replacement drawn from its table's row domain, and
-evaluate the query on each with ``oracle``'s evaluator. A release never
-runs them, so ``flexdp.cli`` imports this module only in ``check``.
+up to k tuples, and evaluate the query on each with ``oracle``'s
+evaluator. A release never runs them, so ``flexdp.cli`` imports this
+module only in ``check``.
+
+Databases follow the bounded model: a fixed number of rows per table, and
+neighbors differ by replacing rows (never adding or removing them). A
+replacement row is drawn from its table's row domain, the product of its
+columns' value domains: the database's given ones, else each column's
+observed values (``oracle.column_domain``). Each call builds every row
+domain once, from the database it is given, and each neighbor from it.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator
+from typing import Dict, Iterator, List
 
 from .errors import TooLargeToEnumerate
-from .oracle import MicroDatabase, column_max_frequency, eval_query, eval_rows
+from .oracle import MicroDatabase, column_domain, column_max_frequency, eval_query, eval_rows
 from .relalg import AttrRef, RelExpr, attribute_index
 
+ENUMERATION_GUARD = 10**6  # the most databases an enumeration visits
 
-def ball_size(db: MicroDatabase, k: int) -> int:
-    """Exactly count the databases within replacement distance k of ``db``.
 
-    Computes the truncated product of (1 + a_p * x) over positions p, where
-    a_p is the number of alternative rows at p; the coefficient of x^i is the
-    number of databases at distance exactly i.
-    """
+def _row_domains(db: MicroDatabase) -> Dict[str, List[tuple]]:
+    """Every table's row domain, its rows in ``itertools.product`` order."""
+    domains = {}
+    for name, rows in db.tables.items():
+        if name in db.domains:
+            columns = db.domains[name]
+        else:
+            columns = [column_domain(rows, i) for i in range(len(db.columns[name]))]
+        domains[name] = list(itertools.product(*columns))
+    return domains
+
+
+def _positions(db: MicroDatabase) -> list:
+    """Every (table, row index), tables in name order."""
+    return [(name, i) for name in sorted(db.tables) for i in range(len(db.tables[name]))]
+
+
+def _replaced(db: MicroDatabase, updates: dict) -> MicroDatabase:
+    """``db`` with the row at each (table, index) of ``updates`` replaced; other tables are shared."""
+    tables = dict(db.tables)
+    for (name, index), row in updates.items():
+        if tables[name] is db.tables[name]:
+            tables[name] = list(tables[name])
+        tables[name][index] = row
+    neighbour = MicroDatabase.__new__(MicroDatabase)  # unchecked: a row domain's rows have db's widths
+    neighbour.tables, neighbour.columns, neighbour.domains = tables, db.columns, db.domains
+    return neighbour
+
+
+def _ball_size(db: MicroDatabase, domains: Dict[str, List[tuple]], k: int) -> int:
     coeffs = [1]
-    for name, _ in db.positions():
-        alternatives = len(db.row_domain(name)) - 1
+    for name, _ in _positions(db):
+        alternatives = len(domains[name]) - 1
         nxt = [0] * min(len(coeffs) + 1, k + 1)
         for i, c in enumerate(coeffs):
             if i < len(nxt):
@@ -37,7 +69,33 @@ def ball_size(db: MicroDatabase, k: int) -> int:
     return sum(coeffs)
 
 
-ENUMERATION_GUARD = 10**6  # the most databases an enumeration visits
+def ball_size(db: MicroDatabase, k: int) -> int:
+    """Exactly count the databases within replacement distance k of ``db``.
+
+    Computes the truncated product of (1 + a_p * x) over positions p, where
+    a_p is the number of alternative rows at p; the coefficient of x^i is the
+    number of databases at distance exactly i.
+    """
+    return _ball_size(db, _row_domains(db), k)
+
+
+def _within(db: MicroDatabase, domains: dict, k: int, guarded: int) -> Iterator[MicroDatabase]:
+    """The databases within distance k of ``db``, once the ball at distance ``guarded`` passes the guard."""
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    total = _ball_size(db, domains, guarded)
+    if total > ENUMERATION_GUARD:
+        raise TooLargeToEnumerate("distance-%d ball holds %d databases" % (guarded, total))
+    yield db
+    positions = _positions(db)
+    for size in range(1, k + 1):
+        for combo in itertools.combinations(positions, size):
+            pools = []
+            for name, index in combo:
+                current = db.tables[name][index]
+                pools.append([row for row in domains[name] if row != current])
+            for replacement in itertools.product(*pools):
+                yield _replaced(db, dict(zip(combo, replacement)))
 
 
 def neighbors_at(db: MicroDatabase, k: int) -> Iterator[MicroDatabase]:
@@ -49,22 +107,7 @@ def neighbors_at(db: MicroDatabase, k: int) -> Iterator[MicroDatabase]:
     Raises:
         TooLargeToEnumerate: the ball holds more than ``ENUMERATION_GUARD`` databases.
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    total = ball_size(db, k)
-    if total > ENUMERATION_GUARD:
-        raise TooLargeToEnumerate("distance-%d ball holds %d databases" % (k, total))
-    positions = db.positions()
-    domains = {name: db.row_domain(name) for name in db.tables}
-    yield db
-    for size in range(1, k + 1):
-        for combo in itertools.combinations(positions, size):
-            pools = []
-            for name, index in combo:
-                current = db.tables[name][index]
-                pools.append([row for row in domains[name] if row != current])
-            for replacement in itertools.product(*pools):
-                yield db.replace(dict(zip(combo, replacement)))
+    yield from _within(db, _row_domains(db), k, k)
 
 
 def max_frequency_at(attr: AttrRef, r: RelExpr, db: MicroDatabase, k: int) -> int:
@@ -98,31 +141,23 @@ def local_sensitivity_at(q: RelExpr, db: MicroDatabase, k: int) -> float:
     Raises:
         TooLargeToEnumerate: the required enumeration exceeds ``ENUMERATION_GUARD``.
     """
-    # every database evaluated lies within distance k+1 of the original
-    total = ball_size(db, k + 1)
-    if total > ENUMERATION_GUARD:
-        raise TooLargeToEnumerate("distance-%d ball holds %d databases" % (k + 1, total))
     cache: Dict[tuple, object] = {}
 
     def evaluate(d: MicroDatabase):
-        key = d.key()
-        try:
-            return cache[key]
-        except KeyError:
+        # every database here is built from db's tables, so they come in one order
+        key = tuple(map(tuple, d.tables.values()))
+        if key not in cache:
             cache[key] = eval_query(q, d)
-            return cache[key]
+        return cache[key]
 
-    domains = {name: db.row_domain(name) for name in db.tables}
+    domains, positions = _row_domains(db), _positions(db)
     worst = 0.0
-    for y in neighbors_at(db, k):
+    # every database evaluated lies within distance k+1 of the original
+    for y in _within(db, domains, k, k + 1):
         base = evaluate(y)
-        for name, index in y.positions():
+        for name, index in positions:
             current = y.tables[name][index]
             for row in domains[name]:
-                if row == current:
-                    continue
-                moved = evaluate(y.replace({(name, index): row}))
-                delta = _distance(base, moved)
-                if delta > worst:
-                    worst = delta
+                if row != current:
+                    worst = max(worst, _distance(base, evaluate(_replaced(y, {(name, index): row}))))
     return worst

@@ -59,6 +59,7 @@ from .mechanism import (
     BudgetLedger,
     PrivacyParams,
     make_params,
+    noise_scale,
     release_count,
     release_histogram,
     smooth_bound,
@@ -75,6 +76,7 @@ from .metrics import (
 from .oracle import (
     MicroDatabase,
     coerce_value,
+    column_domain,
     column_max_frequency,
     eval_query,
 )
@@ -129,7 +131,7 @@ def cmd_analyze(args) -> int:
         "k_star": bound.k_star,
         "log_S": bound.log_S,
         "S": bound.S,
-        "noise_scale": 2.0 * bound.S / params.epsilon,
+        "noise_scale": noise_scale(bound.S, params),
     }
     if args.as_json:
         # strict JSON has no inf or NaN: a non-finite float is written as null
@@ -217,7 +219,7 @@ def _derived_bin_domain(query, store: MetricsStore, db: MicroDatabase):
         if provenance is None or not store.is_public(provenance.table):
             return None
         index = db.columns[provenance.table].index(provenance.column)
-        per_column.append(db.domains[provenance.table][index])
+        per_column.append(column_domain(db.tables[provenance.table], index))
     if len(per_column) == 1:
         return per_column[0]
     return [tuple(combo) for combo in itertools.product(*per_column)]
@@ -297,10 +299,14 @@ def cmd_release(args) -> int:
     if args.execute:
         if not args.data:
             raise InvalidParams("--execute requires --data")
+        if args.true_result is not None:
+            raise InvalidParams("--execute evaluates the query on --data; it takes no --true-result")
         # only the tables and columns the query reads, resolved once for the bound and evaluation
         db = MicroDatabase.from_csv_dir(args.data, read=read_columns(counted_relation(query)))
         true_result = eval_query(query, db)
         store = _observed_metrics(query, store, db)
+    elif args.data:
+        raise InvalidParams("--data is read only with --execute")
     elif args.true_result is not None:
         true_result = _parse_true_result(args.true_result, arity)
     else:
@@ -459,9 +465,9 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     p_release = sub.add_parser("release", help="privately release a query result")
     add_common(p_release)
     p_release.add_argument("--seed", type=int, default=None)
-    p_release.add_argument("--true-result", default=None, help="value or file path")
+    p_release.add_argument("--true-result", default=None, help="value or file path (without --execute)")
     p_release.add_argument("--execute", action="store_true", help="evaluate the query on --data")
-    p_release.add_argument("--data", default=None, help="directory of CSV tables")
+    p_release.add_argument("--data", default=None, help="directory of CSV tables (with --execute)")
     p_release.add_argument("--bins", default=None, help="comma-separated histogram bin labels")
     p_release.add_argument("--budget-epsilon", type=float, default=None)
     p_release.add_argument("--budget-delta", type=float, default=None)

@@ -347,6 +347,11 @@ class ReleaseResult(Frozen):
         d["noise_scale"], d["seed"] = noise_scale, seed
 
 
+def noise_scale(S: float, p: PrivacyParams) -> float:
+    """The Laplace scale a release of smoothed sensitivity ``S`` adds: 2*S/epsilon."""
+    return 2.0 * S / p.epsilon
+
+
 def _release(
     true_values: Sequence,
     labels: Optional[Sequence],
@@ -373,7 +378,7 @@ def _release(
     ):
         raise InvalidParams("seed must be a non-negative integer")
     bound = smooth_bound(q, m, p)
-    scale = 2.0 * bound.S / p.epsilon
+    scale = noise_scale(bound.S, p)
     # inf or NaN when S or the scale is: no draw can then stay finite either
     largest = max(map(abs, values), default=0.0) + scale * _MAX_TAIL
     if not math.isfinite(math.nextafter(largest, math.inf)):

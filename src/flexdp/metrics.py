@@ -20,8 +20,9 @@ The store round-trips through a small INI-like text format::
     edges.source = 65
     edges.dest = 65
 
-Section order is free, whitespace around '=' is ignored, duplicate keys and
-unknown section names are errors. The ``[mf]`` lines give each table's
+Section order is free, whitespace around '=' is ignored, and duplicate keys,
+unknown section names and names no query can write (``check_identifiers``:
+``users.from``, ``t.b.c``) are errors. The ``[mf]`` lines give each table's
 columns in the order a catalog built from the store lists them. Nothing
 re-sorts them: a store keeps the order they were written in
 (``collect-metrics``: each CSV header's) through a save and a load.
@@ -113,11 +114,11 @@ def validate_store(store: MetricsStore):
                 )
 
 
-def check_identifiers(*names: str):
-    """Raise FormatError for the first of ``names`` that the parser cannot read as a name."""
+def check_identifiers(*names: str, line=None):
+    """Raise FormatError (at ``line``, if given) for the first of ``names`` the parser cannot read as a name."""
     for name in names:
         if not is_identifier(name):
-            raise FormatError("invalid identifier %r" % name)
+            raise FormatError("invalid identifier %r" % name, line=line)
 
 
 def metrics_collection_sql(table: str, column: str) -> str:
@@ -138,8 +139,9 @@ def load_metrics(path: str) -> MetricsStore:
     """Parse a metrics file into a MetricsStore.
 
     Raises:
-        FormatError: malformed lines, unknown sections, duplicate keys, or
-            inconsistent values (with the offending line number).
+        FormatError: malformed lines, unknown sections, duplicate keys, a
+            name that is not an identifier, or inconsistent values (with the
+            offending line number).
         NegativeCount: a negative row count or max frequency.
     """
     mf: Dict[Tuple[str, str], int] = {}
@@ -163,6 +165,7 @@ def load_metrics(path: str) -> MetricsStore:
                     raise FormatError(
                         "[public] entries are bare table names", line=lineno
                     )
+                check_identifiers(line, line=lineno)
                 if line in public:
                     raise FormatError("duplicate public table %r" % line, line=lineno)
                 public.add(line)
@@ -182,6 +185,7 @@ def load_metrics(path: str) -> MetricsStore:
                     "negative count for %r: %d" % (key, number), line=lineno
                 )
             if section == "tables":
+                check_identifiers(key, line=lineno)
                 if key in row_counts:
                     raise FormatError("duplicate table %r" % key, line=lineno)
                 row_counts[key] = number
@@ -191,6 +195,7 @@ def load_metrics(path: str) -> MetricsStore:
                         "[mf] keys are table.column, got %r" % key, line=lineno
                     )
                 table, _, column = key.partition(".")
+                check_identifiers(table, column, line=lineno)
                 if (table, column) in mf:
                     raise FormatError("duplicate mf key %r" % key, line=lineno)
                 mf[(table, column)] = number

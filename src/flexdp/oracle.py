@@ -9,12 +9,7 @@ side filter that side's rows before the join. ``MicroDatabase.from_csv_dir``
 converts only the columns it is asked for (for a release,
 ``relalg.read_columns``), a column of ASCII digits whole, every other cell
 by ``coerce_value``. The brute force that ``flexdp check`` runs on these
-databases is in ``bruteforce``.
-
-Databases follow the bounded model: a fixed number of rows per table, and
-neighbors differ by replacing rows (never adding or removing them). Each
-table column carries a finite value domain that replacement values are drawn
-from.
+databases, and the neighbour model it enumerates, are in ``bruteforce``.
 """
 
 from __future__ import annotations
@@ -24,7 +19,7 @@ import csv
 import itertools
 import operator
 import os
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Union
 
 from .errors import EvaluationError
 from .metrics import MetricsStore, ascii_int
@@ -60,28 +55,6 @@ def coerce_value(text: str) -> Value:
     """A CSV cell or a bin label: its ``ascii_int`` value, else the text (ValueError as there)."""
     number = ascii_int(text)
     return text if number is None else number
-
-
-class _ObservedDomains(dict):
-    """Per-table column domains: given ones, else each column's observed values.
-
-    An observed domain is sorted on first read from the rows the database
-    was built with. A neighbour made by ``MicroDatabase.replace`` shares
-    this mapping, so it sees the original rows' domains, never its own.
-    """
-
-    def __init__(self, given: dict, tables: dict, columns: dict):
-        super().__init__(given)
-        self._tables, self._columns = tables, columns
-
-    def __missing__(self, name: str) -> tuple:
-        rows = self._tables.get(name, [])
-        observed = tuple(
-            tuple(sorted({row[i] for row in rows}, key=repr))
-            for i in range(len(self._columns[name]))
-        )
-        self[name] = observed
-        return observed
 
 
 def _check_width(row: tuple, width: int, name: str):
@@ -134,12 +107,12 @@ def _refuse_first_bad_row(path: str, filename: str, name: str, width: int, conve
 
 
 class MicroDatabase(Record):
-    """A tiny multi-table database with explicit per-column value domains.
+    """A tiny multi-table database: each table's rows and column names.
 
-    Rows are position-indexed: neighbor enumeration replaces the row at a
-    position, so row order is meaningful for bookkeeping even though query
-    semantics are bag semantics. A table's domains, when not given, are
-    its observed values (``_ObservedDomains``).
+    ``domains`` holds the value domains a caller gave, per table one per
+    column, that ``bruteforce`` draws replacement rows from (a table
+    without one draws from its observed values). A row's width, or a given
+    domain's, that differs from its table's columns is an EvaluationError.
     """
 
     _fields = ("tables", "columns", "domains")
@@ -153,8 +126,10 @@ class MicroDatabase(Record):
         for name, cols in columns.items():
             for row in tables.get(name, []):
                 _check_width(row, len(cols), name)
-        if not isinstance(domains, _ObservedDomains):
-            domains = _ObservedDomains(domains or {}, tables, columns)
+        domains = domains or {}
+        for name, domain in domains.items():
+            if len(domain) != len(columns.get(name, ())):
+                raise EvaluationError("domain width %d does not match columns of %r" % (len(domain), name))
         self.tables, self.columns, self.domains = tables, columns, domains
 
     @classmethod
@@ -216,7 +191,7 @@ class MicroDatabase(Record):
             except ValueError:  # more digits than Python converts
                 _refuse_first_bad_row(path, filename, name, len(header), converted)
         db = cls.__new__(cls)  # skips __init__'s row-by-row check, made above
-        db.tables, db.columns, db.domains = rows_of, columns, _ObservedDomains({}, rows_of, columns)
+        db.tables, db.columns, db.domains = rows_of, columns, {}
         return db
 
     def catalog(self) -> Catalog:
@@ -233,39 +208,6 @@ class MicroDatabase(Record):
             public_tables=frozenset(public),
             row_counts={name: len(rows) for name, rows in self.tables.items()},
         )
-
-    def key(self) -> tuple:
-        return tuple(sorted((name, tuple(rows)) for name, rows in self.tables.items()))
-
-    def replace(self, updates: Dict[Tuple[str, int], tuple]) -> "MicroDatabase":
-        """Copy with the rows at the given (table, index) positions replaced.
-
-        Only the substituted rows are checked, and only their tables copied:
-        the copy shares every other table's rows, its columns and its
-        domains with this database.
-
-        Raises:
-            EvaluationError: a substituted row's width does not match its table.
-        """
-        tables = dict(self.tables)
-        for (name, index), row in updates.items():
-            _check_width(row, len(self.columns[name]), name)
-            if tables[name] is self.tables[name]:
-                tables[name] = list(tables[name])
-            tables[name][index] = row
-        neighbour = MicroDatabase.__new__(MicroDatabase)  # skips __init__'s full check
-        neighbour.tables, neighbour.columns, neighbour.domains = tables, self.columns, self.domains
-        return neighbour
-
-    def row_domain(self, name: str) -> List[tuple]:
-        return list(itertools.product(*self.domains[name]))
-
-    def positions(self) -> List[Tuple[str, int]]:
-        return [
-            (name, i)
-            for name in sorted(self.tables)
-            for i in range(len(self.tables[name]))
-        ]
 
 
 def _tuple_getter(positions: tuple):
@@ -391,6 +333,11 @@ def _filter(rows: List[tuple], tests) -> List[tuple]:
 def column_max_frequency(rows: List[tuple], index: int) -> int:
     """Multiplicity of the most frequent value at ``index``; 0 for no rows."""
     return max(collections.Counter(map(operator.itemgetter(index), rows)).values(), default=0)
+
+
+def column_domain(rows: List[tuple], index: int) -> tuple:
+    """The distinct values at ``index``, sorted by ``repr``: a column's observed domain."""
+    return tuple(sorted({row[index] for row in rows}, key=repr))
 
 
 def eval_query(q: RelExpr, db: MicroDatabase):

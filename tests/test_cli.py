@@ -711,8 +711,11 @@ def _release_pairs(capsys, workspace, *extra):
         ("--true-result", "nan"),
         ("--seed", "-1", "--true-result", "5"),
         ("--execute",),
+        # each refused before the data or a true-result file is read
+        ("--execute", "--data", "no-such-directory", "--true-result", "1000000"),
+        ("--data", "no-such-directory", "--true-result", "3"),
     ],
-    ids=["inf", "nan", "negative-seed", "execute-without-data"],
+    ids=["inf", "nan", "negative-seed", "execute-without-data", "true-result-beside-execute", "data-without-execute"],
 )
 def test_invalid_release_input_is_refused_and_charges_nothing(workspace, capsys, extra):
     code, out, err = _release_pairs(capsys, workspace, *extra)
@@ -1034,6 +1037,8 @@ def test_emit_sql_refuses_a_keyword_column_and_prints_no_statement(workspace, ca
     (workspace / "t.metrics").write_text("[tables]\nt = 1\n[mf]\nt.id = 1\nt.from = 1\n")
     refused = (3, "", "error[io]: invalid identifier 'from'\n")
     assert run(capsys, "collect-metrics", "--data", data, "--emit-sql") == refused
+    # the metrics file is refused as it loads, at the line that names the column
+    refused = (3, "", "error[io]: line 5: invalid identifier 'from'\n")
     assert run(capsys, "collect-metrics", "--metrics", workspace / "t.metrics", "--emit-sql") == refused
 
 

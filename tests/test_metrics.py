@@ -196,6 +196,13 @@ BAD_FILES = [
     ("[tables]\nt = 1\n[mf]\nt.a = \u0662\n", "not an integer", 4),
     pytest.param("[tables]\nt = %s\n" % ("9" * 5000), "'t' has 5000 digits, more than Python converts", 2,
                  id="5000-digits"),
+    # every name is one a query can write, the rule collect-metrics writes by
+    ("[tables]\nfrom = 1\n", "invalid identifier 'from'", 2),
+    ("[public]\nt.x\n", r"invalid identifier 't\.x'", 2),
+    ("[tables]\nt = 1\n[mf]\nt.a = 1\nt.from = 1\n", "invalid identifier 'from'", 5),
+    ("[mf]\nt.b.c = 1\n", r"invalid identifier 'b\.c'", 2),
+    ("[mf]\n1t.a = 1\n", "invalid identifier '1t'", 2),
+    ("[mf]\nt. a = 1\n", "invalid identifier ' a'", 2),
 ]
 
 

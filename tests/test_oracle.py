@@ -64,8 +64,10 @@ def test_csv_loading(tmp_path):
     db = MicroDatabase.from_csv_dir(str(tmp_path))
     assert db.tables["edges"] == [(1, 2), (2, "x")]
     assert db.columns["edges"] == ("source", "dest")
-    # default domain is the set of observed values per column
-    assert set(db.domains["edges"][0]) == {1, 2}
+    assert db.domains == {}  # no domain is given, and none is built at load
+    # a column's observed domain: its distinct values, sorted by repr
+    assert oracle.column_domain(db.tables["edges"], 0) == (1, 2)
+    assert oracle.column_domain(db.tables["edges"], 1) == ("x", 2)
 
 
 @pytest.mark.parametrize(
@@ -223,27 +225,27 @@ def test_a_csv_header_in_another_order_evaluates_the_same(tmp_path):
         hash(db)
 
 
-def test_domains_are_built_on_first_read_from_the_original_rows():
-    db = db_from([(1, 2), (2, 3)], name="edges")
-    assert dict(db.domains) == {}  # nothing sorted at load
-    neighbour = db.replace({("edges", 0): (7, 9)})
-    # the neighbour reads the domains of the rows it was made from
-    assert neighbour.domains["edges"] == ((1, 2), (2, 3))
-    assert db.domains["edges"] is neighbour.domains["edges"]
-    given = db_from([(1, 2)], domains=((0, 1, 2), (2,)))
-    assert given.domains["edges"] == ((0, 1, 2), (2,))
-    with pytest.raises(KeyError):
-        db.domains["nodes"]
-
-
-def test_replace_checks_the_substituted_rows():
-    db = db_from([(1, 2), (2, 3)])
-    for row in [(7,), (7, 9, 1)]:
-        with pytest.raises(EvaluationError, match="row width %d" % len(row)):
-            db.replace({("edges", 1): row})
-    neighbour = db.replace({("edges", 1): (7, 9)})
-    assert neighbour.tables == {"edges": [(1, 2), (7, 9)]}
+def test_domains_are_built_per_enumeration_from_the_original_rows(tmp_path):
+    (tmp_path / "edges.csv").write_text("source,dest\n1,2\n2,3\n")
+    db = MicroDatabase.from_csv_dir(str(tmp_path))
+    assert db.domains == {}
+    # the observed domains {1, 2} x {2, 3}: 4 rows, 3 alternatives at each of 2 positions
+    assert ball_size(db, 1) == len(list(neighbors_at(db, 1))) == 1 + 2 * 3
+    # a neighbour at distance 2 draws from the original rows' domains, never its own
+    rows = {row for d in neighbors_at(db, 2) for row in d.tables["edges"]}
+    assert rows == {(1, 2), (1, 3), (2, 2), (2, 3)}
     assert db.tables == {"edges": [(1, 2), (2, 3)]}  # the original is untouched
+    given = db_from([(1, 2)], domains=((0, 1, 2), (2,)))
+    assert given.domains == {"edges": ((0, 1, 2), (2,))}
+    assert [d.tables["edges"] for d in neighbors_at(given, 1)] == [[(1, 2)], [(0, 2)], [(2, 2)]]
+
+
+def test_a_given_domain_must_match_its_tables_columns():
+    for domain in [((1, 2),), ((1,), (2,), (3,))]:
+        with pytest.raises(EvaluationError, match="domain width %d does not match columns of 'edges'" % len(domain)):
+            db_from([(1, 2)], domains=domain)
+    with pytest.raises(EvaluationError, match="domain width 1 does not match columns of 'nodes'"):
+        MicroDatabase(tables={}, columns={}, domains={"nodes": ((1,),)})
 
 
 def test_plain_and_filtered_counts():
@@ -465,8 +467,7 @@ def test_ball_size_matches_enumeration():
     for k in range(0, 3):
         listed = list(neighbors_at(db, k))
         assert len(listed) == ball_size(db, k)
-        keys = {d.key() for d in listed}
-        assert len(keys) == len(listed)  # no duplicates
+        assert len({tuple(d.tables["edges"]) for d in listed}) == len(listed)  # no duplicates
 
 
 def test_neighbors_respect_distance():
