@@ -111,8 +111,9 @@ class MicroDatabase(Record):
 
     ``domains`` holds the value domains a caller gave, per table one per
     column, that ``bruteforce`` draws replacement rows from (a table
-    without one draws from its observed values). A row's width, or a given
-    domain's, that differs from its table's columns is an EvaluationError.
+    without one draws from its observed values). A table that ``columns``
+    does not name, or a row's width or a given domain's that differs from
+    its table's columns, is an EvaluationError.
     """
 
     _fields = ("tables", "columns", "domains")
@@ -123,9 +124,11 @@ class MicroDatabase(Record):
         columns: Dict[str, tuple],
         domains: Optional[Dict[str, tuple]] = None,
     ):
-        for name, cols in columns.items():
-            for row in tables.get(name, []):
-                _check_width(row, len(cols), name)
+        for name, rows in tables.items():
+            if name not in columns:
+                raise EvaluationError("table %r has no column names" % name)
+            for row in rows:
+                _check_width(row, len(columns[name]), name)
         domains = domains or {}
         for name, domain in domains.items():
             if len(domain) != len(columns.get(name, ())):

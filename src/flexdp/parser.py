@@ -22,10 +22,16 @@ conditions, and outermost operations that are not counts.
 COUNT(col) is treated identically to COUNT(*): the analysis bounds how much
 the row count can change, which is unaffected by which column is named.
 
-The text is read in one regular-expression scan into (kind, text, word)
-tokens (``_tokenize``). A keyword or punctuation test compares the token's
-word, an identifier's text upper-cased once, so keywords are matched in
-any case, and a character that starts no token is refused.
+The text is read in one regular-expression ``split`` into the tokens'
+texts and their words, the texts upper-cased (``_tokenize``). A keyword or
+punctuation test compares a token's word, so keywords are matched in any
+case; a token's first character tells its kind where a rule needs it; and
+a character that starts no token is refused.
+
+The parser keeps its resolution on the tree: the root and the FROM
+relation of each SELECT carry the one that ``relalg.resolve`` would
+compute, made from the name index the parser grows as it reads, so
+analysing or evaluating a parsed query resolves nothing again.
 """
 
 from __future__ import annotations
@@ -52,22 +58,27 @@ from .relalg import (
     RelExpr,
     Select,
     Table,
+    _above,
+    _comparison_positions,
+    _joined,
     _Names,
     root_count,
-    scope_of,
 )
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"  # a name, unless it spells a keyword (``is_identifier``)
 
+# One match: the white space and comments before a token, then the token's
+# text, captured, or nothing where no token starts (the end of the text, or a
+# character that is refused). The empty alternative matches wherever the
+# others fail, so a match never backtracks into a comment.
 _TOKEN_RE = re.compile(
-    r"""\s*(?:
-      (?P<comment>--[^\n]*)
-    | (?P<number>-?[0-9]+)
-    | (?P<ident>""" + _IDENT + r""")
-    | (?P<string>'[^']*'|"[^"]*")
-    | (?P<op><=|>=|<>|!=|=|<|>)
-    | (?P<punc>[(),.;*])
-    | (?P<bad>\S)
+    r"""(?:\s+|--[^\n]*)*(
+        -?[0-9]+                  # a number
+      | """ + _IDENT + r"""       # a name or keyword
+      | '[^']*' | "[^"]*"         # a string
+      | <=|>=|<>|!=|=|<|>         # an operator
+      | [(),.;*]                  # punctuation
+      |
     )""",
     re.VERBOSE,
 )
@@ -84,66 +95,69 @@ def is_identifier(name: str) -> bool:
 
 
 _FLIPPED = {"=": "=", "!=": "!=", "<": ">", ">": "<", "<=": ">=", ">=": "<="}
+_OPERATORS = {*_FLIPPED, "<>"}
+# a token's kind, where a rule asks: a number or a string by its first
+# character, a name by ``str.isidentifier`` (any other token starts with a
+# digit, '-', a quote or a symbol)
+_NUMBER_START = frozenset("-0123456789")
+_QUOTES = frozenset("'\"")
 
 
-def _tokenize(text: str) -> List[Tuple[str, str, str]]:
-    """The tokens of ``text`` as (kind, text, word) triples, ending with ("eof", "", "").
+def _tokenize(text: str) -> Tuple[List[str], List[str]]:
+    """The texts of ``text``'s tokens, ending with "" at its end, and their words.
 
-    A token's word is its text upper-cased for an identifier, so that a
-    keyword test compares one string, and its text otherwise: a number,
-    string, operator or punctuation mark never spells a keyword, and a
-    word never spells punctuation. One scan reads every token; its last
-    alternative, one non-space character where no token starts, is refused.
+    A token's word is its text upper-cased, so that a keyword test compares
+    one string; a string keeps its quotes, so only a name's word spells a
+    keyword and only a punctuation mark's spells punctuation. One ``split``
+    reads every token: the texts are at its odd indexes, and between two
+    matches lies a character no token starts with, the first of which is
+    refused.
     """
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        value = m[kind]
-        if kind == "ident":
-            tokens.append((kind, value, value.upper()))
-        elif kind == "bad":
-            raise ParseError("unexpected character %r" % value)
-        elif kind != "comment":
-            tokens.append((kind, value, value))
-    tokens.append(("eof", "", ""))
-    return tokens
+    parts = _TOKEN_RE.split(text)
+    texts = parts[1::2]
+    if any(parts[::2]):
+        raise ParseError("unexpected character %r" % next(filter(None, parts[::2]))[0])
+    return texts, [t.upper() for t in texts]
 
 
 class _Parser:
     def __init__(self, text: str, catalog: Catalog):
-        self.tokens = _tokenize(text)
+        self.texts, self.words = _tokenize(text)
         self.pos = 0
         self.catalog = catalog
         self.ctes = {}
+        # the statement being parsed: per node built, in post-order, its
+        # positions; and the tables walked and the scope entries read
+        self.positions, self.tables, self.reads = [], [], []
 
     # token plumbing: a keyword or punctuation mark is a token's word (_tokenize)
 
-    def _peek(self) -> Tuple[str, str, str]:
-        return self.tokens[self.pos]
-
     def _at(self, word: str) -> bool:
-        return self.tokens[self.pos][2] == word
+        return self.words[self.pos] == word
 
     def _accept(self, word: str) -> bool:
-        if self.tokens[self.pos][2] == word:
+        if self.words[self.pos] == word:
             self.pos += 1
             return True
         return False
 
     def _expect_keyword(self, word: str):
         if not self._accept(word):
-            raise ParseError("expected %s, found %r" % (word, self._peek()[1]))
+            raise ParseError("expected %s, found %r" % (word, self.texts[self.pos]))
 
     def _expect_punc(self, value: str):
         if not self._accept(value):
-            raise ParseError("expected %r, found %r" % (value, self._peek()[1]))
+            raise ParseError("expected %r, found %r" % (value, self.texts[self.pos]))
+
+    def _at_name(self) -> bool:
+        word = self.words[self.pos]
+        return word.isidentifier() and word not in _KEYWORDS
 
     def _identifier(self, what: str) -> str:
-        kind, value, word = self.tokens[self.pos]
-        if kind != "ident" or word in _KEYWORDS:
-            raise ParseError("expected %s, found %r" % (what, value))
+        if not self._at_name():
+            raise ParseError("expected %s, found %r" % (what, self.texts[self.pos]))
         self.pos += 1
-        return value
+        return self.texts[self.pos - 1]
 
     # grammar
 
@@ -161,31 +175,31 @@ class _Parser:
                     break
         query = self._select_statement()
         self._accept(";")
-        if self._peek()[0] != "eof":
-            raise ParseError("trailing input after query: %r" % self._peek()[1])
+        if self.texts[self.pos]:
+            raise ParseError("trailing input after query: %r" % self.texts[self.pos])
         root_count(query)
         return query
 
     def _select_statement(self) -> RelExpr:
+        """One SELECT, whose FROM relation and root each keep their resolution (``relalg.resolve``)."""
         self._expect_keyword("SELECT")
         items = self._select_list()
         self._expect_keyword("FROM")
-        rel, names = self._from_clause()
+        self.positions, self.tables, self.reads = [], [], []
+        rel, names, selection = self._from_clause()
         if self._accept("WHERE"):
-            predicate = tuple(self._conjunction(names))
-            if isinstance(rel, Select):  # the last JOIN's other ON conjuncts: one selection
-                rel = Select(rel.predicate + predicate, rel.input)
-            else:
-                rel = Select(predicate, rel)
-        group_attrs = None
+            selection += self._conjunction(names)
+        if selection:  # the last JOIN's other ON conjuncts, then the WHERE's: one selection
+            rel = self._select(rel, selection, names)
+        rel.__dict__["_resolved"] = self.positions, names, (self.tables, self.reads)
+        group_attrs = group_positions = None
         if self._accept("GROUP"):
             self._expect_keyword("BY")
             group_attrs = [self._attribute()]
             while self._accept(","):
                 group_attrs.append(self._attribute())
-            for attr in group_attrs:
-                self._resolve(attr, names)
-        return self._assemble(items, rel, names, group_attrs)
+            group_positions = tuple([self._resolve(attr, names) for attr in group_attrs])
+        return self._assemble(items, rel, names, group_attrs, group_positions)
 
     def _select_list(self):
         items = [self._select_item()]
@@ -196,7 +210,7 @@ class _Parser:
     def _select_item(self):
         if self._at("*"):
             raise ParseError("SELECT * is not supported; name columns or use COUNT(*)")
-        if self._at("COUNT") and self.tokens[self.pos + 1][2] == "(":
+        if self._at("COUNT") and self.words[self.pos + 1] == "(":
             self.pos += 2
             if self._accept("*"):
                 arg = None
@@ -218,15 +232,19 @@ class _Parser:
         return AttrRef(None, first)
 
     def _from_clause(self):
-        """The FROM relation and the name index of its scope, grown with each JOIN.
+        """The FROM relation, the name index of its scope, and its last JOIN's other ON conjuncts.
 
         Each JOIN adds its new input's names before its ON clause is
         parsed, so a condition sees the inputs joined so far, and the
-        finished index is the whole relation's.
+        finished index is the whole relation's. Each node built is recorded
+        as it is built, except the selection of the last JOIN's other
+        conjuncts, which a WHERE extends; each conjunct comes with its
+        positions.
         """
-        rel = self._table_ref()
-        names = _Names(scope_of(rel))
-        qualifiers = {entry.qualifier for entry in names.entries}  # kept as ``rel`` grows
+        rel, entries = self._table_ref()
+        names = _Names(entries)
+        qualifiers = {entry.qualifier for entry in entries}  # kept as ``rel`` grows
+        selection = []
         while True:
             if self._accept("INNER"):
                 self._expect_keyword("JOIN")
@@ -240,31 +258,40 @@ class _Parser:
                 raise ParseError("comma joins are not supported; use JOIN ... ON")
             else:
                 break
-            right = self._table_ref()
-            added = scope_of(right)
+            if selection:  # the previous JOIN's, below this one
+                rel = self._select(rel, selection, names)
+            right, added = self._table_ref()
             self._add_distinct_aliases(qualifiers, added)
             split = len(names.entries)
             names.add(added)
             self._expect_keyword("ON")
             condition = self._conjunction(names, join=True)
-            rel = self._make_join(rel, right, condition, names, split)
-        return rel, names
+            rel, selection = self._make_join(rel, right, condition, names, split)
+        return rel, names, selection
 
-    def _table_ref(self) -> RelExpr:
+    def _table_ref(self):
+        """A FROM item, recorded, and its scope entries."""
         name = self._identifier("table name")
         alias = None
         if self._accept("AS"):
             alias = self._identifier("table alias")
-        else:
-            kind, value, word = self._peek()
-            if kind == "ident" and word not in _KEYWORDS:
-                self.pos += 1
-                alias = value
-        if name in self.ctes:
-            return Aliased(self.ctes[name], alias or name)
+        elif self._at_name():
+            self.pos += 1
+            alias = self.texts[self.pos - 1]
+        if name in self.ctes:  # its recorded lists, once per reference
+            node = Aliased(self.ctes[name], alias or name)
+            positions, names, (tables, reads) = node.input._resolved
+            self.positions += positions
+            self.positions.append(())
+            self.tables += tables
+            self.reads += reads
+            return node, _above(node, names, (), self.reads).entries
         if name not in self.catalog.columns:
             raise UnknownTable("unknown table %r" % name)
-        return Table(name, alias or name, tuple(self.catalog.columns[name]))
+        node = Table(name, alias or name, tuple(self.catalog.columns[name]))
+        self.positions.append(())
+        self.tables.append(name)
+        return node, node._entries
 
     @staticmethod
     def _add_distinct_aliases(qualifiers: set, entries: tuple):
@@ -279,7 +306,7 @@ class _Parser:
         qualifiers |= added
 
     def _conjunction(self, names: _Names, join: bool = False):
-        """Parse comparisons joined by AND, each attribute resolved in ``names``."""
+        """Parse comparisons joined by AND, each with its positions in ``names``."""
         comparisons = [self._comparison(names)]
         while True:
             if self._accept("AND"):
@@ -294,22 +321,23 @@ class _Parser:
                 return comparisons
 
     def _operand(self):
-        kind, value, _ = self._peek()
-        if kind == "number":
+        value = self.texts[self.pos]
+        if value[:1] in _NUMBER_START:
             self.pos += 1
             try:
                 return int(value)
             except ValueError as exc:  # more digits than Python converts
                 raise ParseError("integer literal: %s" % exc) from None
-        if kind == "string":
+        if value[:1] in _QUOTES:
             self.pos += 1
             return value[1:-1]
         return self._attribute()
 
-    def _comparison(self, names: _Names) -> Comparison:
+    def _comparison(self, names: _Names):
+        """A comparison and its positions (``relalg._comparison_positions``)."""
         left = self._operand()
-        kind, op, _ = self._peek()
-        if kind != "op":
+        op = self.texts[self.pos]
+        if op not in _OPERATORS:
             raise ParseError("expected comparison operator, found %r" % op)
         self.pos += 1
         if op == "<>":
@@ -322,10 +350,10 @@ class _Parser:
         comparison = Comparison(left, op, right)
         # every referenced attribute must resolve uniquely across the whole
         # scope; a bare name visible on both sides of a join is ambiguous
-        for attr in (comparison.left, comparison.right):
-            if isinstance(attr, AttrRef):
-                self._resolve(attr, names)
-        return comparison
+        try:
+            return comparison, _comparison_positions(names, comparison)
+        except UnresolvedAttribute as exc:
+            raise UnknownColumn(str(exc)) from None
 
     @staticmethod
     def _resolve(attr: AttrRef, names: _Names) -> int:
@@ -335,32 +363,39 @@ class _Parser:
         except UnresolvedAttribute as exc:
             raise UnknownColumn(str(exc)) from None
 
-    @staticmethod
-    def _make_join(left: RelExpr, right: RelExpr, condition, names: _Names, split: int) -> RelExpr:
-        """The join of ``left`` and ``right`` on ``condition``.
+    def _select(self, rel: RelExpr, selection: list, names: _Names) -> Select:
+        """The selection on ``rel`` of ``selection``'s comparisons, recorded."""
+        node = Select(tuple([comparison for comparison, _ in selection]), rel)
+        positions = tuple([pair for _, pair in selection])
+        self.positions.append(positions)
+        _above(node, names, positions, self.reads)
+        return node
+
+    def _make_join(self, left: RelExpr, right: RelExpr, condition, names: _Names, split: int):
+        """The join of ``left`` and ``right`` on ``condition``, and its conjuncts other than the key.
 
         ``names`` indexes both inputs' scopes, the right's from position
-        ``split`` on. Conjuncts other than the key are a ``Select`` above
-        the ``Join``.
+        ``split`` on, and the conjuncts' positions are in it. The join is
+        recorded.
         """
         key = None
         derived_key = None
         extra = []
-        for comparison in condition:
-            if key is None and comparison.op == "=" and isinstance(comparison.right, AttrRef):
+        for comparison, pair in condition:
+            i, j = pair
+            if key is None and comparison.op == "=" and j is not None:
                 # order the two ends by position (a.x = a.x gives equal
                 # positions); a key has one end per side
                 kl, kr = comparison.left, comparison.right
-                i, j = names.index(kl), names.index(kr)
                 if j < i:
                     i, j, kl, kr = j, i, kr, kl
                 if i < split <= j:
                     derived = [a for n, a in ((i, kl), (j, kr)) if names.entries[n].provenance is None]
                     if not derived:
-                        key = (kl, kr)
+                        key, positions = (kl, kr), (i, j - split)
                         continue
                     derived_key = derived_key or derived[0]
-            extra.append(comparison)
+            extra.append((comparison, pair))
         if key is None:
             if derived_key is not None:
                 raise UnsupportedQuery(
@@ -369,12 +404,14 @@ class _Parser:
                 )
             raise UnsupportedQuery(
                 "join condition has no equijoin term between the two inputs: %s"
-                % " AND ".join(str(c) for c in condition)
+                % " AND ".join(str(c) for c, _ in condition)
             )
-        join = Join(left, right, key[0], key[1])
-        return Select(tuple(extra), join) if extra else join
+        self.positions.append(positions)
+        self.reads += _joined(names.entries, positions, split)
+        return Join(left, right, key[0], key[1]), extra
 
-    def _assemble(self, items, rel, names, group_attrs) -> RelExpr:
+    def _assemble(self, items, rel, names, group_attrs, group_positions) -> RelExpr:
+        """The statement's root on ``rel``, whose index is ``names``, keeping its resolution."""
         count_items = [item for item in items if item[0] == "count"]
         plain_attrs = [item[1] for item in items if item[0] == "attr"]
         if len(count_items) > 1:
@@ -388,19 +425,23 @@ class _Parser:
                     raise ParseError(
                         "non-aggregated column %s requires GROUP BY" % plain_attrs[0]
                     )
-                return Count(rel, label)
-            grouped = {self._resolve(g, names) for g in group_attrs}
-            for attr in plain_attrs:
-                if self._resolve(attr, names) not in grouped:
-                    raise ParseError(
-                        "column %s is not in the GROUP BY list" % attr
-                    )
-            return CountGrouped(tuple(group_attrs), rel, label)
-        if group_attrs is not None:
-            raise ParseError("GROUP BY without a COUNT expression")
-        for attr in plain_attrs:
-            self._resolve(attr, names)
-        return Project(tuple(plain_attrs), rel)
+                root, positions = Count(rel, label), ()
+            else:
+                for attr in plain_attrs:
+                    if self._resolve(attr, names) not in group_positions:
+                        raise ParseError(
+                            "column %s is not in the GROUP BY list" % attr
+                        )
+                root, positions = CountGrouped(tuple(group_attrs), rel, label), group_positions
+        else:
+            if group_attrs is not None:
+                raise ParseError("GROUP BY without a COUNT expression")
+            positions = tuple([self._resolve(attr, names) for attr in plain_attrs])
+            root = Project(tuple(plain_attrs), rel)
+        reads = self.reads[:]
+        names = _above(root, names, positions, reads)
+        root.__dict__["_resolved"] = self.positions + [positions], names, (self.tables, reads)
+        return root
 
 
 def parse_query(text: str, catalog: Catalog) -> RelExpr:

@@ -19,9 +19,11 @@ indexed twice. The same walk records the base columns the references read.
 A node's resolution is kept on it: ``scope_of``, ``attribute_index`` and
 ``read_columns`` read it, and so do the evaluator (``flexdp.oracle``) and
 the sensitivity compiler. The parser grows one index with each JOIN of a
-FROM clause. The scope entry at a position carries the base-table column
-the reference names, or ``None`` when the value passes through an
-aggregation.
+FROM clause and records, in ``resolve``'s format, the resolution of the
+trees it builds; what each kind of node reads and the scope it passes up
+are written once, in ``_joined`` and ``_above``, for both. The scope entry
+at a position carries the base-table column the reference names, or
+``None`` when the value passes through an aggregation.
 """
 
 from __future__ import annotations
@@ -79,9 +81,11 @@ class _Node(Frozen):
     """Common base of the relational node classes.
 
     A node's resolution (``resolve``) and sensitivity plan are each
-    computed at most once and kept on the node. They are not among its
-    ``_fields``: node equality and hashing ignore them. Neither holds a
-    node, so reference counting alone frees an analysed or evaluated tree.
+    computed at most once and kept on the node; the parser stores the
+    resolution of the nodes it builds as it reads them, so a parsed query
+    computes only its plan. Neither is among the node's ``_fields``: node
+    equality and hashing ignore them. Neither holds a node, so reference
+    counting alone frees an analysed or evaluated tree.
     """
 
     @functools.cached_property
@@ -289,11 +293,12 @@ def resolve(r: RelExpr):
     name of each table walked, and the scope entry each reference resolves
     to, whose provenance is the base column it reads (``read_columns``).
     A join's positions are its keys' in its left and right input, a
-    selection's its predicate's (per comparison, its left side's and its
-    right side's or ``None`` for a literal), a projection's or grouped
-    count's its attributes' in its input, and any other node's ``()``. A
-    join grows its left input's index by the right's, so a chain's names
-    are indexed once.
+    selection's its predicate's (``_comparison_positions``), a projection's
+    or grouped count's its attributes' in its input, and any other node's
+    ``()``. A join grows its left input's index by the right's, so a
+    chain's names are indexed once. What a node reads and the scope it
+    passes up follow ``_joined`` and ``_above``, which the parser also
+    follows as it records the resolution of the trees it builds.
 
     Raises:
         UnresolvedAttribute: a reference names no attribute, or more than one.
@@ -307,36 +312,55 @@ def resolve(r: RelExpr):
         elif isinstance(node, Join):
             right, names = done.pop(), done.pop()
             positions = (names.index(node.key_left), right.index(node.key_right))
-            reads += names.entries[positions[0]], right.entries[positions[1]]
+            split = len(names.entries)
             names.add(right.entries)
-        elif isinstance(node, Count):
-            done.pop()
-            names = _Names((ScopeEntry(None, node.label, None),))
+            reads += _joined(names.entries, positions, split)
         else:
             names = done.pop()
-            entries = names.entries
             if isinstance(node, Select):
-                positions = tuple(
-                    (names.index(c.left), names.index(c.right) if isinstance(c.right, AttrRef) else None)
-                    for c in node.predicate
-                )
-                reads += [entries[i] for pair in positions for i in pair if i is not None]
-            elif isinstance(node, Aliased):
-                names = _Names([e._replace(qualifier=node.alias) for e in entries])
+                positions = tuple([_comparison_positions(names, c) for c in node.predicate])
             elif isinstance(node, Project):
                 positions = tuple(map(names.index, node.attrs))
-                used = [entries[i] for i in positions]
-                reads += used
-                names = _Names(used)
-            else:  # a grouped count, whose keys lose their provenance
+            elif isinstance(node, CountGrouped):
                 positions = tuple(map(names.index, node.group_attrs))
-                used = [entries[i] for i in positions]
-                reads += used
-                keys = [e._replace(provenance=None) for e in used]
-                names = _Names(keys + [ScopeEntry(None, node.label, None)])
+            names = _above(node, names, positions, reads)
         resolved.append(positions)
         done.append(names)
     return resolved, done.pop(), (tables, reads)
+
+
+def _comparison_positions(names: _Names, c: Comparison) -> tuple:
+    """A comparison's positions in ``names``: its left side's, then its right side's or ``None`` for a literal."""
+    return names.index(c.left), names.index(c.right) if isinstance(c.right, AttrRef) else None
+
+
+def _joined(entries: list, positions: tuple, split: int) -> tuple:
+    """What a join reads: its two keys' entries in ``entries``, its inputs' scopes, the right's from ``split``."""
+    return entries[positions[0]], entries[split + positions[1]]
+
+
+def _above(node: RelExpr, names: _Names, positions: tuple, reads: list) -> _Names:
+    """The name index of ``node``, a node with one input, whose index is ``names``.
+
+    The entries that ``node``'s ``positions`` name go on ``reads``. A
+    selection passes its input's index up. An alias requalifies its input's
+    scope, a projection keeps what it names, and a grouped count keeps its
+    keys, which lose their provenance, and adds the count, which is a
+    plain count's one attribute.
+    """
+    if isinstance(node, Select):
+        entries = names.entries
+        reads += [entries[i] for pair in positions for i in pair if i is not None]
+        return names
+    if isinstance(node, Aliased):
+        return _Names([e._replace(qualifier=node.alias) for e in names.entries])
+    if isinstance(node, Count):
+        return _Names((ScopeEntry(None, node.label, None),))
+    used = [names.entries[i] for i in positions]
+    reads += used
+    if isinstance(node, Project):
+        return _Names(used)
+    return _Names([e._replace(provenance=None) for e in used] + [ScopeEntry(None, node.label, None)])
 
 
 def attribute_index(attr: AttrRef, r: RelExpr) -> int:

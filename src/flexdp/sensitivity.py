@@ -160,7 +160,7 @@ def _compile(r: RelExpr):
         if isinstance(node, Table):
             columns = [(node.name, column, len(plan)) for column in node.columns]
             done.append((columns, {node.name}, len(plan)))
-            plan.append(_Step("table", table=node.name))
+            plan.append(_Step("table", (), node.name))
         elif isinstance(node, Count):
             tables, first = done.pop()[1:]
             while plan[first].inputs:  # down to the leftmost step under the input's top
@@ -179,7 +179,7 @@ def _compile(r: RelExpr):
             step = len(plan)
             up[left], up[right] = (step, 1), (step, 0)
             self_join = not left_tables.isdisjoint(right_tables)
-            plan.append(_Step("join", (left, right), self_join=self_join, keys=keys))
+            plan.append(_Step("join", (left, right), "", self_join, keys))  # positional: cheaper than keywords
             # each input's columns and set are its own
             left_columns += right_columns
             left_tables |= right_tables

@@ -248,6 +248,15 @@ def test_a_given_domain_must_match_its_tables_columns():
         MicroDatabase(tables={}, columns={}, domains={"nodes": ((1,),)})
 
 
+def test_a_table_without_column_names_is_refused_when_built():
+    # it used to build, and the brute force then failed on the missing name with a bare KeyError
+    with pytest.raises(EvaluationError, match="^table 't' has no column names$"):
+        MicroDatabase(tables={"t": [(1,)]}, columns={})
+    with pytest.raises(EvaluationError, match="^table 't' has no column names$"):
+        MicroDatabase(tables={"s": [], "t": []}, columns={"s": ("a",)})
+    assert MicroDatabase(tables={}, columns={"t": ("a",)}).columns == {"t": ("a",)}  # columns alone stay allowed
+
+
 def test_plain_and_filtered_counts():
     query = q("SELECT COUNT(*) FROM edges", CYCLE)
     assert eval_query(query, CYCLE) == 3

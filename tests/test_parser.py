@@ -1,7 +1,14 @@
 """SQL surface: accepted shapes, tree decomposition, rejection contract."""
 
+import csv
+import hashlib
+import pathlib
+import random
+import time
+
 import pytest
 
+from flexdp import relalg
 from flexdp import (
     Aliased,
     AttrRef,
@@ -23,8 +30,9 @@ from flexdp import (
     join_nodes,
     parse_query,
 )
+from flexdp.relalg import counted_relation, resolve
 
-from _support import TRIANGLE_SQL, chain_catalog, chain_metrics, chain_sql, triangle_catalog
+from _support import TRIANGLE_SQL, chain_catalog, chain_metrics, chain_sql, random_query_sql, triangle_catalog
 
 CATALOG = Catalog(
     columns={
@@ -382,8 +390,10 @@ def test_chain_parse_and_compile_index_names_once():
 
 PEOPLE = Catalog(columns={"people": ("age", "city")})
 
-# text that ends mid-statement, an unterminated string and a doubled
-# semicolon: each is refused with exactly this class and message
+# text that ends mid-statement, an unterminated string, a doubled
+# semicolon, and a character no token starts with (after a space, between
+# two tokens, after a comment, or an unterminated string before a final
+# newline): each is refused with exactly this class and message
 TRUNCATED = [
     ("SELECT", "expected column name, found ''"),
     ("SELECT COUNT(", "expected column name, found ''"),
@@ -392,6 +402,11 @@ TRUNCATED = [
     ("SELECT COUNT(*) FROM", "expected table name, found ''"),
     ("SELECT COUNT(*) FROM people WHERE city = 'a", "unexpected character \"'\""),
     ("SELECT COUNT(*) FROM people;;", "trailing input after query: ';'"),
+    ("SELECT COUNT(*) FROM people WHERE age < @", "unexpected character '@'"),
+    ("SELECT COUNT(*)@FROM people", "unexpected character '@'"),
+    ("SELECT COUNT(*) FROM people -- it's @ here\n# WHERE age < 3", "unexpected character '#'"),
+    ("SELECT COUNT(*) FROM people WHERE city = 'a\n", "unexpected character \"'\""),
+    ("SELECT COUNT(*) FROM people WHERE city = 'a' -- done\n'", "unexpected character \"'\""),
 ]
 
 
@@ -413,6 +428,108 @@ def test_keyword_case_whitespace_and_a_final_comment_parse_to_equal_trees():
         "where p.age < 3 and q.city <> 'x' group by p.city"
     )
     expected = parse(sql, PEOPLE)
-    for text in (lowercase, sql.replace(" ", "\r\n\t"), sql + " -- no newline after this"):
+    commented = sql.replace(" WHERE", " -- it's 'open\nWHERE")  # a quote in a comment is text
+    for text in (lowercase, sql.replace(" ", "\r\n\t"), sql + " -- no newline after this", commented):
         got = parse(text, PEOPLE)
         assert got == expected and repr(got) == repr(expected), text
+
+
+def test_trailing_white_space_is_read_in_linear_time():
+    # a scanner that retries a run of white space from each of its positions
+    # takes seconds on 10 000 trailing spaces; one pass takes well under a millisecond
+    sql = "SELECT COUNT(*) FROM people WHERE age < 3"
+    start = time.perf_counter()
+    q = parse(sql + " " * 10000, PEOPLE)
+    assert time.perf_counter() - start < 1.0
+    assert q == parse(sql, PEOPLE)
+
+
+def test_a_comment_mark_in_a_string_is_text():
+    q = parse("SELECT COUNT(*) FROM people WHERE city = 'a--b' AND city != \"--\"", PEOPLE)
+    assert q.input.predicate == (
+        Comparison(AttrRef(None, "city"), "=", "a--b"),
+        Comparison(AttrRef(None, "city"), "!=", "--"),
+    )
+
+
+# ---------------------------------------------------------------------------
+# The parser records the resolution of the root and the FROM relation of each
+# SELECT it reads, in relalg.resolve's format
+# ---------------------------------------------------------------------------
+
+RECORDED_SQL = [
+    # a subquery used twice, each use an alias of the one node
+    "WITH e AS (SELECT source, dest FROM edges WHERE source < 3) "
+    "SELECT COUNT(*) FROM e a JOIN edges x ON a.dest = x.source JOIN e b ON x.dest = b.source",
+    # a grouped subquery read through a projection
+    "WITH g AS (SELECT dept, COUNT(*) AS n FROM users GROUP BY dept) SELECT g.n FROM g",
+    # ON conjuncts other than the key, merged with the WHERE's into one selection
+    "SELECT COUNT(*) FROM users u JOIN orders o ON u.id = o.uid AND u.dept != o.item "
+    "WHERE o.item = 'x' AND 3 < u.id",
+    "SELECT COUNT(item) FROM users u JOIN orders o ON u.id = o.uid",
+    # a key written right input first
+    "SELECT COUNT(*) FROM users u JOIN orders o ON o.uid = u.id WHERE o.item = 'x'",
+    # a self join with ON conjuncts other than the key, on two joins
+    "SELECT COUNT(*) FROM edges a JOIN edges b ON a.dest = b.source AND a.source < b.dest "
+    "JOIN edges c ON c.source = b.dest AND c.dest = a.source",
+    "SELECT a.dest, COUNT(*) FROM edges a JOIN edges b ON a.dest = b.source AND a.source != 2 "
+    "GROUP BY a.dest",
+]
+
+# sha256 of the trees' reprs, one a line: recording the resolution changes no tree
+PINNED_TREES = "a6baa88944e402d2473eed5190d4933b96a530a74614ed02a4598754a1b0a35e"
+
+
+class _StdlibRandom:
+    """The calls ``random_query_sql`` makes on a numpy generator, on ``random.Random``, whose stream is fixed."""
+
+    def __init__(self, seed: int):
+        self._random = random.Random(seed)
+
+    def integers(self, low: int, high: int) -> int:
+        return self._random.randrange(low, high)
+
+    def choice(self, seq):
+        return self._random.choice(seq)
+
+    def random(self) -> float:
+        return self._random.random()
+
+
+def _recorded_queries():
+    """(sql, catalog): every corpus query, 2400 generated ones (3 tables, up to 3 joins) and RECORDED_SQL."""
+    for directory in sorted((pathlib.Path(__file__).resolve().parent.parent / "corpus").iterdir()):
+        columns = {}
+        for path in sorted(directory.glob("*.csv")):
+            with open(path, newline="") as f:
+                columns[path.stem] = tuple(next(csv.reader(f)))
+        for path in sorted(directory.glob("*.sql")):
+            yield path.read_text(), Catalog(columns=columns)
+    tables = {"t%d" % i: ("a%d" % i, "b%d" % i) for i in range(3)}
+    db, catalog = MicroDatabase({t: [] for t in tables}, tables), Catalog(columns=tables)
+    rng = _StdlibRandom(31)
+    for _ in range(2400):
+        yield random_query_sql(rng, db, max_joins=3), catalog
+    for sql in RECORDED_SQL:
+        yield sql, CATALOG
+
+
+def test_the_recorded_resolution_is_the_one_resolve_computes():
+    for sql, catalog in _recorded_queries():
+        q = parse_query(sql, catalog)
+        for node in (q, counted_relation(q)):
+            positions, names, read = vars(node)["_resolved"]
+            want_positions, want_names, want_read = resolve(node)
+            assert positions == want_positions, sql
+            assert names.entries == want_names.entries and names._positions == want_names._positions, sql
+            assert read == want_read, sql
+
+
+def test_the_recorded_queries_parse_to_the_pinned_trees():
+    digest = hashlib.sha256()
+    for sql, catalog in _recorded_queries():
+        q = parse_query(sql, catalog)
+        # a repr shows every field, so a tree built from it is equal
+        assert eval(repr(q), dict(vars(relalg))) == q
+        digest.update(repr(q).encode() + b"\n")
+    assert digest.hexdigest() == PINNED_TREES
