@@ -19,7 +19,6 @@ __version__ = "0.1.0"
 _HOMES = {
     "Aliased": "relalg",
     "AttrRef": "relalg",
-    "BaseColumn": "relalg",
     "BudgetExhausted": "errors",
     "BudgetLedger": "mechanism",
     "Catalog": "relalg",

@@ -81,7 +81,15 @@ from .oracle import (
     eval_query,
 )
 from .parser import parse_query
-from .relalg import CountGrouped, counted_relation, join_nodes, read_columns, root_count
+from .relalg import (
+    CountGrouped,
+    attribute_index,
+    counted_relation,
+    join_nodes,
+    read_columns,
+    root_count,
+    scope_of,
+)
 from .sensitivity import elastic_sensitivity, join_count, key_columns, mf_at_distance
 
 
@@ -209,17 +217,15 @@ def _parse_true_result(text: str, arity):
     return bins
 
 
-def _derived_bin_domain(query, store: MetricsStore, db: MicroDatabase):
-    """Enumerate the bin domain from the data when every grouping column is public."""
-    root = root_count(query)
+def _derived_bin_domain(root: CountGrouped, store: MetricsStore, db: MicroDatabase):
+    """Enumerate the bin domain from the data when every grouping column of ``root`` is public."""
     per_column = []
-    # the grouping keys' entries, which ``resolve`` records last, in the release's one resolution
-    _, reads = root._resolved[2]
-    for _, _, provenance in reads[len(reads) - len(root.group_attrs):]:
-        if provenance is None or not store.is_public(provenance.table):
+    scope = scope_of(root.input)  # the parser records the FROM relation's resolution
+    for attr in root.group_attrs:
+        table = scope[attribute_index(attr, root.input)].table
+        if table is None or not store.is_public(table):
             return None
-        index = db.columns[provenance.table].index(provenance.column)
-        per_column.append(column_domain(db.tables[provenance.table], index))
+        per_column.append(column_domain(db.tables[table], db.columns[table].index(attr.name)))
     if len(per_column) == 1:
         return per_column[0]
     return [tuple(combo) for combo in itertools.product(*per_column)]
@@ -317,7 +323,7 @@ def cmd_release(args) -> int:
         if args.bins:
             bin_domain = _parse_bins(args.bins, arity)
         elif db is not None:
-            bin_domain = _derived_bin_domain(query, store, db)
+            bin_domain = _derived_bin_domain(root, store, db)
         if not isinstance(true_result, dict):
             raise InvalidParams("grouped query needs a per-label true result")
         result = release_histogram(

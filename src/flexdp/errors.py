@@ -30,10 +30,8 @@ class UnknownColumn(ParseError):
     """A query references a column absent from the tables in scope."""
 
 
-class UnresolvedAttribute(FlexError):
+class UnresolvedAttribute(UnknownColumn):
     """An attribute reference does not resolve (or is ambiguous) in a relation's scope."""
-
-    category = "parse"
 
 
 class UnsupportedQuery(FlexError):

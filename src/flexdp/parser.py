@@ -39,13 +39,7 @@ from __future__ import annotations
 import re
 from typing import List, Tuple
 
-from .errors import (
-    ParseError,
-    UnknownColumn,
-    UnknownTable,
-    UnresolvedAttribute,
-    UnsupportedQuery,
-)
+from .errors import ParseError, UnknownTable, UnsupportedQuery
 from .relalg import (
     Aliased,
     AttrRef,
@@ -127,8 +121,8 @@ class _Parser:
         self.catalog = catalog
         self.ctes = {}
         # the statement being parsed: per node built, in post-order, its
-        # positions; and the tables walked and the scope entries read
-        self.positions, self.tables, self.reads = [], [], []
+        # positions; and the scope entries read
+        self.positions, self.reads = [], []
 
     # token plumbing: a keyword or punctuation mark is a token's word (_tokenize)
 
@@ -185,20 +179,20 @@ class _Parser:
         self._expect_keyword("SELECT")
         items = self._select_list()
         self._expect_keyword("FROM")
-        self.positions, self.tables, self.reads = [], [], []
+        self.positions, self.reads = [], []
         rel, names, selection = self._from_clause()
         if self._accept("WHERE"):
             selection += self._conjunction(names)
         if selection:  # the last JOIN's other ON conjuncts, then the WHERE's: one selection
             rel = self._select(rel, selection, names)
-        rel.__dict__["_resolved"] = self.positions, names, (self.tables, self.reads)
+        rel.__dict__["_resolved"] = self.positions, names, self.reads
         group_attrs = group_positions = None
         if self._accept("GROUP"):
             self._expect_keyword("BY")
             group_attrs = [self._attribute()]
             while self._accept(","):
                 group_attrs.append(self._attribute())
-            group_positions = tuple([self._resolve(attr, names) for attr in group_attrs])
+            group_positions = tuple(map(names.index, group_attrs))
         return self._assemble(items, rel, names, group_attrs, group_positions)
 
     def _select_list(self):
@@ -243,7 +237,7 @@ class _Parser:
         """
         rel, entries = self._table_ref()
         names = _Names(entries)
-        qualifiers = {entry.qualifier for entry in entries}  # kept as ``rel`` grows
+        aliases = {rel.alias}  # the qualifiers of ``names``, one per FROM item
         selection = []
         while True:
             if self._accept("INNER"):
@@ -261,7 +255,11 @@ class _Parser:
             if selection:  # the previous JOIN's, below this one
                 rel = self._select(rel, selection, names)
             right, added = self._table_ref()
-            self._add_distinct_aliases(qualifiers, added)
+            if right.alias in aliases:
+                raise ParseError(
+                    "duplicate table alias %r; give each join input a distinct alias" % right.alias
+                )
+            aliases.add(right.alias)
             split = len(names.entries)
             names.add(added)
             self._expect_keyword("ON")
@@ -280,30 +278,15 @@ class _Parser:
             alias = self.texts[self.pos - 1]
         if name in self.ctes:  # its recorded lists, once per reference
             node = Aliased(self.ctes[name], alias or name)
-            positions, names, (tables, reads) = node.input._resolved
-            self.positions += positions
-            self.positions.append(())
-            self.tables += tables
+            positions, names, reads = node.input._resolved
+            self.positions += [*positions, ()]
             self.reads += reads
             return node, _above(node, names, (), self.reads).entries
         if name not in self.catalog.columns:
             raise UnknownTable("unknown table %r" % name)
         node = Table(name, alias or name, tuple(self.catalog.columns[name]))
         self.positions.append(())
-        self.tables.append(name)
         return node, node._entries
-
-    @staticmethod
-    def _add_distinct_aliases(qualifiers: set, entries: tuple):
-        """Add the qualifiers of ``entries``, the right input's scope, to the left input's; refuse a shared one."""
-        added = {entry.qualifier for entry in entries}
-        shared = qualifiers & added
-        if shared:
-            raise ParseError(
-                "duplicate table alias %r; give each join input a distinct alias"
-                % sorted(q or "" for q in shared)[0]
-            )
-        qualifiers |= added
 
     def _conjunction(self, names: _Names, join: bool = False):
         """Parse comparisons joined by AND, each with its positions in ``names``."""
@@ -326,8 +309,9 @@ class _Parser:
             self.pos += 1
             try:
                 return int(value)
-            except ValueError as exc:  # more digits than Python converts
-                raise ParseError("integer literal: %s" % exc) from None
+            except ValueError:  # a fixed text: the interpreter's own differs by version
+                digits = len(value.lstrip("-"))
+                raise ParseError("integer literal has %d digits, more than Python converts" % digits) from None
         if value[:1] in _QUOTES:
             self.pos += 1
             return value[1:-1]
@@ -350,18 +334,7 @@ class _Parser:
         comparison = Comparison(left, op, right)
         # every referenced attribute must resolve uniquely across the whole
         # scope; a bare name visible on both sides of a join is ambiguous
-        try:
-            return comparison, _comparison_positions(names, comparison)
-        except UnresolvedAttribute as exc:
-            raise UnknownColumn(str(exc)) from None
-
-    @staticmethod
-    def _resolve(attr: AttrRef, names: _Names) -> int:
-        """``names.index``, with an unknown or ambiguous name as UnknownColumn."""
-        try:
-            return names.index(attr)
-        except UnresolvedAttribute as exc:
-            raise UnknownColumn(str(exc)) from None
+        return comparison, _comparison_positions(names, comparison)
 
     def _select(self, rel: RelExpr, selection: list, names: _Names) -> Select:
         """The selection on ``rel`` of ``selection``'s comparisons, recorded."""
@@ -390,7 +363,7 @@ class _Parser:
                 if j < i:
                     i, j, kl, kr = j, i, kr, kl
                 if i < split <= j:
-                    derived = [a for n, a in ((i, kl), (j, kr)) if names.entries[n].provenance is None]
+                    derived = [a for n, a in ((i, kl), (j, kr)) if names.entries[n].table is None]
                     if not derived:
                         key, positions = (kl, kr), (i, j - split)
                         continue
@@ -419,7 +392,7 @@ class _Parser:
         if count_items:
             _, arg, label = count_items[0]
             if arg is not None:
-                self._resolve(arg, names)
+                names.index(arg)
             if group_attrs is None:
                 if plain_attrs:
                     raise ParseError(
@@ -428,7 +401,7 @@ class _Parser:
                 root, positions = Count(rel, label), ()
             else:
                 for attr in plain_attrs:
-                    if self._resolve(attr, names) not in group_positions:
+                    if names.index(attr) not in group_positions:
                         raise ParseError(
                             "column %s is not in the GROUP BY list" % attr
                         )
@@ -436,11 +409,11 @@ class _Parser:
         else:
             if group_attrs is not None:
                 raise ParseError("GROUP BY without a COUNT expression")
-            positions = tuple([self._resolve(attr, names) for attr in plain_attrs])
+            positions = tuple(map(names.index, plain_attrs))
             root = Project(tuple(plain_attrs), rel)
         reads = self.reads[:]
         names = _above(root, names, positions, reads)
-        root.__dict__["_resolved"] = self.positions + [positions], names, (self.tables, reads)
+        root.__dict__["_resolved"] = self.positions + [positions], names, reads
         return root
 
 

@@ -15,15 +15,15 @@ Attribute references are kept as written in the query (optional qualifier
 plus column name). ``resolve`` walks a tree once and turns every reference
 under it into a position in a scope, through a name index, ``_Names``, that
 answers in O(1) and grows by one scope at a time, so no input's names are
-indexed twice. The same walk records the base columns the references read.
+indexed twice. The same walk records the scope entries the references read.
 A node's resolution is kept on it: ``scope_of``, ``attribute_index`` and
 ``read_columns`` read it, and so do the evaluator (``flexdp.oracle``) and
 the sensitivity compiler. The parser grows one index with each JOIN of a
 FROM clause and records, in ``resolve``'s format, the resolution of the
 trees it builds; what each kind of node reads and the scope it passes up
-are written once, in ``_joined`` and ``_above``, for both. The scope entry
-at a position carries the base-table column the reference names, or
-``None`` when the value passes through an aggregation.
+are written once, in ``_joined`` and ``_above``, for both. No node renames
+a column, so the scope entry at a position names the base table of its
+column, or ``None`` when the value passes through an aggregation.
 """
 
 from __future__ import annotations
@@ -48,16 +48,6 @@ class AttrRef(Frozen):
         if self.qualifier:
             return "%s.%s" % (self.qualifier, self.name)
         return self.name
-
-
-class BaseColumn(Frozen):
-    """Provenance of an attribute that traces to a base-table column."""
-
-    _fields = ("table", "column")
-
-    def __init__(self, table: str, column: str):
-        d = self.__dict__
-        d["table"], d["column"] = table, column
 
 
 class Comparison(Frozen):
@@ -119,7 +109,7 @@ class Table(_Node):
     def __init__(self, name: str, alias: str, columns: tuple):
         d = self.__dict__
         d["name"], d["alias"], d["columns"] = name, alias, columns
-        d["_entries"] = tuple([ScopeEntry(alias, col, BaseColumn(name, col)) for col in columns])
+        d["_entries"] = tuple([ScopeEntry(alias, col, name) for col in columns])
 
 
 class Join(_Node):
@@ -208,11 +198,11 @@ class Catalog(Frozen):
 
 
 class ScopeEntry(NamedTuple):
-    """One attribute visible at a node: qualifier, name, and provenance."""
+    """One attribute visible at a node: qualifier, name, and its column's base table (None past an aggregation)."""
 
     qualifier: Optional[str]
     name: str
-    provenance: Optional[BaseColumn]
+    table: Optional[str]
 
 
 def scope_of(r: RelExpr) -> tuple:
@@ -221,12 +211,11 @@ def scope_of(r: RelExpr) -> tuple:
     The order matches the tuple layout the evaluator produces for the node:
     a join exposes its left input's attributes followed by the right's, a
     projection the selected subset, and so on. Aggregations expose their
-    grouping keys (with no provenance) and the count attribute. Building
+    grouping keys (with no base table) and the count attribute. Building
     it resolves every reference under ``r`` (UnresolvedAttribute).
     """
     _check_node(r)
-    # a table's entries are built with it: the parser asks for them at every JOIN
-    return r._entries if isinstance(r, Table) else tuple(r._resolved[1].entries)
+    return tuple(r._resolved[1].entries)
 
 
 _AMBIGUOUS = -1  # the position of a name that more than one entry has
@@ -289,9 +278,8 @@ def resolve(r: RelExpr):
     """Resolve every reference under ``r`` to a position, in one walk.
 
     Returns the positions of each node of ``postorder(r)``, in that order,
-    the name index of ``r``'s scope, and what the references read: the
-    name of each table walked, and the scope entry each reference resolves
-    to, whose provenance is the base column it reads (``read_columns``).
+    the name index of ``r``'s scope, and the scope entry each reference
+    resolves to, which names the base column it reads (``read_columns``).
     A join's positions are its keys' in its left and right input, a
     selection's its predicate's (``_comparison_positions``), a projection's
     or grouped count's its attributes' in its input, and any other node's
@@ -303,12 +291,11 @@ def resolve(r: RelExpr):
     Raises:
         UnresolvedAttribute: a reference names no attribute, or more than one.
     """
-    resolved, done, tables, reads = [], [], [], []  # done: the name index of each finished input
+    resolved, done, reads = [], [], []  # done: the name index of each finished input
     for node in postorder(r):
         positions = ()
         if isinstance(node, Table):
             names = _Names(node._entries)
-            tables.append(node.name)
         elif isinstance(node, Join):
             right, names = done.pop(), done.pop()
             positions = (names.index(node.key_left), right.index(node.key_right))
@@ -326,7 +313,7 @@ def resolve(r: RelExpr):
             names = _above(node, names, positions, reads)
         resolved.append(positions)
         done.append(names)
-    return resolved, done.pop(), (tables, reads)
+    return resolved, done.pop(), reads
 
 
 def _comparison_positions(names: _Names, c: Comparison) -> tuple:
@@ -345,7 +332,7 @@ def _above(node: RelExpr, names: _Names, positions: tuple, reads: list) -> _Name
     The entries that ``node``'s ``positions`` name go on ``reads``. A
     selection passes its input's index up. An alias requalifies its input's
     scope, a projection keeps what it names, and a grouped count keeps its
-    keys, which lose their provenance, and adds the count, which is a
+    keys, which lose their base table, and adds the count, which is a
     plain count's one attribute.
     """
     if isinstance(node, Select):
@@ -360,13 +347,13 @@ def _above(node: RelExpr, names: _Names, positions: tuple, reads: list) -> _Name
     reads += used
     if isinstance(node, Project):
         return _Names(used)
-    return _Names([e._replace(provenance=None) for e in used] + [ScopeEntry(None, node.label, None)])
+    return _Names([e._replace(table=None) for e in used] + [ScopeEntry(None, node.label, None)])
 
 
 def attribute_index(attr: AttrRef, r: RelExpr) -> int:
     """Return the position of ``attr`` in ``r``'s scope, the column it names in ``r``'s rows.
 
-    The entry at that position of ``scope_of(r)`` carries the provenance.
+    The entry at that position of ``scope_of(r)`` names its base table.
 
     Raises:
         UnresolvedAttribute: no attribute, or more than one, matches ``attr``.
@@ -379,16 +366,16 @@ def read_columns(q: RelExpr) -> dict:
     """Map each base table ``q`` reads to the set of its columns that ``q`` references.
 
     A column is referenced when a join key, a comparison, a projection or a
-    grouping names an attribute whose provenance (``ScopeEntry``) is that
-    column. A table none of whose columns is referenced maps to an empty set.
-    The map is built on each call from what ``resolve`` recorded on ``q``.
+    grouping names an attribute that is that column of that table
+    (``ScopeEntry``). A table none of whose columns is referenced maps to an
+    empty set. The map is built on each call from ``q``'s tables, in
+    post-order, and the entries that ``resolve`` recorded on ``q``.
     """
     _check_node(q)
-    tables, reads = q._resolved[2]
-    read = {table: set() for table in tables}
-    for _, _, provenance in reads:
-        if provenance is not None:
-            read[provenance.table].add(provenance.column)
+    read = {n.name: set() for n in postorder(q) if isinstance(n, Table)}
+    for _, name, table in q._resolved[2]:
+        if table is not None:
+            read[table].add(name)
     return read
 
 

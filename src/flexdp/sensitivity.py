@@ -120,6 +120,8 @@ def _factors(step: int, up: dict) -> tuple:
 def _key(attr: AttrRef, column, up: dict):
     """The key ``attr``, whose output column is ``column``, as (table, column, factors).
 
+    No node renames a column, so the key's base column is ``attr``'s name.
+
     Raises:
         UnsupportedQuery: the key passes through an aggregation.
     """
@@ -127,21 +129,21 @@ def _key(attr: AttrRef, column, up: dict):
         raise UnsupportedQuery(
             "join key %s has no max-frequency bound (aggregation input)" % attr
         )
-    table, name, step = column
-    return table, name, _factors(step, up)
+    table, step = column
+    return table, attr.name, _factors(step, up)
 
 
 def _compile(r: RelExpr):
     """Walk ``r`` once and return its post-order plan, output columns and up-links.
 
-    The columns hold, per scope position of ``r``, (table, column, table
-    step) for a position that traces to a base-table column, and None for
-    one that passes through an aggregation. ``up`` maps the top step of
-    each join input to its up-link, (join step, side): the join above it
-    and the side whose key multiplies it. A key's factors are the up-links
-    followed from its table step (``_factors``). A join records its
-    up-links after it reads its keys, so that walk stops at the top of the
-    join's input and no factor tuple is ever copied.
+    The columns hold, per scope position of ``r``, (table, table step) for
+    a position that traces to a base-table column, and None for one that
+    passes through an aggregation; the column is the position's name. ``up``
+    maps the top step of each join input to its up-link, (join step, side):
+    the join above it and the side whose key multiplies it. A key's factors
+    are the up-links followed from its table step (``_factors``). A join
+    records its up-links after it reads its keys, so that walk stops at the
+    top of the join's input and no factor tuple is ever copied.
 
     It walks ``postorder(r)`` beside ``r``'s kept positions. A nested plain
     count (stability 1) drops its input's steps and up-links but keeps its
@@ -158,7 +160,7 @@ def _compile(r: RelExpr):
     done = []  # per walked input: (its output columns, tables, top step)
     for node, positions in zip(postorder(r), r._resolved[0]):
         if isinstance(node, Table):
-            columns = [(node.name, column, len(plan)) for column in node.columns]
+            columns = [(node.name, len(plan))] * len(node.columns)
             done.append((columns, {node.name}, len(plan)))
             plan.append(_Step("table", (), node.name))
         elif isinstance(node, Count):

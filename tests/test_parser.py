@@ -301,6 +301,18 @@ REJECTIONS = [
         "duplicate table alias 'u'",
     ),
     (
+        # two references to one subquery under its own name
+        "WITH a AS (SELECT id FROM users) SELECT COUNT(*) FROM a JOIN a ON a.id = a.id",
+        ParseError,
+        "duplicate table alias 'a'",
+    ),
+    (
+        # a subquery's name taken by a table's alias
+        "WITH a AS (SELECT id FROM users) SELECT COUNT(*) FROM a JOIN orders a ON a.id = a.uid",
+        ParseError,
+        "duplicate table alias 'a'",
+    ),
+    (
         "WITH a AS (SELECT id FROM users) WITH a AS (SELECT id FROM users) "
         "SELECT COUNT(*) FROM a",
         ParseError,
@@ -391,9 +403,10 @@ def test_chain_parse_and_compile_index_names_once():
 PEOPLE = Catalog(columns={"people": ("age", "city")})
 
 # text that ends mid-statement, an unterminated string, a doubled
-# semicolon, and a character no token starts with (after a space, between
+# semicolon, a character no token starts with (after a space, between
 # two tokens, after a comment, or an unterminated string before a final
-# newline): each is refused with exactly this class and message
+# newline), and a literal past the digit limit, whose text is the same on
+# every interpreter: each is refused with exactly this class and message
 TRUNCATED = [
     ("SELECT", "expected column name, found ''"),
     ("SELECT COUNT(", "expected column name, found ''"),
@@ -407,6 +420,10 @@ TRUNCATED = [
     ("SELECT COUNT(*) FROM people -- it's @ here\n# WHERE age < 3", "unexpected character '#'"),
     ("SELECT COUNT(*) FROM people WHERE city = 'a\n", "unexpected character \"'\""),
     ("SELECT COUNT(*) FROM people WHERE city = 'a' -- done\n'", "unexpected character \"'\""),
+    ("SELECT COUNT(*) FROM people WHERE age < " + "7" * 6000,
+     "integer literal has 6000 digits, more than Python converts"),
+    ("SELECT COUNT(*) FROM people WHERE age > -" + "7" * 6000,
+     "integer literal has 6000 digits, more than Python converts"),
 ]
 
 
@@ -523,6 +540,9 @@ def test_the_recorded_resolution_is_the_one_resolve_computes():
             assert positions == want_positions, sql
             assert names.entries == want_names.entries and names._positions == want_names._positions, sql
             assert read == want_read, sql
+            # no node renames a column: an entry with a table is that table's column of its name
+            for _, name, table in names.entries + read:
+                assert table is None or name in catalog.columns[table], sql
 
 
 def test_the_recorded_queries_parse_to_the_pinned_trees():

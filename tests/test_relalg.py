@@ -7,7 +7,6 @@ import pytest
 from flexdp import (
     Aliased,
     AttrRef,
-    BaseColumn,
     Catalog,
     Comparison,
     Count,
@@ -15,6 +14,7 @@ from flexdp import (
     Join,
     MetricsStore,
     MicroDatabase,
+    ParseError,
     PrivacyParams,
     Project,
     ReleaseResult,
@@ -22,6 +22,7 @@ from flexdp import (
     Select,
     SmoothBound,
     Table,
+    UnknownColumn,
     UnresolvedAttribute,
     UnsupportedQuery,
     attribute_index,
@@ -57,7 +58,7 @@ def test_catalog_rejects_bad_columns():
 def test_table_scope_carries_alias_and_provenance():
     scope = scope_of(EDGES)
     assert [(e.qualifier, e.name) for e in scope] == [("e1", "source"), ("e1", "dest")]
-    assert scope[0].provenance == BaseColumn("edges", "source")
+    assert scope[0] == ScopeEntry("e1", "source", "edges")
 
 
 def test_join_scope_concatenates():
@@ -75,22 +76,22 @@ def test_project_narrows_scope():
     p = Project((AttrRef("e1", "dest"),), EDGES)
     scope = scope_of(p)
     assert len(scope) == 1
-    assert scope[0].provenance == BaseColumn("edges", "dest")
+    assert scope[0] == ScopeEntry("e1", "dest", "edges")
 
 
 def test_aliased_requalifies():
     a = Aliased(USERS, "v")
     scope = scope_of(a)
     assert [(e.qualifier, e.name) for e in scope] == [("v", "id"), ("v", "dept")]
-    # provenance still points at the base column
-    assert scope[0].provenance == BaseColumn("users", "id")
+    # the entry still names the base table of its column
+    assert scope[0] == ScopeEntry("v", "id", "users")
 
 
 def test_count_scope_is_single_derived_column():
     c = Count(USERS, label="n")
     scope = scope_of(c)
     assert [(e.qualifier, e.name) for e in scope] == [(None, "n")]
-    assert scope[0].provenance is None
+    assert scope[0].table is None
 
 
 def test_grouped_scope_keeps_keys_and_derives_count():
@@ -98,9 +99,9 @@ def test_grouped_scope_keeps_keys_and_derives_count():
     scope = scope_of(g)
     assert [(e.qualifier, e.name) for e in scope] == [("u", "dept"), (None, "count")]
     # columns coming out of an aggregation carry no frequency metric, so
-    # even the grouping key has no provenance (it cannot be a join key)
-    assert scope[0].provenance is None
-    assert scope[1].provenance is None
+    # even the grouping key has no base table (it cannot be a join key)
+    assert scope[0].table is None
+    assert scope[1].table is None
 
 
 def test_resolution_qualified_and_bare():
@@ -108,7 +109,7 @@ def test_resolution_qualified_and_bare():
     assert attribute_index(AttrRef("u", "id"), j) == 2
     # bare name that is unique across the scope resolves
     assert attribute_index(AttrRef(None, "dept"), j) == 3
-    assert scope_of(j)[3].provenance == BaseColumn("users", "dept")
+    assert scope_of(j)[3] == ScopeEntry("u", "dept", "users")
     assert attribute_index(AttrRef("e1", "source"), j) == 0
     with pytest.raises(UnresolvedAttribute):
         attribute_index(AttrRef("e9", "source"), j)
@@ -124,6 +125,17 @@ def test_resolution_failures():
         attribute_index(AttrRef("zz", "source"), j)
     # a bare name found on both inputs is ambiguous, though each side has it once
     assert attribute_index(AttrRef(None, "source"), EDGES) == 0
+
+
+def test_an_unresolved_reference_is_a_parse_error_with_its_message():
+    # a hand-built tree's unresolved reference is refused as the parser refuses one
+    q = Count(Select((Comparison(AttrRef("u", "age"), "<", 3),), USERS))
+    for caught in (UnresolvedAttribute, UnknownColumn, ParseError):
+        with pytest.raises(caught) as info:
+            scope_of(q)
+        assert type(info.value) is UnresolvedAttribute
+        assert str(info.value) == "no attribute u.age in scope"
+        assert (info.value.category, info.value.exit_code) == ("parse", 1)
 
 
 def _scan(attr, scope):
@@ -300,7 +312,6 @@ def test_equality_and_hash_ignore_the_cached_resolution_and_plan():
 
 _FROZEN = [
     (AttrRef("e1", "dest"), ("qualifier", "name")),
-    (BaseColumn("edges", "dest"), ("table", "column")),
     (Comparison(AttrRef(None, "a"), "<", 3), ("left", "op", "right")),
     (EDGES, ("name", "alias", "columns")),
     (_join(EDGES, EDGES2, "e1.dest", "e2.source"), ("left", "right", "key_left", "key_right")),

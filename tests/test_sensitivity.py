@@ -439,7 +439,7 @@ def test_plan_of_a_bushy_tree_reads_key_factors_through_up_links():
     ]
     # each input's top step links to the join above it and the other side
     assert up == {0: (2, 1), 1: (2, 0), 2: (4, 1), 3: (4, 0), 5: (7, 1), 6: (7, 0), 4: (8, 1), 7: (8, 0)}
-    assert columns[6] == ("edges", "dest", 6)  # s.dest, after f, d1 and d2
+    assert columns[6] == ("edges", 6)  # s.dest, after f, d1 and d2: its table and table step
     for k in (0, 1, 4):
         # e2.dest: its own mf, times e1.dest's at the self join, times f.b's
         # at the root join, which is (7+k) times d1.id's (2+k) and d2.id's 3
