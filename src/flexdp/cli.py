@@ -19,15 +19,15 @@ restores its state after: the rows, trees and plans a command builds hold
 no cycle, so reference counting frees them.
 
 ``release --execute`` reads the data before it bounds the query. It loads
-only the tables the query reads and converts only their columns that a
-join key, comparison, projection or grouping references
-(``relalg.read_columns``). These refusals can follow that read; for each,
-whether its outcome can depend on a protected row:
+only the tables the query names, and converts every column of each, as
+``collect-metrics`` and ``check`` do, so a refusal depends on the tables a
+query loads, never on the columns it reads. These refusals can follow that
+read; for each, whether its outcome can depend on a protected row:
 
 * a CSV file that does not load (a ragged row, a cell past the field
-  limit, a byte that is not UTF-8, a missing or malformed header, or in a
-  converted column a cell past the digit limit), ``io``: yes, on the form
-  of a row, though on no value a query selects;
+  limit, a byte that is not UTF-8, a missing or malformed header, or a
+  cell past the digit limit in any column), ``io``: yes, on the form of a
+  row, though on no value a query selects;
 * a table whose header lacks a column of the query's schema, ``io``: no,
   on the header only;
 * a comparison: none can fail. Ints and text order as in SQLite, numbers
@@ -83,10 +83,11 @@ from .oracle import (
 from .parser import parse_query
 from .relalg import (
     CountGrouped,
+    Table,
     attribute_index,
     counted_relation,
     join_nodes,
-    read_columns,
+    postorder,
     root_count,
     scope_of,
 )
@@ -162,16 +163,18 @@ def _label(parts):
 
 def _parse_bins(raw: str, arity: int):
     labels = []
-    try:
-        for part in raw.split(","):
-            pieces = [part] if arity == 1 else part.split("|")
-            if len(pieces) != arity:
-                raise InvalidParams(
-                    "bin label %r does not have %d '|'-separated parts" % (part, arity)
-                )
+    for part in raw.split(","):
+        pieces = [part] if arity == 1 else part.split("|")
+        if len(pieces) != arity:
+            raise InvalidParams(
+                "bin label %r does not have %d '|'-separated parts" % (part, arity)
+            )
+        try:
             labels.append(_label(pieces))
-    except ValueError as exc:  # from coerce_value: more digits than Python converts
-        raise InvalidParams("--bins: %s" % exc) from None
+        except ValueError:  # from coerce_value; a fixed text: the interpreter's own differs by version
+            bodies = [piece.strip().removeprefix("-") for piece in pieces]
+            digits = max(len(body) for body in bodies if body.isascii() and body.isdigit())
+            raise InvalidParams("--bins: integer label has %d digits, more than Python converts" % digits) from None
     return labels
 
 
@@ -307,8 +310,9 @@ def cmd_release(args) -> int:
             raise InvalidParams("--execute requires --data")
         if args.true_result is not None:
             raise InvalidParams("--execute evaluates the query on --data; it takes no --true-result")
-        # only the tables and columns the query reads, resolved once for the bound and evaluation
-        db = MicroDatabase.from_csv_dir(args.data, read=read_columns(counted_relation(query)))
+        # only the tables the query names, each converted whole
+        tables = {node.name for node in postorder(counted_relation(query)) if isinstance(node, Table)}
+        db = MicroDatabase.from_csv_dir(args.data, tables)
         true_result = eval_query(query, db)
         store = _observed_metrics(query, store, db)
     elif args.data:

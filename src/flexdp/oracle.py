@@ -6,17 +6,17 @@ in any order, and ignores the others. A join is a hash join keyed on every
 ``=`` between its two sides, a selection's directly above it included, so
 the pairs those reject are never built; that selection's comparisons of one
 side filter that side's rows before the join. ``MicroDatabase.from_csv_dir``
-converts only the columns it is asked for (for a release,
-``relalg.read_columns``), a column of ASCII digits whole, every other cell
-by ``coerce_value``. The brute force that ``flexdp check`` runs on these
-databases, and the neighbour model it enumerates, are in ``bruteforce``.
+loads every table of a directory, or only those it is asked for (for a
+release, the query's), and converts every column of each: a column of ASCII
+digits whole, every other cell by ``coerce_value``. The brute force that
+``flexdp check`` runs on these databases, and the neighbour model it
+enumerates, are in ``bruteforce``.
 """
 
 from __future__ import annotations
 
 import collections
 import csv
-import itertools
 import operator
 import os
 from typing import Dict, Iterable, Iterator, List, Optional, Union
@@ -85,11 +85,11 @@ def _coerce_column(rows: List[list], index: int) -> Iterator[Value]:
     return map(int if _all_digits(cells) else coerce_value, cells)
 
 
-def _refuse_first_bad_row(path: str, filename: str, name: str, width: int, converted: List[int]):
+def _refuse_first_bad_row(path: str, filename: str, name: str, width: int):
     """Re-read a CSV file row by row; raise the error of its first bad row.
 
     A row is bad when its width differs from the header's, or when one of
-    its cells at ``converted`` is an integer longer than Python converts.
+    its cells is an integer longer than Python converts.
     """
     with open(os.path.join(path, filename), newline="", encoding="utf-8-sig") as f:
         reader = csv.reader(f)
@@ -97,7 +97,7 @@ def _refuse_first_bad_row(path: str, filename: str, name: str, width: int, conve
         for row in filter(None, reader):
             try:
                 _check_width(row, width, name)
-                [coerce_value(row[i].strip()) for i in converted]
+                [coerce_value(cell.strip()) for cell in row]
             except EvaluationError as exc:
                 raise EvaluationError("%s line %d: %s" % (filename, reader.line_num, exc)) from None
             except ValueError:  # whose text counts the cell's digits
@@ -136,28 +136,27 @@ class MicroDatabase(Record):
         self.tables, self.columns, self.domains = tables, columns, domains
 
     @classmethod
-    def from_csv_dir(cls, path: str, read: Optional[Dict[str, Iterable[str]]] = None) -> "MicroDatabase":
-        """Load every ``*.csv`` in a directory, or only the tables ``read`` names.
+    def from_csv_dir(cls, path: str, tables: Optional[Iterable[str]] = None) -> "MicroDatabase":
+        """Load every ``*.csv`` in a directory, or only the ``tables`` named.
 
         The file name (less ``.csv``) is the table name; blank lines are
-        skipped. ``read`` maps each table to load to the columns to convert
-        (``relalg.read_columns``); every other cell of it is ``None``.
-        Without ``read`` every column is converted. A column of ASCII
-        digits goes to ``int`` whole, every other cell by ``coerce_value``.
+        skipped. Every column of a loaded table is converted, whichever
+        columns a caller will read: a column of ASCII digits goes to
+        ``int`` whole, every other cell by ``coerce_value``.
 
         Raises:
             EvaluationError: no table to load, a named table has no file,
                 a file's header row is missing or blank, or has an empty or
                 repeated column name, a row's width differs from the
-                header's, or a converted cell holds an integer of more
-                digits than Python converts.
+                header's, or a cell holds an integer of more digits than
+                Python converts.
         """
-        if read is None:
+        if tables is None:
             names = sorted(n[: -len(".csv")] for n in os.listdir(path) if n.endswith(".csv"))
             if not names:
                 raise EvaluationError("no .csv tables found in %r" % path)
         else:
-            names = sorted(read)
+            names = sorted(set(tables))
             for name in names:
                 if not os.path.isfile(os.path.join(path, name + ".csv")):
                     raise EvaluationError("no table %r (%s.csv) in %r" % (name, name, path))
@@ -183,16 +182,12 @@ class MicroDatabase(Record):
                 raise EvaluationError("%s has a blank header row or an empty column name" % filename)
             if len(set(columns[name])) != len(columns[name]):
                 raise EvaluationError("%s repeats a column name in its header" % filename)
-            converted = [i for i, column in enumerate(columns[name]) if read is None or column in read[name]]
             if set(map(len, rows)) - {len(header)}:
-                _refuse_first_bad_row(path, filename, name, len(header), converted)
-            cells = [itertools.repeat(None, len(rows)) for _ in header]
+                _refuse_first_bad_row(path, filename, name, len(header))
             try:
-                for i in converted:
-                    cells[i] = _coerce_column(rows, i)
-                rows_of[name] = list(zip(*cells))
+                rows_of[name] = list(zip(*[_coerce_column(rows, i) for i in range(len(header))]))
             except ValueError:  # more digits than Python converts
-                _refuse_first_bad_row(path, filename, name, len(header), converted)
+                _refuse_first_bad_row(path, filename, name, len(header))
         db = cls.__new__(cls)  # skips __init__'s row-by-row check, made above
         db.tables, db.columns, db.domains = rows_of, columns, {}
         return db

@@ -54,7 +54,6 @@ from .relalg import (
     Table,
     _above,
     _comparison_positions,
-    _joined,
     _Names,
     root_count,
 )
@@ -120,9 +119,8 @@ class _Parser:
         self.pos = 0
         self.catalog = catalog
         self.ctes = {}
-        # the statement being parsed: per node built, in post-order, its
-        # positions; and the scope entries read
-        self.positions, self.reads = [], []
+        # the statement being parsed: per node built, in post-order, its positions
+        self.positions = []
 
     # token plumbing: a keyword or punctuation mark is a token's word (_tokenize)
 
@@ -179,13 +177,13 @@ class _Parser:
         self._expect_keyword("SELECT")
         items = self._select_list()
         self._expect_keyword("FROM")
-        self.positions, self.reads = [], []
+        self.positions = []
         rel, names, selection = self._from_clause()
         if self._accept("WHERE"):
             selection += self._conjunction(names)
         if selection:  # the last JOIN's other ON conjuncts, then the WHERE's: one selection
-            rel = self._select(rel, selection, names)
-        rel.__dict__["_resolved"] = self.positions, names, self.reads
+            rel = self._select(rel, selection)
+        rel.__dict__["_resolved"] = self.positions, names
         group_attrs = group_positions = None
         if self._accept("GROUP"):
             self._expect_keyword("BY")
@@ -253,7 +251,7 @@ class _Parser:
             else:
                 break
             if selection:  # the previous JOIN's, below this one
-                rel = self._select(rel, selection, names)
+                rel = self._select(rel, selection)
             right, added = self._table_ref()
             if right.alias in aliases:
                 raise ParseError(
@@ -278,10 +276,9 @@ class _Parser:
             alias = self.texts[self.pos - 1]
         if name in self.ctes:  # its recorded lists, once per reference
             node = Aliased(self.ctes[name], alias or name)
-            positions, names, reads = node.input._resolved
+            positions, names = node.input._resolved
             self.positions += [*positions, ()]
-            self.reads += reads
-            return node, _above(node, names, (), self.reads).entries
+            return node, _above(node, names, ()).entries
         if name not in self.catalog.columns:
             raise UnknownTable("unknown table %r" % name)
         node = Table(name, alias or name, tuple(self.catalog.columns[name]))
@@ -336,13 +333,10 @@ class _Parser:
         # scope; a bare name visible on both sides of a join is ambiguous
         return comparison, _comparison_positions(names, comparison)
 
-    def _select(self, rel: RelExpr, selection: list, names: _Names) -> Select:
+    def _select(self, rel: RelExpr, selection: list) -> Select:
         """The selection on ``rel`` of ``selection``'s comparisons, recorded."""
-        node = Select(tuple([comparison for comparison, _ in selection]), rel)
-        positions = tuple([pair for _, pair in selection])
-        self.positions.append(positions)
-        _above(node, names, positions, self.reads)
-        return node
+        self.positions.append(tuple([pair for _, pair in selection]))
+        return Select(tuple([comparison for comparison, _ in selection]), rel)
 
     def _make_join(self, left: RelExpr, right: RelExpr, condition, names: _Names, split: int):
         """The join of ``left`` and ``right`` on ``condition``, and its conjuncts other than the key.
@@ -380,7 +374,6 @@ class _Parser:
                 % " AND ".join(str(c) for c, _ in condition)
             )
         self.positions.append(positions)
-        self.reads += _joined(names.entries, positions, split)
         return Join(left, right, key[0], key[1]), extra
 
     def _assemble(self, items, rel, names, group_attrs, group_positions) -> RelExpr:
@@ -411,9 +404,7 @@ class _Parser:
                 raise ParseError("GROUP BY without a COUNT expression")
             positions = tuple(map(names.index, plain_attrs))
             root = Project(tuple(plain_attrs), rel)
-        reads = self.reads[:]
-        names = _above(root, names, positions, reads)
-        root.__dict__["_resolved"] = self.positions + [positions], names, reads
+        root.__dict__["_resolved"] = self.positions + [positions], _above(root, names, positions)
         return root
 
 

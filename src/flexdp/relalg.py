@@ -9,21 +9,20 @@ Example::
 
     t = Table("edges", "e1", ("source", "dest"))
     q = Count(t)
-    read_columns(q)         # {'edges': set()}
+    scope_of(q)             # (ScopeEntry(qualifier=None, name='count', table=None),)
 
 Attribute references are kept as written in the query (optional qualifier
 plus column name). ``resolve`` walks a tree once and turns every reference
 under it into a position in a scope, through a name index, ``_Names``, that
 answers in O(1) and grows by one scope at a time, so no input's names are
-indexed twice. The same walk records the scope entries the references read.
-A node's resolution is kept on it: ``scope_of``, ``attribute_index`` and
-``read_columns`` read it, and so do the evaluator (``flexdp.oracle``) and
-the sensitivity compiler. The parser grows one index with each JOIN of a
-FROM clause and records, in ``resolve``'s format, the resolution of the
-trees it builds; what each kind of node reads and the scope it passes up
-are written once, in ``_joined`` and ``_above``, for both. No node renames
-a column, so the scope entry at a position names the base table of its
-column, or ``None`` when the value passes through an aggregation.
+indexed twice. A node's resolution is kept on it: ``scope_of`` and
+``attribute_index`` read it, and so do the evaluator (``flexdp.oracle``)
+and the sensitivity compiler. The parser grows one index with each JOIN of
+a FROM clause and records, in ``resolve``'s format, the resolution of the
+trees it builds; the scope a node with one input passes up is written
+once, in ``_above``, for both. No node renames a column, so the scope entry
+at a position names the base table of its column, or ``None`` when the
+value passes through an aggregation.
 """
 
 from __future__ import annotations
@@ -278,20 +277,18 @@ def resolve(r: RelExpr):
     """Resolve every reference under ``r`` to a position, in one walk.
 
     Returns the positions of each node of ``postorder(r)``, in that order,
-    the name index of ``r``'s scope, and the scope entry each reference
-    resolves to, which names the base column it reads (``read_columns``).
-    A join's positions are its keys' in its left and right input, a
-    selection's its predicate's (``_comparison_positions``), a projection's
-    or grouped count's its attributes' in its input, and any other node's
-    ``()``. A join grows its left input's index by the right's, so a
-    chain's names are indexed once. What a node reads and the scope it
-    passes up follow ``_joined`` and ``_above``, which the parser also
-    follows as it records the resolution of the trees it builds.
+    and the name index of ``r``'s scope. A join's positions are its keys'
+    in its left and right input, a selection's its predicate's
+    (``_comparison_positions``), a projection's or grouped count's its
+    attributes' in its input, and any other node's ``()``. A join grows its
+    left input's index by the right's, so a chain's names are indexed once.
+    The scope a node with one input passes up follows ``_above``, which the
+    parser also follows as it records the resolution of the trees it builds.
 
     Raises:
         UnresolvedAttribute: a reference names no attribute, or more than one.
     """
-    resolved, done, reads = [], [], []  # done: the name index of each finished input
+    resolved, done = [], []  # done: the name index of each finished input
     for node in postorder(r):
         positions = ()
         if isinstance(node, Table):
@@ -299,9 +296,7 @@ def resolve(r: RelExpr):
         elif isinstance(node, Join):
             right, names = done.pop(), done.pop()
             positions = (names.index(node.key_left), right.index(node.key_right))
-            split = len(names.entries)
             names.add(right.entries)
-            reads += _joined(names.entries, positions, split)
         else:
             names = done.pop()
             if isinstance(node, Select):
@@ -310,10 +305,10 @@ def resolve(r: RelExpr):
                 positions = tuple(map(names.index, node.attrs))
             elif isinstance(node, CountGrouped):
                 positions = tuple(map(names.index, node.group_attrs))
-            names = _above(node, names, positions, reads)
+            names = _above(node, names, positions)
         resolved.append(positions)
         done.append(names)
-    return resolved, done.pop(), reads
+    return resolved, done.pop()
 
 
 def _comparison_positions(names: _Names, c: Comparison) -> tuple:
@@ -321,30 +316,21 @@ def _comparison_positions(names: _Names, c: Comparison) -> tuple:
     return names.index(c.left), names.index(c.right) if isinstance(c.right, AttrRef) else None
 
 
-def _joined(entries: list, positions: tuple, split: int) -> tuple:
-    """What a join reads: its two keys' entries in ``entries``, its inputs' scopes, the right's from ``split``."""
-    return entries[positions[0]], entries[split + positions[1]]
-
-
-def _above(node: RelExpr, names: _Names, positions: tuple, reads: list) -> _Names:
+def _above(node: RelExpr, names: _Names, positions: tuple) -> _Names:
     """The name index of ``node``, a node with one input, whose index is ``names``.
 
-    The entries that ``node``'s ``positions`` name go on ``reads``. A
-    selection passes its input's index up. An alias requalifies its input's
-    scope, a projection keeps what it names, and a grouped count keeps its
-    keys, which lose their base table, and adds the count, which is a
-    plain count's one attribute.
+    A selection passes its input's index up. An alias requalifies its
+    input's scope, a projection keeps what its ``positions`` name, and a
+    grouped count keeps its keys, which lose their base table, and adds the
+    count, which is a plain count's one attribute.
     """
     if isinstance(node, Select):
-        entries = names.entries
-        reads += [entries[i] for pair in positions for i in pair if i is not None]
         return names
     if isinstance(node, Aliased):
         return _Names([e._replace(qualifier=node.alias) for e in names.entries])
     if isinstance(node, Count):
         return _Names((ScopeEntry(None, node.label, None),))
     used = [names.entries[i] for i in positions]
-    reads += used
     if isinstance(node, Project):
         return _Names(used)
     return _Names([e._replace(table=None) for e in used] + [ScopeEntry(None, node.label, None)])
@@ -360,23 +346,6 @@ def attribute_index(attr: AttrRef, r: RelExpr) -> int:
     """
     _check_node(r)
     return r._resolved[1].index(attr)
-
-
-def read_columns(q: RelExpr) -> dict:
-    """Map each base table ``q`` reads to the set of its columns that ``q`` references.
-
-    A column is referenced when a join key, a comparison, a projection or a
-    grouping names an attribute that is that column of that table
-    (``ScopeEntry``). A table none of whose columns is referenced maps to an
-    empty set. The map is built on each call from ``q``'s tables, in
-    post-order, and the entries that ``resolve`` recorded on ``q``.
-    """
-    _check_node(q)
-    read = {n.name: set() for n in postorder(q) if isinstance(n, Table)}
-    for _, name, table in q._resolved[2]:
-        if table is not None:
-            read[table].add(name)
-    return read
 
 
 def join_nodes(r: RelExpr):

@@ -10,7 +10,6 @@ Three things live here:
 * brute-force smoothing references for ``smooth_bound``'s closed form.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -21,7 +20,6 @@ from flexdp import (
     Catalog,
     Comparison,
     Count,
-    CountGrouped,
     Join,
     MetricsStore,
     MicroDatabase,

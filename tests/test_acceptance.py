@@ -15,7 +15,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from flexdp import (
     Catalog,
@@ -35,7 +34,6 @@ from flexdp import (
     neighbors_at,
     parse_query,
     release_count,
-    root_count,
     smooth_bound,
 )
 from flexdp.mechanism import _peak

@@ -11,12 +11,13 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import flexdp
 from flexdp import MetricsStore, cli, errors, load_metrics, relalg, save_metrics
 
-from _support import chain_metrics, chain_sql
+from _support import chain_metrics, chain_sql, random_micro_db, random_query_sql
 
 METRICS_TEXT = (
     "[tables]\n"
@@ -1190,7 +1191,7 @@ _LONG = "9" * 5000  # more digits than Python converts to an int (4300 by defaul
         ("query", 1, "error[parse]: integer literal has 5000 digits, more than Python converts\n"),
         ("csv-collect", 3, "error[io]: edges.csv line 3: a cell holds an integer past the digit limit\n"),
         ("csv-execute", 3, "error[io]: edges.csv line 3: a cell holds an integer past the digit limit\n"),
-        ("bins", 1, "error[invalid-params]: --bins: Exceeds the limit"),
+        ("bins", 1, "error[invalid-params]: --bins: integer label has 5000 digits, more than Python converts\n"),
         ("true-result", 3, "error[io]: line 2: true-result label holds an integer past the digit limit\n"),
     ],
     ids=["query", "csv-collect", "csv-execute", "bins", "true-result"],
@@ -1218,6 +1219,60 @@ def test_an_integer_past_the_digit_limit_is_refused_by_its_input(workspace, caps
     if target.startswith("csv") or target == "true-result":
         # a protected value: its refusal gives no digit count, the cell's or the limit's
         assert not re.search(r"\d{3}", err), err
+
+
+def test_a_cell_past_the_digit_limit_refuses_alike_whichever_column_a_query_reads(tmp_path, capsys):
+    # every column of a loaded table is converted, so a query cannot learn,
+    # for free and again and again, whether the column it reads holds such a cell
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "t.csv").write_text("name,salary,note\nalice,100,1\nbob,200,%s\ncarol,300,3\n" % _LONG)
+    metrics = tmp_path / "metrics.txt"  # by hand: collect-metrics refuses the file
+    metrics.write_text("[tables]\nt = 3\n\n[mf]\nt.name = 1\nt.salary = 1\nt.note = 1\n")
+    for where in ("note < 5", "salary < 250", "note < 5", "name = 'alice'", ""):
+        (tmp_path / "q.sql").write_text("SELECT COUNT(*) FROM t %s\n" % (where and "WHERE " + where))
+        code, out, err = run(capsys, "release", tmp_path / "q.sql", "--metrics", metrics, "--epsilon", "0.5",
+                             "--delta", "1e-6", "--budget-epsilon", "5", "--budget-delta", "0.1", "--seed", "1",
+                             "--execute", "--data", data)
+        assert_refused_free(code, out, err, metrics)
+        assert (code, err) == (3, "error[io]: t.csv line 3: a cell holds an integer past the digit limit\n"), where
+
+
+def test_every_query_that_loads_a_table_with_an_over_long_cell_gets_one_refusal(tmp_path, capsys):
+    # over random databases and queries: a query that loads the table gets
+    # the same one line whichever of its columns it reads, and charges nothing
+    rng = np.random.default_rng(20261021)
+    reads_the_column = {True: 0, False: 0}
+    for trial in range(30):
+        db = random_micro_db(rng, max_tables=3, max_rows=5)
+        long_table = str(rng.choice(sorted(db.tables)))
+        row = int(rng.integers(len(db.tables[long_table])))
+        column = int(rng.integers(len(db.columns[long_table])))
+        data = tmp_path / str(trial)
+        data.mkdir()
+        for name, rows in db.tables.items():
+            lines = [",".join(db.columns[name])]
+            for i, cells in enumerate(rows):
+                cells = list(map(str, cells))
+                if (name, i) == (long_table, row):
+                    cells[column] = _LONG
+                lines.append(",".join(cells))
+            (data / (name + ".csv")).write_text("\n".join(lines) + "\n")
+        metrics = tmp_path / ("%d.metrics" % trial)
+        save_metrics(db.exact_metrics(), metrics)
+        refusal = "error[io]: %s.csv line %d: a cell holds an integer past the digit limit\n" % (long_table, row + 2)
+        for _ in range(6):
+            sql = random_query_sql(rng, db)
+            if not re.search(r"\b%s\b" % long_table, sql):
+                continue
+            (tmp_path / "q.sql").write_text(sql)
+            code, out, err = run(capsys, "release", tmp_path / "q.sql", "--metrics", metrics, "--epsilon", "1",
+                                 "--delta", "1e-6", *BUDGET, "--execute", "--data", data, "--json")
+            assert_refused_free(code, out, err, metrics)
+            assert (code, err) == (3, refusal), sql
+            reads_the_column["." + db.columns[long_table][column] in sql] += 1
+    # both kinds of query were asked
+    assert min(reads_the_column.values()) > 0, reads_the_column
 
 
 def test_a_digit_that_is_not_ascii_stays_text(workspace, capsys):

@@ -8,7 +8,6 @@ slip through.
 
 import csv
 import gc
-import math
 import sys
 
 import numpy as np
@@ -32,7 +31,7 @@ from flexdp import (
 from flexdp import oracle
 from flexdp.bruteforce import ENUMERATION_GUARD, ball_size, local_sensitivity_at, max_frequency_at, neighbors_at
 from flexdp.oracle import coerce_value
-from flexdp.relalg import read_columns
+from flexdp.relalg import postorder
 
 from _support import chain_catalog, chain_sql, naive_eval, random_micro_db, random_query_sql
 
@@ -124,23 +123,35 @@ def test_csv_loading_names_the_line_of_a_cell_past_the_digit_limit(tmp_path):
         MicroDatabase.from_csv_dir(str(tmp_path))
 
 
-def test_csv_loading_converts_only_the_columns_asked_for(tmp_path):
-    (tmp_path / "t.csv").write_text("a,b,c\n%s, x ,7\n2,3,%s\n" % (_LONG, _LONG))
+def test_csv_loading_converts_every_column_of_the_tables_asked_for(tmp_path, monkeypatch):
+    (tmp_path / "t.csv").write_text("a,b,c\n1, x ,7\n2,3,-4\n")
     (tmp_path / "u.csv").write_text("d\n5\n")
-    (tmp_path / "other.csv").write_text("not,loaded\n1\n")  # ragged, but not asked for
-    db = MicroDatabase.from_csv_dir(str(tmp_path), read={"t": {"b"}, "u": set()})
-    assert db.tables == {"t": [(None, "x", None), (None, 3, None)], "u": [(None,)]}
+    (tmp_path / "other.csv").write_bytes(b"not,loaded\n\xff\n")  # ragged and not UTF-8
+    opened = []
+
+    def tracked(file, *args, **kwargs):
+        opened.append(file.rsplit("/", 1)[-1])
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "open", tracked, raising=False)
+    db = MicroDatabase.from_csv_dir(str(tmp_path), tables={"t", "u"})
+    assert db.tables == {"t": [(1, "x", 7), (2, 3, -4)], "u": [(5,)]}
     assert db.columns == {"t": ("a", "b", "c"), "u": ("d",)}
-    # a cell past the digit limit is refused in a converted column only,
-    # and the line named is that column's, not an earlier unconverted one's
-    with pytest.raises(EvaluationError, match="^t.csv line 3: a cell holds an integer past the digit limit$"):
-        MicroDatabase.from_csv_dir(str(tmp_path), read={"t": {"b", "c"}})
-    # the width of every row of a loaded table is checked, converted or not
+    # a file not asked for is never opened
+    assert sorted(opened) == ["t.csv", "u.csv"]
+    # a cell past the digit limit is refused in any column of a loaded
+    # table, so the refusal is the same whichever of its columns a query reads
+    (tmp_path / "t.csv").write_text("a,b,c\n1, x ,7\n2,3,%s\n" % _LONG)
+    for tables in (["t"], ["u", "t"], ("t", "t")):
+        with pytest.raises(EvaluationError, match="^t.csv line 3: a cell holds an integer past the digit limit$"):
+            MicroDatabase.from_csv_dir(str(tmp_path), tables=tables)
+    assert MicroDatabase.from_csv_dir(str(tmp_path), tables=["u"]).tables == {"u": [(5,)]}
+    # the width of every row of a loaded table is checked
     (tmp_path / "u.csv").write_text("d\n5,6\n")
     with pytest.raises(EvaluationError, match="^u.csv line 2: row width 2"):
-        MicroDatabase.from_csv_dir(str(tmp_path), read={"u": set()})
+        MicroDatabase.from_csv_dir(str(tmp_path), tables=["u"])
     with pytest.raises(EvaluationError, match="no table 'v'"):
-        MicroDatabase.from_csv_dir(str(tmp_path), read={"v": {"a"}})
+        MicroDatabase.from_csv_dir(str(tmp_path), tables=["v"])
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
@@ -169,9 +180,10 @@ def test_a_file_with_no_bad_row_on_its_second_read_changed_while_it_was_read(tmp
     assert MicroDatabase.from_csv_dir(str(tmp_path)).tables == {"t": [(1, 2), (3, "x")]}
 
 
-def test_loading_only_the_read_columns_evaluates_the_same(tmp_path):
-    # each table gets a column no query names; loaded with the query's
-    # read_columns, that column and every other unread one is None
+def test_loading_only_the_query_tables_evaluates_the_same(tmp_path):
+    # each table gets a column no query names, and the directory a table no
+    # query names: loaded with only the query's tables, each converted whole,
+    # a query evaluates as on a full load
     rng = np.random.default_rng(20261020)
     for trial in range(120):
         db = random_micro_db(rng, max_tables=3, max_rows=6)
@@ -183,12 +195,13 @@ def test_loading_only_the_read_columns_evaluates_the_same(tmp_path):
                 writer.writerow(db.columns[name] + ("z",))
                 extra = rng.choice(["x", " 7 ", "-1", ""], size=len(rows))
                 writer.writerows(row + (str(z),) for row, z in zip(rows, extra))
+        (data / "unnamed.csv").write_text("y\n1\n")
         whole = MicroDatabase.from_csv_dir(str(data))
         sql = (_keyed_join_sql if trial % 2 else random_query_sql)(rng, db)
         query = parse_query(sql, whole.catalog())
-        read = read_columns(query)
-        partial = MicroDatabase.from_csv_dir(str(data), read=read)
-        assert set(partial.tables) == set(read) and all(row[-1] is None for row in partial.tables[min(read)])
+        tables = {node.name for node in postorder(query) if isinstance(node, Table)}
+        partial = MicroDatabase.from_csv_dir(str(data), tables=tables)
+        assert partial.tables == {name: whole.tables[name] for name in tables}
         got, expected = eval_query(query, partial), eval_query(query, whole)
         if isinstance(expected, dict):
             got, expected = list(got.items()), list(expected.items())

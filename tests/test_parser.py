@@ -535,13 +535,12 @@ def test_the_recorded_resolution_is_the_one_resolve_computes():
     for sql, catalog in _recorded_queries():
         q = parse_query(sql, catalog)
         for node in (q, counted_relation(q)):
-            positions, names, read = vars(node)["_resolved"]
-            want_positions, want_names, want_read = resolve(node)
+            positions, names = vars(node)["_resolved"]
+            want_positions, want_names = resolve(node)
             assert positions == want_positions, sql
             assert names.entries == want_names.entries and names._positions == want_names._positions, sql
-            assert read == want_read, sql
             # no node renames a column: an entry with a table is that table's column of its name
-            for _, name, table in names.entries + read:
+            for _, name, table in names.entries:
                 assert table is None or name in catalog.columns[table], sql
 
 

@@ -13,7 +13,6 @@ from flexdp import (
     CountGrouped,
     Join,
     MetricsStore,
-    MicroDatabase,
     ParseError,
     PrivacyParams,
     Project,
@@ -26,12 +25,11 @@ from flexdp import (
     UnresolvedAttribute,
     UnsupportedQuery,
     attribute_index,
-    eval_query,
     join_nodes,
     root_count,
     scope_of,
 )
-from flexdp.relalg import _Names, read_columns
+from flexdp.relalg import _Names
 from flexdp.sensitivity import _compiled
 
 EDGES = Table("edges", "e1", ("source", "dest"))
@@ -193,7 +191,6 @@ def test_ancestors_and_self_join():
         return _compiled(j)[0][-1].self_join
 
     plain = _join(EDGES, USERS, "e1.dest", "u.id")
-    assert set(read_columns(plain)) == {"edges", "users"}
     assert not self_join(plain)
 
     selfy = _join(EDGES, EDGES2, "e1.dest", "e2.source")
@@ -202,40 +199,6 @@ def test_ancestors_and_self_join():
     # aliasing a subtree does not hide shared ancestry
     wrapped = _join(Aliased(EDGES, "w"), EDGES2, "w.dest", "e2.source")
     assert self_join(wrapped)
-
-
-def test_read_columns_follows_provenance_to_each_referenced_column():
-    orders = Table("orders", "o", ("uid", "item", "qty"))
-    joined = Select((Comparison(AttrRef("o", "qty"), ">", 2),), _join(USERS, orders, "u.id", "o.uid"))
-    grouped = CountGrouped((AttrRef("u", "dept"),), joined)
-    assert read_columns(grouped) == {"users": {"id", "dept"}, "orders": {"uid", "qty"}}
-    # a table none of whose columns is referenced maps to an empty set
-    assert read_columns(Count(EDGES)) == {"edges": set()}
-    # through a projection and an alias; a self join's columns fall on one table
-    projected = Project((AttrRef("e2", "dest"),), _join(EDGES, EDGES2, "e1.dest", "e2.source"))
-    sel = Select((Comparison(AttrRef("w", "dest"), "<", 3),), Aliased(projected, "w"))
-    assert read_columns(Count(sel)) == {"edges": {"source", "dest"}}
-    # a count's attribute traces to no column; the grouping key does
-    counted = Aliased(CountGrouped((AttrRef("u", "dept"),), USERS, label="n"), "g")
-    sel = Select((Comparison(AttrRef("g", "n"), ">", 1),), counted)
-    assert read_columns(Count(sel)) == {"users": {"dept"}}
-
-
-def test_a_caller_changing_read_columns_changes_no_later_call():
-    # what resolve records is kept on the node: a caller's changes to the map stay its own
-    orders = Table("orders", "o", ("uid", "item", "qty"))
-    joined = Select((Comparison(AttrRef("o", "qty"), ">", 2),), _join(USERS, orders, "u.id", "o.uid"))
-    q = CountGrouped((AttrRef("u", "dept"),), joined)
-    db = MicroDatabase({"users": [(1, "x"), (2, "y")], "orders": [(1, 7, 3), (2, 8, 1), (1, 9, 5)]},
-                       {"users": USERS.columns, "orders": orders.columns})
-    counts = eval_query(q, db)
-    first = read_columns(q)
-    first["users"].add("name")
-    first["orders"].clear()
-    del first["users"]
-    first["extra"] = {"x"}
-    assert read_columns(q) == {"users": {"id", "dept"}, "orders": {"uid", "qty"}}
-    assert eval_query(q, db) == counts == {"x": 2}
 
 
 def test_join_nodes_walks_whole_tree():

@@ -19,7 +19,6 @@ from flexdp import (
     MetricsStore,
     MicroDatabase,
     MissingMetric,
-    Project,
     Select,
     Table,
     UnresolvedAttribute,
