@@ -24,12 +24,13 @@ only the tables the query names, and converts every column of each, as
 query loads, never on the columns it reads. These refusals can follow that
 read; for each, whether its outcome can depend on a protected row:
 
+* a table whose header lacks a column of the query's schema, ``io``: no,
+  on the header only; it is refused before any row is read;
 * a CSV file that does not load (a ragged row, a cell past the field
   limit, a byte that is not UTF-8, a missing or malformed header, or a
   cell past the digit limit in any column), ``io``: yes, on the form of a
-  row, though on no value a query selects;
-* a table whose header lacks a column of the query's schema, ``io``: no,
-  on the header only;
+  row, though on no value a query selects. The refusal names the file and
+  the fault, never a row, a line or a byte, so it does not tell which row;
 * a comparison: none can fail. Ints and text order as in SQLite, numbers
   first (``oracle._filter``);
 * a grouped release without a bin domain, ``unsupported``, or with
@@ -310,9 +311,9 @@ def cmd_release(args) -> int:
             raise InvalidParams("--execute requires --data")
         if args.true_result is not None:
             raise InvalidParams("--execute evaluates the query on --data; it takes no --true-result")
-        # only the tables the query names, each converted whole
-        tables = {node.name for node in postorder(counted_relation(query)) if isinstance(node, Table)}
-        db = MicroDatabase.from_csv_dir(args.data, tables)
+        # only the tables the query names, each converted whole and stored in the query's columns
+        schema = {node.name: node.columns for node in postorder(counted_relation(query)) if isinstance(node, Table)}
+        db = MicroDatabase.from_csv_dir(args.data, schema)
         true_result = eval_query(query, db)
         store = _observed_metrics(query, store, db)
     elif args.data:

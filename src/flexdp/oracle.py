@@ -1,25 +1,28 @@
 """Ground truth on concrete databases: CSV loading and evaluation.
 
 ``eval_query`` is ``release --execute``'s evaluator, playing the database
-whose answer is released: it finds a table's columns by name in its header,
-in any order, and ignores the others. A join is a hash join keyed on every
-``=`` between its two sides, a selection's directly above it included, so
-the pairs those reject are never built; that selection's comparisons of one
-side filter that side's rows before the join. ``MicroDatabase.from_csv_dir``
-loads every table of a directory, or only those it is asked for (for a
-release, the query's), and converts every column of each: a column of ASCII
-digits whole, every other cell by ``coerce_value``. The brute force that
-``flexdp check`` runs on these databases, and the neighbour model it
-enumerates, are in ``bruteforce``.
+whose answer is released: it reads each table as stored, which must be in
+the query's columns. A join is a hash join keyed on every ``=`` between its
+two sides, a selection's directly above it included, so the pairs those
+reject are never built; that selection's comparisons of one side filter
+that side's rows before the join. ``MicroDatabase.from_csv_dir`` loads
+every table of a directory, or only those of a schema it is given (for a
+release, the query's), reading each file once, and converts every column of
+each: a column of ASCII digits whole, every other cell by ``coerce_value``.
+It is the one place that decides a table's column order: the schema's,
+with the header's other columns dropped, or without a schema the header's.
+The brute force that ``flexdp check`` runs on these databases, and the
+neighbour model it enumerates, are in ``bruteforce``.
 """
 
 from __future__ import annotations
 
 import collections
 import csv
+import io
 import operator
 import os
-from typing import Dict, Iterable, Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Union
 
 from .errors import EvaluationError
 from .metrics import MetricsStore, ascii_int
@@ -85,35 +88,14 @@ def _coerce_column(rows: List[list], index: int) -> Iterator[Value]:
     return map(int if _all_digits(cells) else coerce_value, cells)
 
 
-def _refuse_first_bad_row(path: str, filename: str, name: str, width: int):
-    """Re-read a CSV file row by row; raise the error of its first bad row.
-
-    A row is bad when its width differs from the header's, or when one of
-    its cells is an integer longer than Python converts.
-    """
-    with open(os.path.join(path, filename), newline="", encoding="utf-8-sig") as f:
-        reader = csv.reader(f)
-        next(reader)
-        for row in filter(None, reader):
-            try:
-                _check_width(row, width, name)
-                [coerce_value(cell.strip()) for cell in row]
-            except EvaluationError as exc:
-                raise EvaluationError("%s line %d: %s" % (filename, reader.line_num, exc)) from None
-            except ValueError:  # whose text counts the cell's digits
-                raise EvaluationError(
-                    "%s line %d: a cell holds an integer past the digit limit" % (filename, reader.line_num)) from None
-    raise EvaluationError("%s changed while it was read" % filename)
-
-
 class MicroDatabase(Record):
     """A tiny multi-table database: each table's rows and column names.
 
     ``domains`` holds the value domains a caller gave, per table one per
     column, that ``bruteforce`` draws replacement rows from (a table
-    without one draws from its observed values). A table that ``columns``
-    does not name, or a row's width or a given domain's that differs from
-    its table's columns, is an EvaluationError.
+    without one draws from its observed values). A table that only one of
+    ``tables`` and ``columns`` names, or a row's width or a given domain's
+    that differs from its table's columns, is an EvaluationError.
     """
 
     _fields = ("tables", "columns", "domains")
@@ -124,9 +106,10 @@ class MicroDatabase(Record):
         columns: Dict[str, tuple],
         domains: Optional[Dict[str, tuple]] = None,
     ):
+        if tables.keys() != columns.keys():
+            name = min(tables.keys() ^ columns.keys())
+            raise EvaluationError("table %r has no %s" % (name, "column names" if name in tables else "row list"))
         for name, rows in tables.items():
-            if name not in columns:
-                raise EvaluationError("table %r has no column names" % name)
             for row in rows:
                 _check_width(row, len(columns[name]), name)
         domains = domains or {}
@@ -136,27 +119,34 @@ class MicroDatabase(Record):
         self.tables, self.columns, self.domains = tables, columns, domains
 
     @classmethod
-    def from_csv_dir(cls, path: str, tables: Optional[Iterable[str]] = None) -> "MicroDatabase":
-        """Load every ``*.csv`` in a directory, or only the ``tables`` named.
+    def from_csv_dir(cls, path: str, schema: Optional[Dict[str, tuple]] = None) -> "MicroDatabase":
+        """Load every ``*.csv`` in a directory, or only the tables of ``schema``.
 
         The file name (less ``.csv``) is the table name; blank lines are
-        skipped. Every column of a loaded table is converted, whichever
-        columns a caller will read: a column of ASCII digits goes to
-        ``int`` whole, every other cell by ``coerce_value``.
+        skipped. Each file is read once, and decoded whole before it is
+        parsed. Every column of a loaded table is converted, whichever
+        columns a caller will read: a column of ASCII digits goes to ``int``
+        whole, every other cell by ``coerce_value``. ``schema`` maps each
+        table to load to its columns; the table is stored in that order, and
+        the header's other columns are dropped. Without it, a table keeps
+        its header's columns in their order.
 
         Raises:
             EvaluationError: no table to load, a named table has no file,
-                a file's header row is missing or blank, or has an empty or
-                repeated column name, a row's width differs from the
-                header's, or a cell holds an integer of more digits than
-                Python converts.
+                a file is not UTF-8, its header row is missing or blank, has
+                an empty or repeated column name, or lacks a column of
+                ``schema`` (each found before any row is parsed), a row's
+                width differs from the header's, or a cell is past the csv
+                module's field limit or holds an integer of more digits than
+                Python converts. Each names the file and the fault, never a
+                row, a line or a byte.
         """
-        if tables is None:
+        if schema is None:
             names = sorted(n[: -len(".csv")] for n in os.listdir(path) if n.endswith(".csv"))
             if not names:
                 raise EvaluationError("no .csv tables found in %r" % path)
         else:
-            names = sorted(set(tables))
+            names = sorted(schema)
             for name in names:
                 if not os.path.isfile(os.path.join(path, name + ".csv")):
                     raise EvaluationError("no table %r (%s.csv) in %r" % (name, name, path))
@@ -165,29 +155,37 @@ class MicroDatabase(Record):
         for name in names:
             filename = name + ".csv"
             with open(os.path.join(path, filename), newline="", encoding="utf-8-sig") as f:
-                reader = csv.reader(f)
-                try:
-                    header = next(reader, None)
-                    rows = list(filter(None, reader))
-                # csv.Error: a cell past the csv module's field limit (process-global,
-                # so left as it is); UnicodeDecodeError is reported as an I/O error
-                except csv.Error as exc:
-                    raise EvaluationError(
-                        "%s line %d: %s" % (filename, reader.line_num, exc)
-                    ) from None
-            if header is None:
-                raise EvaluationError("%s is empty (no header row)" % filename)
-            columns[name] = tuple(h.strip() for h in header)
-            if not columns[name] or "" in columns[name]:
-                raise EvaluationError("%s has a blank header row or an empty column name" % filename)
-            if len(set(columns[name])) != len(columns[name]):
-                raise EvaluationError("%s repeats a column name in its header" % filename)
-            if set(map(len, rows)) - {len(header)}:
-                _refuse_first_bad_row(path, filename, name, len(header))
+                try:  # the whole file first, so where a bad byte stands decides no refusal
+                    reader = csv.reader(io.StringIO(f.read(), newline=""))
+                except UnicodeDecodeError:  # whose text gives a byte's offset
+                    raise EvaluationError("%s: not UTF-8 text" % filename) from None
             try:
-                rows_of[name] = list(zip(*[_coerce_column(rows, i) for i in range(len(header))]))
-            except ValueError:  # more digits than Python converts
-                _refuse_first_bad_row(path, filename, name, len(header))
+                header = next(reader, None)
+                if header is None:
+                    raise EvaluationError("%s is empty (no header row)" % filename)
+                header = tuple(h.strip() for h in header)
+                if not header or "" in header:
+                    raise EvaluationError("%s has a blank header row or an empty column name" % filename)
+                if len(set(header)) != len(header):
+                    raise EvaluationError("%s repeats a column name in its header" % filename)
+                wanted = header if schema is None else tuple(schema[name])
+                missing = [col for col in wanted if col not in header]
+                if missing:  # named by the header, never by a cell
+                    raise EvaluationError("table %r has no column %r of the query's schema" % (name, missing[0]))
+                rows = list(filter(None, reader))
+            # a cell past the csv module's field limit (process-global, so left as it is)
+            except csv.Error as exc:
+                raise EvaluationError("%s: %s" % (filename, exc)) from None
+            width = len(header)
+            if set(map(len, rows)) - {width}:
+                raise EvaluationError("%s: a row's width differs from its header's %d columns" % (filename, width))
+            try:
+                rows = list(zip(*[_coerce_column(rows, i) for i in range(width)]))
+            except ValueError:  # whose text counts the cell's digits
+                raise EvaluationError("%s: a cell holds an integer past the digit limit" % filename) from None
+            if wanted != header:
+                rows = list(map(_tuple_getter([header.index(col) for col in wanted]), rows))
+            rows_of[name], columns[name] = rows, wanted
         db = cls.__new__(cls)  # skips __init__'s row-by-row check, made above
         db.tables, db.columns, db.domains = rows_of, columns, {}
         return db
@@ -216,18 +214,6 @@ def _tuple_getter(positions: tuple):
     return operator.itemgetter(*positions)
 
 
-def _table_rows(t: Table, db: MicroDatabase) -> List[tuple]:
-    """``t``'s rows, each column found by name in the stored header; other columns are dropped."""
-    stored = tuple(db.columns.get(t.name, ()))
-    if stored == t.columns:
-        return list(db.tables[t.name])
-    missing = [col for col in t.columns if col not in stored]
-    if missing:  # named by the header, never by a cell
-        raise EvaluationError("table %r has no column %r of the query's schema" % (t.name, missing[0]))
-    # another order (a hand-written metrics file, a hand-built database) or more columns
-    return list(map(_tuple_getter([stored.index(col) for col in t.columns]), db.tables[t.name]))
-
-
 def eval_rows(r: RelExpr, db: MicroDatabase) -> List[tuple]:
     """Evaluate a relational transformation to its concrete rows.
 
@@ -243,7 +229,9 @@ def eval_rows(r: RelExpr, db: MicroDatabase) -> List[tuple]:
     stack: List[List[tuple]] = []
     for at, (node, positions) in enumerate(zip(nodes, resolved)):
         if isinstance(node, Table):
-            rows = _table_rows(node, db)
+            if db.columns.get(node.name) != node.columns:
+                raise EvaluationError("table %r is not stored in the query's columns" % node.name)
+            rows = list(db.tables[node.name])
         elif isinstance(node, Join):
             right_rows, left_rows = stack.pop(), stack.pop()
             above = (nodes[at + 1], resolved[at + 1]) if at + 1 < len(nodes) else (None, ())

@@ -893,9 +893,9 @@ def test_collect_metrics_refuses_a_repeated_column_name(tmp_path, capsys):
         ("\n1,2,3\n", "t.csv has a blank header row or an empty column name"),
         ("a,,b\n1,2,3\n", "t.csv has a blank header row or an empty column name"),
         # past the csv module's field limit, which is process-global and left as it is
-        ("a,b\n1," + "x" * 140_000 + "\n", "t.csv line 2: field larger than field limit (131072)"),
-        # the blank line 3 is skipped but counted
-        ("a,b\n1,2\n\n3\n", "t.csv line 4: row width 1 does not match columns of 't'"),
+        ("a,b\n1," + "x" * 140_000 + "\n", "t.csv: field larger than field limit (131072)"),
+        # the refusal names the file and the fault, never the row
+        ("a,b\n1,2\n\n3\n", "t.csv: a row's width differs from its header's 2 columns"),
     ],
     ids=["blank-header", "empty-name", "oversized-cell", "ragged-row"],
 )
@@ -1179,7 +1179,41 @@ def test_input_that_is_not_utf8_is_an_io_error(workspace, capsys, target):
     code, out, err = run(capsys, *argv)
     assert_refused_free(code, out, err, metrics)
     assert code == 3 and err.startswith("error[io]: ")
+    if target.startswith("csv"):  # the file, but no byte offset
+        assert err == "error[io]: edges.csv: not UTF-8 text\n"
     assert not (workspace / "collected.txt").exists()
+
+
+_BAD_ROWS = {  # a bad row of t.csv (header a,b,c), and the one line each command prints for it
+    "over-long-cell": (b"1,2," + b"9" * 5000, "error[io]: t.csv: a cell holds an integer past the digit limit\n"),
+    "ragged-row": (b"1,2", "error[io]: t.csv: a row's width differs from its header's 3 columns\n"),
+    "not-utf8": (b"1,\xff,3", "error[io]: t.csv: not UTF-8 text\n"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_BAD_ROWS))
+def test_a_bad_row_is_refused_with_the_same_line_wherever_it_stands(tmp_path, capsys, fault):
+    # which row of a protected table is bad is not told: the first, the
+    # second, one past the reader's first 8 KiB and the last give one line
+    bad, refusal = _BAD_ROWS[fault]
+    good = [b"%d,%d,%d" % (i, i % 3, i % 5) for i in range(2000)]
+    metrics, collected = tmp_path / "metrics.txt", tmp_path / "collected.txt"
+    metrics.write_text("[tables]\nt = 2001\n\n[mf]\nt.a = 1\nt.b = 667\nt.c = 400\n")  # by hand
+    (tmp_path / "q.sql").write_text("SELECT COUNT(*) FROM t WHERE b < 2\n")
+    for at in (0, 1, 1500, len(good)):
+        case = tmp_path / str(at) / "case"
+        case.mkdir(parents=True)
+        (case / "t.csv").write_bytes(b"\n".join([b"a,b,c", *good[:at], bad, *good[at:]]) + b"\n")
+        for argv in (
+            ("collect-metrics", "--data", case, "--metrics", collected),
+            ("check", "--corpus", case.parent),
+            ("release", tmp_path / "q.sql", "--metrics", metrics, "--epsilon", "1", "--delta", "1e-6", *BUDGET,
+             "--execute", "--data", case),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert_refused_free(code, out, err, metrics)
+            assert (code, err) == (3, refusal), (at, argv[0])
+    assert not collected.exists()
 
 
 _LONG = "9" * 5000  # more digits than Python converts to an int (4300 by default)
@@ -1189,8 +1223,8 @@ _LONG = "9" * 5000  # more digits than Python converts to an int (4300 by defaul
     "target,code,fragment",
     [
         ("query", 1, "error[parse]: integer literal has 5000 digits, more than Python converts\n"),
-        ("csv-collect", 3, "error[io]: edges.csv line 3: a cell holds an integer past the digit limit\n"),
-        ("csv-execute", 3, "error[io]: edges.csv line 3: a cell holds an integer past the digit limit\n"),
+        ("csv-collect", 3, "error[io]: edges.csv: a cell holds an integer past the digit limit\n"),
+        ("csv-execute", 3, "error[io]: edges.csv: a cell holds an integer past the digit limit\n"),
         ("bins", 1, "error[invalid-params]: --bins: integer label has 5000 digits, more than Python converts\n"),
         ("true-result", 3, "error[io]: line 2: true-result label holds an integer past the digit limit\n"),
     ],
@@ -1235,7 +1269,7 @@ def test_a_cell_past_the_digit_limit_refuses_alike_whichever_column_a_query_read
                              "--delta", "1e-6", "--budget-epsilon", "5", "--budget-delta", "0.1", "--seed", "1",
                              "--execute", "--data", data)
         assert_refused_free(code, out, err, metrics)
-        assert (code, err) == (3, "error[io]: t.csv line 3: a cell holds an integer past the digit limit\n"), where
+        assert (code, err) == (3, "error[io]: t.csv: a cell holds an integer past the digit limit\n"), where
 
 
 def test_every_query_that_loads_a_table_with_an_over_long_cell_gets_one_refusal(tmp_path, capsys):
@@ -1260,7 +1294,7 @@ def test_every_query_that_loads_a_table_with_an_over_long_cell_gets_one_refusal(
             (data / (name + ".csv")).write_text("\n".join(lines) + "\n")
         metrics = tmp_path / ("%d.metrics" % trial)
         save_metrics(db.exact_metrics(), metrics)
-        refusal = "error[io]: %s.csv line %d: a cell holds an integer past the digit limit\n" % (long_table, row + 2)
+        refusal = "error[io]: %s.csv: a cell holds an integer past the digit limit\n" % long_table
         for _ in range(6):
             sql = random_query_sql(rng, db)
             if not re.search(r"\b%s\b" % long_table, sql):
@@ -1592,20 +1626,26 @@ def release_shop(capsys, shop, data, *extra):
                "--delta", "1e-6", "--seed", "3", "--json", "--execute", "--data", data, *extra)
 
 
-def test_collected_metrics_keep_each_header_and_a_release_permutes_no_table(shop, capsys, monkeypatch):
+def test_collected_metrics_keep_each_header_and_a_release_loads_the_query_columns(shop, capsys, monkeypatch):
     headers = {name: tuple(text.split("\n", 1)[0].split(",")) for name, text in SHOP.items()}
     assert flexdp.catalog_from_metrics(load_metrics(shop / "metrics.txt")).columns == headers
-    # so the evaluator reads each table's stored rows as they are
-    real, unpermuted = flexdp.oracle._table_rows, []
+    # a release stores each table in the query's columns, also from a header
+    # with another column in another order
+    extra = shop / "extra"
+    extra.mkdir()
+    (extra / "users.csv").write_text(SHOP["users"])
+    (extra / "orders.csv").write_text("note,amount,oid,uid\nx,5,10,1\ny,7,11,1\nz,9,12,3\nw,6,13,2\n")
+    real, loaded = flexdp.oracle.MicroDatabase.from_csv_dir, []
 
-    def table_rows(t, db):
-        rows, stored = real(t, db), db.tables[t.name]
-        unpermuted.append(len(rows) == len(stored) and all(a is b for a, b in zip(rows, stored)))
-        return rows
+    def from_csv_dir(path, schema=None):
+        loaded.append(real(path, schema))
+        return loaded[-1]
 
-    monkeypatch.setattr(flexdp.oracle, "_table_rows", table_rows)
-    assert release_shop(capsys, shop, shop / "data")[0] == 0
-    assert unpermuted == [True, True]
+    monkeypatch.setattr(flexdp.oracle.MicroDatabase, "from_csv_dir", from_csv_dir)
+    for data in (shop / "data", extra):
+        assert release_shop(capsys, shop, data)[0] == 0
+    assert [db.columns for db in loaded] == [headers, headers]
+    assert loaded[0].tables == loaded[1].tables
 
 
 def test_a_header_with_an_extra_column_releases_the_same_value(shop, capsys):

@@ -7,7 +7,6 @@ slip through.
 """
 
 import csv
-import gc
 import sys
 
 import numpy as np
@@ -77,9 +76,9 @@ def test_csv_loading(tmp_path):
         # names are stripped, so blanks are empty names too
         ({"edges.csv": " , \n1,2\n"}, "empty column name"),
         # csv.Error past the field limit, which is process-global and left as it is
-        ({"edges.csv": "a,b\n1," + "x" * 140_000 + "\n"}, r"edges.csv line 2: field larger than field limit"),
-        # a quoted cell spans lines 2 and 3; a row of three cells is line 4
-        ({"edges.csv": 'a,b\n1,"x\ny"\n3,4,5\n'}, "edges.csv line 4: row width 3 does not match columns of 'edges'"),
+        ({"edges.csv": "a,b\n1," + "x" * 140_000 + "\n"}, r"^edges.csv: field larger than field limit \(131072\)$"),
+        # the refusal names the file and the fault, never the row
+        ({"edges.csv": 'a,b\n1,"x\ny"\n3,4,5\n'}, "^edges.csv: a row's width differs from its header's 2 columns$"),
     ],
     ids=["no-tables", "empty-file", "blank-names", "oversized-cell", "ragged-row"],
 )
@@ -115,12 +114,15 @@ def test_csv_loading_reads_each_cell_as_coerce_value(tmp_path, text):
     assert MicroDatabase.from_csv_dir(str(tmp_path)).tables["t"] == expected
 
 
-def test_csv_loading_names_the_line_of_a_cell_past_the_digit_limit(tmp_path):
-    # the quoted cell spans lines 3 and 4, so the long one is on line 5; a
-    # later ragged row is not reached
-    (tmp_path / "t.csv").write_text('a,b\n1,2\n3,"x\ny"\n%s,5\n6\n' % _LONG)
-    with pytest.raises(EvaluationError, match="^t.csv line 5: a cell holds an integer past the digit limit$"):
-        MicroDatabase.from_csv_dir(str(tmp_path))
+def test_csv_loading_names_no_line_of_a_cell_past_the_digit_limit(tmp_path):
+    # the refusal is the same whichever row holds the cell, a quoted cell
+    # spanning two lines before it or not
+    rows = ["1,2", '3,"x\ny"', "4,5", "6,7"]
+    for at in range(len(rows) + 1):
+        lines = rows[:at] + ["%s,5" % _LONG] + rows[at:]
+        (tmp_path / "t.csv").write_text("a,b\n" + "\n".join(lines) + "\n")
+        with pytest.raises(EvaluationError, match="^t.csv: a cell holds an integer past the digit limit$"):
+            MicroDatabase.from_csv_dir(str(tmp_path))
 
 
 def test_csv_loading_converts_every_column_of_the_tables_asked_for(tmp_path, monkeypatch):
@@ -134,56 +136,48 @@ def test_csv_loading_converts_every_column_of_the_tables_asked_for(tmp_path, mon
         return open(file, *args, **kwargs)
 
     monkeypatch.setattr(oracle, "open", tracked, raising=False)
-    db = MicroDatabase.from_csv_dir(str(tmp_path), tables={"t", "u"})
+    db = MicroDatabase.from_csv_dir(str(tmp_path), schema={"t": ("a", "b", "c"), "u": ("d",)})
     assert db.tables == {"t": [(1, "x", 7), (2, 3, -4)], "u": [(5,)]}
     assert db.columns == {"t": ("a", "b", "c"), "u": ("d",)}
-    # a file not asked for is never opened
+    # a file not asked for is never opened, and each loaded file is read once
     assert sorted(opened) == ["t.csv", "u.csv"]
     # a cell past the digit limit is refused in any column of a loaded
-    # table, so the refusal is the same whichever of its columns a query reads
+    # table, also one the schema drops, so the refusal is the same whichever
+    # of its columns a query reads
     (tmp_path / "t.csv").write_text("a,b,c\n1, x ,7\n2,3,%s\n" % _LONG)
-    for tables in (["t"], ["u", "t"], ("t", "t")):
-        with pytest.raises(EvaluationError, match="^t.csv line 3: a cell holds an integer past the digit limit$"):
-            MicroDatabase.from_csv_dir(str(tmp_path), tables=tables)
-    assert MicroDatabase.from_csv_dir(str(tmp_path), tables=["u"]).tables == {"u": [(5,)]}
+    for schema in ({"t": ("a", "b", "c")}, {"u": ("d",), "t": ("b",)}, {"t": ("c", "a")}):
+        with pytest.raises(EvaluationError, match="^t.csv: a cell holds an integer past the digit limit$"):
+            MicroDatabase.from_csv_dir(str(tmp_path), schema=schema)
+    assert MicroDatabase.from_csv_dir(str(tmp_path), schema={"u": ("d",)}).tables == {"u": [(5,)]}
     # the width of every row of a loaded table is checked
     (tmp_path / "u.csv").write_text("d\n5,6\n")
-    with pytest.raises(EvaluationError, match="^u.csv line 2: row width 2"):
-        MicroDatabase.from_csv_dir(str(tmp_path), tables=["u"])
+    with pytest.raises(EvaluationError, match="^u.csv: a row's width differs from its header's 1 columns$"):
+        MicroDatabase.from_csv_dir(str(tmp_path), schema={"u": ("d",)})
     with pytest.raises(EvaluationError, match="no table 'v'"):
-        MicroDatabase.from_csv_dir(str(tmp_path), tables=["v"])
+        MicroDatabase.from_csv_dir(str(tmp_path), schema={"v": ("d",)})
+    # a header lacking a schema column is refused before any row is read,
+    # so a bad row after it is never reached
+    with pytest.raises(EvaluationError, match="^table 'u' has no column 'e' of the query's schema$"):
+        MicroDatabase.from_csv_dir(str(tmp_path), schema={"u": ("d", "e")})
 
 
-@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
-def test_a_file_with_no_bad_row_on_its_second_read_changed_while_it_was_read(tmp_path, monkeypatch, enabled):
-    # a conversion that fails, then a row-by-row re-read that finds no bad
-    # row: the file changed in between, and the collector's state is restored
-    (tmp_path / "t.csv").write_text("a,b\n1,2\n3,x\n")
-    real, failed = oracle._coerce_column, []
-
-    def fails_once(rows, index):
-        if not failed:
-            failed.append(index)
-            raise ValueError("Exceeds the limit")
-        return real(rows, index)
-
-    monkeypatch.setattr(oracle, "_coerce_column", fails_once)
-    was_enabled = gc.isenabled()
-    (gc.enable if enabled else gc.disable)()
-    try:
-        with pytest.raises(EvaluationError, match="^t.csv changed while it was read$"):
-            MicroDatabase.from_csv_dir(str(tmp_path))
-        assert gc.isenabled() is enabled
-    finally:
-        (gc.enable if was_enabled else gc.disable)()
-    assert failed == [0]
-    assert MicroDatabase.from_csv_dir(str(tmp_path)).tables == {"t": [(1, 2), (3, "x")]}
+def test_a_byte_that_is_not_utf8_is_refused_first_wherever_it_stands(tmp_path):
+    # the file is decoded whole before its header is checked, so a header
+    # lacking a schema column gives the same refusal whether the byte is in
+    # the reader's first 8 KiB or past it
+    good = [b"%d,%d" % (i, i % 3) for i in range(2000)]
+    for at in (0, 1, 1500, len(good)):
+        (tmp_path / "t.csv").write_bytes(b"\n".join([b"a,b", *good[:at], b"1,\xff", *good[at:]]) + b"\n")
+        for schema in (None, {"t": ("a", "b")}, {"t": ("a", "c")}):
+            with pytest.raises(EvaluationError, match="^t.csv: not UTF-8 text$"):
+                MicroDatabase.from_csv_dir(str(tmp_path), schema=schema)
 
 
 def test_loading_only_the_query_tables_evaluates_the_same(tmp_path):
-    # each table gets a column no query names, and the directory a table no
-    # query names: loaded with only the query's tables, each converted whole,
-    # a query evaluates as on a full load
+    # each table gets a column the query's schema lacks, and the directory a
+    # table no query names: loaded with only the query's tables, each
+    # converted whole and stored in the schema's columns, a query evaluates
+    # as on a full load
     rng = np.random.default_rng(20261020)
     for trial in range(120):
         db = random_micro_db(rng, max_tables=3, max_rows=6)
@@ -198,11 +192,12 @@ def test_loading_only_the_query_tables_evaluates_the_same(tmp_path):
         (data / "unnamed.csv").write_text("y\n1\n")
         whole = MicroDatabase.from_csv_dir(str(data))
         sql = (_keyed_join_sql if trial % 2 else random_query_sql)(rng, db)
-        query = parse_query(sql, whole.catalog())
-        tables = {node.name for node in postorder(query) if isinstance(node, Table)}
-        partial = MicroDatabase.from_csv_dir(str(data), tables=tables)
-        assert partial.tables == {name: whole.tables[name] for name in tables}
-        got, expected = eval_query(query, partial), eval_query(query, whole)
+        query = parse_query(sql, db.catalog())  # a schema without z
+        schema = {node.name: node.columns for node in postorder(query) if isinstance(node, Table)}
+        partial = MicroDatabase.from_csv_dir(str(data), schema=schema)
+        assert partial.columns == schema
+        assert partial.tables == {name: db.tables[name] for name in schema}
+        got, expected = eval_query(query, partial), eval_query(parse_query(sql, whole.catalog()), whole)
         if isinstance(expected, dict):
             got, expected = list(got.items()), list(expected.items())
         assert got == expected, sql
@@ -211,7 +206,7 @@ def test_loading_only_the_query_tables_evaluates_the_same(tmp_path):
 def test_a_csv_header_in_another_order_evaluates_the_same(tmp_path):
     # a hand-built catalog may list a table's columns in another order than
     # its file's header, which may also hold columns the catalog lacks: each
-    # column is found by name, and the others are dropped
+    # table is stored in the catalog's order at load, and the others are dropped
     sql = (
         "SELECT COUNT(*) FROM users u JOIN orders o ON u.id = o.uid "
         "WHERE o.item != 'pen' AND u.dept = 'a'"
@@ -228,7 +223,8 @@ def test_a_csv_header_in_another_order_evaluates_the_same(tmp_path):
         for (name, rows), header in zip(tables.items(), headers):
             lines = [",".join(str(row[c]) for c in header.split(",")) for row in rows]
             (data / (name + ".csv")).write_text("\n".join([header] + lines) + "\n")
-        db = MicroDatabase.from_csv_dir(str(data))
+        db = MicroDatabase.from_csv_dir(str(data), schema=catalog.columns)
+        assert db.columns == catalog.columns
         query = parse_query(sql, catalog)
         results.append((eval_query(query, db), eval_rows(query.input, db)))
     assert results[0] == results[1] == results[2]
@@ -267,7 +263,15 @@ def test_a_table_without_column_names_is_refused_when_built():
         MicroDatabase(tables={"t": [(1,)]}, columns={})
     with pytest.raises(EvaluationError, match="^table 't' has no column names$"):
         MicroDatabase(tables={"s": [], "t": []}, columns={"s": ("a",)})
-    assert MicroDatabase(tables={}, columns={"t": ("a",)}).columns == {"t": ("a",)}  # columns alone stay allowed
+
+
+def test_a_table_with_column_names_but_no_row_list_is_refused_when_built():
+    # built, it would make eval_query and exact_metrics fail with a bare KeyError
+    with pytest.raises(EvaluationError, match="^table 't' has no row list$"):
+        MicroDatabase(tables={}, columns={"t": ("a",)})
+    with pytest.raises(EvaluationError, match="^table 't' has no row list$"):
+        MicroDatabase(tables={"s": []}, columns={"s": ("a",), "t": ("a",)})
+    assert MicroDatabase(tables={"t": []}, columns={"t": ("a",)}).tables == {"t": []}  # an empty table is one
 
 
 def test_plain_and_filtered_counts():
@@ -325,12 +329,23 @@ def test_eval_rows_and_max_frequency():
         eval_rows("edges", CYCLE)
 
 
-def test_a_table_whose_columns_differ_from_the_query_is_an_evaluation_error():
-    query = q("SELECT COUNT(*) FROM edges", CYCLE)
+def test_a_table_whose_columns_differ_from_the_query_is_an_evaluation_error(tmp_path):
+    query = q("SELECT COUNT(*) FROM edges WHERE dest < 2", CYCLE)
+    schema = {"edges": CYCLE.columns["edges"]}
+    (tmp_path / "edges.csv").write_text("source,weight\n1,2\n")
     with pytest.raises(EvaluationError, match="^table 'edges' has no column 'dest' of the query's schema$"):
-        eval_query(query, db_from([(1, 2)], columns=("source", "weight")))
-    # a column the schema lacks is ignored, wherever it stands
-    assert eval_query(query, db_from([(7, 1, 2)], columns=("weight", "dest", "source"))) == 1
+        MicroDatabase.from_csv_dir(str(tmp_path), schema=schema)
+    # a column the schema lacks is dropped at load, wherever it stands
+    (tmp_path / "edges.csv").write_text("weight,dest,source\n7,1,2\n")
+    db = MicroDatabase.from_csv_dir(str(tmp_path), schema=schema)
+    assert (db.tables, db.columns) == ({"edges": [(2, 1)]}, schema)
+    assert eval_query(query, db) == 1
+    # the evaluator reads a table only in the query's columns
+    for columns in (("source", "weight"), ("dest", "source"), ("source", "dest", "weight")):
+        with pytest.raises(EvaluationError, match="^table 'edges' is not stored in the query's columns$"):
+            eval_query(query, db_from([(1, 2, 3)[: len(columns)]], columns=columns))
+    with pytest.raises(EvaluationError, match="^table 'edges' is not stored in the query's columns$"):
+        eval_query(query, db_from([], name="nodes"))
 
 
 def test_max_frequency_at_grows_by_one_per_replacement():
