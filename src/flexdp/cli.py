@@ -12,8 +12,10 @@ Each subcommand's parser carries its handler. Results go to stdout,
 diagnostics and release metadata to stderr. Exit codes: 0 success, 1
 analysis rejection, 2 budget refusal, 3 I/O or format error. A refusal
 prints ``error[<category>]: <message>`` and exits with the code that its
-error class in ``errors.py`` carries; an OSError, or an input file that is
-not UTF-8, is an I/O error. The true query result is never printed.
+error class in ``errors.py`` carries; an OSError is an I/O error, and so
+is an input that is not UTF-8, refused as ``<file>: not UTF-8 text``
+(``stdin`` for ``-``) with no byte offset, which would tell how much text
+stands before the bad byte. The true query result is never printed.
 ``main`` runs the subcommand with the cyclic garbage collector paused and
 restores its state after: the rows, trees and plans a command builds hold
 no cycle, so reference counting frees them.
@@ -71,6 +73,7 @@ from .metrics import (
     check_identifiers,
     load_metrics,
     metrics_collection_sql,
+    read_text,
     save_metrics,
     validate_store,
 )
@@ -100,10 +103,10 @@ def _diag(message: str):
 
 
 def _read_query(path: str) -> str:
-    if path == "-":  # as utf-8-sig reads a file, without a leading byte-order mark
-        return sys.stdin.read().removeprefix("\ufeff")
-    with open(path, "r", encoding="utf-8-sig") as handle:
-        return handle.read()
+    if path == "-":
+        return read_text(sys.stdin, "stdin")
+    with open(path, "r", encoding="utf-8") as handle:
+        return read_text(handle, path)
 
 
 def _load_inputs(args):
@@ -188,8 +191,8 @@ def _parse_true_result(text: str, arity):
         return float(text)
     except ValueError:
         pass
-    with open(text, "r", encoding="utf-8-sig") as handle:
-        content = handle.read()
+    with open(text, "r", encoding="utf-8") as handle:
+        content = read_text(handle, text)
     if arity is None:
         try:
             return float(content)
@@ -508,7 +511,7 @@ def main(argv=None) -> int:
         prefix = "error" if exc.category is None else "error[%s]" % exc.category
         _diag("%s: %s" % (prefix, exc))
         return exc.exit_code
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         _diag("error[io]: %s" % exc)
         return 3
     finally:

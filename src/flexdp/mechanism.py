@@ -370,8 +370,12 @@ def _release(
     52 ln 2, could carry some value past the float range (a non-finite S
     among them): no released value is ever infinite.
     """
-    values = [float(v) for v in true_values]
-    if not all(math.isfinite(v) for v in values):
+    try:
+        values = [float(v) for v in true_values]
+        finite = all(map(math.isfinite, values))
+    except OverflowError:  # an int past float range
+        finite = False
+    if not finite:
         raise InvalidParams("the true result is not finite; refusing to release")
     if seed is not None and (
         isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and seed >= 0)

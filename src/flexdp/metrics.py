@@ -49,6 +49,22 @@ def ascii_int(text: str) -> Optional[int]:
     return int(text) if body.isdigit() and body.isascii() else None
 
 
+def read_text(handle, name: str) -> str:
+    """All of ``handle``'s text, without a leading byte-order mark.
+
+    Raises:
+        FormatError: the text is not UTF-8, in a fixed message naming
+            ``name``. Python's own gives the first bad byte's offset, which
+            would tell how much text stands before it.
+    """
+    try:
+        text = handle.read()
+        text.encode("utf-8")  # stdin decodes a bad byte to a lone surrogate
+    except UnicodeError:
+        raise FormatError("%s: not UTF-8 text" % name) from None
+    return text.removeprefix("\ufeff")
+
+
 class MetricsStore(Frozen):
     """Max-frequency metrics, public-table flags, and row counts.
 
@@ -139,17 +155,18 @@ def load_metrics(path: str) -> MetricsStore:
     """Parse a metrics file into a MetricsStore.
 
     Raises:
-        FormatError: malformed lines, unknown sections, duplicate keys, a
-            name that is not an identifier, or inconsistent values (with the
-            offending line number).
+        FormatError: a file that is not UTF-8 text, malformed lines,
+            unknown sections, duplicate keys, a name that is not an
+            identifier, or inconsistent values (with the offending line
+            number).
         NegativeCount: a negative row count or max frequency.
     """
     mf: Dict[Tuple[str, str], int] = {}
     public = set()
     row_counts: Dict[str, int] = {}
     section = None
-    with open(path, "r", encoding="utf-8-sig") as handle:
-        for lineno, raw in enumerate(handle, start=1):
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, raw in enumerate(read_text(handle, path).split("\n"), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

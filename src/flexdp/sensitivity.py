@@ -41,10 +41,16 @@ three number systems:
 * ``_Poly``: exact polynomials in k with non-negative integer coefficients.
   A value is a set of them whose largest is the bound at every k, so that
   the mechanism can smooth in closed form. Most values hold one
-  polynomial, and arithmetic on two of those skips the set;
+  polynomial, and product, sum and max of two of those skip the set;
 * ``_Log``: a float64 natural log at one distance, in pure Python, for
   values past double range. Products become sums, sums ``logaddexp`` and
   max stays max, a few ulps of error per step.
+
+The loop reads each step once and binds the system's product, sum and
+unit (``const(1)``) once per evaluation. A join side whose stability is
+that unit object, a private base table or a nested plain count, passes
+the other side's key mf on unmultiplied: x * 1 is x in every system, the
+logs included, as no log value is -0.0.
 
 So exact k=0, the polynomials, the smoothed value and ``check``'s loop
 share one compile, and one tree can be evaluated against any metrics.
@@ -280,7 +286,7 @@ def _undominated(polys) -> tuple:
         return tuple(polys)
     kept = tuple(sorted(
         p for p in polys
-        if not any(q != p and len(q) >= len(p) and all(map(operator.ge, q, p)) for q in polys)
+        if not any(q is not p and len(q) >= len(p) and all(map(operator.ge, q, p)) for q in polys)
     ))
     return kept if len(kept) <= _KEEP_WHOLE else _envelope(kept)
 
@@ -365,9 +371,17 @@ class _Poly:
 
     const = staticmethod(lambda n: ((n,) if n else (),))
     grow = staticmethod(lambda n: ((n, 1),))
-    max = staticmethod(lambda a, b: _undominated(a + b))
-
     # one polynomial each, the usual case, needs no set
+    @staticmethod
+    def max(a, b):
+        if len(a) == len(b) == 1:  # the one that dominates, as _undominated decides it
+            p, q = a[0], b[0]
+            if len(q) >= len(p) and all(map(operator.ge, q, p)):
+                return b
+            if len(p) >= len(q) and all(map(operator.ge, p, q)):
+                return a
+        return _undominated(a + b)
+
     @staticmethod
     def mul(a, b):
         if len(a) == len(b) == 1:
@@ -430,25 +444,26 @@ def _evaluate(plan: list, numbers, m: MetricsStore):
     """
     stability, key_mfs = [], []
     products = None if isinstance(numbers, _Log) else {}  # see _key_mf
-    for step in plan:
+    mul, add, one = numbers.mul, numbers.add, numbers.const(1)
+    for op, inputs, table, self_join, keys in plan:
         mfs = ()
-        if step.op == "table":
-            s = numbers.const(0 if m.is_public(step.table) else 1)
-        elif step.op == "count":
-            s = numbers.const(1)
-        elif step.op == "join":
-            s_left, s_right = stability[step.inputs[0]], stability[step.inputs[1]]
-            mfs = [_key_mf(key, key_mfs, numbers, m, products) for key in step.keys]
-            via_right = numbers.mul(mfs[0], s_right)
-            via_left = numbers.mul(mfs[1], s_left)
-            if step.self_join:
-                s = numbers.add(
-                    numbers.add(via_right, via_left), numbers.mul(s_left, s_right)
-                )
+        if op == "table":
+            s = numbers.const(0) if m.is_public(table) else one
+        elif op == "count":
+            s = one
+        elif op == "join":
+            s_left, s_right = stability[inputs[0]], stability[inputs[1]]
+            mfs = (_key_mf(keys[0], key_mfs, numbers, m, products),
+                   _key_mf(keys[1], key_mfs, numbers, m, products))
+            # times the unit stability is the key mf itself (module docstring)
+            via_right = mfs[0] if s_right is one else mul(mfs[0], s_right)
+            via_left = mfs[1] if s_left is one else mul(mfs[1], s_left)
+            if self_join:
+                s = add(add(via_right, via_left), mul(s_left, s_right))
             else:
                 s = numbers.max(via_right, via_left)
         else:  # a grouped count: a changed row can leave a group and enter one
-            s = numbers.mul(numbers.const(2), stability[step.inputs[0]])
+            s = mul(numbers.const(2), stability[inputs[0]])
         stability.append(s)
         key_mfs.append(mfs)
     return stability, key_mfs

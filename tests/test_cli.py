@@ -1154,19 +1154,22 @@ def test_rejected_query_exits_1_with_category(workspace, capsys, sql, category, 
 
 
 @pytest.mark.parametrize(
-    "target", ["metrics", "query", "csv-collect", "csv-execute", "true-result"]
+    "target", ["metrics", "query", "stdin", "csv-collect", "csv-execute", "true-result"]
 )
-def test_input_that_is_not_utf8_is_an_io_error(workspace, capsys, target):
-    # a 0xff byte is never UTF-8: one error[io] line, nothing written or charged
+def test_input_that_is_not_utf8_is_an_io_error(workspace, capsys, monkeypatch, target):
+    # a 0xff byte is never UTF-8: one error[io] line, nothing written or charged,
+    # and the same line wherever the byte stands. Python's own text gives its
+    # offset, which in a true-result file is the length of the count before it.
     metrics, data = workspace / "metrics.txt", workspace / "data"
     bad = {
         "metrics": metrics,
         "query": workspace / "pairs.sql",
+        "stdin": workspace / "pairs.sql",
         "csv-collect": data / "edges.csv",
         "csv-execute": data / "edges.csv",
         "true-result": workspace / "truth.txt",
     }[target]
-    bad.write_bytes(b"\xff" + (bad.read_bytes() if bad.exists() else b"1\n"))
+    good = bad.read_bytes() if bad.exists() else b"1234567\n"
     if target == "csv-collect":
         argv = ("collect-metrics", "--data", data, "--metrics", workspace / "collected.txt")
     else:
@@ -1174,13 +1177,20 @@ def test_input_that_is_not_utf8_is_an_io_error(workspace, capsys, target):
             "csv-execute": ("--execute", "--data", data),
             "true-result": ("--true-result", bad),
         }.get(target, ("--true-result", "5"))
-        argv = ("release", workspace / "pairs.sql", "--metrics", metrics, "--epsilon", "1.0",
-                "--delta", "1e-6", *BUDGET, *source)
-    code, out, err = run(capsys, *argv)
-    assert_refused_free(code, out, err, metrics)
-    assert code == 3 and err.startswith("error[io]: ")
-    if target.startswith("csv"):  # the file, but no byte offset
-        assert err == "error[io]: edges.csv: not UTF-8 text\n"
+        argv = ("release", "-" if target == "stdin" else workspace / "pairs.sql", "--metrics", metrics,
+                "--epsilon", "1.0", "--delta", "1e-6", *BUDGET, *source)
+    errs = set()
+    for at in (0, 2, 7):
+        text = good[:at] + b"\xff" + good[at:]
+        bad.write_bytes(text)
+        # stdin decodes a bad byte to a lone surrogate, not an error
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text), "utf-8", "surrogateescape"))
+        code, out, err = run(capsys, *argv)
+        assert_refused_free(code, out, err, metrics)
+        assert code == 3
+        errs.add(err)
+    name = {"stdin": "stdin", "csv-collect": "edges.csv", "csv-execute": "edges.csv"}.get(target, bad)
+    assert errs == {"error[io]: %s: not UTF-8 text\n" % name}  # the file, but no byte offset
     assert not (workspace / "collected.txt").exists()
 
 

@@ -497,7 +497,10 @@ def test_largest_draw_is_scale_times_52_ln_2():
     assert math.isfinite(release_count(1e300, q, m, p, seed=10).value)
 
 
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("value", [
+    math.inf, -math.inf, math.nan,
+    pytest.param(10**400, id="int-above-float-range"), pytest.param(-(10**400), id="int-below-float-range"),
+])
 def test_release_refuses_non_finite_true_result(value, monkeypatch):
     def no_bound(*args):
         raise AssertionError("the bound was computed for a refused release")

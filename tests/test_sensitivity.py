@@ -535,6 +535,7 @@ def test_single_polynomial_arithmetic_matches_the_set_path():
             assert times(p, q) == _schoolbook(p, q)
             assert sensitivity._Poly.mul((p,), (q,)) == undominated([_schoolbook(p, q)])
             assert sensitivity._Poly.add((p,), (q,)) == undominated([plus(p, q)])
+            assert sensitivity._Poly.max((p,), (q,)) == undominated([p, q])
     for n_plus_k in grows:
         assert times(n_plus_k, ()) == times((), n_plus_k) == ()
         assert times(n_plus_k, (0,)) == times((0,), n_plus_k) == (0, 0)
