@@ -268,9 +268,10 @@ def _charge_budget(args, params: PrivacyParams):
         fcntl.flock(lock_handle, fcntl.LOCK_EX)
         spent_epsilon = spent_delta = 0.0
         if os.path.exists(path):
+            with open(path, "r", encoding="utf-8") as handle:
+                text = read_text(handle, path)
             try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    data = json.load(handle)
+                data = json.loads(text)
                 spent_epsilon, spent_delta = data["spent_epsilon"], data["spent_delta"]
             except (ValueError, KeyError, TypeError) as exc:
                 raise FormatError("budget ledger %s is unreadable: %r" % (path, exc)) from None

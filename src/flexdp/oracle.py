@@ -8,7 +8,8 @@ reject are never built; that selection's comparisons of one side filter
 that side's rows before the join. ``MicroDatabase.from_csv_dir`` loads
 every table of a directory, or only those of a schema it is given (for a
 release, the query's), reading each file once, and converts every column of
-each: a column of ASCII digits whole, every other cell by ``coerce_value``.
+each: an all-integer body in one ``json.loads``, else a column of ASCII
+digits whole and every other cell by ``coerce_value``.
 It is the one place that decides a table's column order: the schema's,
 with the header's other columns dropped, or without a schema the header's.
 The brute force that ``flexdp check`` runs on these databases, and the
@@ -20,6 +21,7 @@ from __future__ import annotations
 import collections
 import csv
 import io
+import json
 import operator
 import os
 from typing import Dict, Iterator, List, Optional, Union
@@ -88,6 +90,26 @@ def _coerce_column(rows: List[list], index: int) -> Iterator[Value]:
     return map(int if _all_digits(cells) else coerce_value, cells)
 
 
+_INT_BODY = str.maketrans("", "", "0123456789-,\r\n")  # deletes every character of an all-int body
+
+
+def _int_rows(text: io.StringIO) -> Optional[List[tuple]]:
+    """The rest of ``text`` as rows of ints in one ``json.loads``, else None; ``text`` is not moved.
+
+    Tried on ASCII digits, ``-``, commas and line ends, no line past the csv
+    field limit. JSON's integers are ``ascii_int``'s less a leading zero.
+    """
+    body = text.getvalue()[text.tell() :]
+    if body.isascii() and not body.translate(_INT_BODY):  # translate is slow on other text
+        lines = body.splitlines()  # on CR, LF and CRLF alone here, as ``csv`` splits
+        if max(map(len, lines), default=0) <= csv.field_size_limit():
+            try:
+                return list(map(tuple, filter(None, json.loads("[[" + "],[".join(lines) + "]]"))))
+            except ValueError:
+                pass
+    return None
+
+
 class MicroDatabase(Record):
     """A tiny multi-table database: each table's rows and column names.
 
@@ -125,7 +147,8 @@ class MicroDatabase(Record):
         The file name (less ``.csv``) is the table name; blank lines are
         skipped. Each file is read once, and decoded whole before it is
         parsed. Every column of a loaded table is converted, whichever
-        columns a caller will read: a column of ASCII digits goes to ``int``
+        columns a caller will read: an all-integer body in one call
+        (``_int_rows``), else a column of ASCII digits goes to ``int``
         whole, every other cell by ``coerce_value``. ``schema`` maps each
         table to load to its columns; the table is stored in that order, and
         the header's other columns are dropped. Without it, a table keeps
@@ -156,9 +179,10 @@ class MicroDatabase(Record):
             filename = name + ".csv"
             with open(os.path.join(path, filename), newline="", encoding="utf-8-sig") as f:
                 try:  # the whole file first, so where a bad byte stands decides no refusal
-                    reader = csv.reader(io.StringIO(f.read(), newline=""))
+                    text = io.StringIO(f.read(), newline="")
                 except UnicodeDecodeError:  # whose text gives a byte's offset
                     raise EvaluationError("%s: not UTF-8 text" % filename) from None
+            reader = csv.reader(text)
             try:
                 header = next(reader, None)
                 if header is None:
@@ -172,17 +196,19 @@ class MicroDatabase(Record):
                 missing = [col for col in wanted if col not in header]
                 if missing:  # named by the header, never by a cell
                     raise EvaluationError("table %r has no column %r of the query's schema" % (name, missing[0]))
-                rows = list(filter(None, reader))
+                ints = _int_rows(text)
+                rows = list(filter(None, reader)) if ints is None else ints
             # a cell past the csv module's field limit (process-global, so left as it is)
             except csv.Error as exc:
                 raise EvaluationError("%s: %s" % (filename, exc)) from None
             width = len(header)
             if set(map(len, rows)) - {width}:
                 raise EvaluationError("%s: a row's width differs from its header's %d columns" % (filename, width))
-            try:
-                rows = list(zip(*[_coerce_column(rows, i) for i in range(width)]))
-            except ValueError:  # whose text counts the cell's digits
-                raise EvaluationError("%s: a cell holds an integer past the digit limit" % filename) from None
+            if ints is None:
+                try:
+                    rows = list(zip(*[_coerce_column(rows, i) for i in range(width)]))
+                except ValueError:  # whose text counts the cell's digits
+                    raise EvaluationError("%s: a cell holds an integer past the digit limit" % filename) from None
             if wanted != header:
                 rows = list(map(_tuple_getter([header.index(col) for col in wanted]), rows))
             rows_of[name], columns[name] = rows, wanted

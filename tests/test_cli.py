@@ -838,6 +838,21 @@ def test_corrupt_ledger_is_io_error_and_left_alone(workspace, capsys, text):
         assert handle.read() == text
 
 
+def test_a_ledger_that_is_not_utf8_is_refused_without_its_bytes(workspace, capsys):
+    # Python's own decode text would print the ledger's bytes and the bad byte's offset
+    ledger_path = _ledger(workspace / "metrics.txt")
+    content = b'{"spent_epsilon": 0.5, "spent_delta": 1e-6}\xff'
+    with open(ledger_path, "wb") as handle:
+        handle.write(content)
+    code, out, err = run(
+        capsys, "release", workspace / "pairs.sql", "--metrics", workspace / "metrics.txt",
+        "--epsilon", "1", "--delta", "1e-6", "--true-result", "5", *BUDGET,
+    )
+    assert (code, out, err) == (3, "", "error[io]: %s: not UTF-8 text\n" % ledger_path)
+    with open(ledger_path, "rb") as handle:
+        assert handle.read() == content
+
+
 def test_budget_flags_must_come_together(workspace, capsys):
     code, _, err = run(
         capsys,

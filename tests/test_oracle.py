@@ -7,6 +7,8 @@ slip through.
 """
 
 import csv
+import io
+import random
 import sys
 
 import numpy as np
@@ -112,6 +114,73 @@ def test_csv_loading_reads_each_cell_as_coerce_value(tmp_path, text):
         rows = list(csv.reader(f))[1:]
     expected = [tuple(coerce_value(cell.strip()) for cell in row) for row in rows if row]
     assert MicroDatabase.from_csv_dir(str(tmp_path)).tables["t"] == expected
+
+
+def _csv_reference(text: str):
+    """t.csv's rows as ``csv.reader`` and ``coerce_value`` read them, or the text of the refusal."""
+    try:
+        header, *rows = csv.reader(io.StringIO(text, newline=""))
+    except csv.Error as exc:
+        return "t.csv: %s" % exc
+    rows = [row for row in rows if row]
+    if any(len(row) != len(header) for row in rows):
+        return "t.csv: a row's width differs from its header's %d columns" % len(header)
+    try:
+        return [tuple(coerce_value(cell.strip()) for cell in row) for row in rows]
+    except ValueError:
+        return "t.csv: a cell holds an integer past the digit limit"
+
+
+# -0, which the one call reads too, and cells that send a body to csv
+_CELLS = ["-", "-0", "007", "00", "", " 7", "x", "q2", "9" * 4301]
+
+
+def _random_body(r: random.Random) -> str:
+    """A header and rows of digits, with a few cells from ``_CELLS``, blank lines or ragged rows."""
+    odd = r.random() < 0.5  # may hold a ragged row or a cell of _CELLS
+    ends = r.sample(["\n", "\r\n", "\r"], r.randint(1, 2))
+    lines = ["a,b,c"]
+    for _ in range(r.randint(0, 6)):
+        width = r.randint(2, 4) if odd and r.random() < 0.1 else 3
+        cells = [str(r.choice([0, 5, -7, 42, 10**12, -(10**30)])) for _ in range(width)]
+        if odd and r.random() < 0.3:
+            cells[r.randrange(width)] = r.choice(_CELLS)
+        lines += [""] * (r.random() < 0.2) + [",".join(cells)]
+    return "".join(line + r.choice(ends) for line in lines)[: None if r.random() < 0.8 else -1]
+
+
+def test_an_all_integer_body_loads_in_one_call_as_csv_reads_it(tmp_path, monkeypatch):
+    # the one json.loads and the csv fallback give the reference's rows or its refusal
+    paths, int_rows = [], oracle._int_rows
+
+    def tracked(text):
+        rows = int_rows(text)
+        paths.append(rows is not None)
+        return rows
+
+    monkeypatch.setattr(oracle, "_int_rows", tracked)
+    r = random.Random(36)
+    for _ in range(300):
+        text = _random_body(r)
+        (tmp_path / "t.csv").write_bytes(text.encode())
+        try:
+            loaded = MicroDatabase.from_csv_dir(str(tmp_path)).tables["t"]
+        except EvaluationError as exc:
+            loaded = str(exc)
+        assert loaded == _csv_reference(text), repr(text)
+    assert True in paths and False in paths
+
+
+def test_a_cell_past_the_field_limit_is_refused_with_no_digit_limit(tmp_path):
+    # with no digit limit, one json.loads would read the cell as an int
+    (tmp_path / "t.csv").write_text("a,b\n1," + "9" * 140_000 + "\n")
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        with pytest.raises(EvaluationError, match=r"^t.csv: field larger than field limit \(131072\)$"):
+            MicroDatabase.from_csv_dir(str(tmp_path))
+    finally:
+        sys.set_int_max_str_digits(digits)
 
 
 def test_csv_loading_names_no_line_of_a_cell_past_the_digit_limit(tmp_path):
