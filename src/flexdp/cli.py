@@ -74,6 +74,7 @@ from .metrics import (
     load_metrics,
     metrics_collection_sql,
     read_text,
+    replace_durably,
     save_metrics,
     validate_store,
 )
@@ -288,18 +289,8 @@ def _charge_budget(args, params: PrivacyParams):
             spent_delta=spent_delta,
         )
         ledger.charge(params)  # BudgetExhausted propagates; file stays unchanged
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(
-                {
-                    "spent_epsilon": ledger.spent_epsilon,
-                    "spent_delta": ledger.spent_delta,
-                },
-                handle,
-            )
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        totals = {"spent_epsilon": ledger.spent_epsilon, "spent_delta": ledger.spent_delta}
+        replace_durably(path, json.dumps(totals))
         return ledger
 
 

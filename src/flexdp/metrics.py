@@ -235,9 +235,17 @@ def save_metrics(store: MetricsStore, path: str):
     for (table, column), value in store.mf.items():  # in the store's order
         lines.append("%s.%s = %d" % (table, column, value))
     lines.append("")
+    replace_durably(path, "\n".join(lines))
+
+
+def replace_durably(path, text: str):
+    """Write ``text`` to ``<path>.tmp``, sync it, then rename it over ``path``.
+
+    A crash leaves ``path`` whole, old or new, never a truncated copy.
+    """
     tmp = os.fspath(path) + ".tmp"
     with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines))
+        handle.write(text)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)

@@ -9,9 +9,10 @@ with ``AttributeError``. A frozen class's ``__init__`` stores its fields
 straight into the instance ``__dict__``, where ``functools.cached_property``
 also stores what it computes: neither passes through the guard. An
 ``__init__`` may also store there a value derived from its fields, as
-``relalg.Table`` does with its scope entries, and the parser stores there
-the resolution it computes, which the cached property would otherwise
-compute; such a value, like a cached one, is not a field.
+``relalg.Table`` does with its scope entries. The parser stores there the
+resolution it computes, which the cached property would otherwise compute,
+and ``sensitivity._compiled`` a node's plan; such a value, like a cached
+one, is not a field.
 """
 
 

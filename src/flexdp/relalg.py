@@ -70,22 +70,16 @@ class _Node(Frozen):
     """Common base of the relational node classes.
 
     A node's resolution (``resolve``) and sensitivity plan are each
-    computed at most once and kept on the node; the parser stores the
-    resolution of the nodes it builds as it reads them, so a parsed query
-    computes only its plan. Neither is among the node's ``_fields``: node
-    equality and hashing ignore them. Neither holds a node, so reference
-    counting alone frees an analysed or evaluated tree.
+    computed at most once and kept in the node's ``__dict__``: the parser
+    stores the resolution of the nodes it builds as it reads them, and
+    ``sensitivity._compiled`` stores the plan. Neither is among the node's
+    ``_fields``: node equality and hashing ignore them. Neither holds a
+    node, so reference counting alone frees an analysed or evaluated tree.
     """
 
     @functools.cached_property
     def _resolved(self) -> tuple:
         return resolve(self)
-
-    @functools.cached_property
-    def _plan(self) -> tuple:
-        from .sensitivity import _compile  # deferred: sensitivity imports this module
-
-        return _compile(self)
 
 
 def _check_node(r):

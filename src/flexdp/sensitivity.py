@@ -156,7 +156,7 @@ def _compile(r: RelExpr):
     table set. A join is a self join when its inputs' table sets meet.
 
     The last step of the plan is ``r``'s. A tree of any depth compiles. It
-    reads no metrics, so the result is kept on ``r`` (``_Node._plan``).
+    reads no metrics, so ``_compiled`` keeps the result on ``r``.
 
     Raises:
         UnresolvedAttribute: a reference under ``r`` does not resolve.
@@ -204,9 +204,12 @@ def _compile(r: RelExpr):
 
 
 def _compiled(r: RelExpr):
-    """``r``'s plan, output columns and up-links, compiled on first use and kept on ``r``."""
+    """``r``'s plan, output columns and up-links, compiled on first use and kept in ``r.__dict__``."""
     _check_node(r)
-    return r._plan
+    kept = r.__dict__
+    if "_plan" not in kept:
+        kept["_plan"] = _compile(r)
+    return kept["_plan"]
 
 
 # The number systems. ``const(n)`` is n at every distance and

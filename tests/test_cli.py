@@ -1039,11 +1039,13 @@ def test_collect_metrics_refuses_a_name_that_is_not_an_identifier(workspace, cap
     # and no query could name a column called from
     data, collected = workspace / "data", workspace / "collected.txt"
     (data / filename).write_text(header + "\n2\n")
-    code, out, err = run(capsys, "collect-metrics", "--data", data, "--metrics", collected)
-    assert (code, out, err) == (3, "", "error[io]: invalid identifier %r\n" % name)
-    assert sorted(os.listdir(workspace)) == ["data", "grouped.sql", "metrics.txt", "pairs.sql"]
-    # the rule --emit-sql applies to the same directory
-    assert run(capsys, "collect-metrics", "--data", data, "--emit-sql")[0] == 3
+    refused = (3, "", "error[io]: invalid identifier %r\n" % name)
+    # --emit-sql applies the same rule to the same directory, beside --metrics or not
+    for emit in ((), ("--emit-sql",)):
+        assert run(capsys, "collect-metrics", "--data", data, "--metrics", collected, *emit) == refused
+        # no collected.txt, and no collected.txt.tmp
+        assert sorted(os.listdir(workspace)) == ["data", "grouped.sql", "metrics.txt", "pairs.sql"]
+    assert run(capsys, "collect-metrics", "--data", data, "--emit-sql") == refused
 
 
 def test_emit_sql_refuses_a_keyword_column_and_prints_no_statement(workspace, capsys):
@@ -1169,7 +1171,7 @@ def test_rejected_query_exits_1_with_category(workspace, capsys, sql, category, 
 
 
 @pytest.mark.parametrize(
-    "target", ["metrics", "query", "stdin", "csv-collect", "csv-execute", "true-result"]
+    "target", ["metrics", "metrics-analyze", "query", "stdin", "csv-collect", "csv-execute", "true-result"]
 )
 def test_input_that_is_not_utf8_is_an_io_error(workspace, capsys, monkeypatch, target):
     # a 0xff byte is never UTF-8: one error[io] line, nothing written or charged,
@@ -1178,6 +1180,7 @@ def test_input_that_is_not_utf8_is_an_io_error(workspace, capsys, monkeypatch, t
     metrics, data = workspace / "metrics.txt", workspace / "data"
     bad = {
         "metrics": metrics,
+        "metrics-analyze": metrics,
         "query": workspace / "pairs.sql",
         "stdin": workspace / "pairs.sql",
         "csv-collect": data / "edges.csv",
@@ -1187,6 +1190,8 @@ def test_input_that_is_not_utf8_is_an_io_error(workspace, capsys, monkeypatch, t
     good = bad.read_bytes() if bad.exists() else b"1234567\n"
     if target == "csv-collect":
         argv = ("collect-metrics", "--data", data, "--metrics", workspace / "collected.txt")
+    elif target == "metrics-analyze":
+        argv = ("analyze", workspace / "pairs.sql", "--metrics", metrics, "--epsilon", "1.0")
     else:
         source = {
             "csv-execute": ("--execute", "--data", data),
@@ -1437,7 +1442,7 @@ sys.exit(code)
 def _run_child(argv):
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(flexdp.__file__).parent.parent))
     done = subprocess.run(
-        [sys.executable, "-c", _CHILD] + [str(a) for a in argv],
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", _CHILD] + [str(a) for a in argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 0, done.stderr

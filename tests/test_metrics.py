@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import re
 import sqlite3
 
 import pytest
@@ -13,6 +14,7 @@ from flexdp import (
     MissingMetric,
     NegativeCount,
     catalog_from_metrics,
+    cli,
     load_metrics,
     metrics_collection_sql,
     save_metrics,
@@ -207,13 +209,18 @@ BAD_FILES = [
 
 
 @pytest.mark.parametrize("text,fragment,lineno", BAD_FILES)
-def test_load_rejects_bad_files(tmp_path, text, fragment, lineno):
+def test_load_rejects_bad_files(tmp_path, capsys, text, fragment, lineno):
     path = tmp_path / "bad.txt"
     path.write_text(text)
     with pytest.raises(FormatError, match=fragment) as exc:
         load_metrics(str(path))
     assert exc.value.line == lineno
     assert len(str(exc.value)) < 100  # a 5000-digit value is counted, not echoed
+    # a command that loads the file prints that refusal as one error[io] line, exit 3
+    (tmp_path / "q.sql").write_text("SELECT COUNT(*) FROM t\n")
+    assert cli.main(["analyze", str(tmp_path / "q.sql"), "--metrics", str(path), "--epsilon", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and re.fullmatch(r"error\[io\]: line %d: .*%s.*\n" % (lineno, fragment), err), err
 
 
 def test_load_rejects_negative_with_line(tmp_path):

@@ -169,6 +169,16 @@ def test_an_all_integer_body_loads_in_one_call_as_csv_reads_it(tmp_path, monkeyp
             loaded = str(exc)
         assert loaded == _csv_reference(text), repr(text)
     assert True in paths and False in paths
+    # one table written three ways: LF, and CRLF with a blank line after each
+    # row, take the one call; a 007 cell sends it to csv. All three load alike
+    rows = ["%d,%d" % (i, i % 7 + 1) for i in range(500)]
+    databases = []
+    for head, end, lines, one_call in (("\n", "\n", rows, True), ("\r\n", "\r\n\r\n", rows, True),
+                                       ("\n", "\n", [row.replace(",7", ",007") for row in rows], False)):
+        (tmp_path / "t.csv").write_bytes(("a,b" + head + "".join(line + end for line in lines)).encode())
+        databases.append(MicroDatabase.from_csv_dir(str(tmp_path)))
+        assert paths[-1] is one_call
+    assert databases[0] == databases[1] == databases[2]
 
 
 def test_a_cell_past_the_field_limit_is_refused_with_no_digit_limit(tmp_path):
