@@ -371,6 +371,8 @@ def _label_text(label) -> str:
 
 def cmd_collect_metrics(args) -> int:
     if args.emit_sql:
+        if args.data and args.metrics:  # refused before either is read
+            raise InvalidParams("--emit-sql reads --data or --metrics, not both")
         if args.data:
             db = MicroDatabase.from_csv_dir(args.data)
             schema = {name: db.columns[name] for name in sorted(db.columns)}

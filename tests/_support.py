@@ -2,92 +2,80 @@
 
 Three things live here:
 
-* a naive relational evaluator (cartesian products and linear scans, no
-  hashing) used as an independent second route when cross-checking the
-  package's evaluator,
+* an in-memory SQLite copy of a ``MicroDatabase``, and the answer SQLite
+  gives to the same SQL text, the independent engine that cross-checks the
+  package's evaluator and its metric collection statements,
 * seeded random generators for micro-databases and accepted queries, used
   by the property-style suites, and
 * brute-force smoothing references for ``smooth_bound``'s closed form.
 """
 
+import contextlib
 import math
+import re
+import sqlite3
 
 import numpy as np
 
 from flexdp import (
-    Aliased,
-    AttrRef,
     Catalog,
-    Comparison,
-    Count,
-    Join,
     MetricsStore,
     MicroDatabase,
-    Project,
-    Select,
     SmoothBound,
-    Table,
-    attribute_index,
-    root_count,
+    metrics_collection_sql,
 )
 
-# Deliberately separate from the package's operator table.
-_NAIVE_OPS = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
+
+@contextlib.contextmanager
+def sqlite_copy(db: MicroDatabase):
+    """An in-memory SQLite connection holding ``db``'s tables, closed on exit.
+
+    Columns are untyped, so an int is stored as an INTEGER and a string as
+    TEXT, and each table's rows are inserted in stored order: a row's
+    ``rowid`` is its position, from 1.
+    """
+    conn = sqlite3.connect(":memory:")
+    try:
+        for table, cols in db.columns.items():
+            conn.execute("CREATE TABLE %s (%s)" % (table, ", ".join(cols)))
+            conn.executemany("INSERT INTO %s VALUES (%s)" % (table, ", ".join("?" * len(cols))), db.tables[table])
+        yield conn
+    finally:
+        conn.close()
 
 
-def _holds(c: Comparison, row: tuple, node) -> bool:
-    left = row[attribute_index(c.left, node)]
-    right = c.right
-    if isinstance(right, AttrRef):
-        right = row[attribute_index(right, node)]
-    return _NAIVE_OPS[c.op](left, right)
+def sqlite_metrics(db: MicroDatabase) -> dict:
+    """Every ``metrics_collection_sql`` statement run on SQLite: (table, column) -> max frequency."""
+    mf = {}
+    with sqlite_copy(db) as conn:
+        for table, cols in db.columns.items():
+            for col in cols:
+                rows = conn.execute(metrics_collection_sql(table, col)).fetchall()
+                mf[(table, col)] = rows[0][0] if rows else 0  # no row: empty table
+    return mf
 
 
-def naive_rows(r, db: MicroDatabase):
-    """Rows of ``r`` on ``db`` by brute force, aligned with scope_of(r)."""
-    if isinstance(r, Table):
-        stored = db.columns[r.name]
-        picks = [stored.index(c) for c in r.columns]
-        return [tuple(row[i] for i in picks) for row in db.tables[r.name]]
-    if isinstance(r, Join):
-        left = naive_rows(r.left, db)
-        right = naive_rows(r.right, db)
-        li = attribute_index(r.key_left, r.left)
-        ri = attribute_index(r.key_right, r.right)
-        return [a + b for a in left for b in right if a[li] == b[ri]]
-    if isinstance(r, Select):
-        rows = naive_rows(r.input, db)
-        return [row for row in rows if all(_holds(c, row, r.input) for c in r.predicate)]
-    if isinstance(r, Project):
-        rows = naive_rows(r.input, db)
-        picks = [attribute_index(a, r.input) for a in r.attrs]
-        return [tuple(row[i] for i in picks) for row in rows]
-    if isinstance(r, Aliased):
-        return naive_rows(r.input, db)
-    raise TypeError("naive_rows cannot evaluate %r" % (r,))
+_FROM_ALIAS = re.compile(r"\b(?:FROM|JOIN) \w+ (\w+)")  # "FROM table alias" and "JOIN table alias"
 
 
-def naive_eval(q, db: MicroDatabase):
-    """Evaluate a counting query: int for Count, dict for CountGrouped."""
-    root = root_count(q)
-    if isinstance(root, Count):
-        return len(naive_rows(root.input, db))
-    rows = naive_rows(root.input, db)
-    picks = [attribute_index(a, root.input) for a in root.group_attrs]
-    counts = {}
-    for row in rows:
-        label = tuple(row[i] for i in picks)
-        if len(picks) == 1:
-            label = label[0]
-        counts[label] = counts.get(label, 0) + 1
-    return counts
+def sqlite_eval(sql: str, db: MicroDatabase):
+    """SQLite's answer to the counting query ``sql`` on ``db``, shaped as ``eval_query``'s.
+
+    An int for a plain count. For a grouped count, a dict from the group
+    label (a scalar for one grouping column, else a tuple) to its count,
+    with the groups in ``eval_query``'s order: by each group's first row in
+    left-major order, that is by the FROM items' ``rowid``s in FROM order.
+    A grouped query names an alias for each FROM item, and so its rowids.
+    """
+    grouped = " GROUP BY " in sql
+    if grouped:
+        rowids = [alias + ".rowid" for alias in _FROM_ALIAS.findall(sql)]
+        sql = "%s ORDER BY MIN(printf('%s', %s))" % (sql, " ".join(["%010d"] * len(rowids)), ", ".join(rowids))
+    with sqlite_copy(db) as conn:
+        rows = conn.execute(sql).fetchall()
+    if not grouped:
+        return rows[0][0]
+    return {row[0] if len(row) == 2 else row[:-1]: row[-1] for row in rows}
 
 
 # ---------------------------------------------------------------------------

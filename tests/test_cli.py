@@ -934,12 +934,16 @@ def test_a_csv_header_without_column_names_is_an_io_error(tmp_path, capsys, comm
     "argv,fragment",
     [
         (("--emit-sql",), "--emit-sql needs --data or an existing --metrics file"),
+        # one of the two would go unread
+        (("--data", "{tmp}/data", "--metrics", "{tmp}/metrics.txt", "--emit-sql"),
+         "--emit-sql reads --data or --metrics, not both"),
         (("--metrics", "{tmp}/out.txt"), "collect-metrics needs --data"),
         (("--data", "{tmp}/data"), "collect-metrics needs --metrics"),
         (("--data", "{tmp}/data", "--metrics", "{tmp}/out.txt", "--public", "edges,nope"),
          "--public names unknown tables: nope"),
     ],
-    ids=["emit-sql-without-inputs", "without-data", "without-metrics", "unknown-public-table"],
+    ids=["emit-sql-without-inputs", "emit-sql-with-data-and-metrics", "without-data", "without-metrics",
+         "unknown-public-table"],
 )
 def test_collect_metrics_refuses_missing_or_unknown_inputs(workspace, capsys, argv, fragment):
     argv = [a.format(tmp=workspace) for a in argv]
@@ -1040,11 +1044,10 @@ def test_collect_metrics_refuses_a_name_that_is_not_an_identifier(workspace, cap
     data, collected = workspace / "data", workspace / "collected.txt"
     (data / filename).write_text(header + "\n2\n")
     refused = (3, "", "error[io]: invalid identifier %r\n" % name)
-    # --emit-sql applies the same rule to the same directory, beside --metrics or not
-    for emit in ((), ("--emit-sql",)):
-        assert run(capsys, "collect-metrics", "--data", data, "--metrics", collected, *emit) == refused
-        # no collected.txt, and no collected.txt.tmp
-        assert sorted(os.listdir(workspace)) == ["data", "grouped.sql", "metrics.txt", "pairs.sql"]
+    assert run(capsys, "collect-metrics", "--data", data, "--metrics", collected) == refused
+    # no collected.txt, and no collected.txt.tmp
+    assert sorted(os.listdir(workspace)) == ["data", "grouped.sql", "metrics.txt", "pairs.sql"]
+    # --emit-sql applies the same rule to the same directory
     assert run(capsys, "collect-metrics", "--data", data, "--emit-sql") == refused
 
 
@@ -1532,6 +1535,9 @@ def test_the_analysis_layers_import_without_the_evaluator():
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")
+    # here too, where some names are resolved already, dir() lists each public name once
+    listed = dir(flexdp)
+    assert set(flexdp.__all__) <= set(listed) and listed == sorted(set(listed))
 
 
 def test_small_commands_run_without_numpy(tmp_path, capsys):

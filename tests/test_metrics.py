@@ -3,7 +3,6 @@
 import os
 import pathlib
 import re
-import sqlite3
 
 import pytest
 
@@ -20,6 +19,8 @@ from flexdp import (
     save_metrics,
     validate_store,
 )
+
+from _support import sqlite_copy, sqlite_metrics
 
 
 def make_store(**kwargs):
@@ -73,27 +74,10 @@ CORPUS_CASES = sorted(
 )
 
 
-def _sqlite_metrics(db: MicroDatabase) -> dict:
-    """Run every emitted collection statement on an in-memory SQLite copy of ``db``."""
-    conn = sqlite3.connect(":memory:")
-    mf = {}
-    for table, cols in db.columns.items():
-        conn.execute("CREATE TABLE %s (%s)" % (table, ", ".join(cols)))
-        conn.executemany(
-            "INSERT INTO %s VALUES (%s)" % (table, ", ".join("?" * len(cols))),
-            db.tables[table],
-        )
-        for col in cols:
-            rows = conn.execute(metrics_collection_sql(table, col)).fetchall()
-            mf[(table, col)] = rows[0][0] if rows else 0  # no row: empty table
-    conn.close()
-    return mf
-
-
 @pytest.mark.parametrize("case", CORPUS_CASES, ids=lambda d: d.name)
 def test_collection_sql_runs_on_sqlite(case):
     db = MicroDatabase.from_csv_dir(str(case))
-    assert _sqlite_metrics(db) == db.exact_metrics().mf
+    assert sqlite_metrics(db) == db.exact_metrics().mf
 
 
 def test_collection_sql_on_sqlite_edge_tables():
@@ -103,9 +87,22 @@ def test_collection_sql_on_sqlite_edge_tables():
         tables={"empty": [], "t": [(1, 5), (1, 5), (1, 6), (2, 6)]},
         columns={"empty": ("a",), "t": ("mf", "b")},
     )
-    assert _sqlite_metrics(db) == db.exact_metrics().mf == {
+    assert sqlite_metrics(db) == db.exact_metrics().mf == {
         ("empty", "a"): 0, ("t", "mf"): 3, ("t", "b"): 2,
     }
+
+
+def test_a_typed_column_counts_cells_that_flexdp_keeps_as_text(tmp_path):
+    # flexdp reads "7", " 7", "007" and "7 " as 7 and keeps "+7" and "7.0" as
+    # text; a NUMERIC (or INTEGER) column stores all six as 7, so metrics for
+    # a typed database come from the statements run there (README, CSV conventions)
+    (tmp_path / "t.csv").write_text("v\n7\n+7\n7.0\n 7\n007\n7 \n")
+    db = MicroDatabase.from_csv_dir(str(tmp_path))
+    assert db.exact_metrics().mf == sqlite_metrics(db) == {("t", "v"): 4}
+    with sqlite_copy(db) as conn:
+        conn.execute("CREATE TABLE typed (v NUMERIC)")
+        conn.execute("INSERT INTO typed SELECT v FROM t")
+        assert conn.execute(metrics_collection_sql("typed", "v")).fetchall() == [(6,)]
 
 
 def test_collection_sql_rejects_bad_identifiers():

@@ -1,14 +1,14 @@
 """Brute-force evaluator and local-sensitivity enumeration.
 
-The evaluator is cross-checked against a second, deliberately naive
-implementation in _support (nested loops, no hashing) over a seeded random
-corpus, so an error would have to be made twice, in two different ways, to
-slip through.
+The evaluator is cross-checked against SQLite (``_support.sqlite_eval``),
+which reads the same SQL text on a copy of the same database over seeded
+random corpora, so neither flexdp's parser nor its evaluator checks itself.
 """
 
 import csv
 import io
 import random
+import re
 import sys
 
 import numpy as np
@@ -34,7 +34,7 @@ from flexdp.bruteforce import ENUMERATION_GUARD, ball_size, local_sensitivity_at
 from flexdp.oracle import coerce_value
 from flexdp.relalg import postorder
 
-from _support import chain_catalog, chain_sql, naive_eval, random_micro_db, random_query_sql
+from _support import chain_catalog, chain_sql, random_micro_db, random_query_sql, sqlite_eval, sqlite_metrics
 
 
 def db_from(rows, columns=("source", "dest"), name="edges", domains=None):
@@ -334,6 +334,9 @@ def test_a_given_domain_must_match_its_tables_columns():
             db_from([(1, 2)], domains=domain)
     with pytest.raises(EvaluationError, match="domain width 1 does not match columns of 'nodes'"):
         MicroDatabase(tables={}, columns={}, domains={"nodes": ((1,),)})
+    # as must each row's width
+    with pytest.raises(EvaluationError, match="^row width 3 does not match columns of 'edges'$"):
+        db_from([(1, 2), (1, 2, 3)])
 
 
 def test_a_table_without_column_names_is_refused_when_built():
@@ -481,13 +484,38 @@ def test_exact_metrics():
     assert m.row_counts == {"edges": 3}
 
 
-def test_evaluator_agrees_with_naive_route():
+def test_evaluator_agrees_with_sqlite():
     rng = np.random.default_rng(20260814)
     for _ in range(150):
         db = random_micro_db(rng)
         sql = random_query_sql(rng, db)
-        query = parse_query(sql, db.catalog())
-        assert eval_query(query, db) == naive_eval(query, db), sql
+        assert eval_query(q(sql, db), db) == sqlite_eval(sql, db), sql
+
+
+_TEXTS = ("1", "a", "ab", "b")  # "1" is text that looks like a number, never equal to 1
+
+
+def test_mixed_int_and_text_values_agree_with_sqlite():
+    # about a quarter of the cells and half of the WHERE literals are text:
+    # equality across the types is false, and an int sorts before a text
+    rng = np.random.default_rng(20261022)
+    grouped = texts = 0
+    for _ in range(1000):
+        db = random_micro_db(rng, max_tables=3, max_rows=6)
+        for rows in db.tables.values():
+            rows[:] = [tuple(str(rng.choice(_TEXTS)) if rng.random() < 0.25 else v for v in row) for row in rows]
+        sql = random_query_sql(rng, db, max_joins=3)
+        if rng.random() < 0.5:
+            sql, n = re.subn(r"(WHERE \S+ \S+ )(\d+)", lambda m: "%s'%s'" % (m[1], rng.choice(_TEXTS)), sql)
+            texts += n
+        got, expected = eval_query(q(sql, db), db), sqlite_eval(sql, db)
+        if isinstance(expected, dict):
+            got, expected = list(got.items()), list(expected.items())
+            grouped += 1
+        assert got == expected, sql
+        # and each collection statement, run by SQLite, counts what flexdp counts
+        assert sqlite_metrics(db) == db.exact_metrics().mf, db
+    assert grouped > 200 and texts > 200  # both kinds are drawn often
 
 
 def _keyed_join_sql(rng, db) -> str:
@@ -543,24 +571,25 @@ def test_a_one_side_comparison_filters_that_side_before_the_join(monkeypatch):
     ]
 
 
-def test_a_where_merged_into_the_on_selection_agrees_with_the_naive_route():
+def test_a_where_merged_into_the_on_selection_agrees_with_sqlite():
     db = db_from([(1, 2), (2, 3), (3, 1), (1, 3), (3, 4), (4, 1), (2, 1), (4, 2)])
-    query = q(TRIANGLE + " WHERE e1.source < 2 AND e3.dest != e2.dest AND e3.source > 1", db)
+    sql = TRIANGLE + " WHERE e1.source < 2 AND e3.dest != e2.dest AND e3.source > 1"
+    query = q(sql, db)
     # the WHERE conjuncts follow the last ON clause's in one selection
     assert isinstance(query.input, Select) and isinstance(query.input.input, Join)
     assert len(query.input.predicate) == 5
-    assert eval_query(query, db) == naive_eval(query, db) == 2
+    assert eval_query(query, db) == sqlite_eval(sql, db) == 2
 
 
-def test_keyed_joins_agree_with_naive_route_in_order():
+def test_keyed_joins_agree_with_sqlite_in_order():
     # every cross-side = of a selection on a join joins the hash key; the
-    # rows, and so a grouped count's groups, keep the naive route's order
+    # rows stay left-major, so a grouped count's groups come in the order
+    # of their first row by the FROM items' rowids
     rng = np.random.default_rng(20261019)
     for _ in range(300):
         db = random_micro_db(rng, max_tables=3, max_rows=6)
         sql = _keyed_join_sql(rng, db)
-        query = parse_query(sql, db.catalog())
-        got, expected = eval_query(query, db), naive_eval(query, db)
+        got, expected = eval_query(q(sql, db), db), sqlite_eval(sql, db)
         if isinstance(expected, dict):
             got, expected = list(got.items()), list(expected.items())
         assert got == expected, sql

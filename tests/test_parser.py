@@ -2,8 +2,10 @@
 
 import csv
 import hashlib
+import itertools
 import pathlib
 import random
+import sys
 import time
 
 import pytest
@@ -25,9 +27,11 @@ from flexdp import (
     UnknownColumn,
     UnknownTable,
     UnsupportedQuery,
+    catalog_from_metrics,
     elastic_sensitivity,
     eval_query,
     join_nodes,
+    load_metrics,
     parse_query,
 )
 from flexdp.relalg import counted_relation, resolve
@@ -531,8 +535,34 @@ def _recorded_queries():
         yield sql, CATALOG
 
 
-def test_the_recorded_resolution_is_the_one_resolve_computes():
-    for sql, catalog in _recorded_queries():
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _workload_queries(directory):
+    """(sql, catalog): the first 3000 operations of each in-process benchmark stream, at seed 1.
+
+    ``perfbench/workloads.py`` is imported as it is, and only read: no
+    bytecode is written beside it. Each stream's catalog is its metrics
+    file's, written to ``directory`` and loaded back.
+    """
+    bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        sys.dont_write_bytecode = bytecode
+    for stream, entries, metrics in ((workloads.mix_stream, workloads.mix_catalogue, workloads.mix_metrics),
+                                     (workloads.deep_stream, workloads.deep_catalogue, workloads.deep_metrics)):
+        path = directory / (stream.__name__ + ".metrics")
+        path.write_text(metrics().text())
+        catalog = catalog_from_metrics(load_metrics(str(path)))
+        for op in itertools.islice(stream(1, entries()), 3000):
+            yield op.sql, catalog
+
+
+def test_the_recorded_resolution_is_the_one_resolve_computes(tmp_path):
+    for sql, catalog in itertools.chain(_recorded_queries(), _workload_queries(tmp_path)):
         q = parse_query(sql, catalog)
         for node in (q, counted_relation(q)):
             positions, names = vars(node)["_resolved"]

@@ -301,4 +301,6 @@ def test_frozen_records_refuse_assignment(record, fields):
     for name in fields:
         with pytest.raises(AttributeError):
             setattr(record, name, None)
+        with pytest.raises(AttributeError, match="^cannot delete field %r$" % name):
+            delattr(record, name)
     assert tuple(getattr(record, name) for name in fields) == values
